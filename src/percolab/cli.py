@@ -29,7 +29,7 @@ import numpy as np
 from . import battery as bat
 from .clusters import scan_good_spanning
 from .config import Config, ConfigError, load_config
-from .estimators import Estimate, locate_pc, one_arm_profile, two_point_profile
+from .estimators import BracketError, Estimate, locate_pc, one_arm_profile, two_point_profile
 from .experiments import (
     iic_conditional,
     iic_series,
@@ -563,9 +563,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="percolab", description=__doc__)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override sample.seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; merges are associative but the current "
-                        "implementation runs single-threaded")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="csv writes both CSV and the JSON mirror; json only the mirror")
@@ -603,12 +600,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config)
         sink = _Sink(args.out_dir, args.format)
         return args.fn(cfg, args, sink)
-    except ConfigError as exc:
+    except (ConfigError, BracketError) as exc:
         print(f"percolab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -22,10 +22,13 @@ from .engine import (
     ClusterRecord,
     PercolationConfig,
     RegionLike,
+    cluster_components,
     edge_state,
+    explore,
     explore_cluster,
+    membership,
     mix64,
-    region_member,
+    raw_edge_state,
     spanning_clusters,
 )
 from .estimators import Estimate
@@ -35,7 +38,6 @@ from .lattice import (
     Site,
     annulus,
     box,
-    canonical_edge,
     contains,
     neighbours,
     norm_inf,
@@ -71,7 +73,7 @@ def _region_covers_ball(region: RegionLike, x: Site, s: int) -> bool:
             return inside_outer and clears_hole
         sites = region.sites or frozenset()
         return all(y in sites for y in _ball_sites(x, s))
-    return all(region_member(region, y) for y in _ball_sites(x, s))
+    return all(map(membership(region), _ball_sites(x, s)))
 
 
 def _ball_sites(x: Site, s: int):
@@ -141,37 +143,14 @@ class RegularityReport:
     regular: Optional[bool]
 
 
+# A resampled cluster reaching this many sites aborts the estimate.
+_RESAMPLE_CAP = 200_000
+
+
 def _inner_sample_id(outer_sample: int, inner: int) -> int:
     """A derived sample stream for nested resampling, separated from the
     outer id space by an avalanche pass (63-bit to stay nonnegative)."""
     return mix64(((outer_sample & 0xFFFFFFFF) << 31) ^ inner ^ 0xA5A5_0F0F_3C3C_9696) >> 1
-
-
-def _explore_mixed(
-    spec,
-    state_fn: Callable[[Edge], bool],
-    x: Site,
-    member: Callable[[Site], bool],
-    cap: int = 200_000,
-) -> Set[Site]:
-    """Vertex set of the cluster of x under an arbitrary edge-state oracle."""
-    from collections import deque
-
-    if not member(x):
-        return set()
-    visited = {x}
-    frontier = deque([x])
-    while frontier:
-        y = frontier.popleft()
-        for z in neighbours(spec, y):
-            if z in visited or not member(z):
-                continue
-            if state_fn(canonical_edge(spec, y, z)):
-                visited.add(z)
-                if len(visited) >= cap:
-                    raise RuntimeError("mixed exploration exceeded its cap")
-                frontier.append(z)
-    return visited
 
 
 def estimate_regularity(
@@ -195,7 +174,7 @@ def estimate_regularity(
     the volume threshold at some s >= K is bad with probability one and
     skips resampling entirely.
     """
-    if not region_member(region, x):
+    if not membership(region)(x):
         raise ValueError(f"{x} is not in the conditioning region")
     base = explore_cluster(cfg, x, region)
     if base.truncated:
@@ -233,20 +212,18 @@ def estimate_regularity(
     ]
     tallies = {s: 0 for s in pending}
     if pending:
-        spec = cfg.spec
-
-        def member(y: Site) -> bool:
-            return region_member(resample_region, y)
-
+        member = membership(resample_region)
         for inner in range(params.n_inner):
             inner_cfg = cfg.with_sample(_inner_sample_id(cfg.sample_id, inner))
 
-            def state(e: Edge) -> bool:
-                if e[0] in frozen or e[1] in frozen:
-                    return edge_state(cfg, e)
-                return edge_state(inner_cfg, e)
+            def state(e: Edge) -> int:
+                frozen_edge = e[0] in frozen or e[1] in frozen
+                return raw_edge_state(cfg if frozen_edge else inner_cfg, e)
 
-            cluster = _explore_mixed(spec, state, x, member)
+            cluster, outcome = explore(cfg.spec, [x], member, state,
+                                       cap=_RESAMPLE_CAP - 1)
+            if outcome is None:
+                raise RuntimeError("mixed exploration exceeded its cap")
             for s in pending:
                 cnt = sum(
                     1 for v in cluster
@@ -394,7 +371,7 @@ def good_spanning_check(
     if params.check_minimality and not reasons:
         for r in range(1, q):
             sub = sub_annulus(cfg.spec, idx, r, scale_params)
-            for comp in _restricted_components(cfg, candidate, sub):
+            for comp in cluster_components(cfg.spec, candidate, sub):
                 comp_reasons, _, _, _ = _items_one_to_three(
                     cfg, comp, sub, params, reg
                 )
@@ -416,52 +393,6 @@ def good_spanning_check(
         regular_out=reg_out,
         boundary_windows=windows,
     )
-
-
-def _restricted_components(
-    cfg: PercolationConfig, cluster: ClusterRecord, sub: Region
-) -> List[ClusterRecord]:
-    """Connected components of (cluster's vertex set) ∩ sub, as records
-    relative to ``sub``, using the cluster's own open edges."""
-    verts = {v for v in cluster.vertices if contains(sub, v)}
-    comps: List[ClusterRecord] = []
-    seen: Set[Site] = set()
-    adj: Dict[Site, Set[Site]] = {v: set() for v in verts}
-    for a, b in cluster.open_edges:
-        if a in verts and b in verts:
-            adj[a].add(b)
-            adj[b].add(a)
-    from .lattice import region_boundaries
-
-    b_in_sites, b_out_sites = region_boundaries(cfg.spec, sub)
-    b_in_set, b_out_set = set(b_in_sites), set(b_out_sites)
-    for start in sorted(verts):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            y = stack.pop()
-            for z in adj[y]:
-                if z not in comp:
-                    comp.add(z)
-                    stack.append(z)
-        seen |= comp
-        edges = tuple(
-            e for e in cluster.open_edges if e[0] in comp and e[1] in comp
-        )
-        comps.append(
-            ClusterRecord(
-                root=min(comp),
-                region=sub,
-                vertices=frozenset(comp),
-                open_edges=edges,
-                boundary_in=frozenset(comp & b_in_set),
-                boundary_out=frozenset(comp & b_out_set),
-                truncated=False,
-            )
-        )
-    return comps
 
 
 def scan_good_spanning(

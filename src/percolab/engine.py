@@ -16,12 +16,17 @@ produce any number of samples with a single avalanche pass per sample.  The
 construction is frozen by the test vectors in ``tests/test_engine.py``;
 changing it is a format break.
 
-Exploration primitives query only edges with both endpoints inside the
-allowed region and support hard caps with *tri-state* results: ``True`` /
-``False`` are certain, ``None`` means the cap censored the answer.  An
-optional ``edge_log`` records every (edge, bit) queried, which the tests use
-to prove measurability claims (e.g. spanning-cluster detection never touches
-an edge outside the annulus).
+Every lattice exploration runs through one frontier loop, :func:`explore`:
+sources, a membership predicate, an edge-state callable, an optional target
+for early exit, a hard vertex cap with a *tri-state* result (``True`` /
+``False`` are certain, ``None`` means the cap censored the answer) and an
+optional ``edge_log`` of every (edge, bit) queried.  ``explore_cluster``,
+``cluster_components``, ``connect_sets`` and ``spanning_clusters`` are built
+on it here, and the regularity resampling in :mod:`percolab.clusters` runs
+it with an edge-state callable that mixes two samples.  Only edges with both
+endpoints inside the allowed region are ever queried; the tests read the
+``edge_log`` to prove such measurability claims (e.g. spanning-cluster
+detection never touches an edge outside the annulus).
 
 ``enumerate_exact`` is the oracle twin: exhaustive rational-arithmetic
 enumeration over explicit graphs of at most 24 edges.
@@ -67,12 +72,14 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 def edge_key(seed: int, e: Edge) -> int:
     """Sample-independent 64-bit key of a canonical edge."""
-    h = mix64((seed & MASK64) ^ _PHI)
+    # int() admits numpy integers (e.g. coordinates read off Window.sites),
+    # whose ``& MASK64`` would overflow; Python ints pass through unchanged.
+    h = mix64((int(seed) & MASK64) ^ _PHI)
     a, b = e
     for c in a:
-        h = mix64(h ^ (c & MASK64) ^ _COORD_SALT_A)
+        h = mix64(h ^ (int(c) & MASK64) ^ _COORD_SALT_A)
     for c in b:
-        h = mix64(h ^ (c & MASK64) ^ _COORD_SALT_B)
+        h = mix64(h ^ (int(c) & MASK64) ^ _COORD_SALT_B)
     return h
 
 
@@ -170,12 +177,83 @@ def states_over_samples(
 RegionLike = Union[Region, FrozenSet[Site], Callable[[Site], bool]]
 
 
-def region_member(region: RegionLike, x: Site) -> bool:
+def membership(region: RegionLike) -> Callable[[Site], bool]:
+    """The membership predicate of a region, a site set or a predicate."""
     if isinstance(region, Region):
-        return contains(region, x)
+        return lambda x: contains(region, x)
     if isinstance(region, (frozenset, set)):
-        return x in region
-    return bool(region(x))
+        return region.__contains__
+    return region
+
+
+def explore(
+    spec: LatticeSpec,
+    sources: Iterable[Site],
+    member: Callable[[Site], bool],
+    state: Callable[[Edge], int],
+    target: Optional[Callable[[Site], bool]] = None,
+    cap: int = 1_000_000,
+    edge_log: Optional[list] = None,
+    open_edges: Optional[Set[Edge]] = None,
+    lifo: bool = False,
+) -> Tuple[Set[Site], Optional[bool]]:
+    """The frontier loop behind every lattice exploration in the package.
+
+    Grows the open cluster of the ``sources`` that satisfy ``member``, through
+    neighbours that satisfy ``member``; ``state(e)`` is the bit of the
+    canonical edge ``e`` and is only asked for edges with both endpoints in
+    the region.  Returns ``(visited, outcome)`` with a tri-state outcome:
+    ``True`` as soon as a site satisfying ``target`` is reached (a source
+    included), ``None`` when the vertex cap censored the closure, ``False``
+    otherwise.
+
+    Without ``open_edges`` an edge is queried only towards a site not yet
+    visited, which is all a connection or a vertex set needs.  With it, every
+    edge leaving an expanded site is queried exactly once and the open ones
+    are added to ``open_edges``.  ``edge_log`` receives every queried
+    ``(edge, bit)`` in order.  The frontier is FIFO unless ``lifo``.
+    """
+    visited: Set[Site] = set()
+    frontier: "deque[Site]" = deque()
+    for s in sources:
+        s = tuple(s)
+        if not member(s):
+            continue
+        if target is not None and target(s):
+            return visited, True
+        if s not in visited:
+            visited.add(s)
+            frontier.append(s)
+    # Sites whose edges need no query: the visited ones, or, when every open
+    # edge is wanted, the expanded ones (which queried their edges already).
+    done = visited if open_edges is None else set()
+    pop = frontier.pop if lifo else frontier.popleft
+    truncated = False
+    while frontier:
+        y = pop()
+        if open_edges is not None:
+            done.add(y)
+        for z in neighbours(spec, y):
+            if z in done or not member(z):
+                continue
+            e = (y, z) if y < z else (z, y)
+            bit = state(e)
+            if edge_log is not None:
+                edge_log.append((e, bit))
+            if not bit:
+                continue
+            if open_edges is not None:
+                open_edges.add(e)
+                if z in visited:
+                    continue
+            if target is not None and target(z):
+                return visited, True
+            if len(visited) >= cap:
+                truncated = True
+                continue
+            visited.add(z)
+            frontier.append(z)
+    return visited, None if truncated else False
 
 
 @dataclass(frozen=True)
@@ -184,8 +262,10 @@ class ClusterRecord:
 
     ``boundary_in``/``boundary_out`` are the intersections of the vertex set
     with the region's boundaries (annulus/explicit regions only; empty
-    otherwise).  ``truncated`` means the vertex cap censored the closure, so
-    the vertex set is a subset of the true restricted cluster.
+    otherwise), as sorted tuples.  ``open_edges`` holds the open edges with
+    both endpoints in the vertex set.  ``truncated`` means the vertex cap
+    censored the closure, so the vertex set is a subset of the true
+    restricted cluster.  Records are built only by :func:`_cluster_record`.
     """
 
     root: Site
@@ -225,6 +305,42 @@ def _boundary_membership(spec: LatticeSpec, region: RegionLike, y: Site) -> Tupl
     return (False, False)
 
 
+def _cluster_record(
+    spec: LatticeSpec,
+    root: Site,
+    region: RegionLike,
+    member: Callable[[Site], bool],
+    state: Callable[[Edge], int],
+    cap: int = 1_000_000,
+    edge_log: Optional[list] = None,
+    lifo: bool = False,
+) -> ClusterRecord:
+    """Explore the cluster of ``root`` under ``state`` and record it."""
+    open_edges: Set[Edge] = set()
+    visited, outcome = explore(spec, [root], member, state, cap=cap,
+                               edge_log=edge_log, open_edges=open_edges, lifo=lifo)
+    b_in: List[Site] = []
+    b_out: List[Site] = []
+    for v in visited:
+        bi, bo = _boundary_membership(spec, region, v)
+        if bi:
+            b_in.append(v)
+        if bo:
+            b_out.append(v)
+    # When truncated, open edges to unvisited sites are dropped so that every
+    # recorded edge is internal to the vertex set.
+    kept = frozenset(e for e in open_edges if e[0] in visited and e[1] in visited)
+    return ClusterRecord(
+        root=root,
+        region=region,
+        vertices=frozenset(visited),
+        open_edges=kept,
+        boundary_in=tuple(sorted(b_in)),
+        boundary_out=tuple(sorted(b_out)),
+        truncated=outcome is None,
+    )
+
+
 def explore_cluster(
     cfg: PercolationConfig,
     x: Site,
@@ -237,58 +353,34 @@ def explore_cluster(
 
     Breadth-first by default (``order="dfs"`` exists to let tests prove
     traversal-order independence).  Only edges with both endpoints inside
-    the region are ever hashed.  ``truncated`` is set iff the vertex cap was
-    hit before the closure stabilised.
+    the region are ever hashed, each at most once.  ``truncated`` is set iff
+    the vertex cap was hit before the closure stabilised.
     """
-    if not region_member(region, x):
+    member = membership(region)
+    if not member(x):
         raise ValueError(f"root {x} not in region")
-    spec = cfg.spec
-    visited: Set[Site] = {x}
-    frontier: "deque[Site]" = deque([x])
-    open_edges: Set[Edge] = set()
-    seen_edges: Dict[Edge, int] = {}
-    truncated = False
-    while frontier:
-        y = frontier.popleft() if order == "bfs" else frontier.pop()
-        for z in neighbours(spec, y):
-            if not region_member(region, z):
-                continue
-            e = (y, z) if y < z else (z, y)
-            bit = seen_edges.get(e)
-            if bit is None:
-                bit = raw_edge_state(cfg, e)
-                seen_edges[e] = bit
-                if edge_log is not None:
-                    edge_log.append((e, bit))
-            if not bit:
-                continue
-            open_edges.add(e)
-            if z not in visited:
-                if len(visited) >= cap:
-                    truncated = True
-                    continue
-                visited.add(z)
-                frontier.append(z)
-    b_in: List[Site] = []
-    b_out: List[Site] = []
-    for v in visited:
-        bi, bo = _boundary_membership(spec, region, v)
-        if bi:
-            b_in.append(v)
-        if bo:
-            b_out.append(v)
-    # Keep only open edges internal to the visited set (when truncated, edges
-    # to unvisited vertices are dropped to honour the record invariant).
-    kept = frozenset(e for e in open_edges if e[0] in visited and e[1] in visited)
-    return ClusterRecord(
-        root=x,
-        region=region,
-        vertices=frozenset(visited),
-        open_edges=kept,
-        boundary_in=tuple(sorted(b_in)),
-        boundary_out=tuple(sorted(b_out)),
-        truncated=truncated,
-    )
+    return _cluster_record(cfg.spec, x, region, member,
+                           lambda e: raw_edge_state(cfg, e),
+                           cap, edge_log, lifo=order == "dfs")
+
+
+def cluster_components(
+    spec: LatticeSpec, cluster: ClusterRecord, region: Region
+) -> List[ClusterRecord]:
+    """Connected components of (cluster's vertex set) ∩ ``region`` under the
+    cluster's own open edges, as records relative to ``region``, in order of
+    their minimal vertex (which is each record's root)."""
+    sites = {v for v in cluster.vertices if contains(region, v)}
+    out: List[ClusterRecord] = []
+    seen: Set[Site] = set()
+    for root in sorted(sites):
+        if root in seen:
+            continue
+        rec = _cluster_record(spec, root, region, sites.__contains__,
+                              cluster.open_edges.__contains__)
+        seen |= rec.vertices
+        out.append(rec)
+    return out
 
 
 def connect_sets(
@@ -307,58 +399,13 @@ def connect_sets(
     are irrelevant to a restricted connection); a source that *is* a target
     decides immediately.
     """
-    spec = cfg.spec
     if isinstance(targets, (Region, frozenset, set)) or callable(targets):
-        tmember = lambda y: region_member(targets, y)  # noqa: E731
+        target = membership(targets)
     else:
-        tset = frozenset(tuple(t) for t in targets)
-        tmember = lambda y: y in tset  # noqa: E731
-    visited: Set[Site] = set()
-    frontier: List[Site] = []
-    for s in sources:
-        s = tuple(s)
-        if not region_member(region, s):
-            continue
-        if tmember(s):
-            return True
-        if s not in visited:
-            visited.add(s)
-            frontier.append(s)
-    truncated = False
-    head = 0
-    while head < len(frontier):
-        y = frontier[head]
-        head += 1
-        for z in neighbours(spec, y):
-            if z in visited or not region_member(region, z):
-                continue
-            e = (y, z) if y < z else (z, y)
-            bit = raw_edge_state(cfg, e)
-            if edge_log is not None:
-                edge_log.append((e, bit))
-            if not bit:
-                continue
-            if tmember(z):
-                return True
-            if len(visited) >= cap:
-                truncated = True
-                continue
-            visited.add(z)
-            frontier.append(z)
-    return None if truncated else False
-
-
-def restricted_connect(
-    cfg: PercolationConfig,
-    x: Site,
-    targets: Union[Iterable[Site], RegionLike],
-    region: RegionLike,
-    cap: int = 1_000_000,
-) -> Optional[bool]:
-    """Tri-state connection of a single site to a target set inside a region."""
-    if not region_member(region, x):
-        raise ValueError(f"source {x} not in region")
-    return connect_sets(cfg, [x], targets, region, cap)
+        target = frozenset(tuple(t) for t in targets).__contains__
+    _, outcome = explore(cfg.spec, sources, membership(region),
+                         lambda e: raw_edge_state(cfg, e), target, cap, edge_log)
+    return outcome
 
 
 def spanning_clusters(

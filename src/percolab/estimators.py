@@ -24,7 +24,7 @@ from .engine import (
     enumerate_exact,
 )
 from .lattice import Site, norm_inf, norm_power
-from .windowed import Window, build_window, component_labels, sample_open_edges
+from .windowed import Window, build_window, sample_labels
 
 EventFn = Callable[[PercolationConfig], Optional[bool]]
 
@@ -141,10 +141,9 @@ def two_point_profile(
     origin = win.row_of((0,) * cfg.spec.d)
     rows = win.rows_of(targets)
     hits = np.zeros(len(targets), dtype=np.int64)
-    for sid in range(sample_start, sample_start + n_samples):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
-        hits += labels[rows] == labels[origin]
     rng = (sample_start, sample_start + n_samples)
+    for _, labels in sample_labels(win, cfg, range(*rng)):
+        hits += labels[rows] == labels[origin]
     return [
         (t, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
         for t, h in zip(targets, hits)
@@ -177,11 +176,10 @@ def one_arm_profile(
     norms = win.norms()
     hits = np.zeros(len(radii), dtype=np.int64)
     rad_arr = np.asarray(radii)
-    for sid in range(sample_start, sample_start + n_samples):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
+    rng = (sample_start, sample_start + n_samples)
+    for _, labels in sample_labels(win, cfg, range(*rng)):
         reach = norms[labels == labels[origin]].max()
         hits += rad_arr <= reach
-    rng = (sample_start, sample_start + n_samples)
     return [
         (r, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
         for r, h in zip(radii, hits)
@@ -199,16 +197,8 @@ def half_space_two_point(
     r = norm_inf(x)
     if r == 0:
         raise ValueError("target must be a nonzero site on the box boundary")
-    win = build_window(cfg.spec, cfg.seed, outer=r)
-    origin = win.row_of((0,) * cfg.spec.d)
-    tgt = win.row_of(x)
-    hits = 0
-    for sid in range(sample_start, sample_start + n_samples):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
-        hits += int(labels[tgt] == labels[origin])
-    return Estimate.from_counts(
-        hits, n_samples, 0, cfg.seed, (sample_start, sample_start + n_samples)
-    )
+    (_, est), = two_point_profile(cfg, [x], n_samples, radius=r, sample_start=sample_start)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +278,8 @@ def _arm_scaling_stat(
     origin = win.row_of((0,) * spec.d)
     norms = win.norms()
     vals = np.empty(n_samples)
-    for i, sid in enumerate(range(sample_start, sample_start + n_samples)):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
+    ids = range(sample_start, sample_start + n_samples)
+    for i, (_, labels) in enumerate(sample_labels(win, cfg, ids)):
         reach = norms[labels == labels[origin]].max()
         vals[i] = n2 * n2 * (reach >= n2) - n1 * n1 * (reach >= n1)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
@@ -308,14 +298,18 @@ def _crossing_stat(
     left = np.flatnonzero(win.sites[:, 0] == -n)
     right = np.flatnonzero(win.sites[:, 0] == n)
     hits = 0
-    for sid in range(sample_start, sample_start + n_samples):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
+    for _, labels in sample_labels(win, cfg, range(sample_start, sample_start + n_samples)):
         hits += int(np.isin(labels[left], labels[right]).any())
     ph = hits / n_samples
     return ph - 0.5, math.sqrt(max(ph * (1 - ph), 1.0 / n_samples) / n_samples)
 
 
 _PC_CRITERIA = {"arm_scaling": _arm_scaling_stat, "crossing": _crossing_stat}
+
+
+class BracketError(ValueError):
+    """The bisection bracket does not straddle the transition: a bad input,
+    not a broken invariant."""
 
 
 def locate_pc(
@@ -364,7 +358,7 @@ def locate_pc(
     # Deep subcritical points can report exactly 0 (no cluster ever reaches
     # the inner radius), which still certifies the "below" side.
     if f_lo > 0 or f_hi <= 0:
-        raise ValueError(
+        raise BracketError(
             f"bracket {bracket} does not straddle the transition under "
             f"criterion {criterion!r} (stat {f_lo:.4g} .. {f_hi:.4g})"
         )

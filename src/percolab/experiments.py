@@ -48,7 +48,7 @@ from .windowed import (
     build_window,
     component_labels,
     connection_indicator,
-    sample_open_edges,
+    sample_labels,
 )
 
 __all__ = [
@@ -734,15 +734,11 @@ def matrix_reconstruction(
     tgt_rows = family.target_rows(win, spec, n)
     origin_row = np.asarray([win.row_of((0,) * spec.d)])
     lhs_start = sample_start + n_samples
-    hits = 0
-    for sid in range(lhs_start, lhs_start + n_samples):
-        c = cfg.with_sample(sid)
-        if event is not None and not event.evaluate(c):
-            continue
-        open_mask = sample_open_edges(win, cfg, sid)
-        labels = component_labels(win, open_mask, blocked_rows=blocked)
-        if connection_indicator(labels, origin_row, tgt_rows):
-            hits += 1
+    # samples failing the event are dropped before they are labelled
+    lhs_ids = (sid for sid in range(lhs_start, lhs_start + n_samples)
+               if event is None or event.evaluate(cfg.with_sample(sid)))
+    hits = sum(connection_indicator(labels, origin_row, tgt_rows)
+               for _, labels in sample_labels(win, cfg, lhs_ids, blocked))
     lhs = Estimate.from_counts(hits, n_samples, seed=cfg.seed,
                                sample_range=(lhs_start, lhs_start + n_samples))
 
@@ -803,16 +799,14 @@ def iic_conditional(
 
     accepted = 0
     hits = 0
-    for sid in range(sample_start, sample_start + n_samples):
-        open_mask = sample_open_edges(win, cfg, sid)
-        labels = component_labels(win, open_mask, blocked_rows=blocked)
+    srange = (sample_start, sample_start + n_samples)
+    for sid, labels in sample_labels(win, cfg, range(*srange), blocked):
         if not connection_indicator(labels, origin_row, tgt_rows):
             continue
         accepted += 1
         if event.evaluate(cfg.with_sample(sid)):
             hits += 1
 
-    srange = (sample_start, sample_start + n_samples)
     conditional = Estimate.from_counts(hits, accepted, seed=cfg.seed,
                                        sample_range=srange)
     acceptance = Estimate.from_counts(accepted, n_samples, seed=cfg.seed,
@@ -960,20 +954,18 @@ def supercritical_sweep(
     win = build_window(spec, cfg_base.seed, r_proxy)
     shell = np.nonzero(win.norms() == r_proxy)[0]
     origin_row = np.asarray([win.row_of((0,) * spec.d)])
+    srange = (sample_start, sample_start + n_samples)
     out = []
     for p in p_list:
         cfg = PercolationConfig(spec, p, cfg_base.seed)
         accepted = 0
         hits = 0
-        for sid in range(sample_start, sample_start + n_samples):
-            open_mask = sample_open_edges(win, cfg, sid)
-            labels = component_labels(win, open_mask)
+        for sid, labels in sample_labels(win, cfg, range(*srange)):
             if not connection_indicator(labels, origin_row, shell):
                 continue
             accepted += 1
             if event.evaluate(cfg.with_sample(sid)):
                 hits += 1
-        srange = (sample_start, sample_start + n_samples)
         out.append(SweepPoint(
             p=p, r_proxy=r_proxy,
             conditional=Estimate.from_counts(hits, accepted, seed=cfg.seed,

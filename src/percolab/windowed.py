@@ -10,12 +10,13 @@ implementations edge for edge.
 
 The edge keys (sample-independent) are hashed once per window; producing a
 sample costs a single avalanche pass plus one connected-components call.
+:func:`sample_labels` owns that per-sample loop for every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -170,6 +171,19 @@ def component_labels(
     g = csr_matrix((data, (a, b)), shape=(n, n))
     _, labels = connected_components(g, directed=False)
     return labels
+
+
+def sample_labels(
+    win: Window,
+    cfg: PercolationConfig,
+    sample_ids: Iterable[int],
+    blocked_rows: Optional[np.ndarray] = None,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(sample_id, component labels)`` of the window for each sample id,
+    in order: the one loop over samples behind every windowed estimator and
+    experiment, which keep only their reduction of the labels."""
+    for sid in sample_ids:
+        yield sid, component_labels(win, sample_open_edges(win, cfg, sid), blocked_rows)
 
 
 def connection_indicator(

@@ -198,7 +198,7 @@ def test_scale_table_toy_ladder(tmp_path):
 @pytest.mark.parametrize("argv", [
     [],                                  # no subcommand
     ["frobnicate"],                      # unknown subcommand
-    ["--threads", "0", "hopf-demo"],     # bad global flag
+    ["--format", "xml", "hopf-demo"],    # bad global flag
     ["hopf-demo", "--n-samples", "xyz"],  # unparseable option value
 ])
 def test_usage_errors_exit_4(tmp_path, argv, capsys):
@@ -220,6 +220,15 @@ def test_config_errors_exit_4(tmp_path, capsys):
     assert cli.main(["--config", str(unk), "--out-dir", str(tmp_path / "o"),
                      "hopf-demo"]) == 4
     capsys.readouterr()
+
+
+def test_bad_pc_bracket_is_a_config_error(tmp_path, capsys):
+    # a bracket that misses the transition is a usage error, not a violation
+    code, _ = _run(tmp_path, ["find-pc", "--n-samples", "50"],
+                   cfg={"estimation": {"pc_bracket": [0.6, 0.7]}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and "does not straddle" in err
 
 
 def test_format_json_suppresses_csv(tmp_path):

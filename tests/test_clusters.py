@@ -31,10 +31,12 @@ from percolab.clusters import (
 )
 from percolab.engine import (
     PercolationConfig,
+    cluster_components,
     edge_state,
     explore_cluster,
     spanning_clusters,
 )
+from percolab.estimators import Estimate
 from percolab.lattice import (
     LatticeSpec,
     annulus,
@@ -157,6 +159,25 @@ def test_regularity_deterministic_branches():
     rep2 = estimate_regularity(cfg, (0, 0), box((0, 0), 3), lax)
     assert rep2.regular is True
     assert rep2.per_s[0][1].value == 1.0
+
+
+def test_regularity_resampling_frozen_tallies_d3():
+    # In d = 3 the tested scale s = 3 is not settled by volume, so the
+    # conditional resampling runs; its tallies are frozen bit for bit.
+    spec = LatticeSpec(d=3)
+    x = (0, 0, 0)
+    params = RegularityParams(K=3, s_list=(3, 4), n_inner=100)
+    frozen = {0: (6, 67, None, None), 3: (3, 86, True, True)}
+    for sid, (size, tally, verdict, regular) in frozen.items():
+        cfg = PercolationConfig(spec=spec, p=0.3, seed=2024, sample_id=sid)
+        rep = estimate_regularity(cfg, x, box(x, 1), params,
+                                  resample_region=box(x, 3))
+        assert rep.frozen_size == size
+        (s3, est3, _, v3), (s4, est4, _, v4) = rep.per_s
+        assert (s3, v3) == (3, verdict)
+        assert est3 == Estimate.from_counts(tally, 100, 0, 2024)
+        assert (s4, est4.n_samples, v4) == (4, 0, True)  # 9^3 < 4^4 log^7 4
+        assert rep.regular is regular
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +348,28 @@ def test_verify_pinned_rejects_foreign_sample():
     assert verify_pinned(cfg, recs[0])
     assert not verify_pinned(other, recs[0]) or \
         explore_cluster(other, recs[0].root, ann).vertices == recs[0].vertices
+
+
+def test_cluster_components_match_graph_components():
+    outer = annulus((0, 0), 1, 6)
+    inner = annulus((0, 0), 1, 4)
+    checked = 0
+    for sid in range(30):
+        cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=5, sample_id=sid)
+        recs, _ = spanning_clusters(cfg, outer)
+        for rec in recs:
+            comps = cluster_components(SPEC2, rec, inner)
+            g = nx.Graph()
+            g.add_nodes_from(v for v in rec.vertices if norm_inf(v) <= 4)
+            g.add_edges_from(e for e in rec.open_edges if e[0] in g and e[1] in g)
+            assert sorted(map(frozenset, nx.connected_components(g)), key=min) == \
+                [c.vertices for c in comps]
+            for c in comps:
+                assert c.root == c.min_vertex and c.region == inner
+                assert c.open_edges == {e for e in rec.open_edges
+                                        if e[0] in c.vertices and e[1] in c.vertices}
+                # one constructor: the same field types as an explored record
+                assert [type(getattr(c, f)) for f in c.__dataclass_fields__] == \
+                    [type(getattr(rec, f)) for f in rec.__dataclass_fields__]
+                checked += 1
+    assert checked > 20

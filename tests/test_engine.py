@@ -5,6 +5,7 @@ and frozen; any change to the mixing constants or the key layout is a
 determinism break and must fail here.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from percolab.engine import (
     TinyGraph,
     connect_sets,
     edge_key,
+    edge_keys_bulk,
     edge_state,
     enumerate_exact,
     exact_event_table,
@@ -29,7 +31,8 @@ from percolab.engine import (
     spanning_clusters,
     states_over_samples,
 )
-from percolab.lattice import LatticeSpec, annulus, box, canonical_edge, neighbours
+from percolab.lattice import LatticeSpec, annulus, box, canonical_edge, contains, neighbours
+from percolab.windowed import build_window
 
 SPEC2 = LatticeSpec(d=2)
 
@@ -48,6 +51,38 @@ def test_key_frozen_vectors():
     assert sample_key(0) == 0xF2EE2134306FF565
     assert edge_key(2024, ((0, 0), (1, 0))) == 0x4918F738DC513113
     assert edge_key(7, ((-3, 5, 2), (-3, 5, 3))) == 0x24C9910D5ED874E4
+
+
+def test_edge_key_accepts_numpy_integers():
+    e = ((0, 0), (1, 0))
+    as_np = tuple(tuple(np.int64(c) for c in x) for x in e)
+    assert edge_key(np.int64(2024), as_np) == edge_key(2024, e) == 0x4918F738DC513113
+
+
+_SPECS = [LatticeSpec(d=d) for d in (1, 2, 3)] + [
+    LatticeSpec(d=d, edge_mode="spread_out", lam=lam) for d in (1, 2) for lam in (1, 2)]
+
+
+@given(st.integers(0, 2**64 - 1), st.sampled_from(_SPECS), st.data())
+def test_scalar_edge_key_matches_bulk_keys(seed, spec, data):
+    # the scalar and vectorised hashes agree on one domain: any int64
+    # coordinates, negative ones and spread-out offsets included
+    coord = st.integers(-2**62, 2**62)
+    a = tuple(data.draw(st.tuples(*[coord] * spec.d)))
+    b = tuple(x + o for x, o in zip(a, data.draw(st.sampled_from(spec.offsets()))))
+    e = canonical_edge(spec, a, b)
+    bulk = edge_keys_bulk(seed, np.array([e[0]]), np.array([e[1]]))
+    assert edge_key(seed, e) == int(bulk[0])
+
+
+@given(st.integers(0, 2**64 - 1), st.sampled_from(_SPECS),
+       st.lists(st.integers(-40, 40), min_size=3, max_size=3), st.integers(1, 2))
+def test_scalar_edge_key_matches_window_keys(seed, spec, center, outer):
+    win = build_window(spec, seed, outer=outer, center=center[:spec.d])
+    for (ra, rb), key in zip(win.edge_rows, win.keys):
+        # numpy coordinates straight off the window, no conversion
+        e = (tuple(win.sites[ra]), tuple(win.sites[rb]))
+        assert edge_key(seed, e) == int(key)
 
 
 def test_open_threshold_exact():
@@ -223,3 +258,51 @@ def test_sample_masks_bits_match_edge_states():
         c = cfg.with_sample(int(sid))
         for k, e in enumerate(edges):
             assert (int(masks[i]) >> k) & 1 == edge_state(c, e)
+
+
+# ---------------------------------------------------------------------------
+# Measurability: the edge log
+
+
+@given(st.integers(0, 200))
+def test_explore_cluster_logs_each_region_edge_once(sid):
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=31, sample_id=sid)
+    region = annulus((0, 0), 1, 4)
+    log = []
+    rec = explore_cluster(cfg, (2, 0), region, edge_log=log)
+    counts = Counter(e for e, _ in log)
+    assert max(counts.values()) == 1
+    # exactly the region edges at the cluster, each with its true bit
+    assert set(counts) == {canonical_edge(SPEC2, v, w) for v in rec.vertices
+                           for w in neighbours(SPEC2, v) if contains(region, w)}
+    assert all(bit == edge_state(cfg, e) for e, bit in log)
+    assert rec.open_edges == {e for e, bit in log if bit}
+
+
+def test_spanning_clusters_log_only_annulus_edges():
+    ann = annulus((0, 0), 2, 6)
+    repeats = 0
+    for sid in range(20):
+        cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=3, sample_id=sid)
+        log = []
+        spanning_clusters(cfg, ann, edge_log=log)
+        assert all(contains(ann, a) and contains(ann, b) for (a, b), _ in log)
+        # each exploration queries an edge at most once; a closed edge
+        # between two explored clusters is queried once from each side
+        counts = Counter(e for e, _ in log)
+        twice = {e for e, n in counts.items() if n == 2}
+        assert max(counts.values()) <= 2
+        assert not any(bit for e, bit in log if e in twice)
+        repeats += len(twice)
+    assert repeats > 0
+
+
+@given(st.integers(0, 200))
+def test_connect_sets_logs_only_region_edges(sid):
+    cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=8, sample_id=sid)
+    region = box((0, 0), 3)
+    for targets in ({(3, 3)}, {(9, 9)}):  # reachable, and outside the region
+        log = []
+        connect_sets(cfg, [(0, 0), (-3, 0)], targets, region, edge_log=log)
+        assert all(contains(region, a) and contains(region, b) for (a, b), _ in log)
+        assert max(Counter(e for e, _ in log).values()) == 1
