@@ -843,6 +843,18 @@ class ArmDecompositionReport:
             return (Fraction(1), None)
         return (Fraction(1), self.lhs / (self.lhs - self.defect))
 
+    def checks(self) -> Dict[str, bool]:
+        """The five named conditions under which the exact decomposition holds."""
+        lo, hi = self.band()
+        ratio = self.ratio
+        return {
+            "factorization_exact": self.factorization_exact,
+            "uniqueness": self.uniqueness_violations == 0,
+            "union_equals_sum": self.union_equals_sum,
+            "containment": self.containment_ok,
+            "ratio_in_band": ratio is None or (lo <= ratio and (hi is None or ratio <= hi)),
+        }
+
 
 def decompose_arm_exact(inst: ArmDecompositionInstance) -> ArmDecompositionReport:
     """Enumerate the instance and certify the one-step decomposition.

@@ -318,22 +318,14 @@ def cmd_reconstruct_arm(cfg: Config, args, sink: _Sink) -> int:
         all_ok = True
         for inst in bat.arm_decomposition_instances():
             rep = bat.decompose_arm_exact(inst)
-            lo, hi = rep.band()
-            in_band = rep.ratio is None or (lo <= rep.ratio and (hi is None or rep.ratio <= hi))
-            checks = {
-                "factorization_exact": rep.factorization_exact,
-                "uniqueness": rep.uniqueness_violations == 0,
-                "union_equals_sum": rep.union_equals_sum,
-                "containment": rep.containment_ok,
-                "ratio_in_band": in_band,
-            }
+            checks = rep.checks()
             all_ok = all_ok and all(checks.values())
             reports.append({
                 "name": rep.name,
                 "n_labels": len(rep.labels),
                 "lhs": rep.lhs, "rhs": rep.rhs, "defect": rep.defect,
                 "lhs_event": rep.lhs_cyl, "rhs_event": rep.rhs_cyl,
-                "ratio": rep.ratio, "band": [lo, hi],
+                "ratio": rep.ratio, "band": list(rep.band()),
                 "max_labels_per_config": rep.max_labels_per_config,
                 "checks": checks,
             })
@@ -503,11 +495,7 @@ def cmd_oracle_battery(cfg: Config, args, sink: _Sink) -> int:
     decomp = []
     for inst in bat.arm_decomposition_instances():
         r = bat.decompose_arm_exact(inst)
-        decomp.append({
-            "name": r.name,
-            "ok": (r.factorization_exact and r.union_equals_sum
-                   and r.containment_ok and r.uniqueness_violations == 0),
-        })
+        decomp.append({"name": r.name, "ok": all(r.checks().values())})
     ok = (
         orep.pass_fraction >= 0.99
         and yrep.total_violations == 0 and yrep.max_pairs <= 1

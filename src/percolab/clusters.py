@@ -36,9 +36,9 @@ from .lattice import (
     Edge,
     Region,
     Site,
-    annulus,
     box,
     contains,
+    edges_within,
     neighbours,
     norm_inf,
     region_sites,
@@ -65,22 +65,17 @@ def badness_threshold(s: int, log_base: float = math.e) -> float:
 
 
 def _region_covers_ball(region: RegionLike, x: Site, s: int) -> bool:
-    if isinstance(region, Region):
-        if region.kind == "annulus":
-            dist = norm_inf(tuple(a - b for a, b in zip(x, region.center)))
-            inside_outer = dist + s <= region.outer
-            clears_hole = region.inner < 0 or dist - s > region.inner
-            return inside_outer and clears_hole
-        sites = region.sites or frozenset()
-        return all(y in sites for y in _ball_sites(x, s))
-    return all(map(membership(region), _ball_sites(x, s)))
+    if isinstance(region, Region) and region.kind == "annulus":
+        dist = norm_inf(tuple(a - b for a, b in zip(x, region.center)))
+        inside_outer = dist + s <= region.outer
+        clears_hole = region.inner < 0 or dist - s > region.inner
+        return inside_outer and clears_hole
+    return all(map(membership(region), region_sites(box(x, s))))
 
 
-def _ball_sites(x: Site, s: int):
-    from itertools import product
-
-    for off in product(range(-s, s + 1), repeat=len(x)):
-        yield tuple(a + b for a, b in zip(x, off))
+def _ball_count(sites: Iterable[Site], x: Site, s: int) -> int:
+    """Number of ``sites`` within sup-distance ``s`` of ``x``."""
+    return sum(1 for v in sites if max(abs(a - b) for a, b in zip(v, x)) <= s)
 
 
 def tame_event(cluster: ClusterRecord, x: Site, s: int,
@@ -93,10 +88,7 @@ def tame_event(cluster: ClusterRecord, x: Site, s: int,
     returns None, and a record whose region demonstrably fails to cover the
     ball raises.
     """
-    thr = tame_threshold(s, log_base)
-    count = sum(1 for v in cluster.vertices
-                if norm_inf(tuple(a - b for a, b in zip(v, x))) <= s)
-    if count >= thr:
+    if _ball_count(cluster.vertices, x, s) >= tame_threshold(s, log_base):
         return False
     if cluster.truncated:
         return None
@@ -187,11 +179,7 @@ def estimate_regularity(
     thresholds = {
         s: tame_threshold(s, params.log_base) for s in params.s_list
     }
-    frozen_counts = {
-        s: sum(1 for v in frozen
-               if norm_inf(tuple(a - b for a, b in zip(v, x))) <= s)
-        for s in params.s_list
-    }
+    frozen_counts = {s: _ball_count(frozen, x, s) for s in params.s_list}
     deterministic_bad = {
         s for s in params.s_list if frozen_counts[s] >= thresholds[s]
     }
@@ -225,11 +213,7 @@ def estimate_regularity(
             if outcome is None:
                 raise RuntimeError("mixed exploration exceeded its cap")
             for s in pending:
-                cnt = sum(
-                    1 for v in cluster
-                    if norm_inf(tuple(a - b for a, b in zip(v, x))) <= s
-                )
-                tallies[s] += int(cnt < thresholds[s])
+                tallies[s] += int(_ball_count(cluster, x, s) < thresholds[s])
 
     for s in params.s_list:
         level = badness_threshold(s, params.log_base)
@@ -462,8 +446,6 @@ def pivotal_edges(
     restriction: Region,
 ) -> Set[frozenset]:
     """Open pivotal edges for {sources <-> targets} within a lattice region."""
-    from .lattice import edges_within
-
     g = nx.Graph()
     for v in region_sites(restriction):
         g.add_node(v)
@@ -525,8 +507,6 @@ def y_set(
         raise ValueError("records must carry annulus regions")
 
     g = nx.Graph()
-    from .lattice import edges_within
-
     for v in region_sites(mid):
         g.add_node(v)
     for e in edges_within(spec, mid):

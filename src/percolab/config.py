@@ -73,8 +73,6 @@ _DEFAULTS: Dict[str, Any] = {
         "pc_bracket": [0.4, 0.6],
         "pc_tol": 0.005,
         "pc_radii": None,
-        "fit_drop_low": 2,
-        "fit_drop_high": 1,
     },
     "extraction": {
         "level": 0,
@@ -91,7 +89,6 @@ _DEFAULTS: Dict[str, Any] = {
     },
     "supercritical": {
         "p_list": [0.55, 0.52, 0.51],
-        "r_proxy": 16,
         "r_pair": [16, 32],
         "n_samples": 1500,
     },

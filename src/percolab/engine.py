@@ -26,7 +26,10 @@ on it here, and the regularity resampling in :mod:`percolab.clusters` runs
 it with an edge-state callable that mixes two samples.  Only edges with both
 endpoints inside the allowed region are ever queried; the tests read the
 ``edge_log`` to prove such measurability claims (e.g. spanning-cluster
-detection never touches an edge outside the annulus).
+detection never touches an edge outside the annulus).  Annulus geometry is
+not decided here: cluster records take their boundary sites from
+:func:`percolab.lattice.boundary_membership`, and spanning-cluster detection
+starts from :func:`percolab.lattice.region_boundaries`.
 
 ``enumerate_exact`` is the oracle twin: exhaustive rational-arithmetic
 enumeration over explicit graphs of at most 24 edges.
@@ -42,7 +45,17 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Edge, LatticeSpec, Region, Site, contains, is_edge, neighbours
+from .lattice import (
+    Edge,
+    LatticeSpec,
+    Region,
+    Site,
+    boundary_membership,
+    contains,
+    is_edge,
+    neighbours,
+    region_boundaries,
+)
 
 MASK64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -285,26 +298,6 @@ class ClusterRecord:
         return bool(self.boundary_in) and bool(self.boundary_out)
 
 
-def _boundary_membership(spec: LatticeSpec, region: RegionLike, y: Site) -> Tuple[bool, bool]:
-    """(in inner boundary, in outer boundary) by arithmetic, no shell lists."""
-    if isinstance(region, Region):
-        if region.kind == "explicit":
-            bi = region.boundary_in or ()
-            bo = region.boundary_out or ()
-            return (y in bi, y in bo)
-        r, s = region.inner, region.outer
-        off = [abs(a - c) for a, c in zip(y, region.center)]
-        n = max(off)
-        if spec.edge_mode == "nearest_neighbour":
-            inner = r >= 0 and n == r + 1 and sum(1 for o in off if o == r + 1) == 1
-            outer = n == s
-        else:
-            inner = r >= 0 and r < n <= r + spec.lam
-            outer = n >= s - spec.lam + 1
-        return (inner, outer)
-    return (False, False)
-
-
 def _cluster_record(
     spec: LatticeSpec,
     root: Site,
@@ -321,12 +314,13 @@ def _cluster_record(
                                edge_log=edge_log, open_edges=open_edges, lifo=lifo)
     b_in: List[Site] = []
     b_out: List[Site] = []
-    for v in visited:
-        bi, bo = _boundary_membership(spec, region, v)
-        if bi:
-            b_in.append(v)
-        if bo:
-            b_out.append(v)
+    if isinstance(region, Region):  # site sets and predicates have no boundary
+        for v in visited:
+            bi, bo = boundary_membership(spec, region, v)
+            if bi:
+                b_in.append(v)
+            if bo:
+                b_out.append(v)
     # When truncated, open edges to unvisited sites are dropped so that every
     # recorded edge is internal to the vertex set.
     kept = frozenset(e for e in open_edges if e[0] in visited and e[1] in visited)
@@ -422,10 +416,7 @@ def spanning_clusters(
     both endpoints in the annulus are sampled, which the optional
     ``edge_log`` lets tests verify.
     """
-    from .lattice import region_boundaries
-
-    spec = cfg.spec
-    b_in, _ = region_boundaries(spec, ann)
+    b_in, _ = region_boundaries(cfg.spec, ann)
     seen: Set[Site] = set()
     out: List[ClusterRecord] = []
     incomplete = False

@@ -20,6 +20,7 @@ identical numbers on every run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .clusters import (
 )
 from .engine import PercolationConfig, connect_sets, edge_state
 from .estimators import Estimate, combine_gap_sigma
-from .lattice import Edge, LatticeSpec, Site, canonical_edge, norm_inf
+from .lattice import Edge, LatticeSpec, Site, annulus, canonical_edge, norm_inf, region_sites
 from .scales import (
     ScaleIndex,
     ScaleParams,
@@ -49,6 +50,7 @@ from .windowed import (
     component_labels,
     connection_indicator,
     sample_labels,
+    shell_rows,
 )
 
 __all__ = [
@@ -133,11 +135,8 @@ class ConditioningFamily:
         fam = self.member_for(n)
         if fam.kind != "vertex_set_with_obstacle":
             return frozenset()
-        sites = []
-        for x in _shell_sites(spec.d, n + 1):
-            if x[0] <= 0:
-                sites.append(x)
-        return frozenset(sites)
+        shell = annulus((0,) * spec.d, n, n + 1)
+        return frozenset(x for x in region_sites(shell) if x[0] <= 0)
 
     def window_outer(self, n: int) -> int:
         fam = self.member_for(n)
@@ -173,9 +172,9 @@ class ConditioningFamily:
         """The target set, materialized within the family's own window."""
         fam = self.member_for(n)
         if fam.kind == "box_boundary":
-            return frozenset(_shell_sites(spec.d, n + 1))
+            return frozenset(region_sites(annulus((0,) * spec.d, n, n + 1)))
         if fam.kind == "vertex_set_with_obstacle":
-            return frozenset(_shell_sites(spec.d, n + 2))
+            return frozenset(region_sites(annulus((0,) * spec.d, n + 1, n + 2)))
         if fam.kind == "single_vertex":
             return frozenset({(n + 1,) + (0,) * (spec.d - 1)})
         if fam.kind == "halfspace_target":
@@ -183,7 +182,7 @@ class ConditioningFamily:
             rng = range(-outer, outer + 1)
             return frozenset(
                 (n + 1,) + rest
-                for rest in _product_sites(spec.d - 1, rng)
+                for rest in itertools.product(rng, repeat=spec.d - 1)
             )
         raise AssertionError(fam.kind)
 
@@ -208,23 +207,6 @@ class ConditioningFamily:
                 raise ValueError(
                     f"{fam.kind}: no obstacle-avoiding route from 0 to V_{n}"
                 )
-
-
-def _shell_sites(d: int, radius: int):
-    """All sites at sup-norm exactly ``radius``."""
-    out = []
-    rng = range(-radius, radius + 1)
-    for x in _product_sites(d, rng):
-        if max(abs(c) for c in x) == radius:
-            out.append(x)
-    return out
-
-
-def _product_sites(d: int, rng) -> List[Tuple[int, ...]]:
-    sites = [()]
-    for _ in range(d):
-        sites = [s + (c,) for s in sites for c in rng]
-    return sites
 
 
 def box_boundary_family(n_list: Sequence[int]) -> ConditioningFamily:
@@ -774,6 +756,41 @@ class IICPoint:
         )
 
 
+def _conditioned_counts(
+    win: Window,
+    cfg: PercolationConfig,
+    event: CylinderEvent,
+    srange: Tuple[int, int],
+    target_rows: np.ndarray,
+    blocked_rows: Optional[np.ndarray] = None,
+) -> dict:
+    """P(E | origin reaches ``target_rows``) by rejection over ``srange``.
+
+    Samples whose origin reaches a target row are accepted; the event
+    frequency among them is the conditional estimate.  Returns the
+    ``conditional``, ``acceptance``, ``n_accepted`` and ``low_confidence``
+    (fewer than 100 accepted) fields shared by :class:`IICPoint` and
+    :class:`SweepPoint`.
+    """
+    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
+    accepted = 0
+    hits = 0
+    for sid, labels in sample_labels(win, cfg, range(*srange), blocked_rows):
+        if not connection_indicator(labels, origin_row, target_rows):
+            continue
+        accepted += 1
+        if event.evaluate(cfg.with_sample(sid)):
+            hits += 1
+    return dict(
+        conditional=Estimate.from_counts(hits, accepted, seed=cfg.seed,
+                                         sample_range=srange),
+        acceptance=Estimate.from_counts(accepted, srange[1] - srange[0],
+                                        seed=cfg.seed, sample_range=srange),
+        n_accepted=accepted,
+        low_confidence=accepted < 100,
+    )
+
+
 def iic_conditional(
     cfg: PercolationConfig,
     event: CylinderEvent,
@@ -794,32 +811,13 @@ def iic_conditional(
     family.validate(spec, n, win)
     obstacles = family.obstacle_sites(spec, n)
     blocked = win.rows_of(sorted(obstacles)) if obstacles else None
-    tgt_rows = family.target_rows(win, spec, n)
-    origin_row = np.asarray([win.row_of((0,) * spec.d)])
-
-    accepted = 0
-    hits = 0
-    srange = (sample_start, sample_start + n_samples)
-    for sid, labels in sample_labels(win, cfg, range(*srange), blocked):
-        if not connection_indicator(labels, origin_row, tgt_rows):
-            continue
-        accepted += 1
-        if event.evaluate(cfg.with_sample(sid)):
-            hits += 1
-
-    conditional = Estimate.from_counts(hits, accepted, seed=cfg.seed,
-                                       sample_range=srange)
-    acceptance = Estimate.from_counts(accepted, n_samples, seed=cfg.seed,
-                                      sample_range=srange)
     return IICPoint(
         n=n,
         family_kind=family.member_for(n).kind,
         event_name=event.name,
-        conditional=conditional,
-        acceptance=acceptance,
-        n_accepted=accepted,
-        low_confidence=accepted < 100,
         exact_window=family.exact_window(n),
+        **_conditioned_counts(win, cfg, event, (sample_start, sample_start + n_samples),
+                              family.target_rows(win, spec, n), blocked),
     )
 
 
@@ -952,30 +950,14 @@ def supercritical_sweep(
         raise ValueError("p_list must be strictly decreasing")
     spec = cfg_base.spec
     win = build_window(spec, cfg_base.seed, r_proxy)
-    shell = np.nonzero(win.norms() == r_proxy)[0]
-    origin_row = np.asarray([win.row_of((0,) * spec.d)])
+    shell = shell_rows(win, r_proxy)
     srange = (sample_start, sample_start + n_samples)
-    out = []
-    for p in p_list:
-        cfg = PercolationConfig(spec, p, cfg_base.seed)
-        accepted = 0
-        hits = 0
-        for sid, labels in sample_labels(win, cfg, range(*srange)):
-            if not connection_indicator(labels, origin_row, shell):
-                continue
-            accepted += 1
-            if event.evaluate(cfg.with_sample(sid)):
-                hits += 1
-        out.append(SweepPoint(
-            p=p, r_proxy=r_proxy,
-            conditional=Estimate.from_counts(hits, accepted, seed=cfg.seed,
-                                             sample_range=srange),
-            acceptance=Estimate.from_counts(accepted, n_samples, seed=cfg.seed,
-                                            sample_range=srange),
-            n_accepted=accepted,
-            low_confidence=accepted < 100,
-        ))
-    return out
+    return [
+        SweepPoint(p=p, r_proxy=r_proxy,
+                   **_conditioned_counts(win, PercolationConfig(spec, p, cfg_base.seed),
+                                         event, srange, shell))
+        for p in p_list
+    ]
 
 
 @dataclass

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   spread-out (``0 < |x - y|_inf <= lam``).
 * The inner boundary of the annulus ``A = B(x; s) \\ B(x; r)`` is the set of
   sites of ``A`` with an edge into ``B(x; r)``; the outer boundary is the set
-  of sites of ``A`` with an edge out of ``B(x; s)``.
+  of sites of ``A`` with an edge out of ``B(x; s)``.  :func:`boundary_membership`
+  is the package's only rule for deciding them.
 * ``norm_power(x, a)`` maps ``0`` to ``1`` when ``a <= 0`` so that reciprocal
   distance weights never divide by zero.
 
@@ -245,6 +246,30 @@ def region_sites(region: Region, limit: int = MATERIALISE_LIMIT) -> Iterator[Sit
             yield tuple(a + o for a, o in zip(c, off))
 
 
+def boundary_membership(spec: LatticeSpec, region: Region, y: Site) -> Tuple[bool, bool]:
+    """Is the region site ``y`` on the (inner, outer) boundary of ``region``?
+
+    The one rule for annulus boundaries, by arithmetic on ``y``'s offset from
+    the center; explicit regions answer from their declared lists.
+    """
+    if region.kind == "explicit":
+        return (y in (region.boundary_in or ()), y in (region.boundary_out or ()))
+    r, s = region.inner, region.outer
+    off = [abs(a - c) for a, c in zip(y, region.center)]
+    n = max(off)
+    if spec.edge_mode == NEAREST_NEIGHBOUR:
+        # A single +-e_i step into B(x;r) exists iff exactly one coordinate
+        # attains modulus r+1 and the rest are <= r.
+        inner = r >= 0 and n == r + 1 and off.count(r + 1) == 1
+        outer = n == s
+    else:
+        # Clamping y onto B(x;r) realises the l-infinity distance, so a site of
+        # the region has an edge into the hole iff its norm is <= r + lam.
+        inner = r >= 0 and r < n <= r + spec.lam
+        outer = n >= s - spec.lam + 1
+    return (inner, outer)
+
+
 def region_boundaries(spec: LatticeSpec, region: Region) -> Tuple[Tuple[Site, ...], Tuple[Site, ...]]:
     """Inner and outer boundary of an annulus ``B(x;s) \\ B(x;r)``.
 
@@ -258,38 +283,18 @@ def region_boundaries(spec: LatticeSpec, region: Region) -> Tuple[Tuple[Site, ..
             raise ValueError("explicit region lacks declared boundaries")
         return region.boundary_in, region.boundary_out
     c = region.center
-    d = spec.d
     r, s = region.inner, region.outer
-    if site_count(region, d) > MATERIALISE_LIMIT:
+    if site_count(region, spec.d) > MATERIALISE_LIMIT:
         raise ValueError("refusing to enumerate boundaries of a huge region")
-
-    inner: list = []
-    outer: list = []
-    if spec.edge_mode == NEAREST_NEIGHBOUR:
-        # A single +-e_i step into B(x;r) exists iff exactly one coordinate
-        # attains modulus r+1 and the rest are <= r.
-        if r >= 0:
-            for y in region_sites(region):
-                off = tuple(a - b for a, b in zip(y, c))
-                if max(abs(o) for o in off) != r + 1:
-                    continue
-                if sum(1 for o in off if abs(o) == r + 1) == 1:
-                    inner.append(y)
-        for y in region_sites(region):
-            off = tuple(a - b for a, b in zip(y, c))
-            if max(abs(o) for o in off) == s:
-                outer.append(y)
-    else:
-        lam = spec.lam
-        # Clamping y onto B(x;r) realises the l-infinity distance, so a site of
-        # the region has an edge into the hole iff its norm is <= r + lam.
-        for y in region_sites(region):
-            n = max(abs(a - b) for a, b in zip(y, c))
-            if r >= 0 and r < n <= r + lam:
-                inner.append(y)
-            if n >= s - lam + 1:
-                outer.append(y)
-    return tuple(sorted(inner)), tuple(sorted(outer))
+    # No edge is longer than w in sup norm, so boundary sites lie within w of
+    # the hole or of the outer shell: only those two bands are walked, in
+    # region_sites' lexicographic order, so both lists come out sorted.
+    w = max(spec.lam, 1)
+    inner = [y for y in region_sites(annulus(c, r, min(r + w, s)))
+             if boundary_membership(spec, region, y)[0]]
+    outer = [y for y in region_sites(annulus(c, max(s - w, r), s))
+             if boundary_membership(spec, region, y)[1]]
+    return tuple(inner), tuple(outer)
 
 
 def edges_within(spec: LatticeSpec, region: Region) -> Iterator[Edge]:

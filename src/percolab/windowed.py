@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
-from .lattice import NEAREST_NEIGHBOUR, LatticeSpec, Region, Site
+from .lattice import NEAREST_NEIGHBOUR, LatticeSpec, Region, Site, annulus, region_boundaries
 
 
 @dataclass
@@ -212,11 +212,7 @@ def spanning_cluster_sets(
     window, sorted by minimal vertex.  Used to cross-validate the lazy
     engine's spanning-cluster enumeration on identical edge states.
     """
-    from .lattice import annulus as _annulus
-    from .lattice import region_boundaries
-
-    reg = _annulus(win.center, win.inner, win.outer)
-    b_in, b_out = region_boundaries(win.spec, reg)
+    b_in, b_out = region_boundaries(win.spec, annulus(win.center, win.inner, win.outer))
     labels = component_labels(win, sample_open_edges(win, cfg, sample_id))
     rin = win.rows_of(b_in)
     rout = win.rows_of(b_out)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from percolab import cli
 from percolab.config import Config, ConfigError, load_config
 
 
@@ -35,6 +36,21 @@ def test_unknown_keys_rejected_with_path():
         Config.from_dict({"typo_section": {}})
     with pytest.raises(ConfigError, match="sample"):
         Config.from_dict({"sample": {"pee": 0.5}})
+
+
+@pytest.mark.parametrize("section,key", [
+    ("supercritical", "r_proxy"),
+    ("estimation", "fit_drop_low"),
+    ("estimation", "fit_drop_high"),
+])
+def test_removed_keys_are_unknown(tmp_path, section, key):
+    # knobs that nothing read: a config that still sets one is a usage error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: 1}}))
+    code = cli.main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                     "scale-table"])
+    assert code == 4
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_values_rejected():

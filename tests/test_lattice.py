@@ -1,8 +1,10 @@
 """Geometry layer: norms, adjacency, regions, boundaries, edge counts."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from percolab.engine import PercolationConfig, explore_cluster
 from percolab.lattice import (
     LatticeSpec,
     annulus,
@@ -96,6 +98,50 @@ def test_region_boundaries_annulus():
     assert all(norm_inf(x) == 2 for x in inner)
     assert all(norm_inf(x) == 3 for x in outer)
     assert (2, 2) not in inner
+
+
+def _boundaries_by_definition(spec, ann):
+    """Sites of the annulus with a neighbour inside ``box(c, r)`` (inner) or
+    outside ``box(c, s)`` (outer), read off every neighbour's norm."""
+    sites = list(region_sites(ann))
+    nbrs = np.asarray(sites)[:, None, :] + np.asarray(spec.offsets())[None, :, :]
+    norms = np.abs(nbrs - np.asarray(ann.center)).max(axis=2)
+    inner = tuple(y for y, hit in zip(sites, norms.min(axis=1) <= ann.inner) if hit)
+    outer = tuple(y for y, hit in zip(sites, norms.max(axis=1) > ann.outer) if hit)
+    return inner, outer
+
+
+BOUNDARY_SPECS = [LatticeSpec(d, edge_mode, lam) for d in (1, 2, 3)
+                  for edge_mode, lam in (("nearest_neighbour", 0),
+                                         ("spread_out", 1), ("spread_out", 2))]
+
+
+@pytest.mark.parametrize("spec", BOUNDARY_SPECS,
+                         ids=lambda s: f"d{s.d}-lam{s.lam}")
+def test_region_boundaries_match_definition(spec):
+    # gaps 1..5 include gap <= lam, where the inner and outer bands overlap
+    for center in ((0,) * spec.d, (3, -2, 1)[:spec.d]):
+        for r in range(-1, 5):
+            for gap in range(1, 6):
+                ann = annulus(center, r, r + gap)
+                assert region_boundaries(spec, ann) == _boundaries_by_definition(spec, ann), (
+                    center, r, gap)
+
+
+# p near each lattice's threshold, so the clusters meet part of each boundary
+@pytest.mark.parametrize("spec,ann,p", [
+    (SPEC2, annulus((0, 0), 2, 6), 0.6),
+    (SPREAD2, annulus((1, -1), 1, 5), 0.08),
+    (SPEC3, annulus((0, 0, 0), 1, 3), 0.35),
+    (LatticeSpec(d=3, edge_mode="spread_out", lam=1), annulus((0, 0, 0), 0, 2), 0.06),
+], ids=["d2-nn", "d2-lam2", "d3-nn", "d3-lam1"])
+def test_cluster_record_boundaries_are_region_boundaries(spec, ann, p):
+    b_in, b_out = region_boundaries(spec, ann)
+    for sid in range(6):
+        cfg = PercolationConfig(spec, p, seed=11, sample_id=sid)
+        rec = explore_cluster(cfg, b_in[sid % len(b_in)], ann)
+        assert rec.boundary_in == tuple(v for v in b_in if v in rec.vertices)
+        assert rec.boundary_out == tuple(v for v in b_out if v in rec.vertices)
 
 
 def test_edge_count_box_matches_enumeration():
