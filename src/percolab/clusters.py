@@ -23,12 +23,13 @@ from .engine import (
     PercolationConfig,
     RegionLike,
     cluster_components,
+    edge_key,
     edge_state,
     explore,
     explore_cluster,
+    keyed_edge_state,
     membership,
     mix64,
-    raw_edge_state,
     spanning_clusters,
 )
 from .estimators import Estimate
@@ -148,30 +149,32 @@ def _inner_sample_id(outer_sample: int, inner: int) -> int:
 def estimate_regularity(
     cfg: PercolationConfig,
     x: Site,
-    region: RegionLike,
+    cluster: ClusterRecord,
     params: RegularityParams,
     resample_region: Optional[RegionLike] = None,
 ) -> RegularityReport:
     """Estimate P(volume-tame at scale s | the realized restricted cluster).
 
-    The restricted cluster of ``x`` in ``region`` is explored once and every
-    edge touching it (either endpoint) is frozen at its realized state;
-    all other edges are redrawn ``n_inner`` times from independent derived
-    sample streams.  For each tested s, the frequency of the tameness event
-    is compared against 1 - exp(-log^2 s): the vertex is declared bad at s
-    when the estimate sits below the level by more than 3 sigma, not-bad
-    when above by more than 3 sigma, and undecided in between.
+    ``cluster`` is the restricted cluster of ``x`` under ``cfg``, explored by
+    the caller (e.g. ``explore_cluster(cfg, x, region)``, or a record the
+    caller already holds); it must contain ``x`` and must not be truncated.
+    Every edge touching it (either endpoint) is frozen at its realized
+    state; all other edges are redrawn ``n_inner`` times from independent
+    derived sample streams, each edge key hashed once per call.  For each
+    tested s, the frequency of the tameness event is compared against
+    1 - exp(-log^2 s): the vertex is declared bad at s when the estimate sits
+    below the level by more than 3 sigma, not-bad when above by more than
+    3 sigma, and undecided in between.
 
     Regular = no tested s >= K is bad.  A frozen cluster that already meets
     the volume threshold at some s >= K is bad with probability one and
     skips resampling entirely.
     """
-    if not membership(region)(x):
-        raise ValueError(f"{x} is not in the conditioning region")
-    base = explore_cluster(cfg, x, region)
-    if base.truncated:
+    if x not in cluster.vertices:
+        raise ValueError(f"{x} is not in the conditioning cluster")
+    if cluster.truncated:
         raise RuntimeError("conditioning cluster exploration was truncated")
-    frozen = base.vertices
+    frozen = cluster.vertices
     s_max = max(params.s_list)
     if resample_region is None:
         resample_region = box(x, 2 * s_max)
@@ -201,12 +204,16 @@ def estimate_regularity(
     tallies = {s: 0 for s in pending}
     if pending:
         member = membership(resample_region)
+        keys: Dict[Edge, int] = {}  # edge keys do not depend on the sample
         for inner in range(params.n_inner):
             inner_cfg = cfg.with_sample(_inner_sample_id(cfg.sample_id, inner))
 
             def state(e: Edge) -> int:
+                key = keys.get(e)
+                if key is None:
+                    key = keys[e] = edge_key(cfg.seed, e)
                 frozen_edge = e[0] in frozen or e[1] in frozen
-                return raw_edge_state(cfg if frozen_edge else inner_cfg, e)
+                return keyed_edge_state(cfg if frozen_edge else inner_cfg, key)
 
             cluster, outcome = explore(cfg.spec, [x], member, state,
                                        cap=_RESAMPLE_CAP - 1)
@@ -318,7 +325,7 @@ def _items_one_to_three(
         # geometry already passes.
         for side, bnd, acc in (("inner", b_in, reg_in), ("outer", b_out, reg_out)):
             for v in sorted(bnd):
-                rep = estimate_regularity(cfg, v, region, reg)
+                rep = estimate_regularity(cfg, v, cluster, reg)
                 if rep.regular:
                     acc.add(v)
             frac = len(acc) / len(bnd)

@@ -7,14 +7,19 @@ in any dimension.  The bit is derived from a counter-based 64-bit hash:
 1. an *edge key* ``K(seed, e)`` absorbs the seed and the canonical edge
    encoding (endpoint coordinate tuples in lexicographic order), one
    avalanche round per absorbed word;
-2. a *sample key* ``S = mix(sample_id ^ 0x5851F42D4C957F2D)``;
+2. a *sample key* ``S = mix(sample_id ^ 0x5851F42D4C957F2D)``, for sample
+   ids ``0 <= sample_id < 2^64``;
 3. the edge is open iff ``mix(K ^ S) < floor(p * 2^64)``.
 
 ``mix`` is the splitmix64 finalizer.  Because the edge key does not depend
 on the sample, bulk samplers can hash a whole window's edges once and then
 produce any number of samples with a single avalanche pass per sample.  The
 construction is frozen by the test vectors in ``tests/test_engine.py``;
-changing it is a format break.
+changing it is a format break.  Step 3 is written once for scalars, in
+:func:`keyed_edge_state`, and once for arrays.  A :class:`PercolationConfig` computes its
+threshold ``floor(p * 2^64)`` and its sample key at most once, and the
+regularity resampling hashes each edge key once per call and reuses it
+across its inner samples.
 
 Every lattice exploration runs through one frontier loop, :func:`explore`:
 sources, a membership predicate, an edge-state callable, an optional target
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -110,6 +116,13 @@ def open_threshold(p: Union[float, Fraction]) -> int:
 
 @dataclass(frozen=True)
 class PercolationConfig:
+    """One sample of the percolation measure.
+
+    ``threshold`` and ``sample_key`` are computed on first use and kept in
+    the instance; they are not fields, so equality, hashing and ``repr`` see
+    only ``(spec, p, seed, sample_id)``.
+    """
+
     spec: LatticeSpec
     p: float
     seed: int
@@ -118,10 +131,16 @@ class PercolationConfig:
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise ValueError(f"p = {self.p} outside [0, 1]")
+        if not 0 <= self.sample_id <= MASK64:
+            raise ValueError(f"sample id {self.sample_id} outside [0, 2^64)")
 
-    @property
+    @cached_property
     def threshold(self) -> int:
         return open_threshold(self.p)
+
+    @cached_property
+    def sample_key(self) -> int:
+        return sample_key(self.sample_id)
 
     def with_sample(self, sample_id: int) -> "PercolationConfig":
         return PercolationConfig(self.spec, self.p, self.seed, sample_id)
@@ -140,8 +159,12 @@ def edge_state(cfg: PercolationConfig, e: Edge) -> int:
 
 
 def raw_edge_state(cfg: PercolationConfig, e: Edge) -> int:
-    h = mix64(edge_key(cfg.seed, e) ^ sample_key(cfg.sample_id))
-    return 1 if h < cfg.threshold else 0
+    return keyed_edge_state(cfg, edge_key(cfg.seed, e))
+
+
+def keyed_edge_state(cfg: PercolationConfig, key: int) -> int:
+    """The bit, under ``cfg``, of the edge whose key is ``key``."""
+    return 1 if mix64(key ^ cfg.sample_key) < cfg.threshold else 0
 
 
 def edge_keys_bulk(seed: int, a_coords: np.ndarray, b_coords: np.ndarray) -> np.ndarray:
@@ -161,26 +184,38 @@ def edge_keys_bulk(seed: int, a_coords: np.ndarray, b_coords: np.ndarray) -> np.
     return h
 
 
+def _states_np(keys: np.ndarray, skeys: np.ndarray, threshold: int) -> np.ndarray:
+    """Step 3, ``mix(K ^ S) < threshold``, over broadcast edge and sample keys."""
+    if threshold >= 1 << 64:
+        return np.ones(np.broadcast(keys, skeys).shape, dtype=np.uint8)
+    return (_mix64_np(keys ^ skeys) < np.uint64(threshold)).astype(np.uint8)
+
+
 def states_from_keys(
     keys: np.ndarray, sample_id: int, threshold: int
 ) -> np.ndarray:
     """Edge bits for one sample given precomputed edge keys."""
-    if threshold >= 1 << 64:
-        return np.ones(len(keys), dtype=np.uint8)
-    h = _mix64_np(keys ^ np.uint64(sample_key(sample_id)))
-    return (h < np.uint64(threshold)).astype(np.uint8)
+    return _states_np(keys, np.uint64(sample_key(sample_id)), threshold)
+
+
+def _sample_keys_bulk(sample_ids) -> np.ndarray:
+    """Vectorised :func:`sample_key`; ids outside ``[0, 2^64)`` raise
+    ``ValueError``, as they do in :class:`PercolationConfig`."""
+    ids = np.asarray(sample_ids)
+    if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
+        raise ValueError("sample ids must be >= 0")
+    try:
+        ids = np.asarray(sample_ids, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("sample ids must lie in [0, 2^64)") from None
+    return _mix64_np(ids ^ np.uint64(_SAMPLE_SALT))
 
 
 def states_over_samples(
     key: int, sample_ids: np.ndarray, threshold: int
 ) -> np.ndarray:
     """Bits of one edge across many samples (vectorised over sample_id)."""
-    ids = np.asarray(sample_ids, dtype=np.uint64)
-    s = _mix64_np(ids ^ np.uint64(_SAMPLE_SALT))
-    if threshold >= 1 << 64:
-        return np.ones(len(ids), dtype=np.uint8)
-    h = _mix64_np(np.uint64(key) ^ s)
-    return (h < np.uint64(threshold)).astype(np.uint8)
+    return _states_np(np.uint64(key), _sample_keys_bulk(sample_ids), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +625,15 @@ def sample_masks(
     """Configuration bitmasks of an explicit lattice-edge list across samples.
 
     Edge ``j`` contributes bit ``j``; uses the same hash as every other
-    sampler, vectorised over ``sample_ids``.
+    sampler, vectorised over ``sample_ids`` (whose sample keys are hashed
+    once for all the edges).
     """
     if len(edges) > 63:
         raise ValueError("mask sampler limited to 63 edges")
-    ids = np.asarray(sample_ids, dtype=np.uint64)
-    masks = np.zeros(len(ids), dtype=np.uint64)
+    skeys = _sample_keys_bulk(sample_ids)
+    masks = np.zeros(len(skeys), dtype=np.uint64)
     thr = cfg.threshold
     for j, e in enumerate(edges):
-        bits = states_over_samples(edge_key(cfg.seed, e), ids, thr)
+        bits = _states_np(np.uint64(edge_key(cfg.seed, e)), skeys, thr)
         masks |= bits.astype(np.uint64) << np.uint64(j)
     return masks

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Site = Tuple[int, ...]
@@ -70,6 +72,12 @@ class LatticeSpec:
 
     def offsets(self) -> Tuple[Site, ...]:
         """Neighbour offsets in a fixed lexicographic order."""
+        return self._offsets
+
+    @cached_property
+    def _offsets(self) -> Tuple[Site, ...]:
+        # Built on first use and kept in the instance (not a field, so
+        # equality, hashing and repr are unchanged).
         if self.edge_mode == NEAREST_NEIGHBOUR:
             offs = []
             for i in range(self.d):
@@ -134,7 +142,7 @@ def canonical_edge(spec: LatticeSpec, x: Site, y: Site) -> Edge:
 
 def neighbours(spec: LatticeSpec, x: Site) -> Tuple[Site, ...]:
     """All lattice neighbours of ``x`` in a fixed deterministic order."""
-    return tuple(tuple(a + b for a, b in zip(x, v)) for v in spec.offsets())
+    return tuple(tuple(map(add, x, v)) for v in spec.offsets())
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +249,12 @@ def region_sites(region: Region, limit: int = MATERIALISE_LIMIT) -> Iterator[Sit
     s = region.outer
     r = region.inner
     rng = range(-s, s + 1)
-    for off in itertools.product(rng, repeat=len(c)):
-        if max(abs(o) for o in off) > r:
-            yield tuple(a + o for a, o in zip(c, off))
+    # The hole is skipped, not filtered: once the first d-1 offsets lie in
+    # [-r, r], the last one runs only over |o| > r.  Same lexicographic order.
+    rim = [o for o in rng if abs(o) > r]
+    for head in itertools.product(rng, repeat=len(c) - 1):
+        for last in (rng if max(map(abs, head), default=-1) > r else rim):
+            yield tuple(map(add, c, head + (last,)))
 
 
 def boundary_membership(spec: LatticeSpec, region: Region, y: Site) -> Tuple[bool, bool]:

@@ -13,12 +13,15 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+import percolab.clusters
+import percolab.engine
 from percolab.clusters import (
     GoodSpanningParams,
     RegularityParams,
     SpanningSetRecord,
     badness_threshold,
     estimate_regularity,
+    good_spanning_check,
     inward_star,
     outward_star,
     pivotal_edges,
@@ -46,7 +49,7 @@ from percolab.lattice import (
     neighbours,
     norm_inf,
 )
-from percolab.scales import scale_sequence, toy_params
+from percolab.scales import scale_sequence, sub_annulus, toy_params
 
 SPEC2 = LatticeSpec(d=2)
 
@@ -137,8 +140,8 @@ def test_regularity_estimate_matches_exact_conditional(seed, expected):
     resample = {(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (2, 0),
                 (1, -1)}
     params = RegularityParams(K=2, s_list=(2,), n_inner=400, log_base=2.3)
-    rep = estimate_regularity(cfg, x, frozenset(cond_sites), params,
-                              resample_region=frozenset(resample))
+    rep = estimate_regularity(cfg, x, explore_cluster(cfg, x, frozenset(cond_sites)),
+                              params, resample_region=frozenset(resample))
     (s, est, level, verdict), = rep.per_s
     assert s == 2
     exact = _exact_conditional_tame(cfg, x, cond_sites, resample, 2, 2.3)
@@ -151,14 +154,28 @@ def test_regularity_deterministic_branches():
     # p = 1 on a wide region: the frozen cluster alone busts the threshold
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=2)
     params = RegularityParams(K=2, s_list=(2,), n_inner=100, log_base=2.3)
-    rep = estimate_regularity(cfg, (0, 0), box((0, 0), 3), params)
+    rep = estimate_regularity(cfg, (0, 0), explore_cluster(cfg, (0, 0), box((0, 0), 3)),
+                              params)
     assert rep.regular is False
     assert rep.per_s[0][1].n_samples == 0  # no resampling was needed
     # a log base near 1 blows the threshold past the ball volume: sure-tame
     lax = RegularityParams(K=2, s_list=(2,), n_inner=100, log_base=1.01)
-    rep2 = estimate_regularity(cfg, (0, 0), box((0, 0), 3), lax)
+    rep2 = estimate_regularity(cfg, (0, 0), explore_cluster(cfg, (0, 0), box((0, 0), 3)),
+                               lax)
     assert rep2.regular is True
     assert rep2.per_s[0][1].value == 1.0
+
+
+def test_regularity_refuses_foreign_or_truncated_records():
+    cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=2)
+    params = RegularityParams(K=2, s_list=(2,), n_inner=100)
+    rec = explore_cluster(cfg, (0, 0), box((0, 0), 1))
+    with pytest.raises(ValueError):
+        estimate_regularity(cfg, (2, 0), rec, params)
+    capped = explore_cluster(cfg, (0, 0), box((0, 0), 3), cap=5)
+    assert capped.truncated
+    with pytest.raises(RuntimeError):
+        estimate_regularity(cfg, (0, 0), capped, params)
 
 
 def test_regularity_resampling_frozen_tallies_d3():
@@ -170,7 +187,7 @@ def test_regularity_resampling_frozen_tallies_d3():
     frozen = {0: (6, 67, None, None), 3: (3, 86, True, True)}
     for sid, (size, tally, verdict, regular) in frozen.items():
         cfg = PercolationConfig(spec=spec, p=0.3, seed=2024, sample_id=sid)
-        rep = estimate_regularity(cfg, x, box(x, 1), params,
+        rep = estimate_regularity(cfg, x, explore_cluster(cfg, x, box(x, 1)), params,
                                   resample_region=box(x, 3))
         assert rep.frozen_size == size
         (s3, est3, _, v3), (s4, est4, _, v4) = rep.per_s
@@ -218,6 +235,72 @@ def test_good_records_are_pinned_spanning_sets():
             assert verify_pinned(cfg, rec.cluster)
             checked += 1
     assert checked > 20
+
+
+# A small ladder with q_max = 2: Ann^2 = annulus(1, 16) holds Ann^1 =
+# annulus(2, 8), so certification runs the minimality check on Ann^1.
+NESTED = toy_params(2, 1, 2)
+
+
+def _record_value(rec):
+    """A record's fields except its root: any of its vertices explores it."""
+    return (rec.region, rec.vertices, rec.open_edges, rec.boundary_in,
+            rec.boundary_out, rec.truncated)
+
+
+def test_records_given_to_regularity_equal_fresh_explorations():
+    idx = scale_sequence(NESTED, 1)[1]
+    outer, inner = (sub_annulus(SPEC2, idx, q, NESTED) for q in (2, 1))
+    assert (outer.inner, outer.outer, inner.inner, inner.outer) == (1, 16, 2, 8)
+    checked = 0
+    for sid in range(12):
+        cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
+        for rec in spanning_clusters(cfg, outer)[0]:
+            for v in rec.boundary_in + rec.boundary_out:
+                assert _record_value(explore_cluster(cfg, v, outer)) == _record_value(rec)
+            for comp in cluster_components(SPEC2, rec, inner):
+                for v in comp.vertices:
+                    assert _record_value(explore_cluster(cfg, v, inner)) == _record_value(comp)
+                    checked += 1
+    assert checked > 100
+
+
+def test_good_spanning_check_explores_nothing(monkeypatch):
+    idx = scale_sequence(NESTED, 1)[1]
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=100, log_base=2.0)
+    outer = sub_annulus(SPEC2, idx, 2, NESTED)
+    cases = []
+    for sid in range(10):
+        cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
+        cases += [(cfg, rec) for rec in spanning_clusters(cfg, outer)[0]]
+    x3 = (0, 0, 0)
+    cfg3 = PercolationConfig(spec=LatticeSpec(d=3), p=0.3, seed=2024)
+    rec3 = explore_cluster(cfg3, x3, box(x3, 1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("explore_cluster called during certification")
+
+    monkeypatch.setattr(percolab.clusters, "explore_cluster", forbidden)
+    monkeypatch.setattr(percolab.engine, "explore_cluster", forbidden)
+    regions = []
+    real = percolab.clusters.estimate_regularity
+
+    def counted(cfg, x, cluster, *args, **kwargs):
+        regions.append(cluster.region)
+        return real(cfg, x, cluster, *args, **kwargs)
+
+    monkeypatch.setattr(percolab.clusters, "estimate_regularity", counted)
+    reasons = set()
+    for cfg, rec in cases:
+        reasons.update(good_spanning_check(cfg, rec, idx, 2, NESTED, good, reg).failure_reasons)
+    # regularity ran on candidates and, in the minimality check, on components
+    assert outer in regions and sub_annulus(SPEC2, idx, 1, NESTED) in regions
+    assert any(msg.startswith("not minimal") for msg in reasons)
+    # and the d = 3 resampling, which is not settled by volume
+    rep = real(cfg3, x3, rec3, RegularityParams(K=3, s_list=(3,), n_inner=100),
+               resample_region=box(x3, 3))
+    assert rep.per_s[0][1].n_samples == 100
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from percolab.engine import (
     enumerate_exact,
     exact_event_table,
     explore_cluster,
+    keyed_edge_state,
     mix64,
     open_threshold,
     raw_edge_state,
@@ -113,6 +114,73 @@ def test_raw_edge_state_is_threshold_on_mixed_key():
         e = ((k, 0), (k, 1))
         h = mix64(edge_key(99, e) ^ sample_key(0))
         assert raw_edge_state(cfg, e) == int(h < thr)
+
+
+# p = 0 and 1, a dyadic p and a non-dyadic one (as float and as Fraction)
+_P_VALUES = [0, 1, 0.375, 0.3, Fraction(1, 3)]
+# the ends and the middle of the sample-id domain [0, 2^64)
+_EDGE_IDS = [0, 1, 2**63, 2**64 - 1]
+
+
+def test_config_computes_threshold_and_sample_key_once():
+    for p in _P_VALUES:
+        cold = PercolationConfig(SPEC2, p, seed=5, sample_id=2**63 + 7)
+        warm = PercolationConfig(SPEC2, p, seed=5, sample_id=2**63 + 7)
+        assert warm.threshold == open_threshold(p)
+        assert warm.sample_key == sample_key(2**63 + 7)
+        assert {"threshold", "sample_key"} <= set(vars(warm))
+        assert not {"threshold", "sample_key"} & set(vars(cold))
+        # the cache is not part of a config's value
+        assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
+        other = warm.with_sample(3)
+        assert not {"threshold", "sample_key"} & set(vars(other))
+        assert other.sample_key == sample_key(3) != warm.sample_key
+        assert other.threshold == warm.threshold
+
+
+def _random_edge(spec, data, span=2**40):
+    coord = st.integers(-span, span)
+    a = tuple(data.draw(st.tuples(*[coord] * spec.d)))
+    b = tuple(x + o for x, o in zip(a, data.draw(st.sampled_from(spec.offsets()))))
+    return canonical_edge(spec, a, b)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+       st.sampled_from(_SPECS), st.sampled_from(_P_VALUES), st.data())
+def test_keyed_edge_state_matches_raw_edge_state(seed, sid, spec, p, data):
+    e = _random_edge(spec, data)
+    cfg = PercolationConfig(spec, p, seed, sid)
+    frozen_formula = int(mix64(edge_key(seed, e) ^ sample_key(sid)) < open_threshold(p))
+    assert keyed_edge_state(cfg, edge_key(seed, e)) == raw_edge_state(cfg, e) == frozen_formula
+
+
+@given(st.integers(0, 2**64 - 1), st.sampled_from(_SPECS),
+       st.sampled_from(_P_VALUES), st.data())
+def test_sample_masks_match_scalar_bits_on_the_id_domain(seed, spec, p, data):
+    edges = [_random_edge(spec, data) for _ in range(data.draw(st.integers(1, 6)))]
+    cfg = PercolationConfig(spec, p, seed)
+    for ids in (_EDGE_IDS, np.array(_EDGE_IDS, dtype=np.uint64)):
+        masks = sample_masks(cfg, edges, ids)
+        for mask, sid in zip(masks, _EDGE_IDS):
+            c = cfg.with_sample(sid)
+            assert [(int(mask) >> j) & 1 for j in range(len(edges))] == \
+                [raw_edge_state(c, e) for e in edges]
+
+
+@pytest.mark.parametrize("sid", [-1, 2**64, 2**70])
+def test_sample_ids_outside_the_domain_raise_on_both_paths(sid):
+    cfg = PercolationConfig(SPEC2, 0.5, seed=1)
+    edges = [((0, 0), (1, 0))]
+    with pytest.raises(ValueError):
+        PercolationConfig(SPEC2, 0.5, seed=1, sample_id=sid)
+    with pytest.raises(ValueError):
+        cfg.with_sample(sid)
+    for ids in ([sid], [0, sid]):
+        with pytest.raises(ValueError):
+            sample_masks(cfg, edges, ids)
+    if sid < 0:
+        with pytest.raises(ValueError):
+            sample_masks(cfg, edges, np.array([0, sid], dtype=np.int64))
 
 
 def test_edge_marginal_frequency():

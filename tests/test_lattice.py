@@ -1,5 +1,7 @@
 """Geometry layer: norms, adjacency, regions, boundaries, edge counts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +128,45 @@ def test_region_boundaries_match_definition(spec):
                 ann = annulus(center, r, r + gap)
                 assert region_boundaries(spec, ann) == _boundaries_by_definition(spec, ann), (
                     center, r, gap)
+
+
+@pytest.mark.parametrize("spec", BOUNDARY_SPECS,
+                         ids=lambda s: f"d{s.d}-lam{s.lam}")
+def test_offsets_built_once_in_the_uncached_order(spec):
+    if spec.edge_mode == "nearest_neighbour":
+        units = [tuple(sgn * (i == j) for j in range(spec.d))
+                 for i in range(spec.d) for sgn in (-1, 1)]
+        expected = tuple(sorted(units))
+    else:
+        rng = range(-spec.lam, spec.lam + 1)
+        expected = tuple(v for v in itertools.product(rng, repeat=spec.d) if any(v))
+    fresh = LatticeSpec(spec.d, spec.edge_mode, spec.lam)
+    assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == repr(spec)
+    assert fresh.offsets() == expected
+    assert fresh.offsets() is fresh.offsets()
+    x = (3, -2, 7)[:spec.d]
+    assert neighbours(fresh, x) == tuple(tuple(a + b for a, b in zip(x, v)) for v in expected)
+
+
+def _region_sites_by_filter(ann):
+    """Every offset of the full box, the hole filtered out afterwards."""
+    rng = range(-ann.outer, ann.outer + 1)
+    for off in itertools.product(rng, repeat=len(ann.center)):
+        if max(abs(o) for o in off) > ann.inner:
+            yield tuple(a + o for a, o in zip(ann.center, off))
+
+
+def test_region_sites_skip_the_hole_in_filter_order():
+    n = 0
+    for d in (1, 2, 3):
+        for center in ((0,) * d, (3, -2, 1)[:d], (-5, 4, -1)[:d]):
+            for r in range(-1, 5):
+                for s in range(r + 1, 8):
+                    ann = annulus(center, r, s)
+                    assert list(region_sites(ann)) == list(_region_sites_by_filter(ann)), (
+                        center, r, s)
+                    n += 1
+    assert n == 297
 
 
 # p near each lattice's threshold, so the clusters meet part of each boundary
