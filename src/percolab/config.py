@@ -158,9 +158,20 @@ class Config:
         for kind in self.data["iic"]["families"]:
             self.family(kind, self.data["iic"]["n_list"])
         sc = self.data["supercritical"]
-        if len(sc["r_pair"]) != 2 or sc["r_pair"][0] >= sc["r_pair"][1]:
-            raise ConfigError("supercritical.r_pair must be a strictly increasing pair")
-        if any(b >= a for a, b in zip(sc["p_list"], sc["p_list"][1:])):
+        r_pair, p_list = sc["r_pair"], sc["p_list"]
+        if not (isinstance(r_pair, (list, tuple)) and len(r_pair) == 2
+                and all(isinstance(r, int) for r in r_pair) and r_pair[0] < r_pair[1]):
+            raise ConfigError("supercritical.r_pair must be a strictly increasing "
+                              "pair of integers")
+        if r_pair[0] < 0:
+            raise ConfigError("supercritical.r_pair radii must be >= 0")
+        if not (isinstance(p_list, (list, tuple)) and p_list):
+            raise ConfigError("supercritical.p_list must be a non-empty list")
+        for p in p_list:
+            if not (isinstance(p, (int, float)) and 0 <= p <= 1):
+                raise ConfigError(f"supercritical.p_list: {p!r} is not a probability "
+                                  "in [0, 1]")
+        if any(b >= a for a, b in zip(p_list, p_list[1:])):
             raise ConfigError("supercritical.p_list must be strictly decreasing")
         hp = self.data["hopf"]
         if not (2 <= hp["size_min"] <= hp["size_max"]):

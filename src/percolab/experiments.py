@@ -49,6 +49,7 @@ from .windowed import (
     build_window,
     component_labels,
     connection_indicator,
+    escape_levels,
     sample_labels,
     shell_rows,
 )
@@ -756,6 +757,21 @@ class IICPoint:
         )
 
 
+def _conditioned_fields(hits: int, accepted: int, seed: int,
+                        srange: Tuple[int, int]) -> dict:
+    """The ``conditional``, ``acceptance``, ``n_accepted`` and
+    ``low_confidence`` (fewer than 100 accepted) fields shared by
+    :class:`IICPoint` and :class:`SweepPoint`, from ``hits`` event successes
+    among ``accepted`` of the samples in ``srange``."""
+    return dict(
+        conditional=Estimate.from_counts(hits, accepted, seed=seed, sample_range=srange),
+        acceptance=Estimate.from_counts(accepted, srange[1] - srange[0],
+                                        seed=seed, sample_range=srange),
+        n_accepted=accepted,
+        low_confidence=accepted < 100,
+    )
+
+
 def _conditioned_counts(
     win: Window,
     cfg: PercolationConfig,
@@ -768,9 +784,7 @@ def _conditioned_counts(
 
     Samples whose origin reaches a target row are accepted; the event
     frequency among them is the conditional estimate.  Returns the
-    ``conditional``, ``acceptance``, ``n_accepted`` and ``low_confidence``
-    (fewer than 100 accepted) fields shared by :class:`IICPoint` and
-    :class:`SweepPoint`.
+    :func:`_conditioned_fields` of the counts.
     """
     origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
     accepted = 0
@@ -781,14 +795,7 @@ def _conditioned_counts(
         accepted += 1
         if event.evaluate(cfg.with_sample(sid)):
             hits += 1
-    return dict(
-        conditional=Estimate.from_counts(hits, accepted, seed=cfg.seed,
-                                         sample_range=srange),
-        acceptance=Estimate.from_counts(accepted, srange[1] - srange[0],
-                                        seed=cfg.seed, sample_range=srange),
-        n_accepted=accepted,
-        low_confidence=accepted < 100,
-    )
+    return _conditioned_fields(hits, accepted, cfg.seed, srange)
 
 
 def iic_conditional(
@@ -937,12 +944,16 @@ def supercritical_sweep(
     n_samples: int,
     sample_start: int = 0,
 ) -> List[SweepPoint]:
-    """P_p(E | origin escapes to the radius-``r_proxy`` shell), p by p.
+    """P_p(E | origin escapes to the radius-``r_proxy`` shell) for every p.
 
     The escape event proxies the infinite-cluster conditioning; it is
     decided exactly within the window (the shell blocks every outward
     path).  ``p_list`` must be strictly decreasing (a sweep down toward the
-    critical point).
+    critical point).  The open edge sets are nested in p, so one
+    :func:`~percolab.windowed.escape_levels` pass per sample gives the
+    prefix of ``p_list`` at which it escapes; the event is evaluated once
+    per accepted (sample, p), and the counts become each point's
+    :func:`_conditioned_fields`.
     """
     if len(p_list) < 1:
         raise ValueError("empty sweep")
@@ -950,13 +961,20 @@ def supercritical_sweep(
         raise ValueError("p_list must be strictly decreasing")
     spec = cfg_base.spec
     win = build_window(spec, cfg_base.seed, r_proxy)
-    shell = shell_rows(win, r_proxy)
+    cfgs = [PercolationConfig(spec, p, cfg_base.seed) for p in p_list]
     srange = (sample_start, sample_start + n_samples)
+    accepted = [0] * len(cfgs)
+    hits = [0] * len(cfgs)
+    for sid, k in escape_levels(win, cfgs, range(*srange), win.row_of((0,) * spec.d),
+                                shell_rows(win, r_proxy)):
+        for i in range(k):
+            accepted[i] += 1
+            if event.evaluate(cfgs[i].with_sample(sid)):
+                hits[i] += 1
     return [
         SweepPoint(p=p, r_proxy=r_proxy,
-                   **_conditioned_counts(win, PercolationConfig(spec, p, cfg_base.seed),
-                                         event, srange, shell))
-        for p in p_list
+                   **_conditioned_fields(h, a, cfg_base.seed, srange))
+        for p, h, a in zip(p_list, hits, accepted)
     ]
 
 

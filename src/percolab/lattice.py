@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Site = Tuple[int, ...]
@@ -217,7 +217,7 @@ def explicit_region(
 def contains(region: Region, x: Site) -> bool:
     if region.kind == "explicit":
         return tuple(x) in region.sites
-    n = max(abs(a - c) for a, c in zip(x, region.center))
+    n = max(map(abs, map(sub, x, region.center)))
     return region.inner < n <= region.outer
 
 

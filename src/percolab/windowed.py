@@ -11,6 +11,8 @@ implementations edge for edge.
 The edge keys (sample-independent) are hashed once per window; producing a
 sample costs a single avalanche pass plus one connected-components call.
 :func:`sample_labels` owns that per-sample loop for every caller.
+:func:`escape_levels` answers a whole decreasing grid of p per sample from
+one minimum spanning tree, since the open edge sets are nested in p.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
 from .lattice import NEAREST_NEIGHBOUR, LatticeSpec, Region, Site, annulus, region_boundaries
@@ -184,6 +186,58 @@ def sample_labels(
     experiment, which keep only their reduction of the labels."""
     for sid in sample_ids:
         yield sid, component_labels(win, sample_open_edges(win, cfg, sid), blocked_rows)
+
+
+def escape_levels(
+    win: Window,
+    cfgs: Sequence[PercolationConfig],
+    sample_ids: Iterable[int],
+    origin_row: int,
+    target_rows: np.ndarray,
+) -> Iterator[Tuple[int, int]]:
+    """``(sample_id, k)`` for each sample id, in order: the origin reaches a
+    target row under exactly the first ``k`` of ``cfgs``.
+
+    ``cfgs`` must have non-increasing thresholds, so the open edge sets are
+    nested and the configs under which the origin connects form a prefix.
+    An edge open under exactly the first ``level`` configs gets the weight
+    ``K + 1 - level`` (edges closed under every config are dropped).  The
+    origin reaches a target under config ``i`` iff some path avoids every
+    weight above ``K - i``; a minimum spanning tree holds a path minimising
+    the largest weight to every node, so one tree per sample answers every
+    config (Newman & Ziff's one sweep over all occupation levels).
+    """
+    n_k = len(cfgs)
+    if any(b.threshold > a.threshold for a, b in zip(cfgs, cfgs[1:])):
+        raise ValueError("configs must have non-increasing thresholds")
+    er = win.edge_rows
+    n = win.n_sites
+    for sid in sample_ids:
+        level = np.zeros(win.n_edges, dtype=np.int64)
+        for cfg in cfgs:
+            level += sample_open_edges(win, cfg, sid)
+        sel = level > 0
+        graph = csr_matrix(((n_k + 1 - level[sel]).astype(np.float64),
+                            (er[sel, 0], er[sel, 1])), shape=(n, n))
+        tree = minimum_spanning_tree(graph).tocoo()
+        order, pred = breadth_first_order(tree, origin_row, directed=False,
+                                          return_predecessors=True)
+        # parent pointers with the origin and unreached rows as fixed points;
+        # ``up[v]`` is the largest weight between v and its current parent
+        parent = np.arange(n)
+        parent[order[1:]] = pred[order[1:]]
+        up = np.zeros(n)
+        child = np.where(pred[tree.col] == tree.row, tree.col, tree.row)
+        up[child] = tree.data
+        while True:  # pointer jumping: about log2(tree depth) rounds
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            np.maximum(up, up[parent], out=up)
+            parent = grand
+        up[parent != origin_row] = np.inf
+        # an origin that is itself a target connects under every config
+        yield sid, int(np.clip(n_k + 1 - up[target_rows].min(initial=np.inf), 0, n_k))
 
 
 def connection_indicator(

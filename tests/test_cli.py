@@ -231,6 +231,14 @@ def test_bad_pc_bracket_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "does not straddle" in err
 
 
+def test_bad_supercritical_grid_is_a_config_error(tmp_path, capsys):
+    code, out = _run(tmp_path, ["supercritical-sweep", "--n-samples", "5"],
+                     cfg={"supercritical": {"p_list": [1.5, 0.5]}})
+    assert code == 4
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_format_json_suppresses_csv(tmp_path):
     code, out = _run(tmp_path, ["--format", "json", "estimate-two-point",
                                 "--n-samples", "50"])

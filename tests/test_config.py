@@ -66,6 +66,23 @@ def test_invalid_values_rejected():
         Config.from_dict({"hopf": {"size_min": 5, "size_max": 3}})
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"p_list": [1.5, 0.5]}, "not a probability"),
+    ({"p_list": ["0.5"]}, "not a probability"),
+    ({"p_list": []}, "non-empty"),
+    ({"r_pair": [-2, 4]}, ">= 0"),
+    ({"r_pair": [4.5, 8]}, "integers"),
+], ids=["p-above-1", "p-string", "empty-grid", "negative-radius", "float-radius"])
+def test_invalid_supercritical_values_rejected(override, message):
+    with pytest.raises(ConfigError, match=message):
+        Config.from_dict({"supercritical": override})
+
+
+def test_supercritical_origin_radius_accepted():
+    # radius 0: the shell is the origin itself, a defined escape event
+    assert Config.from_dict({"supercritical": {"r_pair": [0, 4]}})
+
+
 def test_families_constructed_from_config():
     cfg = Config.from_dict({"iic": {"families": ["box_boundary",
                                                 "vertex_set_with_obstacle"],

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from percolab import experiments, windowed
 from percolab.engine import PercolationConfig
 from percolab.estimators import Estimate
 from percolab.experiments import (
@@ -334,3 +335,61 @@ def test_supercritical_sweep_decreases_toward_density():
     assert [pt.p for pt in pts] == [0.9, 0.7]
     assert pts[0].conditional.value > pts[1].conditional.value
     assert all(pt.r_proxy == 5 for pt in pts)
+
+
+# Rows recorded with the per-p labelling loop: (p, r_proxy, conditional,
+# stderr, acceptance, n_accepted, low_confidence) for the two-east-edges
+# event at seed 2024
+_SWEEP12_ROWS = [
+    (0.6, 8, 0.3737024221453287, 0.02845800170420772, 0.9633333333333334, 289, 0),
+    (0.59, 8, 0.37543859649122807, 0.028683662246047844, 0.95, 285, 0),
+    (0.58, 8, 0.3568904593639576, 0.028478474877955625, 0.9433333333333334, 283, 0),
+    (0.57, 8, 0.3464285714285714, 0.028436383656363463, 0.9333333333333333, 280, 0),
+    (0.56, 8, 0.34057971014492755, 0.028525679454528, 0.92, 276, 0),
+    (0.55, 8, 0.3283582089552239, 0.028686356914236693, 0.8933333333333333, 268, 0),
+    (0.54, 8, 0.3230769230769231, 0.02900253469374378, 0.8666666666666667, 260, 0),
+    (0.53, 8, 0.3201581027667984, 0.029330937948638596, 0.8433333333333334, 253, 0),
+    (0.52, 8, 0.32231404958677684, 0.030043199133181372, 0.8066666666666666, 242, 0),
+    (0.515, 8, 0.29957805907172996, 0.0297550510263444, 0.79, 237, 0),
+    (0.51, 8, 0.30303030303030304, 0.030237368188378962, 0.77, 231, 0),
+    (0.505, 8, 0.30131004366812225, 0.030320147743417944, 0.7633333333333333, 229, 0),
+]
+_SWEEP_CLI_ROWS = [
+    (0.55, 16, 0.3155893536121673, 0.028657722699784175, 0.8766666666666667, 263, 0),
+    (0.52, 16, 0.3, 0.02958039891549808, 0.8, 240, 0),
+    (0.51, 16, 0.28888888888888886, 0.030216411932401686, 0.75, 225, 0),
+]
+
+
+@pytest.mark.parametrize("p_list,r_proxy,sample_start,rows", [
+    ([row[0] for row in _SWEEP12_ROWS], 8, 500, _SWEEP12_ROWS),
+    ([0.55, 0.52, 0.51], 16, 0, _SWEEP_CLI_ROWS),   # the CLI's default grid
+], ids=["grid12-r8", "cli-grid-r16"])
+def test_supercritical_sweep_frozen_rows(p_list, r_proxy, sample_start, rows):
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    pts = supercritical_sweep(cfg, two_east_edges_event(SPEC2), p_list, r_proxy,
+                              n_samples=300, sample_start=sample_start)
+    assert [pt.row() for pt in pts] == rows
+
+
+def test_supercritical_sweep_labels_no_window(monkeypatch):
+    # one spanning tree per sample answers every p: no per-p labelling
+    def refuse(*args, **kwargs):
+        raise AssertionError("component_labels called")
+
+    monkeypatch.setattr(windowed, "component_labels", refuse)
+    monkeypatch.setattr(experiments, "component_labels", refuse)
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    pts = supercritical_sweep(cfg, two_east_edges_event(SPEC2),
+                              [0.6, 0.55, 0.5], r_proxy=8, n_samples=40)
+    assert [pt.n_accepted for pt in pts] == sorted((pt.n_accepted for pt in pts),
+                                                   reverse=True)
+
+
+def test_supercritical_sweep_origin_is_the_shell():
+    # r_proxy = 0: the shell is the origin, so every sample escapes at every p
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    pts = supercritical_sweep(cfg, sure_event(), [1.0, 0.5, 0.0], r_proxy=0,
+                              n_samples=20)
+    assert [(pt.n_accepted, pt.acceptance.value, pt.conditional.value)
+            for pt in pts] == [(20, 1.0, 1.0)] * 3

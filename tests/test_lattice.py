@@ -67,6 +67,18 @@ def test_canonical_edge_rejects_non_edges():
         canonical_edge(SPEC2, (0, 0), (1, 1))
 
 
+@given(st.integers(1, 3), st.integers(-1, 4), st.integers(1, 4), st.data())
+def test_contains_matches_generator_norm(d, r, gap, data):
+    # the map-based sup-norm against the generator expression it replaced
+    coord = st.integers(-12, 12)
+    center = data.draw(st.tuples(*[coord] * d))
+    ann = annulus(center, r, r + gap)
+    for _ in range(20):
+        x = data.draw(st.tuples(*[coord] * d))
+        n = max(abs(a - c) for a, c in zip(x, center))
+        assert contains(ann, x) == (r < n <= r + gap)
+
+
 def test_box_membership_and_count():
     b = box((0, 0), 2)
     assert contains(b, (2, -2))
