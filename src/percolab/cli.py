@@ -47,6 +47,7 @@ from .kernels import (
     ratio_limit,
 )
 from .scales import faithful_report, scale_sequence
+from .windowed import WindowTooLargeError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -591,7 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         sink = _Sink(args.out_dir, args.format)
         return args.fn(cfg, args, sink)
-    except (ConfigError, BracketError) as exc:
+    except (ConfigError, BracketError, WindowTooLargeError) as exc:
         print(f"percolab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

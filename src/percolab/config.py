@@ -128,6 +128,11 @@ def _merge(base: Dict[str, Any], override: Dict[str, Any], path: str = "") -> Di
     return out
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class Config:
     """A validated, merged run configuration."""
@@ -160,7 +165,7 @@ class Config:
         sc = self.data["supercritical"]
         r_pair, p_list = sc["r_pair"], sc["p_list"]
         if not (isinstance(r_pair, (list, tuple)) and len(r_pair) == 2
-                and all(isinstance(r, int) for r in r_pair) and r_pair[0] < r_pair[1]):
+                and all(map(_is_int, r_pair)) and r_pair[0] < r_pair[1]):
             raise ConfigError("supercritical.r_pair must be a strictly increasing "
                               "pair of integers")
         if r_pair[0] < 0:
@@ -174,12 +179,15 @@ class Config:
         if any(b >= a for a, b in zip(p_list, p_list[1:])):
             raise ConfigError("supercritical.p_list must be strictly decreasing")
         hp = self.data["hopf"]
-        if not (2 <= hp["size_min"] <= hp["size_max"]):
-            raise ConfigError("hopf sizes must satisfy 2 <= size_min <= size_max")
+        if not (_is_int(hp["size_min"]) and _is_int(hp["size_max"])
+                and 2 <= hp["size_min"] <= hp["size_max"]):
+            raise ConfigError("hopf sizes must be integers with "
+                              "2 <= size_min <= size_max")
         for section in ("estimation", "extraction", "iic", "supercritical", "battery"):
-            ns = self.data[section].get("n_samples")
-            if ns is not None and ns < 1:
-                raise ConfigError(f"{section}.n_samples must be >= 1")
+            ns = self.data[section]["n_samples"]
+            if not (_is_int(ns) and ns >= 1):
+                raise ConfigError(f"{section}.n_samples must be an integer >= 1, "
+                                  f"got {ns!r}")
 
     # -- typed accessors --------------------------------------------------
     def spec(self) -> LatticeSpec:

@@ -8,8 +8,13 @@ than to run a Python-level BFS.  Because edge states are pure functions of
 as the lazy explorer — the tests exploit that to cross-validate the two
 implementations edge for edge.
 
-The edge keys (sample-independent) are hashed once per window; producing a
-sample costs a single avalanche pass plus one connected-components call.
+The edge keys (sample-independent) are hashed once per window, and the
+window's edge list is its CSR skeleton: sorted by first row, then second row
+(the canonical order of a CSR matrix), with both row columns contiguous
+int32 arrays.  Producing a sample costs a single avalanche pass, one ``bincount`` and
+``cumsum`` of the open edges' first rows (the sample's ``indptr``), one take
+of their second rows (its ``indices``) and one connected-components call; no
+COO conversion or canonicalisation runs per sample.
 :func:`sample_labels` owns that per-sample loop for every caller.
 :func:`escape_levels` answers a whole decreasing grid of p per sample from
 one minimum spanning tree, since the open edge sets are nested in p.
@@ -25,12 +30,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
-from .lattice import NEAREST_NEIGHBOUR, LatticeSpec, Region, Site, annulus, region_boundaries
+from .lattice import LatticeSpec, Region, Site, annulus, region_boundaries
+
+
+class WindowTooLargeError(ValueError):
+    """A window too large to materialise: a refusal to run on a bad input,
+    not a broken invariant."""
 
 
 @dataclass
 class Window:
-    """A finite annulus/box window with precomputed edge hash keys."""
+    """A finite annulus/box window with precomputed edge hash keys.
+
+    Edges are in CSR order (by first row, then second row), in ``edge_rows``
+    and ``keys`` alike."""
 
     spec: LatticeSpec
     center: Tuple[int, ...]
@@ -39,7 +52,9 @@ class Window:
     seed: int
     sites: np.ndarray  # (n, d) int64, lexicographic order over the full box
     member: np.ndarray  # (n,) bool, True for sites of the region
-    edge_rows: np.ndarray  # (m, 2) int64 row indices (a_row, b_row)
+    # (m, 2) int32 row indices (a_row, b_row), a_row < b_row; column-major,
+    # so each column is a contiguous array
+    edge_rows: np.ndarray
     keys: np.ndarray  # (m,) uint64 edge keys
 
     @property
@@ -74,8 +89,10 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
                  center: Sequence[int] = None) -> Window:
     """Materialise ``B(center; outer) \\ B(center; inner)`` and hash its edges.
 
-    Only edges with both endpoints in the region are kept.  Memory scales
-    like ``d * (2*outer+1)^d``; callers are expected to stay at desk scale.
+    Only edges with both endpoints in the region are kept, in CSR order.
+    Memory scales like ``d * (2*outer+1)^d``; callers are expected to stay at
+    desk scale, and a window over 40 million sites (or one whose edge count
+    could overflow an int32 ``indptr``) raises :class:`WindowTooLargeError`.
     """
     d = spec.d
     if center is None:
@@ -83,31 +100,21 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
     center = tuple(center)
     side = 2 * outer + 1
     n = side**d
-    if n > 40_000_000:
-        raise ValueError(f"window with {n} sites is too large to materialise")
+    # the skeleton's int32 indptr counts up to n * degree / 2 edges
+    if n > 40_000_000 or n * (spec.degree // 2) > np.iinfo(np.int32).max:
+        raise WindowTooLargeError(f"window with {n} sites is too large to materialise")
     axes = [np.arange(c - outer, c + outer + 1, dtype=np.int64) for c in center]
     grids = np.meshgrid(*axes, indexing="ij")
     sites = np.stack([g.ravel() for g in grids], axis=1)  # lex order
     norms = np.abs(sites - np.asarray(center)).max(axis=1)
     member = norms > inner
 
-    # Positive (lexicographically > 0) neighbour offsets.
-    if spec.edge_mode == NEAREST_NEIGHBOUR:
-        offsets = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    else:
-        from itertools import product
-
-        offsets = [v for v in product(range(-spec.lam, spec.lam + 1), repeat=d)
-                   if v > (0,) * d]
-
     strides = np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
     lo = np.asarray([c - outer for c in center])
     rel = sites - lo  # coordinates in [0, side)
     rows_a: List[np.ndarray] = []
     rows_b: List[np.ndarray] = []
-    coords_a: List[np.ndarray] = []
-    coords_b: List[np.ndarray] = []
-    for off in offsets:
+    for off in (v for v in spec.offsets() if v > (0,) * d):  # each edge once
         offv = np.asarray(off)
         ok = np.ones(n, dtype=bool)
         for j in range(d):
@@ -116,19 +123,14 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
             elif off[j] < 0:
                 ok &= rel[:, j] >= -off[j]
         idx_a = np.flatnonzero(ok & member)
-        b_sites = sites[idx_a] + offv
         idx_b = (rel[idx_a] + offv) @ strides
         keep = member[idx_b]
-        idx_a, idx_b, b_sites = idx_a[keep], idx_b[keep], b_sites[keep]
-        rows_a.append(idx_a)
-        rows_b.append(idx_b)
-        coords_a.append(sites[idx_a])
-        coords_b.append(b_sites)
+        rows_a.append(idx_a[keep])
+        rows_b.append(idx_b[keep])
     a_rows = np.concatenate(rows_a)
     b_rows = np.concatenate(rows_b)
-    a_coords = np.concatenate(coords_a)
-    b_coords = np.concatenate(coords_b)
-    keys = edge_keys_bulk(seed, a_coords, b_coords)
+    order = np.lexsort((b_rows, a_rows))
+    a_rows, b_rows = a_rows[order], b_rows[order]
     return Window(
         spec=spec,
         center=center,
@@ -137,8 +139,8 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
         seed=seed,
         sites=sites,
         member=member,
-        edge_rows=np.stack([a_rows, b_rows], axis=1),
-        keys=keys,
+        edge_rows=np.array([a_rows, b_rows], dtype=np.int32).T,
+        keys=edge_keys_bulk(seed, sites[a_rows], sites[b_rows]),
     )
 
 
@@ -149,6 +151,20 @@ def sample_open_edges(win: Window, cfg: PercolationConfig, sample_id: int) -> np
     return states_from_keys(win.keys, sample_id, cfg.threshold).astype(bool)
 
 
+def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = None):
+    """The ``n x n`` CSR matrix of the edges where ``sel`` holds, with unit
+    data or ``weights[sel]``, built straight from the window's skeleton: it is
+    canonical (sorted rows and columns, no duplicates) as it stands."""
+    heads, tails = win.edge_rows.T
+    # integer take: boolean indexing is several times slower on random masks
+    on = np.flatnonzero(sel)
+    n = win.n_sites
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(heads.take(on), minlength=n), out=indptr[1:])
+    data = np.ones(len(on)) if weights is None else weights.take(on)
+    return csr_matrix((data, tails.take(on), indptr), shape=(n, n))
+
+
 def component_labels(
     win: Window,
     open_mask: np.ndarray,
@@ -156,22 +172,21 @@ def component_labels(
 ) -> np.ndarray:
     """Component label of every box site under the open edges.
 
+    The open edges go to ``connected_components`` as a CSR matrix read off
+    the window's CSR skeleton: ``bincount`` and ``cumsum`` of the open edges'
+    first rows give the ``indptr``, their int32 second rows the ``indices``.
+
     ``blocked_rows`` (obstacle sites) are isolated: every incident edge is
     dropped.  Sites outside the region keep their own singleton labels (they
     have no incident edges by construction).
     """
-    er = win.edge_rows
     sel = open_mask
     if blocked_rows is not None and len(blocked_rows):
         blocked = np.zeros(win.n_sites, dtype=bool)
         blocked[blocked_rows] = True
+        er = win.edge_rows
         sel = sel & ~blocked[er[:, 0]] & ~blocked[er[:, 1]]
-    a = er[sel, 0]
-    b = er[sel, 1]
-    n = win.n_sites
-    data = np.ones(len(a), dtype=np.int8)
-    g = csr_matrix((data, (a, b)), shape=(n, n))
-    _, labels = connected_components(g, directed=False)
+    _, labels = connected_components(_edge_graph(win, sel), directed=False)
     return labels
 
 
@@ -210,15 +225,12 @@ def escape_levels(
     n_k = len(cfgs)
     if any(b.threshold > a.threshold for a, b in zip(cfgs, cfgs[1:])):
         raise ValueError("configs must have non-increasing thresholds")
-    er = win.edge_rows
     n = win.n_sites
     for sid in sample_ids:
         level = np.zeros(win.n_edges, dtype=np.int64)
         for cfg in cfgs:
             level += sample_open_edges(win, cfg, sid)
-        sel = level > 0
-        graph = csr_matrix(((n_k + 1 - level[sel]).astype(np.float64),
-                            (er[sel, 0], er[sel, 1])), shape=(n, n))
+        graph = _edge_graph(win, level > 0, n_k + 1.0 - level)
         tree = minimum_spanning_tree(graph).tocoo()
         order, pred = breadth_first_order(tree, origin_row, directed=False,
                                           return_predecessors=True)

@@ -239,6 +239,28 @@ def test_bad_supercritical_grid_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,cfg", [
+    (["iic-converge"], {"iic": {"n_samples": "5"}}),
+    (["scale-table"], {"hopf": {"size_min": "2"}}),
+], ids=["n-samples-string", "hopf-size-string"])
+def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
+    # a string count used to escape as a TypeError traceback (exit 1)
+    code, out = _run(tmp_path, argv, cfg=cfg)
+    assert code == 4
+    assert "integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_window_is_a_config_error(tmp_path, capsys):
+    # refused at the first window build, not an invariant violation (exit 2)
+    code, out = _run(tmp_path, ["iic-converge", "--n-samples", "5"],
+                     cfg={"iic": {"n_list": [5000]}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and "too large to materialise" in err
+    assert os.listdir(out) == []
+
+
 def test_format_json_suppresses_csv(tmp_path):
     code, out = _run(tmp_path, ["--format", "json", "estimate-two-point",
                                 "--n-samples", "50"])

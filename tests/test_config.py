@@ -78,6 +78,24 @@ def test_invalid_supercritical_values_rejected(override, message):
         Config.from_dict({"supercritical": override})
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"iic": {"n_samples": "5"}}, "iic.n_samples must be an integer"),
+    ({"iic": {"n_samples": 2.5}}, "iic.n_samples must be an integer"),
+    ({"iic": {"n_samples": True}}, "iic.n_samples must be an integer"),
+    ({"iic": {"n_samples": None}}, "iic.n_samples must be an integer"),
+    ({"estimation": {"n_samples": 0}}, "estimation.n_samples must be an integer >= 1"),
+    ({"battery": {"n_samples": [100]}}, "battery.n_samples must be an integer"),
+    ({"hopf": {"size_min": "2"}}, "hopf sizes must be integers"),
+    ({"hopf": {"size_max": 8.0}}, "hopf sizes must be integers"),
+    ({"hopf": {"size_min": True}}, "hopf sizes must be integers"),
+    ({"supercritical": {"r_pair": [False, True]}}, "pair of integers"),
+], ids=["n-string", "n-float", "n-bool", "n-null", "n-zero", "n-list",
+        "size-string", "size-float", "size-bool", "r-pair-bools"])
+def test_non_integer_counts_rejected(override, message):
+    with pytest.raises(ConfigError, match=message):
+        Config.from_dict(override)
+
+
 def test_supercritical_origin_radius_accepted():
     # radius 0: the shell is the origin itself, a defined escape event
     assert Config.from_dict({"supercritical": {"r_pair": [0, 4]}})

@@ -7,10 +7,13 @@ divergence means the two samplers no longer speak the same hash.
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from percolab.engine import PercolationConfig, edge_state, explore_cluster, spanning_clusters
 from percolab.lattice import LatticeSpec, annulus, box, edge_count_box
 from percolab.windowed import (
+    WindowTooLargeError,
     build_window,
     component_labels,
     component_rows,
@@ -89,6 +92,97 @@ def test_connection_indicator_consistent_with_labels():
         labels = component_labels(win, sample_open_edges(win, cfg, sid))
         hit = connection_indicator(labels, origin, targets)
         assert hit == bool((labels[targets] == labels[origin]).any())
+
+
+# ---------------------------------------------------------------------------
+# The CSR-skeleton labeller against the COO labeller it replaced
+
+
+def _coo_component_labels(win, open_mask, blocked_rows=None):
+    """Reference: the COO -> CSR construction the skeleton path replaced."""
+    er = win.edge_rows
+    sel = open_mask
+    if blocked_rows is not None and len(blocked_rows):
+        blocked = np.zeros(win.n_sites, dtype=bool)
+        blocked[blocked_rows] = True
+        sel = sel & ~blocked[er[:, 0]] & ~blocked[er[:, 1]]
+    a = er[sel, 0]
+    b = er[sel, 1]
+    n = win.n_sites
+    g = csr_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+    return connected_components(g, directed=False)[1]
+
+
+_LAM1 = LatticeSpec(d=2, edge_mode="spread_out", lam=1)
+_LAM2 = LatticeSpec(d=2, edge_mode="spread_out", lam=2)
+# (spec, outer, inner, center): boxes and annuli (inner 0 drops only the
+# centre), d = 1, 2, 3, spread-out lam 1 and 2, offset centres
+_LABEL_WINDOWS = [
+    (LatticeSpec(d=1), 7, -1, (0,)),
+    (LatticeSpec(d=1), 7, 2, (-5,)),
+    (SPEC2, 6, -1, (0, 0)),
+    (SPEC2, 6, 0, (3, -2)),
+    (SPEC2, 7, 3, (0, 0)),
+    (SPEC3, 3, -1, (1, 0, -4)),
+    (SPEC3, 3, 1, (0, 0, 0)),
+    (_LAM1, 5, -1, (0, 0)),
+    (_LAM1, 5, 2, (-7, 11)),
+    (_LAM2, 5, -1, (2, 2)),
+    (_LAM2, 6, 2, (0, 0)),
+]
+_LABEL_IDS = ["d1-box", "d1-annulus-offset", "d2-box", "d2-hole0-offset",
+              "d2-annulus", "d3-box-offset", "d3-annulus", "lam1-box",
+              "lam1-annulus-offset", "lam2-box-offset", "lam2-annulus"]
+
+
+def _assert_same_labels(win, mask, blocked_rows=None):
+    got = component_labels(win, mask, blocked_rows)
+    ref = _coo_component_labels(win, mask, blocked_rows)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("spec,outer,inner,center", _LABEL_WINDOWS, ids=_LABEL_IDS)
+def test_skeleton_labels_equal_coo_labels(spec, outer, inner, center):
+    win = build_window(spec, seed=41, outer=outer, inner=inner, center=center)
+    a, b = win.edge_rows[:, 0], win.edge_rows[:, 1]
+    # the skeleton: canonical CSR order, contiguous int32 columns
+    assert (a < b).all() and np.array_equal(np.lexsort((b, a)), np.arange(win.n_edges))
+    assert win.edge_rows.dtype == np.int32
+    assert a.flags.c_contiguous and b.flags.c_contiguous
+    rng = np.random.default_rng(41)
+    members = np.flatnonzero(win.member)
+    for p in (0.2, 0.5, 0.8):
+        cfg = PercolationConfig(spec, p, 41)
+        for sid in range(4):
+            mask = sample_open_edges(win, cfg, sid)
+            _assert_same_labels(win, mask)
+            # an obstacle set: isolated sites, as the obstacle family blocks them
+            _assert_same_labels(win, mask, rng.choice(members, size=len(members) // 5,
+                                                      replace=False))
+    for mask in (np.ones(win.n_edges, dtype=bool), np.zeros(win.n_edges, dtype=bool)):
+        _assert_same_labels(win, mask)
+        _assert_same_labels(win, mask, members[::3])
+
+
+@given(st.sampled_from(_LABEL_WINDOWS), st.integers(0, 2**64 - 1),
+       st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**64 - 1),
+       st.data())
+def test_skeleton_labels_equal_coo_labels_random(window, seed, p, sid, data):
+    spec, outer, inner, center = window
+    win = build_window(spec, seed, outer=outer, inner=inner, center=center)
+    mask = sample_open_edges(win, PercolationConfig(spec, p, seed), sid)
+    blocked = data.draw(st.lists(st.integers(0, win.n_sites - 1), max_size=8))
+    _assert_same_labels(win, mask, np.asarray(blocked, dtype=np.int64))
+
+
+def test_oversized_windows_are_refused_before_materialising():
+    with pytest.raises(WindowTooLargeError, match="100060009 sites"):
+        build_window(SPEC2, seed=0, outer=5001)
+    # 2563201 sites of 840 edges each overflow the int32 skeleton
+    with pytest.raises(WindowTooLargeError, match="too large"):
+        build_window(LatticeSpec(d=2, edge_mode="spread_out", lam=20), seed=0, outer=800)
+    assert issubclass(WindowTooLargeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
