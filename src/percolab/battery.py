@@ -23,9 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .clusters import pivotal_from_graph
@@ -448,58 +447,43 @@ def y_geometries() -> Tuple[YGeometry, ...]:
     return tuple(geoms)
 
 
-def _open_graph(geom: YGeometry, free_mask: int) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(v for v in geom.mid)
-    for a, b in geom.c_edges + geom.d_edges:
+def _pivots(geom: YGeometry, free_mask: int) -> Set[FrozenSet[V]]:
+    """Pivotal edges for {C <-> D within mid} in one configuration (none
+    when the event fails), on the open graph restricted to ``mid``."""
+    adj: Dict[V, List[V]] = {v: [] for v in geom.mid}
+    free_open = tuple(e for j, e in enumerate(geom.free_edges) if (free_mask >> j) & 1)
+    for a, b in geom.c_edges + geom.d_edges + free_open:
         if a in geom.mid and b in geom.mid:
-            g.add_edge(a, b)
-    for j, (a, b) in enumerate(geom.free_edges):
-        if (free_mask >> j) & 1 and a in geom.mid and b in geom.mid:
-            g.add_edge(a, b)
-    return g
+            adj[a].append(b)
+            adj[b].append(a)
+    try:
+        return pivotal_from_graph(adj, geom.c_vertices, geom.d_vertices)
+    except ValueError:
+        return set()
 
 
 def attachment_pairs(geom: YGeometry, free_mask: int) -> List[Tuple[V, V]]:
     """The qualifying boundary pairs of one configuration.
 
     A pair (x_i, x_j) qualifies when both attachment edges {x_i, x_i*} and
-    {x_j, x_j*} are open and pivotal for {C <-> D within mid}.  Pivotality
-    is computed by bridge-finding plus removal confirmation on the open
-    restricted graph.
+    {x_j, x_j*} are open and pivotal for {C <-> D within mid}; a pivotal
+    edge is an edge of the open graph, so it is open.
     """
-    g = _open_graph(geom, free_mask)
-    c_in = [v for v in geom.c_vertices if v in geom.mid]
-    d_in = [v for v in geom.d_vertices if v in geom.mid]
-    try:
-        pivots = pivotal_from_graph(g, c_in, d_in)
-    except ValueError:
-        return []
-    open_free = {frozenset(e) for j, e in enumerate(geom.free_edges) if (free_mask >> j) & 1}
-    pairs = []
-    for xi, si in geom.out_candidates:
-        ei = frozenset((xi, si))
-        if ei not in open_free or ei not in pivots:
-            continue
-        for xj, sj in geom.in_candidates:
-            ej = frozenset((xj, sj))
-            if ej in open_free and ej in pivots:
-                pairs.append((xi, xj))
-    return pairs
+    pivots = _pivots(geom, free_mask)
+    return [(xi, xj)
+            for xi, si in geom.out_candidates if frozenset((xi, si)) in pivots
+            for xj, sj in geom.in_candidates if frozenset((xj, sj)) in pivots]
 
 
 def _pivotal_by_removal(geom: YGeometry, free_mask: int, edge: FrozenSet[V]) -> bool:
     """Reference pivotality: the event holds, and fails with ``edge`` closed."""
+    pinned = geom.c_edges + geom.d_edges
+    tg = TinyGraph(pinned + geom.free_edges)
 
     def holds(mask: int) -> bool:
-        g = _open_graph(geom, mask)
-        for c in geom.c_vertices:
-            if c not in g:
-                continue
-            reach = nx.node_connected_component(g, c)
-            if any(d in reach for d in geom.d_vertices):
-                return True
-        return False
+        # the pinned-open C/D edges are the low bits of the full mask
+        full = (mask << len(pinned)) | ((1 << len(pinned)) - 1)
+        return tg.connected(full, geom.c_vertices, geom.d_vertices, allowed=geom.mid)
 
     j = next(k for k, e in enumerate(geom.free_edges) if frozenset(e) == edge)
     if not (free_mask >> j) & 1:
@@ -559,18 +543,9 @@ def enumerate_y_geometry(geom: YGeometry, crosscheck_stride: int = 7) -> YGeomet
         if k >= 2:
             violations.append(mask)
         if mask % crosscheck_stride == 0:
-            g = _open_graph(geom, mask)
-            c_in = [v for v in geom.c_vertices if v in geom.mid]
-            d_in = [v for v in geom.d_vertices if v in geom.mid]
-            try:
-                pivots = pivotal_from_graph(g, c_in, d_in)
-            except ValueError:
-                pivots = set()
+            pivots = _pivots(geom, mask)
             for e in cand_edges:
-                bridge_piv = e in pivots and e in {
-                    frozenset(fe) for j, fe in enumerate(geom.free_edges) if (mask >> j) & 1
-                }
-                if bridge_piv != _pivotal_by_removal(geom, mask, e):
+                if (e in pivots) != _pivotal_by_removal(geom, mask, e):
                     raise AssertionError(
                         f"pivotality mismatch in {geom.name}, mask {mask}, edge {set(e)}"
                     )

@@ -46,7 +46,7 @@ from .kernels import (
     random_kernel,
     ratio_limit,
 )
-from .scales import faithful_report, scale_sequence
+from .scales import HorizonError, faithful_report, scale_sequence
 from .windowed import WindowTooLargeError
 
 EXIT_OK = 0
@@ -592,7 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         sink = _Sink(args.out_dir, args.format)
         return args.fn(cfg, args, sink)
-    except (ConfigError, BracketError, WindowTooLargeError) as exc:
+    except (ConfigError, BracketError, HorizonError, WindowTooLargeError) as exc:
         print(f"percolab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -13,10 +13,9 @@ ones.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .engine import (
     ClusterRecord,
@@ -24,12 +23,12 @@ from .engine import (
     RegionLike,
     cluster_components,
     edge_key,
-    edge_state,
     explore,
     explore_cluster,
     keyed_edge_state,
     membership,
     mix64,
+    raw_edge_state,
     spanning_clusters,
 )
 from .estimators import Estimate
@@ -38,8 +37,6 @@ from .lattice import (
     Region,
     Site,
     box,
-    contains,
-    edges_within,
     neighbours,
     norm_inf,
     region_sites,
@@ -415,35 +412,43 @@ def scan_good_spanning(
 
 
 def pivotal_from_graph(
-    g: nx.Graph, sources: Iterable, targets: Iterable
+    adj: Mapping, sources: Iterable, targets: Iterable
 ) -> Set[frozenset]:
-    """Edges of ``g`` whose removal disconnects sources from targets.
+    """Edges of the open graph whose removal disconnects sources from targets.
 
-    ``g`` is the open subgraph (only realised open edges).  Bridge-finding
-    prunes the candidates; each bridge is then confirmed by removal, which
-    also resolves multi-source/multi-target subtleties exactly.
+    ``adj`` maps each vertex to its open neighbours (a dict of lists or an
+    ``nx.Graph``); sources and targets it does not hold are ignored.  A
+    pivotal edge lies on every source-target path, so the candidates are the
+    edges of one shortest path, each kept iff the targets are unreachable
+    without it.
     """
-    src = [s for s in sources if s in g]
-    tgt = [t for t in targets if t in g]
-    aug = g.copy()
-    SUPER_S, SUPER_T = ("__s__",), ("__t__",)
-    aug.add_node(SUPER_S)
-    aug.add_node(SUPER_T)
-    for s in src:
-        aug.add_edge(SUPER_S, s)
-    for t in tgt:
-        aug.add_edge(SUPER_T, t)
-    if not (src and tgt and nx.has_path(aug, SUPER_S, SUPER_T)):
+    src = [s for s in sources if s in adj]
+    tgt = {t for t in targets if t in adj}
+    path = _shortest_path(adj, src, tgt)
+    if path is None:
         raise ValueError("sources and targets are not connected")
-    out: Set[frozenset] = set()
-    for u, v in nx.bridges(aug):
-        if SUPER_S in (u, v) or SUPER_T in (u, v):
-            continue
-        aug.remove_edge(u, v)
-        if not nx.has_path(aug, SUPER_S, SUPER_T):
-            out.add(frozenset((u, v)))
-        aug.add_edge(u, v)
-    return out
+    return {e for e in path if _shortest_path(adj, src, tgt, cut=e) is None}
+
+
+def _shortest_path(adj: Mapping, src: List, tgt: Set,
+                   cut: FrozenSet = frozenset()) -> Optional[List[frozenset]]:
+    """Edges of a shortest ``src``-``tgt`` path avoiding the edge ``cut``
+    (breadth-first search), or None when there is no such path."""
+    parent = {s: s for s in src}
+    frontier = deque(src)
+    while frontier:
+        u = frontier.popleft()
+        if u in tgt:
+            path = []
+            while parent[u] != u:
+                path.append(frozenset((parent[u], u)))
+                u = parent[u]
+            return path
+        for v in adj[u]:
+            if v not in parent and not (u in cut and v in cut):
+                parent[v] = u
+                frontier.append(v)
+    return None
 
 
 def pivotal_edges(
@@ -452,16 +457,21 @@ def pivotal_edges(
     targets: Iterable[Site],
     restriction: Region,
 ) -> Set[frozenset]:
-    """Open pivotal edges for {sources <-> targets} within a lattice region."""
-    g = nx.Graph()
-    for v in region_sites(restriction):
-        g.add_node(v)
-    for e in edges_within(cfg.spec, restriction):
-        if edge_state(cfg, e):
-            g.add_edge(*e)
-    src = [s for s in sources if contains(restriction, s)]
-    tgt = [t for t in targets if contains(restriction, t)]
-    return pivotal_from_graph(g, src, tgt)
+    """Open pivotal edges for {sources <-> targets} within a lattice region.
+
+    The graph is the sources' open cluster within ``restriction``, explored
+    once: no other part of the region can hold a pivotal edge.
+    """
+    sources = list(sources)
+    open_edges: Set[Edge] = set()
+    visited, _ = explore(cfg.spec, sources, membership(restriction),
+                         lambda e: raw_edge_state(cfg, e),
+                         cap=math.inf, open_edges=open_edges)
+    adj: Dict[Site, List[Site]] = {v: [] for v in visited}
+    for a, b in open_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return pivotal_from_graph(adj, sources, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +523,8 @@ def y_set(
     if not (isinstance(c_region, Region) and isinstance(d_region, Region)):
         raise ValueError("records must carry annulus regions")
 
-    g = nx.Graph()
-    for v in region_sites(mid):
-        g.add_node(v)
-    for e in edges_within(spec, mid):
-        if edge_state(cfg, e):
-            g.add_edge(*e)
-    src = [v for v in c_rec.cluster.vertices if contains(mid, v)]
-    tgt = [v for v in d_rec.cluster.vertices if contains(mid, v)]
     try:
-        piv = pivotal_from_graph(g, src, tgt)
+        piv = pivotal_edges(cfg, c_rec.cluster.vertices, d_rec.cluster.vertices, mid)
     except ValueError:
         return set()
 

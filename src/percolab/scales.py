@@ -424,6 +424,11 @@ def horizon_threshold_p(
     return p_c * 2.0 ** (1.0 / m_i)
 
 
+class HorizonError(ValueError):
+    """The conditioning data intrude into the first scale's ball: a refusal
+    to run this ladder on this data, not a broken invariant."""
+
+
 def conditioning_horizon(
     params: ScaleParams,
     target_sites: Iterable[Site],
@@ -442,7 +447,7 @@ def conditioning_horizon(
     k = params.k1
     k_star = params.m * k
     if not pow2_lt(k_star, minn):
-        raise ValueError(
+        raise HorizonError(
             f"target/obstacle data at norm {minn} intrudes into B(2^{k_star})"
         )
     i = 0

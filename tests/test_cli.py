@@ -7,6 +7,8 @@ and must reproduce byte for byte (the CLI promises deterministic output).
 
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -266,3 +268,23 @@ def test_format_json_suppresses_csv(tmp_path):
                                 "--n-samples", "50"])
     assert code == 0
     assert sorted(os.listdir(out)) == ["two_point.json"]
+
+
+def test_faithful_ladder_intrusion_is_a_refusal(tmp_path, capsys):
+    # data inside the first scale's ball is a refusal to run (exit 4), not
+    # an invariant violation (exit 2)
+    code, out = _run(tmp_path, ["extract-kernels"], cfg={"scales": {"k1": 1029}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and "intrudes" in err
+    assert os.listdir(out) == []
+
+
+def test_cli_import_does_not_load_networkx():
+    # networkx is a test-only reference: the package must not import it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, percolab.cli; print('networkx' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -45,9 +45,11 @@ from percolab.lattice import (
     annulus,
     box,
     canonical_edge,
+    edges_within,
     explicit_region,
     neighbours,
     norm_inf,
+    region_sites,
 )
 from percolab.scales import scale_sequence, sub_annulus, toy_params
 
@@ -342,7 +344,8 @@ def test_pivotal_agrees_with_removal_retest():
     import random as _random
 
     rnd = _random.Random(7)
-    for _ in range(300):
+    seen = {"raised": 0, "several": 0, "overlap": 0, "absent": 0}
+    for trial in range(900):
         g = nx.Graph()
         n = rnd.randint(4, 9)
         nodes = list(range(n))
@@ -351,17 +354,59 @@ def test_pivotal_agrees_with_removal_retest():
                 if u < v and rnd.random() < 0.45:
                     g.add_edge(u, v)
         g.add_nodes_from(nodes)
-        src, tgt = {0}, {n - 1}
-        try:
-            piv = pivotal_from_graph(g, src, tgt)
-        except ValueError:
+        if trial < 300:
+            src, tgt = {0}, {n - 1}
+        else:
+            # several sources and targets, which may overlap; n and n + 1
+            # are absent from the graph
+            pool = nodes + [n, n + 1]
+            src = set(rnd.sample(pool, rnd.randint(1, 3)))
+            tgt = set(rnd.sample(pool, rnd.randint(1, 3)))
+            seen["several"] += len(src) > 1 and len(tgt) > 1
+            seen["overlap"] += bool(src & tgt & set(nodes))
+            seen["absent"] += bool(src - set(nodes))
+        # the same graph as a plain dict of open neighbours
+        adj = {v: list(g[v]) for v in g}
+        if not any(nx.has_path(g, s, t)
+                   for s in src if s in g for t in tgt if t in g):
+            for graph in (g, adj):
+                with pytest.raises(ValueError):
+                    pivotal_from_graph(graph, src, tgt)
+            seen["raised"] += 1
             continue
+        piv = pivotal_from_graph(g, src, tgt)
+        assert pivotal_from_graph(adj, src, tgt) == piv
         for e in g.edges():
             h = g.copy()
             h.remove_edge(*e)
             sep = not any(nx.has_path(h, s, t)
                           for s in src if s in h for t in tgt if t in h)
             assert (frozenset(e) in piv) == sep
+    assert min(seen.values()) > 30, seen
+
+
+def test_pivotal_edges_match_whole_region_graph():
+    # only the sources' open cluster can hold a pivotal edge: the whole open
+    # graph of the region, hashed edge by edge, gives the same set
+    regions = (box((0, 0), 4), annulus((0, 0), 1, 5),
+               explicit_region([(k, j) for k in range(-3, 4) for j in (0, 1)]))
+    src, tgt = [(-2, 0), (2, 1), (9, 9)], [(3, 0), (-4, 4), (5, 5)]
+    agreed = 0
+    for sid in range(30):
+        cfg = PercolationConfig(spec=SPEC2, p=0.6, seed=5, sample_id=sid)
+        for reg in regions:
+            g = nx.Graph()
+            g.add_nodes_from(region_sites(reg))
+            g.add_edges_from(e for e in edges_within(SPEC2, reg) if edge_state(cfg, e))
+            try:
+                want = pivotal_from_graph(g, src, tgt)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    pivotal_edges(cfg, src, tgt, reg)
+                continue
+            assert pivotal_edges(cfg, src, tgt, reg) == want
+            agreed += bool(want)
+    assert agreed > 10
 
 
 # ---------------------------------------------------------------------------
