@@ -434,7 +434,7 @@ def cmd_iic_converge(cfg: Config, args, sink: _Sink) -> int:
         "points": [dict(zip(header, r)) for r in rows],
     }
     low = any(pt.low_confidence for pts in series.values() for pt in pts)
-    if len(series) >= 2:
+    if len(series) >= 2 and all(len(pts) >= 2 for pts in series.values()):
         diag = convergence_diagnostic(series)
         out["diagnostic"] = diag.summary()
     sink.json("iic.json", out)

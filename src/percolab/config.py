@@ -24,16 +24,7 @@ from typing import Any, Dict, List, Optional
 
 from .clusters import GoodSpanningParams, RegularityParams
 from .engine import PercolationConfig
-from .experiments import (
-    ConditioningFamily,
-    CylinderEvent,
-    box_boundary_family,
-    halfspace_family,
-    obstacle_family,
-    single_vertex_family,
-    sure_event,
-    two_east_edges_event,
-)
+from .experiments import ConditioningFamily, CylinderEvent, sure_event, two_east_edges_event
 from .lattice import LatticeSpec
 from .scales import ScaleParams, faithful_params, toy_params, validate_scale_params
 
@@ -160,8 +151,11 @@ class Config:
             validate_scale_params(self.scale_params(), self.spec(), cylinder_exp=ev.L)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"scales: {exc}") from exc
-        for kind in self.data["iic"]["families"]:
-            self.family(kind, self.data["iic"]["n_list"])
+        n_list = self.data["iic"]["n_list"]
+        if not (isinstance(n_list, (list, tuple)) and n_list):
+            raise ConfigError("iic.n_list must be a non-empty list of integer scales")
+        self.iic_families()
+        self.extraction_family()
         sc = self.data["supercritical"]
         r_pair, p_list = sc["r_pair"], sc["p_list"]
         if not (isinstance(r_pair, (list, tuple)) and len(r_pair) == 2
@@ -274,16 +268,8 @@ class Config:
             raise ConfigError(f"event: {exc}") from exc
 
     def family(self, kind: str, n_list: List[int]) -> ConditioningFamily:
-        builders = {
-            "box_boundary": box_boundary_family,
-            "single_vertex": single_vertex_family,
-            "vertex_set_with_obstacle": obstacle_family,
-            "halfspace_target": halfspace_family,
-        }
-        if kind not in builders:
-            raise ConfigError(f"unknown conditioning family {kind!r}")
         try:
-            return builders[kind](n_list)
+            return ConditioningFamily(kind, tuple(n_list))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"family {kind}: {exc}") from exc
 

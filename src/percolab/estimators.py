@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,7 +23,7 @@ from .engine import (
     TinyGraph,
     enumerate_exact,
 )
-from .lattice import Site, norm_inf, norm_power
+from .lattice import Site, norm_inf
 from .windowed import Window, build_window, sample_labels
 
 EventFn = Callable[[PercolationConfig], Optional[bool]]
@@ -266,16 +266,12 @@ def fit_exponent(
 
 
 def _arm_scaling_stat(
-    spec, p: float, seed: int, radii: Tuple[int, int], n_samples: int,
-    sample_start: int, cache: Dict[int, Window],
+    win: Window, cfg: PercolationConfig, radii: Tuple[int, int], n_samples: int,
+    sample_start: int,
 ) -> Tuple[float, float]:
     """n2^2*pi(n2) - n1^2*pi(n1) from shared samples (one window, one pass)."""
     n1, n2 = radii
-    win = cache.get(n2)
-    if win is None:
-        win = cache[n2] = build_window(spec, seed, outer=n2)
-    cfg = PercolationConfig(spec=spec, p=p, seed=seed)
-    origin = win.row_of((0,) * spec.d)
+    origin = win.row_of((0,) * cfg.spec.d)
     norms = win.norms()
     vals = np.empty(n_samples)
     ids = range(sample_start, sample_start + n_samples)
@@ -286,15 +282,11 @@ def _arm_scaling_stat(
 
 
 def _crossing_stat(
-    spec, p: float, seed: int, radii: Tuple[int, int], n_samples: int,
-    sample_start: int, cache: Dict[int, Window],
+    win: Window, cfg: PercolationConfig, radii: Tuple[int, int], n_samples: int,
+    sample_start: int,
 ) -> Tuple[float, float]:
     """P(side-to-side open crossing of B(n)) - 1/2 for n = radii[-1]."""
     n = radii[-1]
-    win = cache.get(-n)
-    if win is None:
-        win = cache[-n] = build_window(spec, seed, outer=n)
-    cfg = PercolationConfig(spec=spec, p=p, seed=seed)
     left = np.flatnonzero(win.sites[:, 0] == -n)
     right = np.flatnonzero(win.sites[:, 0] == n)
     hits = 0
@@ -343,13 +335,15 @@ def locate_pc(
     lo, hi = bracket
     if not 0 <= lo < hi <= 1:
         raise ValueError("bracket must satisfy 0 <= lo < hi <= 1")
-    cache: Dict[int, Window] = {}
+    # both criteria label B(radii[-1]); one window serves every evaluation
+    win = build_window(spec, seed, outer=radii[-1])
     curve: List[Tuple[float, float, float]] = []
     cursor = 0
 
     def f(p: float) -> float:
         nonlocal cursor
-        v, se = stat(spec, p, seed, radii, n_samples, cursor, cache)
+        v, se = stat(win, PercolationConfig(spec=spec, p=p, seed=seed), radii,
+                     n_samples, cursor)
         cursor += n_samples
         curve.append((p, v, se))
         return v

@@ -47,6 +47,7 @@ from .scales import (
 from .windowed import (
     Window,
     build_window,
+    check_window_size,
     component_labels,
     connection_indicator,
     escape_levels,
@@ -55,6 +56,7 @@ from .windowed import (
 )
 
 __all__ = [
+    "Conditioning",
     "ConditioningFamily",
     "box_boundary_family",
     "single_vertex_family",
@@ -94,9 +96,31 @@ _FAMILY_KINDS = (
 
 
 @dataclass(frozen=True)
+class Conditioning:
+    """A conditioning family at one scale ``n``.
+
+    ``targets`` is the arm target set ``V_n`` and ``obstacles`` the obstacle
+    set ``D_n``, both as sites inside ``B(outer)``, the simulation window;
+    ``exact`` says whether the arm event is decided exactly within it.
+    """
+
+    kind: str
+    n: int
+    targets: FrozenSet[Site]
+    obstacles: FrozenSet[Site]
+    outer: int
+    exact: bool
+
+    def __post_init__(self):
+        for x in itertools.chain(self.targets, self.obstacles):
+            if norm_inf(x) <= self.n:
+                raise ValueError(f"conditioning site {x} intrudes into B({self.n})")
+
+
+@dataclass(frozen=True)
 class ConditioningFamily:
     """A rule producing, per scale ``n``, the arm target set ``V_n``, the
-    obstacle set ``D_n``, and its finite simulation window.
+    obstacle set ``D_n``, and its finite simulation window: :meth:`at`.
 
     Every kind keeps ``(V_n u D_n) n B(n)`` empty.  ``box_boundary`` and
     ``vertex_set_with_obstacle`` put the targets on a full shell, so the arm
@@ -116,98 +140,48 @@ class ConditioningFamily:
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in self.n_list):
+            raise ValueError(f"family scales must be integers, got {list(self.n_list)!r}")
         if any(n < 2 for n in self.n_list):
             raise ValueError("family scales must be >= 2")
         if (self.kind == "interleaved") != (self.sub is not None):
-            raise ValueError("sub-families exactly when kind is interleaved")
+            raise ValueError("an interleaved family needs its two sub-families, "
+                             "and only an interleaved family takes them")
 
-    # -- delegation for the interleaved kind -------------------------------
-    def member_for(self, n: int) -> "ConditioningFamily":
-        if self.kind != "interleaved":
-            return self
-        try:
-            pos = self.n_list.index(n)
-        except ValueError:
-            raise ValueError(f"{n} not in the interleaved n_list") from None
-        return self.sub[pos % 2]
+    def at(self, spec: LatticeSpec, n: int) -> Conditioning:
+        """The family at scale ``n``: the only place its ``kind`` is read.
 
-    # -- geometry ----------------------------------------------------------
-    def obstacle_sites(self, spec: LatticeSpec, n: int) -> FrozenSet[Site]:
-        fam = self.member_for(n)
-        if fam.kind != "vertex_set_with_obstacle":
-            return frozenset()
-        shell = annulus((0,) * spec.d, n, n + 1)
-        return frozenset(x for x in region_sites(shell) if x[0] <= 0)
-
-    def window_outer(self, n: int) -> int:
-        fam = self.member_for(n)
-        if fam.kind == "box_boundary":
-            return n + 1
-        if fam.kind == "vertex_set_with_obstacle":
-            return n + 2
-        # unbounded-target kinds: pad by half a scale
-        return n + 1 + (n + 1) // 2
-
-    def exact_window(self, n: int) -> bool:
-        """True when the arm event is decided exactly within the window."""
-        return self.member_for(n).kind in ("box_boundary", "vertex_set_with_obstacle")
-
-    def min_data_norm(self, n: int) -> int:
-        """Smallest sup-norm over ``V_n u D_n`` (exact, window-free)."""
-        return n + 1
-
-    def target_rows(self, win: Window, spec: LatticeSpec, n: int) -> np.ndarray:
-        fam = self.member_for(n)
-        norms = win.norms()
-        if fam.kind in ("box_boundary", "vertex_set_with_obstacle"):
-            radius = n + 1 if fam.kind == "box_boundary" else n + 2
-            return np.nonzero(norms == radius)[0]
-        if fam.kind == "single_vertex":
-            target = (n + 1,) + (0,) * (spec.d - 1)
-            return np.asarray([win.row_of(target)], dtype=np.int64)
-        if fam.kind == "halfspace_target":
-            return np.nonzero(win.sites[:, 0] == n + 1)[0]
-        raise AssertionError(fam.kind)
-
-    def target_sites(self, spec: LatticeSpec, n: int) -> FrozenSet[Site]:
-        """The target set, materialized within the family's own window."""
-        fam = self.member_for(n)
-        if fam.kind == "box_boundary":
-            return frozenset(region_sites(annulus((0,) * spec.d, n, n + 1)))
-        if fam.kind == "vertex_set_with_obstacle":
-            return frozenset(region_sites(annulus((0,) * spec.d, n + 1, n + 2)))
-        if fam.kind == "single_vertex":
-            return frozenset({(n + 1,) + (0,) * (spec.d - 1)})
-        if fam.kind == "halfspace_target":
-            outer = self.window_outer(n)
+        Raises :class:`~percolab.windowed.WindowTooLargeError` before
+        materialising any site when ``B(outer)`` could not be materialised.
+        """
+        if self.kind == "interleaved":
+            try:
+                pos = self.n_list.index(n)
+            except ValueError:
+                raise ValueError(f"{n} not in the interleaved n_list") from None
+            return self.sub[pos % 2].at(spec, n)
+        origin = (0,) * spec.d
+        if self.kind == "box_boundary":
+            outer, exact = n + 1, True
+        elif self.kind == "vertex_set_with_obstacle":
+            outer, exact = n + 2, True
+        else:  # unbounded-target kinds: pad by half a scale
+            outer, exact = n + 1 + (n + 1) // 2, False
+        check_window_size(spec, outer)
+        obstacles: FrozenSet[Site] = frozenset()
+        if self.kind == "box_boundary":
+            targets = frozenset(region_sites(annulus(origin, n, n + 1)))
+        elif self.kind == "vertex_set_with_obstacle":
+            targets = frozenset(region_sites(annulus(origin, n + 1, n + 2)))
+            obstacles = frozenset(x for x in region_sites(annulus(origin, n, n + 1))
+                                  if x[0] <= 0)
+        elif self.kind == "single_vertex":
+            targets = frozenset({(n + 1,) + origin[1:]})
+        else:  # halfspace_target, truncated to the window
             rng = range(-outer, outer + 1)
-            return frozenset(
-                (n + 1,) + rest
-                for rest in itertools.product(rng, repeat=spec.d - 1)
-            )
-        raise AssertionError(fam.kind)
-
-    def validate(self, spec: LatticeSpec, n: int, win: Optional[Window] = None) -> None:
-        """Family invariants: data clear of ``B(n)``; arm feasible at p=1."""
-        fam = self.member_for(n)
-        obstacles = self.obstacle_sites(spec, n)
-        for x in obstacles:
-            if norm_inf(x) <= n:
-                raise ValueError(f"obstacle {x} intrudes into B({n})")
-        if self.min_data_norm(n) <= n:
-            raise ValueError("targets intrude into B(n)")
-        if win is not None:
-            labels = component_labels(
-                win,
-                np.ones(win.n_edges, dtype=bool),
-                blocked_rows=win.rows_of(sorted(obstacles)) if obstacles else None,
-            )
-            origin = win.row_of((0,) * spec.d)
-            if not connection_indicator(labels, np.asarray([origin]),
-                                        self.target_rows(win, spec, n)):
-                raise ValueError(
-                    f"{fam.kind}: no obstacle-avoiding route from 0 to V_{n}"
-                )
+            targets = frozenset((n + 1,) + rest
+                                for rest in itertools.product(rng, repeat=spec.d - 1))
+        return Conditioning(self.kind, n, targets, obstacles, outer, exact)
 
 
 def box_boundary_family(n_list: Sequence[int]) -> ConditioningFamily:
@@ -293,16 +267,13 @@ def _gate_level(
     params: ScaleParams,
     spec: LatticeSpec,
     level_needed: int,
-    family: ConditioningFamily,
-    n: int,
+    cond: Conditioning,
     p: float,
     p_c_ref: float,
     out_warnings: List[str],
 ) -> None:
     """Honour the horizon hypotheses: refuse in faithful mode, warn in toy."""
-    target_probe = [(family.min_data_norm(n),) + (0,) * (spec.d - 1)]
-    q_n = conditioning_horizon(params, target_probe,
-                               family.obstacle_sites(spec, n))
+    q_n = conditioning_horizon(params, cond.targets, cond.obstacles)
     try:
         beta = likelihood_ratio_horizon(params, spec, p, p_c_ref)
     except ValueError:
@@ -403,8 +374,9 @@ def extract_kernels(
     reported as violation counts (both must be zero).
     """
     spec = cfg.spec
+    cond = family.at(spec, n)
     warns: List[str] = []
-    _gate_level(params, spec, level, family, n, cfg.p, p_c_ref, warns)
+    _gate_level(params, spec, level, cond, cfg.p, p_c_ref, warns)
     if good is None:
         good = GoodSpanningParams()
     if reg is None:
@@ -417,12 +389,9 @@ def extract_kernels(
     # the inward link is evaluated inside the level-1 box instead.
     sep_out_radius = 2 ** idx_d.ell
     sep_in = 2 ** idx_c.ell if idx_c is not None else None
-    window_outer = family.window_outer(n)
-    obstacles = family.obstacle_sites(spec, n)
-    targets = family.target_sites(spec, n)
+    window_outer = cond.outer
+    obstacles = cond.obstacles
     origin = (0,) * spec.d
-
-    family.validate(spec, n)
 
     counts: Dict[Label, int] = {}
     label_q: Dict[Label, int] = {}
@@ -466,7 +435,7 @@ def extract_kernels(
             label_q[dlab] = drec.q
             dverts = drec.cluster.vertices
             arm_src = [x for x in dverts if norm_inf(x) > sep_out_radius]
-            arm = connect_sets(c, arm_src, targets, arm_region, cap=cap)
+            arm = connect_sets(c, arm_src, cond.targets, arm_region, cap=cap)
             if arm is None:
                 raise RuntimeError("arm query hit the exploration cap")
             if arm:
@@ -585,6 +554,25 @@ def extract_kernels(
         f_containment_failures=f_failures,
         warnings=warns,
     )
+
+
+def _conditioned_window(
+    cfg: PercolationConfig, cond: Conditioning
+) -> Tuple[Window, np.ndarray, Optional[np.ndarray]]:
+    """The window of ``cond`` with its target rows and its blocked (obstacle)
+    rows, ``None`` when there are no obstacles.
+
+    Refuses (``ValueError``) a conditioning whose targets the origin cannot
+    reach off the obstacles even with every edge open.
+    """
+    win = build_window(cfg.spec, cfg.seed, cond.outer)
+    target_rows = win.rows_of(sorted(cond.targets))
+    blocked = win.rows_of(sorted(cond.obstacles)) if cond.obstacles else None
+    labels = component_labels(win, np.ones(win.n_edges, dtype=bool), blocked_rows=blocked)
+    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
+    if not connection_indicator(labels, origin_row, target_rows):
+        raise ValueError(f"{cond.kind}: no obstacle-avoiding route from 0 to V_{cond.n}")
+    return win, target_rows, blocked
 
 
 # ---------------------------------------------------------------------------
@@ -709,13 +697,8 @@ def matrix_reconstruction(
     rhs_stderr = math.sqrt(rhs_var)
 
     # direct side, on fresh samples
-    spec = cfg.spec
-    win = build_window(spec, cfg.seed, family.window_outer(n))
-    family.validate(spec, n, win)
-    obstacles = family.obstacle_sites(spec, n)
-    blocked = win.rows_of(sorted(obstacles)) if obstacles else None
-    tgt_rows = family.target_rows(win, spec, n)
-    origin_row = np.asarray([win.row_of((0,) * spec.d)])
+    win, tgt_rows, blocked = _conditioned_window(cfg, family.at(cfg.spec, n))
+    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
     lhs_start = sample_start + n_samples
     # samples failing the event are dropped before they are labelled
     lhs_ids = (sid for sid in range(lhs_start, lhs_start + n_samples)
@@ -772,32 +755,6 @@ def _conditioned_fields(hits: int, accepted: int, seed: int,
     )
 
 
-def _conditioned_counts(
-    win: Window,
-    cfg: PercolationConfig,
-    event: CylinderEvent,
-    srange: Tuple[int, int],
-    target_rows: np.ndarray,
-    blocked_rows: Optional[np.ndarray] = None,
-) -> dict:
-    """P(E | origin reaches ``target_rows``) by rejection over ``srange``.
-
-    Samples whose origin reaches a target row are accepted; the event
-    frequency among them is the conditional estimate.  Returns the
-    :func:`_conditioned_fields` of the counts.
-    """
-    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
-    accepted = 0
-    hits = 0
-    for sid, labels in sample_labels(win, cfg, range(*srange), blocked_rows):
-        if not connection_indicator(labels, origin_row, target_rows):
-            continue
-        accepted += 1
-        if event.evaluate(cfg.with_sample(sid)):
-            hits += 1
-    return _conditioned_fields(hits, accepted, cfg.seed, srange)
-
-
 def iic_conditional(
     cfg: PercolationConfig,
     event: CylinderEvent,
@@ -813,19 +770,21 @@ def iic_conditional(
     starvation is visible; fewer than 100 accepted samples flags the point
     low-confidence.
     """
-    spec = cfg.spec
-    win = build_window(spec, cfg.seed, family.window_outer(n))
-    family.validate(spec, n, win)
-    obstacles = family.obstacle_sites(spec, n)
-    blocked = win.rows_of(sorted(obstacles)) if obstacles else None
-    return IICPoint(
-        n=n,
-        family_kind=family.member_for(n).kind,
-        event_name=event.name,
-        exact_window=family.exact_window(n),
-        **_conditioned_counts(win, cfg, event, (sample_start, sample_start + n_samples),
-                              family.target_rows(win, spec, n), blocked),
-    )
+    cond = family.at(cfg.spec, n)
+    win, target_rows, blocked = _conditioned_window(cfg, cond)
+    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
+    srange = (sample_start, sample_start + n_samples)
+    accepted = 0
+    hits = 0
+    for sid, labels in sample_labels(win, cfg, range(*srange), blocked):
+        if not connection_indicator(labels, origin_row, target_rows):
+            continue
+        accepted += 1
+        if event.evaluate(cfg.with_sample(sid)):
+            hits += 1
+    return IICPoint(n=n, family_kind=cond.kind, event_name=event.name,
+                    exact_window=cond.exact,
+                    **_conditioned_fields(hits, accepted, cfg.seed, srange))
 
 
 def iic_series(

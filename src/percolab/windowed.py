@@ -30,7 +30,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
-from .lattice import LatticeSpec, Region, Site, annulus, region_boundaries
+from .lattice import LatticeSpec, Site, annulus, region_boundaries
 
 
 class WindowTooLargeError(ValueError):
@@ -85,24 +85,31 @@ class Window:
         return np.abs(self.sites - np.asarray(self.center)).max(axis=1)
 
 
+def check_window_size(spec: LatticeSpec, outer: int) -> int:
+    """Site count of a radius-``outer`` window; raises
+    :class:`WindowTooLargeError` over 40 million sites or when its edge count
+    could overflow the skeleton's int32 ``indptr``."""
+    n = (2 * outer + 1) ** spec.d
+    if n > 40_000_000 or n * (spec.degree // 2) > np.iinfo(np.int32).max:
+        raise WindowTooLargeError(f"window with {n} sites is too large to materialise")
+    return n
+
+
 def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
                  center: Sequence[int] = None) -> Window:
     """Materialise ``B(center; outer) \\ B(center; inner)`` and hash its edges.
 
     Only edges with both endpoints in the region are kept, in CSR order.
     Memory scales like ``d * (2*outer+1)^d``; callers are expected to stay at
-    desk scale, and a window over 40 million sites (or one whose edge count
-    could overflow an int32 ``indptr``) raises :class:`WindowTooLargeError`.
+    desk scale, and a window :func:`check_window_size` refuses raises
+    :class:`WindowTooLargeError`.
     """
     d = spec.d
     if center is None:
         center = (0,) * d
     center = tuple(center)
     side = 2 * outer + 1
-    n = side**d
-    # the skeleton's int32 indptr counts up to n * degree / 2 edges
-    if n > 40_000_000 or n * (spec.degree // 2) > np.iinfo(np.int32).max:
-        raise WindowTooLargeError(f"window with {n} sites is too large to materialise")
+    n = check_window_size(spec, outer)
     axes = [np.arange(c - outer, c + outer + 1, dtype=np.int64) for c in center]
     grids = np.meshgrid(*axes, indexing="ij")
     sites = np.stack([g.ravel() for g in grids], axis=1)  # lex order

@@ -148,6 +148,16 @@ def test_iic_converge_reruns_byte_identical(tmp_path):
     assert blob["diagnostic"]["verdict"] in ("consistent", "inconclusive")
 
 
+def test_iic_converge_single_scale_omits_diagnostic(tmp_path):
+    # one point per family leaves no successive gap to test (it used to exit 2)
+    code, out = _run(tmp_path, ["iic-converge", "--n-samples", "50"],
+                     {"iic": {"n_list": [16]}})
+    assert code == 3  # 50 samples accept fewer than 100: low confidence
+    blob = json.loads((out / "iic.json").read_text())
+    assert len(blob["points"]) == 2
+    assert "diagnostic" not in blob
+
+
 def test_supercritical_sweep(tmp_path):
     cfg = {
         "iic": {"n_list": [2, 4], "n_samples": 1000},
@@ -244,9 +254,12 @@ def test_bad_supercritical_grid_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv,cfg", [
     (["iic-converge"], {"iic": {"n_samples": "5"}}),
     (["scale-table"], {"hopf": {"size_min": "2"}}),
-], ids=["n-samples-string", "hopf-size-string"])
+    (["iic-converge"], {"iic": {"n_list": [4.5, 8]}}),
+    (["extract-kernels"], {"extraction": {"n": 16.5}}),
+], ids=["n-samples-string", "hopf-size-string", "iic-scale-float",
+        "extraction-scale-float"])
 def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
-    # a string count used to escape as a TypeError traceback (exit 1)
+    # a non-integer count or scale used to escape as a traceback (exit 1)
     code, out = _run(tmp_path, argv, cfg=cfg)
     assert code == 4
     assert "integer" in capsys.readouterr().err

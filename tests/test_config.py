@@ -89,8 +89,12 @@ def test_invalid_supercritical_values_rejected(override, message):
     ({"hopf": {"size_max": 8.0}}, "hopf sizes must be integers"),
     ({"hopf": {"size_min": True}}, "hopf sizes must be integers"),
     ({"supercritical": {"r_pair": [False, True]}}, "pair of integers"),
+    ({"iic": {"n_list": [True, 8]}}, "family scales must be integers"),
+    ({"iic": {"n_list": ["8"]}}, "family scales must be integers"),
+    ({"extraction": {"n": 16.5}}, "family scales must be integers"),
 ], ids=["n-string", "n-float", "n-bool", "n-null", "n-zero", "n-list",
-        "size-string", "size-float", "size-bool", "r-pair-bools"])
+        "size-string", "size-float", "size-bool", "r-pair-bools",
+        "scale-bool", "scale-string", "extraction-scale-float"])
 def test_non_integer_counts_rejected(override, message):
     with pytest.raises(ConfigError, match=message):
         Config.from_dict(override)
@@ -109,6 +113,20 @@ def test_families_constructed_from_config():
     assert [f.kind for f in fams] == ["box_boundary",
                                      "vertex_set_with_obstacle"]
     assert fams[0].n_list == (4, 8)
+
+
+@pytest.mark.parametrize("iic", [
+    {"families": ["mystery"]},
+    {"families": ["interleaved"]},   # needs two member families: not in config
+    {"n_list": []},
+], ids=["unknown-kind", "interleaved", "empty-scales"])
+def test_unbuildable_iic_section_exits_4(tmp_path, iic):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"iic": iic}))
+    code = cli.main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                     "supercritical-sweep"])
+    assert code == 4
+    assert not (tmp_path / "out").exists()
 
 
 def test_faithful_mode_requires_admissible_k1():

@@ -16,6 +16,7 @@ from percolab import experiments, windowed
 from percolab.engine import PercolationConfig
 from percolab.estimators import Estimate
 from percolab.experiments import (
+    Conditioning,
     ConditioningFamily,
     CylinderEvent,
     box_boundary_family,
@@ -34,7 +35,7 @@ from percolab.experiments import (
     two_east_edges_event,
 )
 from percolab.clusters import GoodSpanningParams, RegularityParams
-from percolab.lattice import LatticeSpec
+from percolab.lattice import LatticeSpec, norm_inf
 from percolab.scales import toy_params
 from percolab.windowed import build_window, component_labels
 
@@ -48,30 +49,30 @@ SPEC2 = LatticeSpec(d=2)
 
 def test_family_windows_and_targets():
     fam = box_boundary_family([4, 8])
-    assert fam.window_outer(4) == 5
-    assert fam.min_data_norm(4) == 5
+    assert fam.at(SPEC2, 4).outer == 5
+    assert min(norm_inf(x) for x in fam.at(SPEC2, 4).targets) == 5
     single = single_vertex_family([4])
-    assert single.window_outer(4) == 5 + 2  # padded past the pinned vertex
+    assert single.at(SPEC2, 4).outer == 5 + 2  # padded past the pinned vertex
     obst = obstacle_family([4])
-    assert obst.window_outer(4) == 6
-    assert all(x[0] <= 0 for x in obst.obstacle_sites(SPEC2, 4))
+    assert obst.at(SPEC2, 4).outer == 6
+    assert all(x[0] <= 0 for x in obst.at(SPEC2, 4).obstacles)
     half = halfspace_family([4])
-    assert half.window_outer(4) > 5
+    assert half.at(SPEC2, 4).outer > 5
 
 
 def test_families_validate_against_spec():
     for fam in (box_boundary_family([4]), single_vertex_family([4]),
                 obstacle_family([4]), halfspace_family([4])):
-        fam.validate(SPEC2, 4)
-        assert fam.target_sites(SPEC2, 4)
+        assert fam.at(SPEC2, 4).targets
 
 
 def test_family_targets_avoid_conditioning_box():
     for fam in (box_boundary_family([6]), single_vertex_family([6]),
                 obstacle_family([6]), halfspace_family([6])):
-        for site in fam.target_sites(SPEC2, 6):
+        cond = fam.at(SPEC2, 6)
+        for site in cond.targets:
             assert max(abs(c) for c in site) > 6
-        for site in fam.obstacle_sites(SPEC2, 6):
+        for site in cond.obstacles:
             assert max(abs(c) for c in site) > 6
 
 
@@ -79,11 +80,21 @@ def test_interleaved_family_delegates_by_position():
     ns = [4, 6, 8]
     fam = interleaved_family(box_boundary_family(ns), single_vertex_family(ns),
                              ns)
-    assert fam.member_for(4).kind == "box_boundary"
-    assert fam.member_for(6).kind == "single_vertex"
-    assert fam.member_for(8).kind == "box_boundary"
+    assert fam.at(SPEC2, 4).kind == "box_boundary"
+    assert fam.at(SPEC2, 6).kind == "single_vertex"
+    assert fam.at(SPEC2, 8).kind == "box_boundary"
     with pytest.raises(ValueError):
-        fam.member_for(5)
+        fam.at(SPEC2, 5)
+
+
+@pytest.mark.parametrize("targets,obstacles", [
+    ({(5, 0), (4, 0)}, set()),
+    ({(5, 0)}, {(0, -4)}),
+], ids=["target-on-box", "obstacle-in-box"])
+def test_conditioning_refuses_data_in_the_box(targets, obstacles):
+    with pytest.raises(ValueError, match="intrudes into B\\(4\\)"):
+        Conditioning("box_boundary", 4, frozenset(targets), frozenset(obstacles),
+                     outer=5, exact=True)
 
 
 def test_unknown_family_kind_rejected():
@@ -192,6 +203,35 @@ def test_low_confidence_flag():
     assert pt.low_confidence
 
 
+# IICPoint rows (family, event, n, conditional, stderr, acceptance,
+# n_accepted, low_confidence, exact_window) for the two-east-edges event at
+# seed 2024, 300 samples: the kinds the benchmark never runs
+_OBSTACLE_ROWS = [
+    ("vertex_set_with_obstacle", "two-east-edges", 4, 0.2967032967032967,
+     0.03386061039646783, 0.6066666666666667, 182, 0, 1),
+    ("vertex_set_with_obstacle", "two-east-edges", 8, 0.2808988764044944,
+     0.03368681748296007, 0.5933333333333334, 178, 0, 1),
+]
+_HALFSPACE_ROWS = [
+    ("halfspace_target", "two-east-edges", 4, 0.29533678756476683,
+     0.032837562962632016, 0.6433333333333333, 193, 0, 0),
+    ("halfspace_target", "two-east-edges", 8, 0.281767955801105,
+     0.03343789286006805, 0.6033333333333334, 181, 0, 0),
+]
+
+
+@pytest.mark.parametrize("build,rows", [
+    (obstacle_family, _OBSTACLE_ROWS),
+    (halfspace_family, _HALFSPACE_ROWS),
+    (lambda ns: interleaved_family(obstacle_family(ns), halfspace_family(ns), ns),
+     [_OBSTACLE_ROWS[0], _HALFSPACE_ROWS[1]]),
+], ids=["obstacle", "halfspace", "interleaved"])
+def test_iic_series_frozen_rows(build, rows):
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    pts = iic_series(cfg, two_east_edges_event(SPEC2), build((4, 8)), 300)
+    assert [pt.row() for pt in pts] == rows
+
+
 # ---------------------------------------------------------------------------
 # Convergence diagnostics (pure arithmetic on synthetic points)
 
@@ -271,6 +311,26 @@ def test_extract_kernels_desk_scale_invariants():
         assert 0.0 <= est.value <= 1.0
     for est in ext.gamma.values():
         assert 0.0 <= est.value <= 1.0
+
+
+def test_extract_kernels_obstacle_family_frozen():
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ext = extract_kernels(cfg, toy_params(1, 2, 1), level=0, n_samples=200,
+                              family=obstacle_family([16]), n=16,
+                              event=two_east_edges_event(SPEC2),
+                              good=good, reg=reg)
+    assert ext.summary() == {  # frozen at seed 2024
+        "level": 0, "n_c_labels": 1, "n_d_labels": 44, "n_samples": 200,
+        "g_violations": 0, "f_containment_failures": 0, "n_zero_cells": 44,
+        "warnings": ["level j=1 outside 1 <= j < min(Q(n)=0, beta(p)=inf); "
+                     "the product error band is not guaranteed"],
+    }
+    # the onward arm reaches V_16 off the obstacles for 28 of the labels
+    assert sum(est.value for est in ext.gamma.values()) == 28
 
 
 def test_extract_kernels_faithful_gate_refuses():
