@@ -153,7 +153,7 @@ def cmd_estimate_two_point(cfg: Config, args, sink: _Sink) -> int:
     est = cfg.section("estimation")
     n = args.n_samples or est["n_samples"]
     pc = cfg.percolation(args.seed)
-    targets = [tuple(t) for t in est["targets"]]
+    targets = cfg.targets()
     profile = two_point_profile(pc, targets, n)
     pairs = [(max(abs(c) for c in site), e) for site, e in profile]
     rows = _profile_rows("two_point", pairs, pc.seed)
@@ -548,6 +548,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= ``lo`` (a smaller one is a usage error)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="percolab", description=__doc__)
     p.add_argument("--config", default=None, help="JSON config file")
@@ -560,7 +571,7 @@ def build_parser() -> _Parser:
     def add(name, fn, **extra):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--n-samples", type=int, default=None)
+        sp.add_argument("--n-samples", type=_int_at_least(1), default=None)
         for flag, kw in extra.items():
             sp.add_argument(flag, **kw)
         return sp
@@ -572,14 +583,14 @@ def build_parser() -> _Parser:
     add("extract-kernels", cmd_extract_kernels)
     add("reconstruct-arm", cmd_reconstruct_arm,
         **{"--oracle": {"action": "store_true"},
-           "--j": {"type": int, "default": 1}})
+           "--j": {"type": _int_at_least(1), "default": 1}})
     add("hopf-demo", cmd_hopf_demo)
     add("iic-converge", cmd_iic_converge)
     add("supercritical-sweep", cmd_supercritical_sweep)
     add("oracle-battery", cmd_oracle_battery,
-        **{"--n-groups": {"type": int, "default": None}})
+        **{"--n-groups": {"type": _int_at_least(1), "default": None}})
     add("scale-table", cmd_scale_table,
-        **{"--i-max": {"type": int, "default": 6}})
+        **{"--i-max": {"type": _int_at_least(0), "default": 6}})
     return p
 
 

@@ -63,7 +63,7 @@ def badness_threshold(s: int, log_base: float = math.e) -> float:
 
 
 def _region_covers_ball(region: RegionLike, x: Site, s: int) -> bool:
-    if isinstance(region, Region) and region.kind == "annulus":
+    if isinstance(region, Region):
         dist = norm_inf(tuple(a - b for a, b in zip(x, region.center)))
         inside_outer = dist + s <= region.outer
         clears_hole = region.inner < 0 or dist - s > region.inner
@@ -455,7 +455,7 @@ def pivotal_edges(
     cfg: PercolationConfig,
     sources: Iterable[Site],
     targets: Iterable[Site],
-    restriction: Region,
+    restriction: RegionLike,
 ) -> Set[frozenset]:
     """Open pivotal edges for {sources <-> targets} within a lattice region.
 

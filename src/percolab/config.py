@@ -24,8 +24,9 @@ from typing import Any, Dict, List, Optional
 
 from .clusters import GoodSpanningParams, RegularityParams
 from .engine import PercolationConfig
+from .estimators import PC_CRITERIA
 from .experiments import ConditioningFamily, CylinderEvent, sure_event, two_east_edges_event
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, Site
 from .scales import ScaleParams, faithful_params, toy_params, validate_scale_params
 
 __all__ = ["ConfigError", "Config", "load_config", "default_config_dict"]
@@ -124,6 +125,19 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_radii(name: str, radii: Any, lo: int, pair: bool) -> None:
+    """Refuse all but a strictly increasing non-empty list of integers >= lo,
+    of exactly two of them when ``pair``."""
+    shape = "pair" if pair else "list"
+    if not (isinstance(radii, (list, tuple)) and radii and all(map(_is_int, radii))
+            and (len(radii) == 2 or not pair)
+            and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise ConfigError(f"{name} must be a strictly increasing {shape} of integers, "
+                          f"got {radii!r}")
+    if radii[0] < lo:
+        raise ConfigError(f"{name} radii must be >= {lo}, got {radii!r}")
+
+
 @dataclass
 class Config:
     """A validated, merged run configuration."""
@@ -156,14 +170,15 @@ class Config:
             raise ConfigError("iic.n_list must be a non-empty list of integer scales")
         self.iic_families()
         self.extraction_family()
+        self._validate_estimation()
+        q_list, q_max = self.data["extraction"]["q_list"], self.scale_params().q_max
+        if q_list is not None and not (isinstance(q_list, (list, tuple)) and all(
+                _is_int(q) and 0 <= q <= q_max for q in q_list)):
+            raise ConfigError(f"extraction.q_list must be null or a list of integers "
+                              f"in [0, {q_max}], got {q_list!r}")
         sc = self.data["supercritical"]
-        r_pair, p_list = sc["r_pair"], sc["p_list"]
-        if not (isinstance(r_pair, (list, tuple)) and len(r_pair) == 2
-                and all(map(_is_int, r_pair)) and r_pair[0] < r_pair[1]):
-            raise ConfigError("supercritical.r_pair must be a strictly increasing "
-                              "pair of integers")
-        if r_pair[0] < 0:
-            raise ConfigError("supercritical.r_pair radii must be >= 0")
+        _check_radii("supercritical.r_pair", sc["r_pair"], 0, pair=True)
+        p_list = sc["p_list"]
         if not (isinstance(p_list, (list, tuple)) and p_list):
             raise ConfigError("supercritical.p_list must be a non-empty list")
         for p in p_list:
@@ -182,6 +197,31 @@ class Config:
             if not (_is_int(ns) and ns >= 1):
                 raise ConfigError(f"{section}.n_samples must be an integer >= 1, "
                                   f"got {ns!r}")
+
+    def _validate_estimation(self) -> None:
+        est = self.data["estimation"]
+        _check_radii("estimation.radii", est["radii"], 0, pair=False)
+        if est["pc_radii"] is not None:
+            _check_radii("estimation.pc_radii", est["pc_radii"], 1, pair=True)
+        targets = est["targets"]
+        if not (isinstance(targets, (list, tuple)) and all(
+                isinstance(t, (list, tuple)) and all(map(_is_int, t)) for t in targets)):
+            raise ConfigError("estimation.targets must be a list of integer sites, "
+                              f"got {targets!r}")
+        if len({tuple(t) for t in targets}) != len(targets):
+            raise ConfigError("estimation.targets must be distinct")
+        if est["pc_criterion"] not in PC_CRITERIA:
+            raise ConfigError(f"estimation.pc_criterion must be one of "
+                              f"{sorted(PC_CRITERIA)}, got {est['pc_criterion']!r}")
+        bracket = est["pc_bracket"]
+        if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2
+                and all(isinstance(p, (int, float)) for p in bracket)
+                and 0 <= bracket[0] < bracket[1] <= 1):
+            raise ConfigError("estimation.pc_bracket must be a pair [lo, hi] with "
+                              f"0 <= lo < hi <= 1, got {bracket!r}")
+        # the bisection stops once hi - lo <= pc_tol, so a negative one never stops
+        if not (isinstance(est["pc_tol"], (int, float)) and est["pc_tol"] > 0):
+            raise ConfigError(f"estimation.pc_tol must be > 0, got {est['pc_tol']!r}")
 
     # -- typed accessors --------------------------------------------------
     def spec(self) -> LatticeSpec:
@@ -266,6 +306,19 @@ class Config:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"event: {exc}") from exc
+
+    def targets(self) -> List[Site]:
+        """``estimation.targets`` as sites of the configured lattice.
+
+        Their dimension is checked here, when they are used, not at load
+        time: the default targets are sites of Z^2.
+        """
+        d = self.spec().d
+        sites = [tuple(t) for t in self.data["estimation"]["targets"]]
+        for t in sites:
+            if len(t) != d:
+                raise ConfigError(f"estimation.targets: {list(t)} is not a site of Z^{d}")
+        return sites
 
     def family(self, kind: str, n_list: List[int]) -> ConditioningFamily:
         try:

@@ -21,11 +21,13 @@ threshold ``floor(p * 2^64)`` and its sample key at most once, and the
 regularity resampling hashes each edge key once per call and reuses it
 across its inner samples.
 
-Every lattice exploration runs through one frontier loop, :func:`explore`:
-sources, a membership predicate, an edge-state callable, an optional target
-for early exit, a hard vertex cap with a *tri-state* result (``True`` /
-``False`` are certain, ``None`` means the cap censored the answer) and an
-optional ``edge_log`` of every (edge, bit) queried.  ``explore_cluster``,
+Every lattice exploration runs through one breadth-first frontier loop,
+:func:`explore`: sources, a membership predicate, an edge-state callable, an
+optional target for early exit, a hard vertex cap with a *tri-state* result
+(``True`` / ``False`` are certain, ``None`` means the cap censored the
+answer) and an optional ``edge_log`` of every (edge, bit) queried.  A region
+is a :class:`~percolab.lattice.Region` (an annulus or a box), a ``frozenset``
+of sites, or a membership predicate (:data:`RegionLike`).  ``explore_cluster``,
 ``cluster_components``, ``connect_sets`` and ``spanning_clusters`` are built
 on it here, and the regularity resampling in :mod:`percolab.clusters` runs
 it with an edge-state callable that mixes two samples.  Only edges with both
@@ -243,7 +245,6 @@ def explore(
     cap: int = 1_000_000,
     edge_log: Optional[list] = None,
     open_edges: Optional[Set[Edge]] = None,
-    lifo: bool = False,
 ) -> Tuple[Set[Site], Optional[bool]]:
     """The frontier loop behind every lattice exploration in the package.
 
@@ -259,7 +260,7 @@ def explore(
     visited, which is all a connection or a vertex set needs.  With it, every
     edge leaving an expanded site is queried exactly once and the open ones
     are added to ``open_edges``.  ``edge_log`` receives every queried
-    ``(edge, bit)`` in order.  The frontier is FIFO unless ``lifo``.
+    ``(edge, bit)`` in order.  The frontier is FIFO (breadth-first).
     """
     visited: Set[Site] = set()
     frontier: "deque[Site]" = deque()
@@ -275,10 +276,9 @@ def explore(
     # Sites whose edges need no query: the visited ones, or, when every open
     # edge is wanted, the expanded ones (which queried their edges already).
     done = visited if open_edges is None else set()
-    pop = frontier.pop if lifo else frontier.popleft
     truncated = False
     while frontier:
-        y = pop()
+        y = frontier.popleft()
         if open_edges is not None:
             done.add(y)
         for z in neighbours(spec, y):
@@ -309,11 +309,12 @@ class ClusterRecord:
     """The explored open cluster of ``root`` restricted to ``region``.
 
     ``boundary_in``/``boundary_out`` are the intersections of the vertex set
-    with the region's boundaries (annulus/explicit regions only; empty
-    otherwise), as sorted tuples.  ``open_edges`` holds the open edges with
-    both endpoints in the vertex set.  ``truncated`` means the vertex cap
-    censored the closure, so the vertex set is a subset of the true
-    restricted cluster.  Records are built only by :func:`_cluster_record`.
+    with the boundaries of a :class:`~percolab.lattice.Region`, as sorted
+    tuples; both are empty when ``region`` is a site set or a predicate.
+    ``open_edges`` holds the open edges with both endpoints in the vertex
+    set.  ``truncated`` means the vertex cap censored the closure, so the
+    vertex set is a subset of the true restricted cluster.  Records are
+    built only by :func:`_cluster_record`.
     """
 
     root: Site
@@ -341,12 +342,11 @@ def _cluster_record(
     state: Callable[[Edge], int],
     cap: int = 1_000_000,
     edge_log: Optional[list] = None,
-    lifo: bool = False,
 ) -> ClusterRecord:
     """Explore the cluster of ``root`` under ``state`` and record it."""
     open_edges: Set[Edge] = set()
     visited, outcome = explore(spec, [root], member, state, cap=cap,
-                               edge_log=edge_log, open_edges=open_edges, lifo=lifo)
+                               edge_log=edge_log, open_edges=open_edges)
     b_in: List[Site] = []
     b_out: List[Site] = []
     if isinstance(region, Region):  # site sets and predicates have no boundary
@@ -376,21 +376,18 @@ def explore_cluster(
     region: RegionLike,
     cap: int = 1_000_000,
     edge_log: Optional[list] = None,
-    order: str = "bfs",
 ) -> ClusterRecord:
     """Closure of ``x`` under open edges with both endpoints in ``region``.
 
-    Breadth-first by default (``order="dfs"`` exists to let tests prove
-    traversal-order independence).  Only edges with both endpoints inside
-    the region are ever hashed, each at most once.  ``truncated`` is set iff
-    the vertex cap was hit before the closure stabilised.
+    Breadth-first.  Only edges with both endpoints inside the region are
+    ever hashed, each at most once.  ``truncated`` is set iff the vertex cap
+    was hit before the closure stabilised.
     """
     member = membership(region)
     if not member(x):
         raise ValueError(f"root {x} not in region")
     return _cluster_record(cfg.spec, x, region, member,
-                           lambda e: raw_edge_state(cfg, e),
-                           cap, edge_log, lifo=order == "dfs")
+                           lambda e: raw_edge_state(cfg, e), cap, edge_log)
 
 
 def cluster_components(

@@ -296,7 +296,7 @@ def _crossing_stat(
     return ph - 0.5, math.sqrt(max(ph * (1 - ph), 1.0 / n_samples) / n_samples)
 
 
-_PC_CRITERIA = {"arm_scaling": _arm_scaling_stat, "crossing": _crossing_stat}
+PC_CRITERIA = {"arm_scaling": _arm_scaling_stat, "crossing": _crossing_stat}
 
 
 class BracketError(ValueError):
@@ -327,9 +327,9 @@ def locate_pc(
 
     Returns (threshold estimate, diagnostics with the criterion curve).
     """
-    if criterion not in _PC_CRITERIA:
+    if criterion not in PC_CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    stat = _PC_CRITERIA[criterion]
+    stat = PC_CRITERIA[criterion]
     if radii is None:
         radii = (16, 32)
     lo, hi = bracket

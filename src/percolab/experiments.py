@@ -213,31 +213,22 @@ def interleaved_family(a: ConditioningFamily, b: ConditioningFamily,
 
 @dataclass(frozen=True)
 class CylinderEvent:
-    """An event measurable w.r.t. the edges inside ``B(2^L)``.
-
-    Either an explicit edge-state ``pattern`` (every listed edge must match
-    the required state) or a ``predicate`` over a sample-bound config whose
-    support the caller promises stays inside the ball.
-    """
+    """An edge pattern inside ``B(2^L)``: the event that every listed edge
+    has its required state.  The empty pattern is the sure event."""
 
     name: str
     L: int
     pattern: Tuple[Tuple[Edge, bool], ...] = ()
-    predicate: Optional[Callable[[PercolationConfig], bool]] = None
 
     def __post_init__(self):
         if self.L < 0:
             raise ValueError("L must be >= 0")
-        if self.pattern and self.predicate is not None:
-            raise ValueError("give a pattern or a predicate, not both")
         radius = 2**self.L
         for (a, b), _ in self.pattern:
             if max(norm_inf(a), norm_inf(b)) > radius:
                 raise ValueError(f"edge {a}-{b} leaves B(2^{self.L})")
 
     def evaluate(self, cfg: PercolationConfig) -> bool:
-        if self.predicate is not None:
-            return bool(self.predicate(cfg))
         return all(edge_state(cfg, canonical_edge(cfg.spec, a, b)) == want
                    for (a, b), want in self.pattern)
 

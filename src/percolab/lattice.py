@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 Site = Tuple[int, ...]
 Edge = Tuple[Site, Site]
@@ -152,79 +152,43 @@ def neighbours(spec: LatticeSpec, x: Site) -> Tuple[Site, ...]:
 
 @dataclass(frozen=True)
 class Region:
-    """A box, an annulus, or an explicit finite site set.
+    """The annulus ``B(center; outer) \\ B(center; inner)``.
 
-    Boxes are annuli with ``inner == -1``.  Explicit regions may carry caller
-    supplied boundary lists (used by the abstract oracle geometries, where
-    "annulus" structure is declared rather than derived from radii).
+    A box is the annulus with ``inner == -1``.  Finite site sets of any
+    other shape are plain ``frozenset``s, which every explorer accepts.
     """
 
-    kind: str  # "annulus" | "explicit"
-    center: Optional[Site] = None
-    inner: int = -1
-    outer: int = -1
-    sites: Optional[frozenset] = None
-    boundary_in: Optional[Tuple[Site, ...]] = None
-    boundary_out: Optional[Tuple[Site, ...]] = None
+    center: Site
+    inner: int
+    outer: int
 
     def __post_init__(self):
-        if self.kind == "annulus":
-            if self.center is None:
-                raise ValueError("annulus region needs a center")
-            if self.inner < -1:
-                raise ValueError("inner radius must be >= -1")
-            if self.outer <= self.inner:
-                raise ValueError(
-                    f"outer radius must exceed inner radius, got {self.inner}, {self.outer}"
-                )
-        elif self.kind == "explicit":
-            if self.sites is None:
-                raise ValueError("explicit region needs sites")
-        else:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-
-    @property
-    def is_box(self) -> bool:
-        return self.kind == "annulus" and self.inner == -1
+        if self.inner < -1:
+            raise ValueError("inner radius must be >= -1")
+        if self.outer <= self.inner:
+            raise ValueError(
+                f"outer radius must exceed inner radius, got {self.inner}, {self.outer}"
+            )
 
 
 def box(center: Site, r: int) -> Region:
     """``B(center; r)`` as a region (annulus with empty inner hole)."""
     if r < 0:
         raise ValueError("box radius must be >= 0")
-    return Region(kind="annulus", center=tuple(center), inner=-1, outer=r)
+    return Region(tuple(center), -1, r)
 
 
 def annulus(center: Site, r: int, s: int) -> Region:
     """``B(center; s) \\ B(center; r)``; ``r = -1`` gives the full box."""
-    return Region(kind="annulus", center=tuple(center), inner=r, outer=s)
-
-
-def explicit_region(
-    sites: Iterable[Site],
-    boundary_in: Sequence[Site] = (),
-    boundary_out: Sequence[Site] = (),
-) -> Region:
-    fs = frozenset(tuple(s) for s in sites)
-    bi = tuple(tuple(s) for s in boundary_in)
-    bo = tuple(tuple(s) for s in boundary_out)
-    for b in bi + bo:
-        if b not in fs:
-            raise ValueError(f"boundary site {b} not in region")
-    return Region(kind="explicit", sites=fs, boundary_in=bi, boundary_out=bo)
+    return Region(tuple(center), r, s)
 
 
 def contains(region: Region, x: Site) -> bool:
-    if region.kind == "explicit":
-        return tuple(x) in region.sites
-    n = max(map(abs, map(sub, x, region.center)))
-    return region.inner < n <= region.outer
+    return region.inner < max(map(abs, map(sub, x, region.center))) <= region.outer
 
 
 def site_count(region: Region, d: Optional[int] = None) -> int:
-    """Exact cardinality; closed form for annuli (safe for huge radii)."""
-    if region.kind == "explicit":
-        return len(region.sites)
+    """Exact cardinality in closed form (safe for huge radii)."""
     if d is None:
         d = len(region.center)
     outer = (2 * region.outer + 1) ** d
@@ -233,14 +197,11 @@ def site_count(region: Region, d: Optional[int] = None) -> int:
 
 
 def region_sites(region: Region, limit: int = MATERIALISE_LIMIT) -> Iterator[Site]:
-    """Iterate the sites of a finite region in lexicographic order.
+    """Iterate the sites of a region in lexicographic order.
 
     Refuses to run when the cardinality exceeds ``limit``: faithful-mode
     annuli are meant to be reasoned about symbolically, never enumerated.
     """
-    if region.kind == "explicit":
-        yield from sorted(region.sites)
-        return
     if site_count(region) > limit:
         raise ValueError(
             f"region with {site_count(region)} sites exceeds materialisation limit {limit}"
@@ -261,10 +222,8 @@ def boundary_membership(spec: LatticeSpec, region: Region, y: Site) -> Tuple[boo
     """Is the region site ``y`` on the (inner, outer) boundary of ``region``?
 
     The one rule for annulus boundaries, by arithmetic on ``y``'s offset from
-    the center; explicit regions answer from their declared lists.
+    the center.
     """
-    if region.kind == "explicit":
-        return (y in (region.boundary_in or ()), y in (region.boundary_out or ()))
     r, s = region.inner, region.outer
     off = [abs(a - c) for a, c in zip(y, region.center)]
     n = max(off)
@@ -286,13 +245,7 @@ def region_boundaries(spec: LatticeSpec, region: Region) -> Tuple[Tuple[Site, ..
 
     Inner boundary: sites of the region with an edge into ``B(x; r)``.
     Outer boundary: sites of the region with an edge out of ``B(x; s)``.
-    For explicit regions the caller-declared boundaries are returned and it is
-    an error not to have declared them.
     """
-    if region.kind == "explicit":
-        if region.boundary_in is None or region.boundary_out is None:
-            raise ValueError("explicit region lacks declared boundaries")
-        return region.boundary_in, region.boundary_out
     c = region.center
     r, s = region.inner, region.outer
     if site_count(region, spec.d) > MATERIALISE_LIMIT:
@@ -310,12 +263,8 @@ def region_boundaries(spec: LatticeSpec, region: Region) -> Tuple[Tuple[Site, ..
 
 def edges_within(spec: LatticeSpec, region: Region) -> Iterator[Edge]:
     """Canonical edges with *both* endpoints in the region (sorted order)."""
-    if region.kind == "explicit":
-        sites = sorted(region.sites)
-        sset = region.sites
-    else:
-        sites = list(region_sites(region))
-        sset = set(sites)
+    sites = list(region_sites(region))
+    sset = set(sites)
     for x in sites:
         for y in neighbours(spec, x):
             if y > x and y in sset:
@@ -345,17 +294,3 @@ def edge_count_box(spec: LatticeSpec, r: int) -> int:
     assert total % 2 == 0
     return total // 2
 
-
-def min_norm_of_sites(sites: Iterable[Site]) -> int:
-    """Smallest l-infinity norm over a nonempty site collection."""
-    it = iter(sites)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("empty site collection") from None
-    m = norm_inf(first)
-    for s in it:
-        n = norm_inf(s)
-        if n < m:
-            m = n
-    return m

@@ -68,6 +68,8 @@ class Window:
     def row_of(self, x: Site) -> int:
         """Row index of a site by stride arithmetic (must lie in the box)."""
         d = self.spec.d
+        if len(x) != d:
+            raise ValueError(f"site {x} has {len(x)} coordinates, not {d}")
         side = 2 * self.outer + 1
         row = 0
         for j in range(d):

@@ -212,6 +212,13 @@ def test_scale_table_toy_ladder(tmp_path):
     ["frobnicate"],                      # unknown subcommand
     ["--format", "xml", "hopf-demo"],    # bad global flag
     ["hopf-demo", "--n-samples", "xyz"],  # unparseable option value
+    # out-of-range integers: 0 used to fall back to the config default, -5
+    # wrote nan rows, and --j 0 / --i-max -1 exited 2
+    ["hopf-demo", "--n-samples", "0"],
+    ["estimate-two-point", "--n-samples", "-5"],
+    ["oracle-battery", "--n-samples", "5", "--n-groups", "0"],
+    ["reconstruct-arm", "--j", "0"],
+    ["scale-table", "--i-max", "-1"],
 ])
 def test_usage_errors_exit_4(tmp_path, argv, capsys):
     code, _ = _run(tmp_path, argv)
@@ -264,6 +271,30 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
     assert code == 4
     assert "integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["estimate-one-arm"], {"estimation": {"radii": [4, 2]}}),
+    (["find-pc"], {"estimation": {"pc_criterion": "foo"}}),
+    (["find-pc"], {"estimation": {"pc_bracket": [0.7, 0.3]}}),
+    (["find-pc"], {"estimation": {"pc_tol": 0}}),
+    (["find-pc"], {"estimation": {"pc_radii": [32, 16]}}),
+    (["estimate-two-point"], {"estimation": {"targets": [[1, 0], [1, 0]]}}),
+    (["extract-kernels"], {"extraction": {"q_list": [5]}}),
+    (["estimate-two-point"], {"estimation": {"targets": [[1, 0, 0]]}}),
+    (["estimate-two-point"], {"estimation": {"targets": [[1]]}}),
+], ids=["radii-decreasing", "pc-criterion-unknown", "pc-bracket-reversed",
+        "pc-tol-zero", "pc-radii-decreasing", "targets-repeated",
+        "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d"])
+def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg):
+    # each used to exit 2 ("invariant violation"), except pc_tol 0 (it ran,
+    # and a negative pc_tol never ends), pc_radii [32, 16] (it ran on radius
+    # 16) and the wrong-dimension targets: (1, 0, 0) ran as (1, 0) and (1,)
+    # escaped as an IndexError
+    code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
+    assert code == 4
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_oversized_window_is_a_config_error(tmp_path, capsys):

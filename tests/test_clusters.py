@@ -46,7 +46,6 @@ from percolab.lattice import (
     box,
     canonical_edge,
     edges_within,
-    explicit_region,
     neighbours,
     norm_inf,
     region_sites,
@@ -335,7 +334,7 @@ def test_pivotal_edges_on_lattice_corridor():
     piv = pivotal_edges(cfg, [(-2, 0)], [(2, 0)], box((0, 0), 2))
     assert piv == set()
     # a width-1 corridor makes every edge pivotal
-    corridor = explicit_region([(k, 0) for k in range(-2, 3)])
+    corridor = frozenset((k, 0) for k in range(-2, 3))
     piv2 = pivotal_edges(cfg, [(-2, 0)], [(2, 0)], corridor)
     assert len(piv2) == 4
 
@@ -388,16 +387,20 @@ def test_pivotal_agrees_with_removal_retest():
 def test_pivotal_edges_match_whole_region_graph():
     # only the sources' open cluster can hold a pivotal edge: the whole open
     # graph of the region, hashed edge by edge, gives the same set
-    regions = (box((0, 0), 4), annulus((0, 0), 1, 5),
-               explicit_region([(k, j) for k in range(-3, 4) for j in (0, 1)]))
+    graphs = [(reg, list(region_sites(reg)), list(edges_within(SPEC2, reg)))
+              for reg in (box((0, 0), 4), annulus((0, 0), 1, 5))]
+    strip = frozenset((k, j) for k in range(-3, 4) for j in (0, 1))
+    graphs.append((strip, sorted(strip),
+                   [e for e in edges_within(SPEC2, box((0, 0), 3))
+                    if e[0] in strip and e[1] in strip]))
     src, tgt = [(-2, 0), (2, 1), (9, 9)], [(3, 0), (-4, 4), (5, 5)]
     agreed = 0
     for sid in range(30):
         cfg = PercolationConfig(spec=SPEC2, p=0.6, seed=5, sample_id=sid)
-        for reg in regions:
+        for reg, sites, edges in graphs:
             g = nx.Graph()
-            g.add_nodes_from(region_sites(reg))
-            g.add_edges_from(e for e in edges_within(SPEC2, reg) if edge_state(cfg, e))
+            g.add_nodes_from(sites)
+            g.add_edges_from(e for e in edges if edge_state(cfg, e))
             try:
                 want = pivotal_from_graph(g, src, tgt)
             except ValueError:

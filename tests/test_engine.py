@@ -219,16 +219,6 @@ def test_explore_cluster_isolated_at_p_zero():
     assert rec.vertices == frozenset({(0, 0)})
 
 
-@given(st.integers(0, 400))
-def test_explore_order_does_not_change_cluster(sid):
-    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=17, sample_id=sid)
-    region = box((0, 0), 3)
-    bfs = explore_cluster(cfg, (0, 0), region, order="bfs")
-    dfs = explore_cluster(cfg, (0, 0), region, order="dfs")
-    assert bfs.vertices == dfs.vertices
-    assert bfs.open_edges == dfs.open_edges
-
-
 def test_connect_sets_dense_and_empty():
     region = box((0, 0), 4)
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=2)

@@ -118,8 +118,7 @@ def test_cylinder_event_rejects_support_outside_ball():
     with pytest.raises(ValueError):
         CylinderEvent(name="bad", L=0,
                       pattern=((((0, 0), (1, 0)), True),
-                               ((((3, 0)), ((4, 0))), True)),
-                      predicate=None)
+                               ((((3, 0)), ((4, 0))), True)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from percolab.lattice import (
     edge_count_box,
     edges_within,
     is_edge,
-    min_norm_of_sites,
     neighbours,
     norm_1,
     norm_inf,
@@ -211,11 +210,6 @@ def test_edges_within_are_canonical_and_inside():
         assert contains(b, e[0]) and contains(b, e[1])
         assert e not in seen
         seen.add(e)
-
-
-def test_min_norm_of_sites():
-    assert min_norm_of_sites([(3, 0), (1, 2), (-2, -2)]) == 2
-    assert min_norm_of_sites([(0, 0)]) == 0
 
 
 def test_spec_validation():

@@ -38,6 +38,14 @@ def test_window_layout_counts():
         assert win.row_of(tuple(site)) == row
 
 
+@pytest.mark.parametrize("site", [(1, 0, 0), (1,)])
+def test_row_of_refuses_a_site_of_another_dimension(site):
+    # (1, 0, 0) used to be read as (1, 0); (1,) escaped as an IndexError
+    win = build_window(SPEC2, seed=1, outer=3)
+    with pytest.raises(ValueError, match="coordinates"):
+        win.row_of(site)
+
+
 def test_annular_window_membership():
     win = build_window(SPEC2, seed=1, outer=4, inner=1)
     norms = win.norms()
