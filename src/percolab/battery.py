@@ -256,9 +256,8 @@ def run_oracle_battery(
         graphs = oracle_battery()
     cells: List[OracleCell] = []
     for og in graphs:
-        query = og.query()
-        table = exact_event_table(len(og.edges), query)
-        exact = float(og.exact())
+        table = exact_event_table(len(og.edges), og.query())
+        exact = float(enumerate_exact(og.edges, og.p, lambda m: table[m]))
         sigma = (exact * (1.0 - exact) / n_samples) ** 0.5
         if sigma == 0.0:
             raise ValueError(f"degenerate battery event in {og.name}")
@@ -803,10 +802,6 @@ class ArmDecompositionReport:
     @property
     def ratio(self) -> Optional[Fraction]:
         return None if self.rhs == 0 else self.lhs / self.rhs
-
-    @property
-    def ratio_cyl(self) -> Optional[Fraction]:
-        return None if self.rhs_cyl == 0 else self.lhs_cyl / self.rhs_cyl
 
     @property
     def containment_ok(self) -> bool:

@@ -39,7 +39,6 @@ from .lattice import (
     box,
     neighbours,
     norm_inf,
-    region_sites,
 )
 from .scales import ScaleIndex, ScaleParams, sub_annulus
 
@@ -62,39 +61,9 @@ def badness_threshold(s: int, log_base: float = math.e) -> float:
     return 1.0 - math.exp(-math.log(s, log_base) ** 2)
 
 
-def _region_covers_ball(region: RegionLike, x: Site, s: int) -> bool:
-    if isinstance(region, Region):
-        dist = norm_inf(tuple(a - b for a, b in zip(x, region.center)))
-        inside_outer = dist + s <= region.outer
-        clears_hole = region.inner < 0 or dist - s > region.inner
-        return inside_outer and clears_hole
-    return all(map(membership(region), region_sites(box(x, s))))
-
-
 def _ball_count(sites: Iterable[Site], x: Site, s: int) -> int:
     """Number of ``sites`` within sup-distance ``s`` of ``x``."""
     return sum(1 for v in sites if max(abs(a - b) for a, b in zip(v, x)) <= s)
-
-
-def tame_event(cluster: ClusterRecord, x: Site, s: int,
-               log_base: float = math.e) -> Optional[bool]:
-    """Is the cluster's volume inside B(x; s) below s^4 log^7 s?
-
-    False is certain as soon as the explored part already meets the
-    threshold.  True requires the exploration to have covered B(x; s)
-    completely (else the count is only a lower bound): a truncated record
-    returns None, and a record whose region demonstrably fails to cover the
-    ball raises.
-    """
-    if _ball_count(cluster.vertices, x, s) >= tame_threshold(s, log_base):
-        return False
-    if cluster.truncated:
-        return None
-    if not _region_covers_ball(cluster.region, x, s):
-        raise ValueError(
-            f"cluster explored in a region that does not cover B({x}; {s})"
-        )
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .experiments import ConditioningFamily, CylinderEvent, sure_event, two_east
 from .lattice import LatticeSpec, Site
 from .scales import ScaleParams, faithful_params, toy_params, validate_scale_params
 
-__all__ = ["ConfigError", "Config", "load_config", "default_config_dict"]
+__all__ = ["ConfigError", "Config", "load_config"]
 
 
 class ConfigError(Exception):
@@ -103,10 +103,6 @@ _DEFAULTS: Dict[str, Any] = {
 }
 
 
-def default_config_dict() -> Dict[str, Any]:
-    return copy.deepcopy(_DEFAULTS)
-
-
 def _merge(base: Dict[str, Any], override: Dict[str, Any], path: str = "") -> Dict[str, Any]:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -123,6 +119,11 @@ def _merge(base: Dict[str, Any], override: Dict[str, Any], path: str = "") -> Di
 def _is_int(value: Any) -> bool:
     """A JSON integer: ``bool`` is an ``int`` subclass but not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value: Any, lo: int) -> None:
+    if not (_is_int(value) and value >= lo):
+        raise ConfigError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _check_radii(name: str, radii: Any, lo: int, pair: bool) -> None:
@@ -192,11 +193,18 @@ class Config:
                 and 2 <= hp["size_min"] <= hp["size_max"]):
             raise ConfigError("hopf sizes must be integers with "
                               "2 <= size_min <= size_max")
-        for section in ("estimation", "extraction", "iic", "supercritical", "battery"):
-            ns = self.data[section]["n_samples"]
-            if not (_is_int(ns) and ns >= 1):
-                raise ConfigError(f"{section}.n_samples must be an integer >= 1, "
-                                  f"got {ns!r}")
+        low, high = hp["entry_low"], hp["entry_high"]
+        if not (all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in (low, high)) and 0 < low <= high):
+            raise ConfigError("hopf entries must be numbers with "
+                              f"0 < entry_low <= entry_high, got {low!r}, {high!r}")
+        _check_int("hopf.rng_seed", hp["rng_seed"], 0)
+        for name in ("hopf.n_kernels", "hopf.seq_len", "battery.n_groups",
+                     "battery.nofurther_instances", "estimation.n_samples",
+                     "extraction.n_samples", "iic.n_samples", "supercritical.n_samples",
+                     "battery.n_samples"):
+            section, key = name.split(".")
+            _check_int(name, self.data[section][key], 1)
 
     def _validate_estimation(self) -> None:
         est = self.data["estimation"]

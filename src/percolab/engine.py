@@ -213,13 +213,6 @@ def _sample_keys_bulk(sample_ids) -> np.ndarray:
     return _mix64_np(ids ^ np.uint64(_SAMPLE_SALT))
 
 
-def states_over_samples(
-    key: int, sample_ids: np.ndarray, threshold: int
-) -> np.ndarray:
-    """Bits of one edge across many samples (vectorised over sample_id)."""
-    return _states_np(np.uint64(key), _sample_keys_bulk(sample_ids), threshold)
-
-
 # ---------------------------------------------------------------------------
 # Cluster exploration
 # ---------------------------------------------------------------------------

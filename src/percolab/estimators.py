@@ -2,7 +2,7 @@
 threshold location, plus two exact numeric checks (a convolution partial-sum
 bound and the cluster-exit inequality on tiny graphs).
 
-Estimates carry Wilson confidence intervals and explicit truncation counts:
+Estimates carry standard errors and explicit truncation counts:
 a tri-state connectivity query that returns "unknown" (exploration cap hit)
 is never silently folded into a frequency.
 """
@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .engine import (
 )
 from .lattice import Site, norm_inf
 from .windowed import Window, build_window, sample_labels
-
-EventFn = Callable[[PercolationConfig], Optional[bool]]
-
 
 # ---------------------------------------------------------------------------
 # Estimates
@@ -49,21 +46,6 @@ class Estimate:
     seed: int = 0
     sample_range: Tuple[int, int] = (0, 0)
 
-    @property
-    def n_effective(self) -> int:
-        return self.n_samples - self.n_truncated
-
-    def wilson(self, z: float = 1.96) -> Tuple[float, float]:
-        """Wilson score interval; better behaved than Wald for rare events."""
-        n = self.n_effective
-        if n == 0:
-            return (0.0, 1.0)
-        ph = self.value
-        denom = 1.0 + z * z / n
-        center = (ph + z * z / (2 * n)) / denom
-        half = (z / denom) * math.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n))
-        return (max(0.0, center - half), min(1.0, center + half))
-
     @classmethod
     def from_counts(
         cls,
@@ -84,32 +66,6 @@ class Estimate:
 def combine_gap_sigma(a: Estimate, b: Estimate) -> Tuple[float, float]:
     """|a-b| and the standard error of the difference (independent samples)."""
     return abs(a.value - b.value), math.hypot(a.stderr, b.stderr)
-
-
-def estimate_event(
-    cfg: PercolationConfig,
-    event: EventFn,
-    n_samples: int,
-    sample_start: int = 0,
-) -> Estimate:
-    """Empirical frequency of ``event`` over consecutive sample ids.
-
-    ``event`` receives a config bound to one sample id and may return True,
-    False, or None (censored).
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    hits = 0
-    trunc = 0
-    for sid in range(sample_start, sample_start + n_samples):
-        out = event(cfg.with_sample(sid))
-        if out is None:
-            trunc += 1
-        elif out:
-            hits += 1
-    return Estimate.from_counts(
-        hits, n_samples, trunc, cfg.seed, (sample_start, sample_start + n_samples)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +140,6 @@ def one_arm_profile(
         (r, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
         for r, h in zip(radii, hits)
     ]
-
-
-def half_space_two_point(
-    cfg: PercolationConfig, x: Site, n_samples: int, sample_start: int = 0
-) -> Estimate:
-    """P(0 connects to x using only edges inside B(0; |x|)).
-
-    The target sits on the boundary of the restriction box, so every
-    connecting path is squeezed against the box face.
-    """
-    r = norm_inf(x)
-    if r == 0:
-        raise ValueError("target must be a nonzero site on the box boundary")
-    (_, est), = two_point_profile(cfg, [x], n_samples, radius=r, sample_start=sample_start)
-    return est
 
 
 # ---------------------------------------------------------------------------

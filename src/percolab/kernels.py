@@ -81,11 +81,6 @@ class Kernel:
     def entries(self) -> np.ndarray:
         return np.exp(self.log_mat)
 
-    def entry(self, row, col) -> float:
-        i = self.rows.index(row)
-        j = self.cols.index(col)
-        return float(math.exp(self.log_mat[i, j]))
-
 
 def oscillation(f: Sequence, g: Sequence):
     """Spread of the ratio f/g over the common index set.
@@ -147,39 +142,6 @@ def contract_check(T: Kernel, f: Sequence, g: Sequence) -> Tuple[float, float, b
     rhs = (kappa - 1.0) / (kappa + 1.0) * float(oscillation(f, g))
     holds = lhs <= rhs + EPS_REL * max(1.0, abs(rhs))
     return lhs, rhs, holds
-
-
-def kernel_product(Ts: Sequence[Kernel]) -> Kernel:
-    """Associative product over matching index sets; log-sum-exp contraction
-    in the float path, exact matrix product when all factors are rational."""
-    if not Ts:
-        raise ValueError("empty kernel list")
-    out = Ts[0]
-    for T in Ts[1:]:
-        if out.cols != T.rows:
-            raise ValueError(
-                f"index mismatch: cols {out.cols} vs rows {T.rows}"
-            )
-        if out.exact is not None and T.exact is not None:
-            prod = tuple(
-                tuple(
-                    sum(a * b for a, b in zip(row, col))
-                    for col in zip(*T.exact)
-                )
-                for row in out.exact
-            )
-            out = Kernel(
-                rows=out.rows,
-                cols=T.cols,
-                log_mat=np.log(np.array([[float(v) for v in r] for r in prod])),
-                exact=prod,
-            )
-        else:
-            log_mat = logsumexp(
-                out.log_mat[:, :, None] + T.log_mat[None, :, :], axis=1
-            )
-            out = Kernel(rows=out.rows, cols=T.cols, log_mat=log_mat, exact=None)
-    return out
 
 
 @dataclass

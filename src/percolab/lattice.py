@@ -12,8 +12,6 @@ Conventions used throughout the package:
   sites of ``A`` with an edge into ``B(x; r)``; the outer boundary is the set
   of sites of ``A`` with an edge out of ``B(x; s)``.  :func:`boundary_membership`
   is the package's only rule for deciding them.
-* ``norm_power(x, a)`` maps ``0`` to ``1`` when ``a <= 0`` so that reciprocal
-  distance weights never divide by zero.
 
 Everything here is deterministic and purely combinatorial; randomness enters
 only in :mod:`percolab.engine`.
@@ -22,7 +20,6 @@ only in :mod:`percolab.engine`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
@@ -94,34 +91,6 @@ class LatticeSpec:
 
 def norm_inf(x: Site) -> int:
     return max(abs(c) for c in x)
-
-
-def norm_1(x: Site) -> int:
-    return sum(abs(c) for c in x)
-
-
-def norm_euclid(x: Site) -> float:
-    return math.sqrt(sum(c * c for c in x))
-
-
-def norm_power(x: Site, a: float, norm: str = "euclid") -> float:
-    """``|x|^a`` with the convention ``|0|^a = 1`` for ``a <= 0``.
-
-    The convention keeps reciprocal-distance sums such as
-    ``sum_z |z - x|^{a-d} |z - y|^{b-d}`` finite at ``z = x`` without special
-    casing at every call site.
-    """
-    if norm == "euclid":
-        n = norm_euclid(x)
-    elif norm == "inf":
-        n = float(norm_inf(x))
-    elif norm == "l1":
-        n = float(norm_1(x))
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    if n == 0.0:
-        return 1.0 if a <= 0 else 0.0
-    return n**a
 
 
 def is_edge(spec: LatticeSpec, x: Site, y: Site) -> bool:

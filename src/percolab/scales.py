@@ -221,24 +221,6 @@ def sub_annulus(spec: LatticeSpec, idx: ScaleIndex, q: int, params: ScaleParams)
     return annulus((0,) * spec.d, 2**lo, 2**hi)
 
 
-def full_annulus(spec: LatticeSpec, idx: ScaleIndex) -> Region:
-    """``Ann_i`` with the mode's margin; hole clipped at the origin for toy
-    ladders whose margin exceeds ``k_i``."""
-    if idx.ann_outer_exp > MATERIALISE_EXP_LIMIT:
-        raise ValueError("annulus too large to materialise")
-    if idx.i == 0:
-        return box((0,) * spec.d, 2)
-    hole = 2**idx.ann_inner_exp if idx.ann_inner_exp >= 0 else 0
-    return annulus((0,) * spec.d, hole, 2**idx.ann_outer_exp)
-
-
-def separation_box(spec: LatticeSpec, idx: ScaleIndex) -> Region:
-    """``S_i = B(2^{ell_i})``."""
-    if idx.ell > MATERIALISE_EXP_LIMIT:
-        raise ValueError("separation box too large to materialise")
-    return box((0,) * spec.d, 2**idx.ell)
-
-
 # ---------------------------------------------------------------------------
 # Exact power-of-two comparisons
 # ---------------------------------------------------------------------------
@@ -407,21 +389,6 @@ def _log2_edge_count_pow2(spec: LatticeSpec, k: int) -> float:
         return math.log2(d) + d * log2_n  # (N - 1) ~ N to float precision here
     deg = (2 * spec.lam + 1) ** d - 1
     return math.log2(deg / 2) + d * log2_n
-
-
-def horizon_threshold_p(
-    params: ScaleParams, spec: LatticeSpec, p_c: float, i: int = 1
-) -> float:
-    """The ``p`` solving ``(p/p_c)^{m_i} = 2`` for the level-``i`` condition.
-
-    Only available when ``B(2^{k_{i+1}^*})`` is small enough to count edges
-    exactly; used by tests to probe the horizon boundary.
-    """
-    _, k_next_star = closed_form_k(params, i + 1)
-    if k_next_star > 40:
-        raise ValueError("threshold only computable at toy scales")
-    m_i = edge_count_box(spec, 2**k_next_star)
-    return p_c * 2.0 ** (1.0 / m_i)
 
 
 class HorizonError(ValueError):

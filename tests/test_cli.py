@@ -297,6 +297,31 @@ def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg)
     assert not out.exists() or os.listdir(out) == []
 
 
+SMALL_BATTERY = {"n_samples": 10, "n_groups": 1, "nofurther_instances": 2}
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["oracle-battery"], {"battery": dict(SMALL_BATTERY, n_groups=0)}),
+    (["oracle-battery"], {"battery": dict(SMALL_BATTERY, nofurther_instances=0)}),
+    (["hopf-demo"], {"hopf": {"seq_len": 0}}),
+    (["hopf-demo"], {"hopf": {"seq_len": 2.5}}),
+    (["hopf-demo"], {"hopf": {"entry_low": 0}}),
+    (["hopf-demo"], {"hopf": {"entry_low": 5.0, "entry_high": 2.0}}),
+    (["hopf-demo"], {"hopf": {"rng_seed": -1}}),
+    (["hopf-demo"], {"hopf": {"n_kernels": 0}}),
+], ids=["n-groups-zero", "nofurther-instances-zero", "seq-len-zero",
+        "seq-len-float", "entry-low-zero", "entries-reversed", "rng-seed-negative",
+        "n-kernels-zero"])
+def test_bad_hopf_or_battery_value_exits_4(tmp_path, capsys, argv, cfg):
+    # n_groups 0 (ZeroDivisionError) and seq_len 2.5 (TypeError) escaped with
+    # exit 1; seq_len 0, entry_low 0 and rng_seed -1 exited 2; zero
+    # nofurther instances or kernels, and reversed entries, exited 0
+    code, out = _run(tmp_path, argv, cfg=cfg)
+    assert code == 4
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_window_is_a_config_error(tmp_path, capsys):
     # refused at the first window build, not an invariant violation (exit 2)
     code, out = _run(tmp_path, ["iic-converge", "--n-samples", "5"],

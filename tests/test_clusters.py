@@ -27,7 +27,6 @@ from percolab.clusters import (
     pivotal_edges,
     pivotal_from_graph,
     scan_good_spanning,
-    tame_event,
     tame_threshold,
     verify_pinned,
     y_set,
@@ -60,18 +59,6 @@ def test_thresholds_frozen():
     assert tame_threshold(3, 2.3) == pytest.approx(562.6170043439492)
     assert badness_threshold(3) == pytest.approx(0.7008915196369652)
     assert badness_threshold(3, 2.3) == pytest.approx(0.8244405116674738)
-
-
-def test_tame_event_semantics():
-    cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=1)
-    rec = explore_cluster(cfg, (0, 0), box((0, 0), 4))
-    # |C cap B(0;2)| = 25 against a threshold of 16 log^7(2) ~ 1.2
-    assert tame_event(rec, (0, 0), 2) is False
-    small = explore_cluster(PercolationConfig(spec=SPEC2, p=0.0, seed=1),
-                            (0, 0), box((0, 0), 4))
-    assert tame_event(small, (0, 0), 2) is True
-    with pytest.raises(ValueError):
-        tame_event(small, (0, 0), 9)  # region does not cover B(0; 9)
 
 
 # ---------------------------------------------------------------------------

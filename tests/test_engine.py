@@ -30,7 +30,6 @@ from percolab.engine import (
     sample_key,
     sample_masks,
     spanning_clusters,
-    states_over_samples,
 )
 from percolab.lattice import LatticeSpec, annulus, box, canonical_edge, contains, neighbours
 from percolab.windowed import build_window
@@ -190,14 +189,6 @@ def test_edge_marginal_frequency():
     hits = sum(edge_state(cfg, ((k, 0), (k + 1, 0))) for k in range(0, 2 * n, 2))
     se = (0.3 * 0.7 / n) ** 0.5
     assert abs(hits / n - 0.3) < 4 * se
-
-
-def test_states_over_samples_matches_loop():
-    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=3)
-    e = ((0, 0), (1, 0))
-    bulk = states_over_samples(edge_key(3, e), np.arange(64), cfg.threshold)
-    loop = [edge_state(cfg.with_sample(s), e) for s in range(64)]
-    assert bulk.tolist() == loop
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from percolab.estimators import (
     combine_gap_sigma,
     convolution_check,
     convolution_sweep,
-    estimate_event,
     fit_exponent,
-    half_space_two_point,
     locate_pc,
     nofurther_check,
     one_arm_profile,
@@ -46,16 +44,6 @@ def test_combine_gap_sigma():
     assert math.isclose(sigma, math.hypot(0.01, 0.02))
 
 
-def test_estimate_event_matches_bernoulli_marginal():
-    cfg = PercolationConfig(spec=SPEC2, p=0.35, seed=3)
-    from percolab.engine import edge_state
-
-    est = estimate_event(cfg, lambda c: bool(edge_state(c, ((0, 0), (1, 0)))),
-                         n_samples=4000)
-    assert abs(est.value - 0.35) < 4 * est.stderr
-    assert est.sample_range == (0, 4000)
-
-
 def test_two_point_profile_saturated():
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=1)
     prof = two_point_profile(cfg, [(1, 0), (3, 2)], n_samples=40)
@@ -74,7 +62,7 @@ def test_one_arm_profile_decreasing():
 def test_restricted_two_point_dominated_by_full_space():
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=4)
     (_, ef), = two_point_profile(cfg, [(3, 0)], n_samples=2500)
-    eh = half_space_two_point(cfg, (3, 0), n_samples=2500)
+    (_, eh), = two_point_profile(cfg, [(3, 0)], n_samples=2500, radius=3)
     assert eh.value <= ef.value + 4 * math.hypot(ef.stderr, eh.stderr)
 
 

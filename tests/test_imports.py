@@ -1,8 +1,14 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the one rule the
-sources keep by hand: every module-level import is used by its module or
-re-exported through ``__all__``.
+No linter ships with the project, so this stands in for the two rules the
+sources keep by hand:
+
+* every module-level import is used by its module or re-exported through
+  ``__all__``;
+* every top-level ``def`` or ``class`` of the package is named somewhere in
+  the package, ``scripts/`` or ``perfbench/`` (a call, an attribute, a
+  reference), unless :data:`TEST_ONLY` keeps it with a reason.  A definition
+  that only tests call is deleted, not kept for them.
 """
 
 import ast
@@ -13,6 +19,25 @@ import pytest
 import percolab
 
 SOURCES = sorted(pathlib.Path(percolab.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CALLERS = SOURCES + sorted((ROOT / "scripts").glob("*.py")) \
+    + sorted((ROOT / "perfbench").glob("*.py"))
+
+#: Top-level definitions that only tests call, kept on purpose.
+TEST_ONLY = {
+    "spanning_cluster_sets": "reference oracle for the lazy spanning-cluster scan",
+    "component_rows": "reference oracle for one component of a window labelling",
+    "edges_within": "reference oracle for the edge set of a region",
+    "y_set": "holds the frozen attachment-pair histogram {0: 371, 1: 12}",
+    "convolution_sweep": "the convolution bound over a sweep of separations",
+    "obstacle_family": "sibling of the family constructors the scripts use",
+    "halfspace_family": "sibling of the family constructors the scripts use",
+    "interleaved_family": "sibling of the family constructors the scripts use",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _unused_imports(tree: ast.Module):
@@ -36,5 +61,37 @@ def _unused_imports(tree: ast.Module):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_module_imports_are_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_parse(path)) == []
+
+
+def _top_level_definitions():
+    for path in SOURCES:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield path.name, node.name
+
+
+def _referenced_names():
+    names = set()
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_definition_has_a_non_test_caller():
+    used = _referenced_names()
+    uncalled = [f"{module}: {name}" for module, name in _top_level_definitions()
+                if name not in used and name not in TEST_ONLY]
+    assert uncalled == []
+
+
+def test_test_only_entries_are_current():
+    """An entry that is gone, or that has gained a caller, is stale."""
+    defined = {name for _, name in _top_level_definitions()}
+    used = _referenced_names()
+    stale = sorted(name for name in TEST_ONLY if name not in defined or name in used)
+    assert stale == []

@@ -10,7 +10,6 @@ from percolab.kernels import (
     apply_kernel,
     contract_check,
     cross_ratio_kappa,
-    kernel_product,
     oscillation,
     random_kernel,
     ratio_limit,
@@ -40,18 +39,6 @@ def test_cross_ratio_kappa_hand_values():
 def test_apply_kernel_exact():
     assert apply_kernel(BASE, (Fraction(1), Fraction(2))) \
         == [Fraction(4), Fraction(5)]
-
-
-def test_kernel_product_exact_square():
-    sq = kernel_product([BASE, BASE])
-    assert sq.exact == ((Fraction(5), Fraction(4)), (Fraction(4), Fraction(5)))
-
-
-def test_kernel_product_index_mismatch():
-    other = Kernel.from_entries(("x", "y"), ("a", "b"), [[1, 1], [1, 1]])
-    kernel_product([other, BASE])  # cols (a,b) match rows (a,b)
-    with pytest.raises(ValueError, match="mismatch"):
-        kernel_product([BASE, other])
 
 
 def test_contract_check_random_kernels():

@@ -16,15 +16,12 @@ from percolab.scales import (
     conditioning_horizon,
     faithful_params,
     faithful_report,
-    full_annulus,
-    horizon_threshold_p,
     k1_floor,
     ladder_geometry_issues,
     likelihood_ratio_horizon,
     pow2_gt,
     pow2_lt,
     scale_sequence,
-    separation_box,
     sub_annulus,
     sub_annulus_exponents,
     toy_params,
@@ -101,12 +98,10 @@ def test_toy_ladder_geometry_reports_overlap():
 
 def test_toy_regions_materialise():
     seq = scale_sequence(TOY, 1)
-    ann = full_annulus(SPEC2, seq[1])
-    assert ann.outer == 16
-    sep = separation_box(SPEC2, seq[1])
-    assert sep.outer == 2
+    assert 2**seq[1].ann_outer_exp == 16
+    assert 2**seq[1].ell == 2
     sub = sub_annulus(SPEC2, seq[1], 1, TOY)
-    assert sub.inner < sub.outer <= ann.outer
+    assert sub.inner < sub.outer <= 2**seq[1].ann_outer_exp
 
 
 def test_pow2_comparisons_match_direct():
@@ -145,15 +140,6 @@ def test_likelihood_ratio_horizon_sides():
     assert likelihood_ratio_horizon(TOY, SPEC2, 0.55, 0.5) == 0
     with pytest.raises(ValueError):
         likelihood_ratio_horizon(TOY, SPEC2, 0.45, 0.5)
-
-
-def test_horizon_threshold_p_shrinks_with_scale():
-    t1 = horizon_threshold_p(TOY, SPEC2, 0.5, i=1)
-    t2 = horizon_threshold_p(toy_params(2, 2, 1), SPEC2, 0.5, i=1)
-    assert 0.5 < t2 < t1  # bigger ladders pin the tolerance near p_c
-    params = faithful_params(SPEC7, k1_floor(SPEC7, 1))
-    with pytest.raises(ValueError, match="toy scales"):
-        horizon_threshold_p(params, SPEC7, 0.5, i=1)
 
 
 def test_faithful_report_table():
