@@ -33,6 +33,7 @@ from .engine import (
     TinyGraph,
     enumerate_exact,
     exact_event_table,
+    popcount64,
     sample_masks,
 )
 from .estimators import SubgraphSpec, nofurther_check
@@ -89,18 +90,20 @@ class OracleGraph:
     targets: Tuple[Site, ...] = ()
     size: int = 0
 
-    def query(self) -> Callable[[int], bool]:
+    def query(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The event over an array of configuration masks."""
         tg = TinyGraph(self.edges)
         if self.kind == "connect":
             src, tgt = self.sources, self.targets
-            return lambda mask: tg.connected(mask, src, tgt)
+            return lambda masks: tg.connects(masks, src, tgt)
         if self.kind == "cluster_ge":
             root, k = self.sources[0], self.size
-            return lambda mask: len(tg.component_of(mask, root)) >= k
+            return lambda masks: popcount64(tg.reach(masks, [root])) >= k
         raise ValueError(f"unknown event kind {self.kind!r}")
 
     def exact(self) -> Fraction:
-        return enumerate_exact(self.edges, self.p, self.query())
+        table = exact_event_table(len(self.edges), self.query())
+        return enumerate_exact(self.edges, self.p, table)
 
 
 def _path_edges(n: int, axis: int = 0, d: int = 2) -> Tuple[Edge, ...]:
@@ -257,7 +260,7 @@ def run_oracle_battery(
     cells: List[OracleCell] = []
     for og in graphs:
         table = exact_event_table(len(og.edges), og.query())
-        exact = float(enumerate_exact(og.edges, og.p, lambda m: table[m]))
+        exact = float(enumerate_exact(og.edges, og.p, table))
         sigma = (exact * (1.0 - exact) / n_samples) ** 0.5
         if sigma == 0.0:
             raise ValueError(f"degenerate battery event in {og.name}")

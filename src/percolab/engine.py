@@ -38,8 +38,12 @@ not decided here: cluster records take their boundary sites from
 :func:`percolab.lattice.boundary_membership`, and spanning-cluster detection
 starts from :func:`percolab.lattice.region_boundaries`.
 
-``enumerate_exact`` is the oracle twin: exhaustive rational-arithmetic
-enumeration over explicit graphs of at most 24 edges.
+The oracle twin is the exact tier over explicit graphs of at most 24 edges.
+A vectorised query (built on :meth:`TinyGraph.reach`, which sweeps the open
+edges of every configuration at once) fills an event table over all ``2^m``
+configuration masks in :func:`exact_event_table`, and ``enumerate_exact``
+reads that table into an exact rational: the true masks are counted per
+number of open edges and weighted in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -463,6 +467,20 @@ def spanning_clusters(
 # ---------------------------------------------------------------------------
 
 MAX_EXACT_EDGES = 24
+_TABLE_CHUNK = 1 << 16  # masks per query call in exact_event_table
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _check_exact_size(n_edges: int) -> None:
+    if n_edges > MAX_EXACT_EDGES:
+        raise ValueError(f"{n_edges} edges exceeds exact-enumeration cap {MAX_EXACT_EDGES}")
+
+
+def popcount64(bits: np.ndarray) -> np.ndarray:
+    """Number of set bits of every entry of a ``uint64`` array."""
+    flat = np.ascontiguousarray(bits, dtype=np.uint64).reshape(-1)
+    counts = _BYTE_POPCOUNT[flat.view(np.uint8)].reshape(-1, 8).sum(axis=1)
+    return counts.reshape(np.shape(bits))
 
 
 class TinyGraph:
@@ -474,8 +492,7 @@ class TinyGraph:
 
     def __init__(self, edges: Iterable[Tuple]):
         edges = list(edges)
-        if len(edges) > MAX_EXACT_EDGES:
-            raise ValueError(f"{len(edges)} edges exceeds exact-enumeration cap {MAX_EXACT_EDGES}")
+        _check_exact_size(len(edges))
         canon = []
         seen = set()
         for a, b in edges:
@@ -566,46 +583,92 @@ class TinyGraph:
                 return True
         return False
 
+    def _bits(self, vertices: Iterable) -> int:
+        """Bitset of the ``vertices`` that belong to the graph."""
+        return sum(1 << self._vidx[v] for v in set(vertices) if v in self._vidx)
+
+    def reach(self, masks: np.ndarray, sources: Iterable,
+              allowed: Optional[Iterable] = None) -> np.ndarray:
+        """What ``sources`` reach in every configuration of ``masks``, at once.
+
+        Returns one ``uint64`` vertex bitset per mask: bit ``i`` is set iff
+        ``self.vertices[i]`` is joined to a source by edges open in the mask
+        with both ends in ``allowed``.  Sources outside ``allowed`` or the
+        graph reach nothing.  The edges are swept until no bitset changes; an
+        open edge with one end reached sets both end bits.  At most 24 edges
+        make at most 48 vertices, so one word holds a bitset.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        inside = self._bits(self.vertices if allowed is None else allowed)
+        reached = np.full(masks.shape, self._bits(sources) & inside, dtype=np.uint64)
+        sweep = []
+        for j, (ia, ib) in enumerate(self._eidx):
+            ends = (1 << ia) | (1 << ib)
+            if ends & inside == ends:
+                sweep.append((((masks >> j) & 1).astype(bool), np.uint64(ends)))
+        while True:
+            before = reached.copy()
+            for is_open, ends in sweep:
+                hit = (reached & ends) != 0
+                hit &= is_open
+                np.bitwise_or(reached, ends, out=reached, where=hit)
+            if np.array_equal(reached, before):
+                return reached
+
+    def connects(self, masks: np.ndarray, sources: Iterable, targets: Iterable,
+                 allowed: Optional[Iterable] = None) -> np.ndarray:
+        """:meth:`connected` in every configuration of ``masks``, at once."""
+        src, tgt = set(sources), set(targets)
+        if src & tgt and (allowed is None or src & tgt & set(allowed)):
+            return np.ones(np.shape(masks), dtype=bool)
+        return (self.reach(masks, src, allowed) & np.uint64(self._bits(tgt))) != 0
+
 
 def enumerate_exact(
     edges: Sequence[Tuple],
     p: Union[float, Fraction, str],
-    query: Callable[[int], bool],
+    table: np.ndarray,
 ) -> Fraction:
-    """Exact probability of ``query`` under i.i.d. Bernoulli(p) edge states.
+    """Exact probability of an event under i.i.d. Bernoulli(p) edge states.
 
-    ``query`` receives the configuration bitmask.  The sum
-    ``sum_masks p^{#open} (1-p)^{#closed} 1{query}`` is accumulated as an
-    integer numerator over the common denominator ``den(p)^m``, so the result
-    is an exact rational for rational ``p`` (floats are taken at their exact
-    binary value).
+    ``table`` is the event's indicator over all ``2^m`` configuration masks
+    of ``edges`` (see :func:`exact_event_table`).  The sum
+    ``sum_masks p^{#open} (1-p)^{#closed} 1{event}`` is accumulated as an
+    integer numerator over the common denominator ``den(p)^m``: the true
+    masks are counted per popcount and each count is weighted by
+    ``a^k c^(m-k)`` in Python integers, so the result is an exact rational
+    for rational ``p`` (floats are taken at their exact binary value).
     """
-    g_edges = list(edges)
-    m = len(g_edges)
-    if m > MAX_EXACT_EDGES:
-        raise ValueError(f"{m} edges exceeds exact-enumeration cap {MAX_EXACT_EDGES}")
+    m = len(edges)
+    _check_exact_size(m)
+    table = np.asarray(table)
+    if table.shape != (1 << m,):
+        raise ValueError(f"event table of shape {table.shape} for {m} edges; expected ({1 << m},)")
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise ValueError("p outside [0, 1]")
     a, b = pf.numerator, pf.denominator
     c = b - a  # numerator of 1-p over the same denominator
-    # popcount-indexed weights: a^k * c^(m-k)
-    wts = [a**k * c ** (m - k) for k in range(m + 1)]
-    num = 0
-    for mask in range(1 << m):
-        if query(mask):
-            num += wts[bin(mask).count("1")]
+    popcounts = np.zeros(1, dtype=np.uint8)
+    for _ in range(m):  # masks [2^j, 2^(j+1)) add bit j to masks [0, 2^j)
+        popcounts = np.concatenate([popcounts, popcounts + 1])
+    counts = np.bincount(popcounts[table != 0], minlength=m + 1)
+    num = sum(int(n) * a**k * c ** (m - k) for k, n in enumerate(counts) if n)
     return Fraction(num, b**m)
 
 
-def exact_event_table(n_edges: int, query: Callable[[int], bool]) -> np.ndarray:
-    """Indicator of ``query`` over all ``2^m`` masks (for vectorised lookups)."""
-    if n_edges > MAX_EXACT_EDGES:
-        raise ValueError("too many edges")
-    out = np.zeros(1 << n_edges, dtype=np.uint8)
-    for mask in range(1 << n_edges):
-        if query(mask):
-            out[mask] = 1
+def exact_event_table(n_edges: int, query: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Indicator of ``query`` over all ``2^m`` configuration masks.
+
+    ``query`` maps an ``int64`` array of masks to booleans; it is called on
+    chunks of at most ``2^16`` masks, so that ``m = 24`` fits in memory.
+    """
+    _check_exact_size(n_edges)
+    total = 1 << n_edges
+    out = np.empty(total, dtype=np.uint8)
+    for lo in range(0, total, _TABLE_CHUNK):
+        masks = np.arange(lo, min(lo + _TABLE_CHUNK, total), dtype=np.int64)
+        out[lo:lo + len(masks)] = query(masks)
     return out
 
 

@@ -552,27 +552,23 @@ def nofurther_check(
         elif fe in e_a0 and (e[0] in c.vertices or e[1] in c.vertices):
             closure_bits |= 1 << i
 
-    def conditioning(mask: int) -> bool:
-        return (mask & c_edge_bits) == c_edge_bits and (mask & closure_bits) == 0
-
-    def joint(mask: int) -> bool:
-        return conditioning(mask) and tg.connected(mask, c.vertices, b_set)
-
+    masks = np.arange(1 << len(a1_edges), dtype=np.int64)
+    conditioning = ((masks & c_edge_bits) == c_edge_bits) & ((masks & closure_bits) == 0)
     p_cond = enumerate_exact(a1_edges, p, conditioning)
     if p_cond == 0:
         raise ValueError("conditioning event has probability zero")
+    joint = conditioning & tg.connects(masks, c.vertices, b_set)
     lhs = enumerate_exact(a1_edges, p, joint) / p_cond
 
     rest_edges = [
         e for e in a1_edges if e[0] not in c.vertices and e[1] not in c.vertices
     ]
     tg_rest = TinyGraph(rest_edges)
+    rest_masks = np.arange(1 << len(rest_edges), dtype=np.int64)
     rhs = Fraction(0)
     for w in boundary:
         if w in b_set:
             rhs += 1
             continue
-        rhs += enumerate_exact(
-            rest_edges, p, lambda m: tg_rest.connected(m, {w}, b_set)
-        )
+        rhs += enumerate_exact(rest_edges, p, tg_rest.connects(rest_masks, {w}, b_set))
     return lhs, rhs, lhs <= rhs

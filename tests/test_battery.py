@@ -20,7 +20,7 @@ from percolab.battery import (
     run_oracle_battery,
     y_geometries,
 )
-from percolab.engine import enumerate_exact, exact_event_table
+from percolab.engine import TinyGraph, enumerate_exact, exact_event_table
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +61,31 @@ def test_scorecard_reads_exact_values_off_the_event_table():
     exact = {g.name: g.exact() for g in graphs}
     for g in graphs:
         table = exact_event_table(len(g.edges), g.query())
-        assert enumerate_exact(g.edges, g.p, lambda m: table[m]) == exact[g.name], g.name
+        assert enumerate_exact(g.edges, g.p, table) == exact[g.name], g.name
     rep = run_oracle_battery(n_samples=50, n_groups=1, seed=9, graphs=graphs)
     assert {c.graph: c.exact for c in rep.cells} \
         == {name: float(v) for name, v in exact.items()}
+
+
+def _scalar_query(g):
+    """The event of an oracle graph, one mask at a time."""
+    tg = TinyGraph(g.edges)
+    if g.kind == "connect":
+        return lambda mask: tg.connected(mask, g.sources, g.targets)
+    return lambda mask: len(tg.component_of(mask, g.sources[0])) >= g.size
+
+
+def test_battery_fractions_equal_the_per_mask_python_sum():
+    for g in oracle_battery():
+        m, q = len(g.edges), _scalar_query(g)
+        weights = [g.p ** k * (1 - g.p) ** (m - k) for k in range(m + 1)]
+        reference = Fraction(0)
+        for mask in range(1 << m):
+            if q(mask):
+                reference += weights[bin(mask).count("1")]
+        table = exact_event_table(m, g.query())
+        assert table.tolist() == [int(q(mask)) for mask in range(1 << m)], g.name
+        assert g.exact() == reference, g.name
 
 
 def test_oracle_scorecard_on_subset():

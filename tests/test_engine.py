@@ -7,6 +7,7 @@ determinism break and must fail here.
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from percolab.engine import (
     keyed_edge_state,
     mix64,
     open_threshold,
+    popcount64,
     raw_edge_state,
     sample_key,
     sample_masks,
@@ -246,27 +248,32 @@ def test_tiny_graph_components_and_connectivity():
     assert not tg.connected(0b111, {"a"}, {"e"})
 
 
+def _table(n_edges, q):
+    """The event table of a per-mask scalar query."""
+    return exact_event_table(n_edges, lambda ms: np.array([q(int(x)) for x in ms]))
+
+
 def test_enumerate_exact_hand_values():
     p = Fraction(2, 5)
     tg1 = TinyGraph([("a", "b")])
     assert enumerate_exact([("a", "b")], p,
-                           lambda m: tg1.connected(m, {"a"}, {"b"})) == p
+                           _table(1, lambda m: tg1.connected(m, {"a"}, {"b"}))) == p
 
     series = [("a", "m"), ("m", "b")]
     tg2 = TinyGraph(series)
     assert enumerate_exact(series, p,
-                           lambda m: tg2.connected(m, {"a"}, {"b"})) == p * p
+                           _table(2, lambda m: tg2.connected(m, {"a"}, {"b"}))) == p * p
 
     # two vertex-disjoint 2-step routes: 1 - (1 - p^2)^2
     par = [("a", "u"), ("u", "b"), ("a", "v"), ("v", "b")]
     tgp = TinyGraph(par)
-    assert enumerate_exact(par, p, lambda m: tgp.connected(m, {"a"}, {"b"})) \
+    assert enumerate_exact(par, p, _table(4, lambda m: tgp.connected(m, {"a"}, {"b"}))) \
         == 1 - (1 - p * p) ** 2
 
     # direct edge in parallel with a 2-step route: p + p^2 - p^3
     mix = [("a", "b"), ("a", "w"), ("w", "b")]
     tgm = TinyGraph(mix)
-    assert enumerate_exact(mix, p, lambda m: tgm.connected(m, {"a"}, {"b"})) \
+    assert enumerate_exact(mix, p, _table(3, lambda m: tgm.connected(m, {"a"}, {"b"}))) \
         == p + p * p - p ** 3
 
 
@@ -274,27 +281,109 @@ def test_enumerate_exact_hand_values():
 def test_enumerate_exact_total_mass(n_edges, pden):
     edges = [(i, i + 1) for i in range(n_edges)]
     p = Fraction(1, pden + 1)
-    assert enumerate_exact(edges, p, lambda m: True) == 1
+    assert enumerate_exact(edges, p, _table(n_edges, lambda m: True)) == 1
     tg = TinyGraph(edges)
     ev = lambda m: tg.connected(m, {0}, {n_edges})
-    assert (enumerate_exact(edges, p, ev)
-            + enumerate_exact(edges, p, lambda m: not ev(m))) == 1
+    assert (enumerate_exact(edges, p, _table(n_edges, ev))
+            + enumerate_exact(edges, p, _table(n_edges, lambda m: not ev(m)))) == 1
 
 
 def test_enumerate_exact_rejects_large_instances():
     edges = [(i, i + 1) for i in range(MAX_EXACT_EDGES + 1)]
-    with pytest.raises(ValueError):
-        enumerate_exact(edges, Fraction(1, 2), lambda m: True)
+    # one size check, with one message, guards the whole exact tier
+    message = f"{MAX_EXACT_EDGES + 1} edges exceeds exact-enumeration cap {MAX_EXACT_EDGES}"
+    for build in (lambda: TinyGraph(edges),
+                  lambda: enumerate_exact(edges, Fraction(1, 2), np.ones(1, dtype=np.uint8)),
+                  lambda: exact_event_table(len(edges), lambda ms: ms >= 0)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("length", [0, 4, 7, 9, 16])
+def test_enumerate_exact_rejects_a_table_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="event table"):
+        enumerate_exact([(0, 1), (1, 2), (2, 3)], Fraction(1, 2),
+                        np.ones(length, dtype=np.uint8))
 
 
 def test_exact_event_table_matches_query():
     edges = [("a", "b"), ("b", "c"), ("a", "c")]
     tg = TinyGraph(edges)
     q = lambda m: tg.connected(m, {"a"}, {"c"})
-    table = exact_event_table(len(edges), q)
+    table = _table(len(edges), q)
     assert len(table) == 8
     for mask in range(8):
         assert bool(table[mask]) == q(mask)
+
+
+@st.composite
+def _tiny_instances(draw):
+    """A random graph of at most 12 edges on integer vertices, with sources,
+    targets and an allowed set that may name vertices outside the graph."""
+    n = draw(st.integers(2, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    labels = st.integers(0, n + 1)  # n and n + 1 are never vertices
+    sources = draw(st.sets(labels, max_size=3))
+    targets = draw(st.sets(labels, max_size=3) | st.just(sources))
+    allowed = draw(st.none() | st.sets(labels))
+    return edges, sources, targets, allowed
+
+
+def _decode(tg, bits):
+    return {v for i, v in enumerate(tg.vertices) if int(bits) >> i & 1}
+
+
+@given(_tiny_instances())
+def test_vectorised_tables_match_the_per_mask_path(inst):
+    edges, sources, targets, allowed = inst
+    tg = TinyGraph(edges)
+    n_masks = 1 << len(edges)
+    table = exact_event_table(len(edges), lambda ms: tg.connects(ms, sources, targets, allowed))
+    assert table.tolist() \
+        == [int(tg.connected(mask, sources, targets, allowed)) for mask in range(n_masks)]
+
+    inside = set(tg.vertices) if allowed is None else set(tg.vertices) & allowed
+    reach = tg.reach(np.arange(n_masks), sources, allowed)
+    sizes = popcount64(reach)
+    for mask in range(n_masks):
+        comps = [tg.component_of(mask, s, allowed) for s in sources if s in inside]
+        expected = set().union(*comps)
+        assert _decode(tg, reach[mask]) == expected
+        assert sizes[mask] == len(expected)
+
+
+def test_reach_past_32_vertices_on_a_disconnected_graph():
+    # twelve disjoint 2-edge paths: 36 vertices, vertex v has bit v
+    edges = [(v, v + 1) for i in range(12) for v in (3 * i, 3 * i + 1)]
+    tg = TinyGraph(edges)
+    assert tg.vertices == list(range(36))
+    masks = np.random.default_rng(5).integers(0, 1 << len(edges), size=400)
+    sources, targets = {1, 33, 34}, {2, 35, 40}
+    allowed = set(range(36)) - {31}
+    for al in (None, allowed):
+        reach = tg.reach(masks, sources, al)
+        hits = tg.connects(masks, sources, targets, al)
+        for k, mask in enumerate(masks.tolist()):
+            expected = set().union(*(tg.component_of(mask, s, al) for s in sources))
+            assert _decode(tg, reach[k]) == expected
+            assert hits[k] == tg.connected(mask, sources, targets, al)
+    assert popcount64(np.uint64(1 << 35 | 1 << 63)) == 2
+
+
+@pytest.mark.parametrize("m", [17, 18])
+def test_exact_tables_over_several_chunks_match_closed_forms(m):
+    p = Fraction(2, 5)
+    # listed from the far end, so each sweep of the edges moves one step
+    path = TinyGraph([(i, i + 1) for i in reversed(range(m))])
+    table = exact_event_table(m, lambda ms: path.connects(ms, [0], [m]))
+    assert enumerate_exact(path.edges, p, table) == p ** m
+    # the hub's cluster holds >= k + 1 vertices iff >= k spokes are open
+    star = TinyGraph([(0, i) for i in range(1, m + 1)])
+    k = m // 3
+    table = exact_event_table(m, lambda ms: popcount64(star.reach(ms, [0])) >= k + 1)
+    assert enumerate_exact(star.edges, p, table) \
+        == sum(comb(m, j) * p ** j * (1 - p) ** (m - j) for j in range(k, m + 1))
 
 
 def test_sample_masks_bits_match_edge_states():

@@ -6,11 +6,14 @@ same seed, same sample budget, same bisection path, same float.
 """
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from percolab.engine import PercolationConfig
+from percolab.battery import random_nofurther_instance
+from percolab.engine import PercolationConfig, TinyGraph
 from percolab.estimators import (
     Estimate,
     SubgraphSpec,
@@ -166,6 +169,20 @@ def test_nofurther_conditioning_pins_cluster():
     # the w-b edge counts
     assert rhs == p
     assert holds
+
+
+def test_nofurther_check_matches_the_per_mask_path(monkeypatch):
+    rng = random.Random(11)
+    instances = [random_nofurther_instance(rng) for _ in range(150)]
+
+    def run():
+        return [nofurther_check(a0, a1, c, b, p, a0_vertices=v0)
+                for a0, a1, c, b, p, v0 in instances]
+
+    vectorised = run()
+    monkeypatch.setattr(TinyGraph, "connects", lambda self, masks, s, t, allowed=None: np.array(
+        [self.connected(int(m), s, t, allowed) for m in masks], dtype=bool))
+    assert vectorised == run()
 
 
 def test_nofurther_validation_errors():
