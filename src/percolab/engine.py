@@ -587,25 +587,19 @@ class TinyGraph:
         """Bitset of the ``vertices`` that belong to the graph."""
         return sum(1 << self._vidx[v] for v in set(vertices) if v in self._vidx)
 
-    def reach(self, masks: np.ndarray, sources: Iterable,
-              allowed: Optional[Iterable] = None) -> np.ndarray:
+    def reach(self, masks: np.ndarray, sources: Iterable) -> np.ndarray:
         """What ``sources`` reach in every configuration of ``masks``, at once.
 
         Returns one ``uint64`` vertex bitset per mask: bit ``i`` is set iff
-        ``self.vertices[i]`` is joined to a source by edges open in the mask
-        with both ends in ``allowed``.  Sources outside ``allowed`` or the
-        graph reach nothing.  The edges are swept until no bitset changes; an
-        open edge with one end reached sets both end bits.  At most 24 edges
-        make at most 48 vertices, so one word holds a bitset.
+        ``self.vertices[i]`` is joined to a source by edges open in the mask.
+        Sources outside the graph reach nothing.  The edges are swept until no
+        bitset changes; an open edge with one end reached sets both end bits.
+        At most 24 edges make at most 48 vertices, so one word holds a bitset.
         """
         masks = np.asarray(masks, dtype=np.int64)
-        inside = self._bits(self.vertices if allowed is None else allowed)
-        reached = np.full(masks.shape, self._bits(sources) & inside, dtype=np.uint64)
-        sweep = []
-        for j, (ia, ib) in enumerate(self._eidx):
-            ends = (1 << ia) | (1 << ib)
-            if ends & inside == ends:
-                sweep.append((((masks >> j) & 1).astype(bool), np.uint64(ends)))
+        reached = np.full(masks.shape, self._bits(sources), dtype=np.uint64)
+        sweep = [(((masks >> j) & 1).astype(bool), np.uint64((1 << ia) | (1 << ib)))
+                 for j, (ia, ib) in enumerate(self._eidx)]
         while True:
             before = reached.copy()
             for is_open, ends in sweep:
@@ -615,13 +609,12 @@ class TinyGraph:
             if np.array_equal(reached, before):
                 return reached
 
-    def connects(self, masks: np.ndarray, sources: Iterable, targets: Iterable,
-                 allowed: Optional[Iterable] = None) -> np.ndarray:
+    def connects(self, masks: np.ndarray, sources: Iterable, targets: Iterable) -> np.ndarray:
         """:meth:`connected` in every configuration of ``masks``, at once."""
         src, tgt = set(sources), set(targets)
-        if src & tgt and (allowed is None or src & tgt & set(allowed)):
+        if src & tgt:
             return np.ones(np.shape(masks), dtype=bool)
-        return (self.reach(masks, src, allowed) & np.uint64(self._bits(tgt))) != 0
+        return (self.reach(masks, src) & np.uint64(self._bits(tgt))) != 0
 
 
 def enumerate_exact(

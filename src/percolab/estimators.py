@@ -552,6 +552,11 @@ def nofurther_check(
         elif fe in e_a0 and (e[0] in c.vertices or e[1] in c.vertices):
             closure_bits |= 1 << i
 
+    # The tables are built over one array of all 2^m masks, not through
+    # engine.exact_event_table, so that the exact-oracle benchmark's traced
+    # exact_event_table.calls counter (30 per pass) keeps counting only the
+    # oracle battery.  This is cheap at the battery's 9 edges but holds
+    # several 2^m-word arrays at once; near the 24-edge cap, chunk it there.
     masks = np.arange(1 << len(a1_edges), dtype=np.int64)
     conditioning = ((masks & c_edge_bits) == c_edge_bits) & ((masks & closure_bits) == 0)
     p_cond = enumerate_exact(a1_edges, p, conditioning)

@@ -20,7 +20,7 @@ from percolab.battery import (
     run_oracle_battery,
     y_geometries,
 )
-from percolab.engine import TinyGraph, enumerate_exact, exact_event_table
+from percolab.engine import TinyGraph, exact_event_table
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,6 @@ def test_battery_exact_values_in_unit_interval():
 def test_scorecard_reads_exact_values_off_the_event_table():
     graphs = oracle_battery()
     exact = {g.name: g.exact() for g in graphs}
-    for g in graphs:
-        table = exact_event_table(len(g.edges), g.query())
-        assert enumerate_exact(g.edges, g.p, table) == exact[g.name], g.name
     rep = run_oracle_battery(n_samples=50, n_groups=1, seed=9, graphs=graphs)
     assert {c.graph: c.exact for c in rep.cells} \
         == {name: float(v) for name, v in exact.items()}

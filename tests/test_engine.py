@@ -318,16 +318,15 @@ def test_exact_event_table_matches_query():
 
 @st.composite
 def _tiny_instances(draw):
-    """A random graph of at most 12 edges on integer vertices, with sources,
-    targets and an allowed set that may name vertices outside the graph."""
+    """A random graph of at most 12 edges on integer vertices, with sources
+    and targets that may name vertices outside the graph."""
     n = draw(st.integers(2, 9))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
     labels = st.integers(0, n + 1)  # n and n + 1 are never vertices
     sources = draw(st.sets(labels, max_size=3))
     targets = draw(st.sets(labels, max_size=3) | st.just(sources))
-    allowed = draw(st.none() | st.sets(labels))
-    return edges, sources, targets, allowed
+    return edges, sources, targets
 
 
 def _decode(tg, bits):
@@ -336,18 +335,17 @@ def _decode(tg, bits):
 
 @given(_tiny_instances())
 def test_vectorised_tables_match_the_per_mask_path(inst):
-    edges, sources, targets, allowed = inst
+    edges, sources, targets = inst
     tg = TinyGraph(edges)
     n_masks = 1 << len(edges)
-    table = exact_event_table(len(edges), lambda ms: tg.connects(ms, sources, targets, allowed))
+    table = exact_event_table(len(edges), lambda ms: tg.connects(ms, sources, targets))
     assert table.tolist() \
-        == [int(tg.connected(mask, sources, targets, allowed)) for mask in range(n_masks)]
+        == [int(tg.connected(mask, sources, targets)) for mask in range(n_masks)]
 
-    inside = set(tg.vertices) if allowed is None else set(tg.vertices) & allowed
-    reach = tg.reach(np.arange(n_masks), sources, allowed)
+    reach = tg.reach(np.arange(n_masks), sources)
     sizes = popcount64(reach)
     for mask in range(n_masks):
-        comps = [tg.component_of(mask, s, allowed) for s in sources if s in inside]
+        comps = [tg.component_of(mask, s) for s in sources if s in tg.vertices]
         expected = set().union(*comps)
         assert _decode(tg, reach[mask]) == expected
         assert sizes[mask] == len(expected)
@@ -360,14 +358,12 @@ def test_reach_past_32_vertices_on_a_disconnected_graph():
     assert tg.vertices == list(range(36))
     masks = np.random.default_rng(5).integers(0, 1 << len(edges), size=400)
     sources, targets = {1, 33, 34}, {2, 35, 40}
-    allowed = set(range(36)) - {31}
-    for al in (None, allowed):
-        reach = tg.reach(masks, sources, al)
-        hits = tg.connects(masks, sources, targets, al)
-        for k, mask in enumerate(masks.tolist()):
-            expected = set().union(*(tg.component_of(mask, s, al) for s in sources))
-            assert _decode(tg, reach[k]) == expected
-            assert hits[k] == tg.connected(mask, sources, targets, al)
+    reach = tg.reach(masks, sources)
+    hits = tg.connects(masks, sources, targets)
+    for k, mask in enumerate(masks.tolist()):
+        expected = set().union(*(tg.component_of(mask, s) for s in sources))
+        assert _decode(tg, reach[k]) == expected
+        assert hits[k] == tg.connected(mask, sources, targets)
     assert popcount64(np.uint64(1 << 35 | 1 << 63)) == 2
 
 
