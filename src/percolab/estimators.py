@@ -22,6 +22,7 @@ from .engine import (
     PercolationConfig,
     TinyGraph,
     enumerate_exact,
+    exact_event_table,
 )
 from .lattice import Site, norm_inf
 from .windowed import Window, build_window, sample_labels
@@ -552,28 +553,26 @@ def nofurther_check(
         elif fe in e_a0 and (e[0] in c.vertices or e[1] in c.vertices):
             closure_bits |= 1 << i
 
-    # The tables are built over one array of all 2^m masks, not through
-    # engine.exact_event_table, so that the exact-oracle benchmark's traced
-    # exact_event_table.calls counter (30 per pass) keeps counting only the
-    # oracle battery.  This is cheap at the battery's 9 edges but holds
-    # several 2^m-word arrays at once; near the 24-edge cap, chunk it there.
-    masks = np.arange(1 << len(a1_edges), dtype=np.int64)
-    conditioning = ((masks & c_edge_bits) == c_edge_bits) & ((masks & closure_bits) == 0)
-    p_cond = enumerate_exact(a1_edges, p, conditioning)
+    def pinned(masks: np.ndarray) -> np.ndarray:
+        return ((masks & c_edge_bits) == c_edge_bits) & ((masks & closure_bits) == 0)
+
+    m = len(a1_edges)
+    p_cond = enumerate_exact(a1_edges, p, exact_event_table(m, pinned))
     if p_cond == 0:
         raise ValueError("conditioning event has probability zero")
-    joint = conditioning & tg.connects(masks, c.vertices, b_set)
+    joint = exact_event_table(m, lambda ms: pinned(ms) & tg.connects(ms, c.vertices, b_set))
     lhs = enumerate_exact(a1_edges, p, joint) / p_cond
 
     rest_edges = [
         e for e in a1_edges if e[0] not in c.vertices and e[1] not in c.vertices
     ]
     tg_rest = TinyGraph(rest_edges)
-    rest_masks = np.arange(1 << len(rest_edges), dtype=np.int64)
     rhs = Fraction(0)
     for w in boundary:
         if w in b_set:
             rhs += 1
             continue
-        rhs += enumerate_exact(rest_edges, p, tg_rest.connects(rest_masks, {w}, b_set))
+        table = exact_event_table(len(rest_edges),
+                                  lambda ms, w=w: tg_rest.connects(ms, {w}, b_set))
+        rhs += enumerate_exact(rest_edges, p, table)
     return lhs, rhs, lhs <= rhs

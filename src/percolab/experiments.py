@@ -24,6 +24,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,9 +35,18 @@ from .clusters import (
     SpanningSetRecord,
     scan_good_spanning,
 )
-from .engine import PercolationConfig, connect_sets, edge_state
+from .engine import PercolationConfig, connect_sets, edge_key, mix64
 from .estimators import Estimate, combine_gap_sigma
-from .lattice import Edge, LatticeSpec, Site, annulus, canonical_edge, norm_inf, region_sites
+from .lattice import (
+    NEAREST_NEIGHBOUR,
+    Edge,
+    LatticeSpec,
+    Site,
+    annulus,
+    canonical_edge,
+    norm_inf,
+    region_sites,
+)
 from .scales import (
     ScaleIndex,
     ScaleParams,
@@ -228,9 +238,33 @@ class CylinderEvent:
             if max(norm_inf(a), norm_inf(b)) > radius:
                 raise ValueError(f"edge {a}-{b} leaves B(2^{self.L})")
 
+    def thresholds(self, cfg: PercolationConfig) -> Tuple[int, int]:
+        """``(t_lo, t_hi)``: the pattern holds in sample ``cfg.sample_id`` at
+        exactly the thresholds ``t`` with ``t_lo < t <= t_hi`` (``cfg.p`` is
+        not read).  An edge is open iff its ``u = mix64(K_e ^ S) < t``, so
+        ``t_lo`` is the largest ``u`` of the required-open edges (-1 if none)
+        and ``t_hi`` the smallest ``u`` of the required-closed ones (2^64 if
+        none)."""
+        t_lo, t_hi = -1, 1 << 64
+        for key, want in _pattern_keys(self.pattern, cfg.spec, cfg.seed):
+            u = mix64(key ^ cfg.sample_key)
+            if want:
+                t_lo = max(t_lo, u)
+            else:
+                t_hi = min(t_hi, u)
+        return t_lo, t_hi
+
     def evaluate(self, cfg: PercolationConfig) -> bool:
-        return all(edge_state(cfg, canonical_edge(cfg.spec, a, b)) == want
-                   for (a, b), want in self.pattern)
+        t_lo, t_hi = self.thresholds(cfg)
+        return t_lo < cfg.threshold <= t_hi
+
+
+@lru_cache(maxsize=64)
+def _pattern_keys(pattern, spec: LatticeSpec, seed: int) -> Tuple[Tuple[int, bool], ...]:
+    """``(edge key, required state)`` of each pattern edge; a pattern edge
+    that is not an edge of ``spec`` raises ``ValueError`` (not cached)."""
+    return tuple((edge_key(seed, canonical_edge(spec, a, b)), want)
+                 for (a, b), want in pattern)
 
 
 def two_east_edges_event(spec: LatticeSpec) -> CylinderEvent:
@@ -899,10 +933,30 @@ def supercritical_sweep(
     The escape event proxies the infinite-cluster conditioning; it is
     decided exactly within the window (the shell blocks every outward
     path).  ``p_list`` must be strictly decreasing (a sweep down toward the
-    critical point).  The open edge sets are nested in p, so one
-    :func:`~percolab.windowed.escape_levels` pass per sample gives the
-    prefix of ``p_list`` at which it escapes; the event is evaluated once
-    per accepted (sample, p), and the counts become each point's
+    critical point).  This is the one-radius case of :func:`_proxy_sweep`.
+    """
+    return _proxy_sweep(cfg_base, event, p_list, (r_proxy,), n_samples,
+                        sample_start)[r_proxy]
+
+
+def _proxy_sweep(
+    cfg_base: PercolationConfig,
+    event: CylinderEvent,
+    p_list: Sequence[float],
+    radii: Sequence[int],
+    n_samples: int,
+    sample_start: int,
+) -> Dict[int, List[SweepPoint]]:
+    """The sweep points of every radius in ``radii``, from one window
+    ``B(max(radii))``.
+
+    The open edge sets are nested in p, so one
+    :func:`~percolab.windowed.escape_levels` pass per sample gives, for each
+    radius, the prefix of ``p_list`` at which the origin reaches that shell
+    inside the window.  That is the escape to shell r within ``B(r)`` only
+    when no step jumps over shell r (nearest-neighbour steps); callers pass
+    several radii only then.  The event's threshold interval is read once
+    per sample, and the counts become each point's
     :func:`_conditioned_fields`.
     """
     if len(p_list) < 1:
@@ -910,22 +964,27 @@ def supercritical_sweep(
     if any(b >= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be strictly decreasing")
     spec = cfg_base.spec
-    win = build_window(spec, cfg_base.seed, r_proxy)
+    win = build_window(spec, cfg_base.seed, max(radii))
     cfgs = [PercolationConfig(spec, p, cfg_base.seed) for p in p_list]
+    ts = [cfg.threshold for cfg in cfgs]
     srange = (sample_start, sample_start + n_samples)
-    accepted = [0] * len(cfgs)
-    hits = [0] * len(cfgs)
-    for sid, k in escape_levels(win, cfgs, range(*srange), win.row_of((0,) * spec.d),
-                                shell_rows(win, r_proxy)):
-        for i in range(k):
-            accepted[i] += 1
-            if event.evaluate(cfgs[i].with_sample(sid)):
-                hits[i] += 1
-    return [
-        SweepPoint(p=p, r_proxy=r_proxy,
-                   **_conditioned_fields(h, a, cfg_base.seed, srange))
-        for p, h, a in zip(p_list, hits, accepted)
-    ]
+    accepted = {r: [0] * len(cfgs) for r in radii}
+    hits = {r: [0] * len(cfgs) for r in radii}
+    shells = [shell_rows(win, r) for r in radii]
+    for sid, ks in escape_levels(win, cfgs, range(*srange), win.row_of((0,) * spec.d),
+                                 shells):
+        t_lo, t_hi = event.thresholds(cfgs[0].with_sample(sid))
+        for r, k in zip(radii, ks):
+            for i in range(k):
+                accepted[r][i] += 1
+                if t_lo < ts[i] <= t_hi:
+                    hits[r][i] += 1
+    return {
+        r: [SweepPoint(p=p, r_proxy=r,
+                       **_conditioned_fields(h, a, cfg_base.seed, srange))
+            for p, h, a in zip(p_list, hits[r], accepted[r])]
+        for r in radii
+    }
 
 
 @dataclass
@@ -967,10 +1026,16 @@ def supercritical_report(
     r_a, r_b = r_pair
     if r_a >= r_b:
         raise ValueError("r_pair must be increasing")
-    sweeps = {
-        r: supercritical_sweep(cfg_base, event, p_list, r, n_samples, sample_start)
-        for r in (r_a, r_b)
-    }
+    # a nearest-neighbour path first meets shell r_a with every earlier site
+    # inside B(r_a - 1), so one B(r_b) tree answers both radii; a
+    # spread-out step can jump over shell r_a, so each radius keeps its window
+    if cfg_base.spec.edge_mode == NEAREST_NEIGHBOUR:
+        sweeps = _proxy_sweep(cfg_base, event, p_list, (r_a, r_b), n_samples, sample_start)
+    else:
+        sweeps = {
+            r: supercritical_sweep(cfg_base, event, p_list, r, n_samples, sample_start)
+            for r in (r_a, r_b)
+        }
     term_a = sweeps[r_a][-1].conditional
     term_b = sweeps[r_b][-1].conditional
     sensitivity = abs(term_a.value - term_b.value)

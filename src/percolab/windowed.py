@@ -17,7 +17,9 @@ of their second rows (its ``indices``) and one connected-components call; no
 COO conversion or canonicalisation runs per sample.
 :func:`sample_labels` owns that per-sample loop for every caller.
 :func:`escape_levels` answers a whole decreasing grid of p per sample from
-one minimum spanning tree, since the open edge sets are nested in p.
+one minimum spanning tree, since the open edge sets are nested in p, and
+reads every target set (say, the shells of several nested radii) off that
+one tree.
 """
 
 from __future__ import annotations
@@ -217,10 +219,11 @@ def escape_levels(
     cfgs: Sequence[PercolationConfig],
     sample_ids: Iterable[int],
     origin_row: int,
-    target_rows: np.ndarray,
-) -> Iterator[Tuple[int, int]]:
-    """``(sample_id, k)`` for each sample id, in order: the origin reaches a
-    target row under exactly the first ``k`` of ``cfgs``.
+    target_sets: Sequence[np.ndarray],
+) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """``(sample_id, ks)`` for each sample id, in order: ``ks`` holds one
+    ``k`` per array of rows in ``target_sets``, and the origin reaches a row
+    of that array under exactly the first ``k`` of ``cfgs``.
 
     ``cfgs`` must have non-increasing thresholds, so the open edge sets are
     nested and the configs under which the origin connects form a prefix.
@@ -229,7 +232,8 @@ def escape_levels(
     origin reaches a target under config ``i`` iff some path avoids every
     weight above ``K - i``; a minimum spanning tree holds a path minimising
     the largest weight to every node, so one tree per sample answers every
-    config (Newman & Ziff's one sweep over all occupation levels).
+    config (Newman & Ziff's one sweep over all occupation levels), and every
+    target set: each reads its ``k`` off the same tree.
     """
     n_k = len(cfgs)
     if any(b.threshold > a.threshold for a, b in zip(cfgs, cfgs[1:])):
@@ -258,7 +262,8 @@ def escape_levels(
             parent = grand
         up[parent != origin_row] = np.inf
         # an origin that is itself a target connects under every config
-        yield sid, int(np.clip(n_k + 1 - up[target_rows].min(initial=np.inf), 0, n_k))
+        yield sid, tuple(int(np.clip(n_k + 1 - up[rows].min(initial=np.inf), 0, n_k))
+                         for rows in target_sets)
 
 
 def connection_indicator(

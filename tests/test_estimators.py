@@ -171,6 +171,23 @@ def test_nofurther_conditioning_pins_cluster():
     assert holds
 
 
+def test_nofurther_check_past_one_table_chunk():
+    # an 18-edge instance: the conditioning and joint tables span four
+    # 2^16-mask chunks.  A1 is the 3x4 grid plus the diagonal (0,0)-(1,1);
+    # C = {(0,0)}, A0 adds (0,1), so the conditioning closes (0,0)-(0,1).
+    # Values recorded with the tables built over one array of all masks.
+    grid = ([((r, c), (r, c + 1)) for r in range(3) for c in range(3)]
+            + [((r, c), (r + 1, c)) for r in range(2) for c in range(4)])
+    a1 = grid + [((0, 0), (1, 1))]
+    assert len(a1) == 18
+    lhs, rhs, holds = nofurther_check([((0, 0), (0, 1))], a1,
+                                      SubgraphSpec(vertices=frozenset({(0, 0)})),
+                                      {(2, 3)}, Fraction(2, 5))
+    assert lhs == Fraction(80580973232, 762939453125)
+    assert rhs == Fraction(9226301272, 30517578125)
+    assert holds
+
+
 def test_nofurther_check_matches_the_per_mask_path(monkeypatch):
     rng = random.Random(11)
     instances = [random_nofurther_instance(rng) for _ in range(150)]

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from percolab import experiments, windowed
-from percolab.engine import PercolationConfig
+from percolab.engine import PercolationConfig, edge_state
 from percolab.estimators import Estimate
 from percolab.experiments import (
     Conditioning,
@@ -35,7 +36,7 @@ from percolab.experiments import (
     two_east_edges_event,
 )
 from percolab.clusters import GoodSpanningParams, RegularityParams
-from percolab.lattice import LatticeSpec, norm_inf
+from percolab.lattice import LatticeSpec, canonical_edge, norm_inf
 from percolab.scales import toy_params
 from percolab.windowed import build_window, component_labels
 
@@ -112,6 +113,43 @@ def test_two_east_event_support():
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=0)
     assert ev.evaluate(cfg)
     assert not ev.evaluate(PercolationConfig(spec=SPEC2, p=0.0, seed=0))
+
+
+def _mixed_event(spec):
+    """East edges of the origin open, (1,0..)-(2,0..) closed and an edge off
+    the first axis open: required-open and required-closed edges at once."""
+    z = (0,) * (spec.d - 1)
+    up = (0, 1) + (0,) * (spec.d - 2)
+    return CylinderEvent("mixed", 1, ((((0,) + z, (1,) + z), True),
+                                      (((2,) + z, (1,) + z), False),
+                                      (((0,) + z, up), True)))
+
+
+_EVENT_SPECS = [SPEC2, LatticeSpec(d=3), LatticeSpec(d=2, edge_mode="spread_out", lam=2)]
+
+
+@given(st.sampled_from(_EVENT_SPECS), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**64 - 1),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       st.lists(st.booleans(), min_size=3, max_size=3))
+def test_event_thresholds_match_per_edge_states(spec, seed, sid, p, wants):
+    # the interval rule against the per-edge reference, with the required
+    # states redrawn so every mix of open and closed edges occurs
+    pattern = tuple((e, w) for (e, _), w in zip(_mixed_event(spec).pattern, wants))
+    ev = CylinderEvent("drawn", 1, pattern)
+    cfg = PercolationConfig(spec, p, seed, sid)
+    want = all(edge_state(cfg, canonical_edge(spec, a, b)) == w for (a, b), w in pattern)
+    t_lo, t_hi = ev.thresholds(cfg)
+    assert ev.evaluate(cfg) == want == (t_lo < cfg.threshold <= t_hi)
+    assert (t_lo == -1) == (True not in wants) and (t_hi == 2**64) == (False not in wants)
+
+
+def test_event_evaluate_refuses_a_non_edge():
+    cfg = PercolationConfig(SPEC2, 0.5, 1, 3)
+    for pattern in ((((0, 0), (1, 1)), True), (((0, 0), (0, 0)), False)):
+        with pytest.raises(ValueError, match="not an edge"):
+            CylinderEvent("bad", 1, (pattern,)).evaluate(cfg)
+    assert sure_event().thresholds(cfg) == (-1, 2**64)
 
 
 def test_cylinder_event_rejects_support_outside_ball():
@@ -429,6 +467,63 @@ def test_supercritical_sweep_frozen_rows(p_list, r_proxy, sample_start, rows):
     pts = supercritical_sweep(cfg, two_east_edges_event(SPEC2), p_list, r_proxy,
                               n_samples=300, sample_start=sample_start)
     assert [pt.row() for pt in pts] == rows
+
+
+# supercritical_report at the CLI grid, recorded with one window per radius
+_REPORT_CLI_ROWS = {
+    16: _SWEEP_CLI_ROWS,
+    32: [
+        (0.55, 32, 0.31679389312977096, 0.028741777609839817, 0.8733333333333333, 262, 0),
+        (0.52, 32, 0.3, 0.02958039891549808, 0.8, 240, 0),
+        (0.51, 32, 0.2922374429223744, 0.030731917865504, 0.73, 219, 0),
+    ],
+}
+
+
+def test_supercritical_report_frozen_rows():
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    rep = supercritical_report(cfg, two_east_edges_event(SPEC2), [0.55, 0.52, 0.51],
+                               (16, 32), n_samples=300)
+    assert {r: [pt.row() for pt in pts] for r, pts in rep.sweeps.items()} == _REPORT_CLI_ROWS
+    assert list(rep.sweeps) == [16, 32]
+    assert rep.sensitivity == 0.0033485540334855513
+
+
+# (spec, largest r_b, p values around its critical point, plus 1 and 0)
+_SWEEP_SPECS = [
+    (SPEC2, 8, [1.0, 0.6, 0.55, 0.5, 0.45, 0.4, 0.0]),
+    (LatticeSpec(d=3), 4, [1.0, 0.35, 0.3, 0.25, 0.2, 0.15, 0.0]),
+    (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 6,
+     [1.0, 0.12, 0.09, 0.07, 0.05, 0.03, 0.0]),
+]
+
+
+@given(st.sampled_from(_SWEEP_SPECS), st.integers(0, 2**32 - 1), st.data())
+def test_supercritical_report_equals_per_radius_sweeps(case, seed, data):
+    # one B(r_b) tree for both radii on nearest-neighbour lattices, one
+    # window per radius on spread-out ones; the rows are the same either way
+    spec, r_max, pool = case
+    grid = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    r_b = data.draw(st.integers(1, r_max))
+    r_a = data.draw(st.sampled_from(sorted({0, r_b - 1, r_b // 2})))
+    start = data.draw(st.integers(0, 2**40))
+    cfg = PercolationConfig(spec, 0.5, seed)
+    ev, p_list = _mixed_event(spec), sorted(grid, reverse=True)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return build_window(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "build_window", counting)
+        rep = supercritical_report(cfg, ev, p_list, (r_a, r_b), 10, sample_start=start)
+    shared = spec.edge_mode == "nearest_neighbour"
+    assert built == ([r_b] if shared else [r_a, r_b])
+    assert list(rep.sweeps) == [r_a, r_b]
+    for r in (r_a, r_b):
+        alone = supercritical_sweep(cfg, ev, p_list, r, 10, sample_start=start)
+        assert repr([pt.row() for pt in rep.sweeps[r]]) == repr([pt.row() for pt in alone])
 
 
 def test_supercritical_sweep_labels_no_window(monkeypatch):

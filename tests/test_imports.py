@@ -28,6 +28,7 @@ TEST_ONLY = {
     "spanning_cluster_sets": "reference oracle for the lazy spanning-cluster scan",
     "component_rows": "reference oracle for one component of a window labelling",
     "edges_within": "reference oracle for the edge set of a region",
+    "edge_state": "reference oracle: the validated scalar edge bit (perfbench spans it by name)",
     "y_set": "holds the frozen attachment-pair histogram {0: 371, 1: 12}",
     "convolution_sweep": "the convolution bound over a sweep of separations",
     "obstacle_family": "sibling of the family constructors the scripts use",

@@ -209,21 +209,30 @@ _P_POOL = [1.0, 0.62, 0.5, 0.375, 1 / 3, 0.3, 0.2, 0.1, 0.05, 0.0]
 _GRID8 = [1.0, 0.62, 0.375, 1 / 3, 0.25, 0.1, 0.05, 0.0]
 
 
-def _reference_levels(win, cfgs, sids, origin_row, target_rows):
-    """Label the window once per p and count the configs that connect."""
+def _reference_levels(win, cfgs, sids, origin_row, target_sets):
+    """Label the window once per p and count, for each target set, the
+    configs that connect."""
     out = []
     for sid in sids:
-        hits = [connection_indicator(labels, origin_row, target_rows)
-                for cfg in cfgs for _, labels in sample_labels(win, cfg, [sid])]
-        k = hits.count(True)
-        assert hits == [True] * k + [False] * (len(cfgs) - k)  # nested in p
-        out.append((sid, k))
+        labels = [lab for cfg in cfgs for _, lab in sample_labels(win, cfg, [sid])]
+        ks = []
+        for rows in target_sets:
+            hits = [connection_indicator(lab, origin_row, rows) for lab in labels]
+            k = hits.count(True)
+            assert hits == [True] * k + [False] * (len(cfgs) - k)  # nested in p
+            ks.append(k)
+        out.append((sid, tuple(ks)))
     return out
+
+
+_KINDS = ["shell", "mid-shell", "vertex", "with-origin"]
 
 
 def _escape_targets(win, kind, site):
     if kind == "shell":
         return shell_rows(win, win.outer)
+    if kind == "mid-shell":
+        return shell_rows(win, win.outer // 2)
     if kind == "vertex":
         return win.rows_of([site])
     return win.rows_of([(0,) * win.spec.d, site])  # contains the origin
@@ -231,35 +240,55 @@ def _escape_targets(win, kind, site):
 
 @pytest.mark.parametrize("spec,outer", _ESCAPE_WINDOWS, ids=_ESCAPE_IDS)
 @pytest.mark.parametrize("grid", [_GRID8, [0.3]], ids=["grid8", "one-p"])
-@pytest.mark.parametrize("kind", ["shell", "vertex", "with-origin"])
-def test_escape_levels_match_per_p_labelling(spec, outer, grid, kind):
+@pytest.mark.parametrize("kinds", [["shell"], ["vertex"], ["with-origin"], _KINDS],
+                         ids=["shell", "vertex", "with-origin", "all-kinds"])
+def test_escape_levels_match_per_p_labelling(spec, outer, grid, kinds):
     win = build_window(spec, seed=31, outer=outer)
     cfgs = [PercolationConfig(spec, p, 31) for p in grid]
     origin = win.row_of((0,) * spec.d)
-    targets = _escape_targets(win, kind, (outer - 1,) + (0,) * (spec.d - 1))
+    site = (outer - 1,) + (0,) * (spec.d - 1)
+    target_sets = [_escape_targets(win, kind, site) for kind in kinds]
     sids = range(100, 112)
-    got = list(escape_levels(win, cfgs, sids, origin, targets))
-    assert got == _reference_levels(win, cfgs, sids, origin, targets)
-    if kind == "with-origin":
-        assert all(k == len(cfgs) for _, k in got)
-    elif len(grid) > 1:
-        assert len({k for _, k in got}) > 1  # the grid splits the samples
+    got = list(escape_levels(win, cfgs, sids, origin, target_sets))
+    assert got == _reference_levels(win, cfgs, sids, origin, target_sets)
+    for j, kind in enumerate(kinds):
+        ks = [k[j] for _, k in got]
+        if kind == "with-origin":
+            assert all(k == len(cfgs) for k in ks)
+        elif len(grid) > 1:
+            assert len(set(ks)) > 1  # the grid splits the samples
 
 
 @given(st.sampled_from(_ESCAPE_WINDOWS), st.integers(0, 2**64 - 1),
        st.lists(st.sampled_from(_P_POOL), min_size=1, max_size=5, unique=True),
-       st.sampled_from(["shell", "vertex", "with-origin"]), st.data())
-def test_escape_levels_match_per_p_labelling_random(window, seed, grid, kind, data):
+       st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3), st.data())
+def test_escape_levels_match_per_p_labelling_random(window, seed, grid, kinds, data):
     spec, outer = window
     win = build_window(spec, seed, outer)
     cfgs = [PercolationConfig(spec, p, seed) for p in sorted(grid, reverse=True)]
     origin = win.row_of((0,) * spec.d)
     site = data.draw(st.tuples(*[st.integers(-outer, outer)] * spec.d))
-    targets = _escape_targets(win, kind, site)
+    target_sets = [_escape_targets(win, kind, site) for kind in kinds]
     start = data.draw(st.integers(0, 2**64 - 6))
     sids = range(start, start + 5)
-    assert (list(escape_levels(win, cfgs, sids, origin, targets))
-            == _reference_levels(win, cfgs, sids, origin, targets))
+    assert (list(escape_levels(win, cfgs, sids, origin, target_sets))
+            == _reference_levels(win, cfgs, sids, origin, target_sets))
+
+
+def test_nested_shells_share_a_tree_only_for_nearest_neighbour_steps():
+    # a nearest-neighbour path meets shell 1 before it leaves B(1), so B(3)
+    # reads the same levels at shell 1 as B(1); a spread-out step can jump
+    # over shell 1 and come back to it from outside
+    sids = range(40)
+    for spec, p_list, differ in [
+        (SPEC2, (0.7, 0.5, 0.4, 0.3, 0.2), False),
+        (LatticeSpec(d=2, edge_mode="spread_out", lam=2), (0.3, 0.2, 0.12, 0.08, 0.05), True),
+    ]:
+        cfgs = [PercolationConfig(spec, p, 0) for p in p_list]
+        small, big = build_window(spec, 0, 1), build_window(spec, 0, 3)
+        got = [list(escape_levels(win, cfgs, sids, win.row_of((0, 0)), [shell_rows(win, 1)]))
+               for win in (small, big)]
+        assert (got[0] != got[1]) == differ
 
 
 def test_escape_levels_refuse_unordered_or_foreign_configs():
@@ -267,7 +296,7 @@ def test_escape_levels_refuse_unordered_or_foreign_configs():
     origin, targets = win.row_of((0, 0)), shell_rows(win, 3)
     rising = [PercolationConfig(SPEC2, p, 3) for p in (0.4, 0.6)]
     with pytest.raises(ValueError, match="non-increasing"):
-        list(escape_levels(win, rising, [0], origin, targets))
+        list(escape_levels(win, rising, [0], origin, [targets]))
     foreign = [PercolationConfig(SPEC2, 0.5, 4)]
     with pytest.raises(ValueError, match="seed/lattice"):
-        list(escape_levels(win, foreign, [0], origin, targets))
+        list(escape_levels(win, foreign, [0], origin, [targets]))
