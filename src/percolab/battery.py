@@ -16,6 +16,10 @@ Four families of small instances, used by the test suite and the
   origin-to-target decomposition through an annulus spanning cluster, where
   the kernel factorization, the per-configuration uniqueness of the
   localized transition event, and the lower-bound defect are all exact.
+
+Every exact probability is :func:`~percolab.engine.enumerate_exact` of an
+event table over all ``2^m`` configuration masks, and a query inside a
+vertex set ``S`` runs on ``masks & tg.within(S)``.
 """
 
 from __future__ import annotations
@@ -481,11 +485,13 @@ def _pivotal_by_removal(geom: YGeometry, free_mask: int, edge: FrozenSet[V]) -> 
     """Reference pivotality: the event holds, and fails with ``edge`` closed."""
     pinned = geom.c_edges + geom.d_edges
     tg = TinyGraph(pinned + geom.free_edges)
+    inside = tg.within(geom.mid)
 
     def holds(mask: int) -> bool:
         # the pinned-open C/D edges are the low bits of the full mask
         full = (mask << len(pinned)) | ((1 << len(pinned)) - 1)
-        return tg.connected(full, geom.c_vertices, geom.d_vertices, allowed=geom.mid)
+        return tg.connected(full & inside, geom.mid.intersection(geom.c_vertices),
+                            geom.mid.intersection(geom.d_vertices))
 
     j = next(k for k, e in enumerate(geom.free_edges) if frozenset(e) == edge)
     if not (free_mask >> j) & 1:
@@ -662,6 +668,11 @@ def run_nofurther_battery(n_instances: int = 500, seed: int = 7) -> NofurtherBat
 # ---------------------------------------------------------------------------
 
 
+#: The decomposition holds ``len(ann)`` reach words per mask for all ``2^m``
+#: masks at once; 2^16 masks is one exact-tier table chunk.
+MAX_ARM_EDGES = 16
+
+
 @dataclass(frozen=True)
 class ArmDecompositionInstance:
     """A fully enumerable one-step model of the arm decomposition.
@@ -689,6 +700,9 @@ class ArmDecompositionInstance:
     cylinder: Tuple[Tuple[Tuple[V, V], bool], ...] = ()
 
     def __post_init__(self):
+        if len(self.edges) > MAX_ARM_EDGES:
+            raise ValueError(f"{len(self.edges)} edges exceeds the arm-decomposition cap "
+                             f"{MAX_ARM_EDGES}")
         verts = {v for e in self.edges for v in e}
         for name, sub in (("s1", self.s1), ("ann", self.ann), ("targets", self.targets),
                           ("obstacles", self.obstacles)):
@@ -832,96 +846,76 @@ class ArmDecompositionReport:
 def decompose_arm_exact(inst: ArmDecompositionInstance) -> ArmDecompositionReport:
     """Enumerate the instance and certify the one-step decomposition.
 
-    Per configuration: find the annulus spanning clusters; for each such
-    cluster C evaluate the inward link {origin <-> C inside s1}, the escape
-    {origin <-> s1_shell avoiding C}, and the onward arm
-    {C \\ s1 <-> targets avoiding s1 and obstacles}; tally the localized
-    transition G(C) = link and not escape and arm.  The report asserts, in
-    exact arithmetic: at most one C per configuration realises G; the
-    kernel factorization P(G(C)) = m0(C) * gamma(C); and the lower-bound
-    identity lhs - sum_C P(G(C)) = P(arm without any G).
+    Every event is a table over all ``2^m`` configuration masks, and every
+    probability is :func:`~percolab.engine.enumerate_exact` of such a table.
+    The annulus spanning clusters are the sets that each annulus vertex
+    reaches through open annulus edges and that touch both shells; a
+    cluster's vertex bitset is its label.  For each label C the tables are
+    its occurrence, the inward link {origin <-> C inside s1}, the escape
+    {origin <-> s1_shell avoiding C} and the onward arm
+    {C \\ s1 <-> targets avoiding s1 and obstacles}, and the localized
+    transition is G(C) = occurrence and link and not escape and arm.  The
+    report asserts, in exact arithmetic: at most one C per configuration
+    realises G; the kernel factorization P(G(C)) = m0(C) * gamma(C); and the
+    lower-bound identity lhs - sum_C P(G(C)) = P(arm without any G).
     """
     tg = TinyGraph(inst.edges)
+    masks = np.arange(1 << tg.n_edges, dtype=np.int64)
     verts = set(tg.vertices)
-    pf = inst.p
-    a, b = pf.numerator, pf.denominator
-    m = len(inst.edges)
-    wts = [Fraction(a**k * (b - a) ** (m - k), b**m) for k in range(m + 1)]
 
-    no_obstacle = verts - inst.obstacles
-    arm_region = no_obstacle - inst.s1
-    cyl_idx = [(tg.edge_index(*e), want) for e, want in inst.cylinder]
+    def prob(table: np.ndarray) -> Fraction:
+        return enumerate_exact(tg.edges, inst.p, table)
+
+    def joins(region: Set[V], sources, targets) -> np.ndarray:
+        """{sources <-> targets by open edges inside region}, per mask."""
+        return tg.connects(masks & tg.within(region), region.intersection(sources),
+                           region.intersection(targets))
+
+    cyl = np.ones(len(masks), dtype=bool)
+    for e, want in inst.cylinder:
+        cyl &= ((masks >> tg.edge_index(*e)) & 1) == want
+    arm_full = joins(verts - inst.obstacles, [inst.origin], inst.targets)
+
+    ann_masks = masks & tg.within(inst.ann)
+    reached = np.stack([tg.reach(ann_masks, [v]) for v in inst.ann])
+    spans = (((reached & np.uint64(tg.bits(inst.ann_in))) != 0)
+             & ((reached & np.uint64(tg.bits(inst.ann_out))) != 0))
+    clusters = {tuple(sorted(v for i, v in enumerate(tg.vertices) if bits >> i & 1)): bits
+                for bits in np.unique(reached[spans]).tolist()}
+    labels = sorted(clusters)
 
     h_prob: Dict[Tuple[V, ...], Fraction] = {}
     m0: Dict[Tuple[V, ...], Fraction] = {}
     m0_cyl: Dict[Tuple[V, ...], Fraction] = {}
-    gamma_num: Dict[Tuple[V, ...], Fraction] = {}
-    g_prob: Dict[Tuple[V, ...], Fraction] = {}
-    g_cyl: Dict[Tuple[V, ...], Fraction] = {}
-    lhs = lhs_cyl = Fraction(0)
-    g_union = g_union_cyl = Fraction(0)
-    uniq_violations = 0
-    max_labels = 0
+    gamma: Dict[Tuple[V, ...], Fraction] = {}
+    fact_ok = True
+    n_labels = np.zeros(len(masks), dtype=np.int64)
+    n_g = np.zeros(len(masks), dtype=np.int64)
+    for lab in labels:
+        comp = set(lab)
+        occurs = (reached == np.uint64(clusters[lab])).any(axis=0)
+        core = (occurs & joins(inst.s1, [inst.origin], comp)
+                & ~joins(verts - comp, [inst.origin], inst.s1_shell))
+        arm = joins(verts - inst.obstacles - inst.s1, comp, inst.targets)
+        h_prob[lab] = prob(occurs)
+        m0[lab] = prob(core)
+        m0_cyl[lab] = prob(core & cyl)
+        gamma[lab] = prob(occurs & arm) / h_prob[lab]
+        g = core & arm
+        fact_ok = fact_ok and (prob(g) == m0[lab] * gamma[lab]
+                               and prob(g & cyl) == m0_cyl[lab] * gamma[lab])
+        n_labels += occurs
+        n_g += g
 
-    for mask in range(1 << m):
-        w = wts[bin(mask).count("1")]
-        cyl_ok = all(bool((mask >> j) & 1) == want for j, want in cyl_idx)
-        arm_full = tg.connected(mask, [inst.origin], inst.targets, allowed=no_obstacle)
-        if arm_full:
-            lhs += w
-            if cyl_ok:
-                lhs_cyl += w
-
-        comps = tg.components(mask, allowed=inst.ann)
-        spanning = [c for c in comps if c & inst.ann_in and c & inst.ann_out]
-        max_labels = max(max_labels, len(spanning))
-        n_g = 0
-        n_g_cyl = 0
-        for comp in spanning:
-            label = tuple(sorted(comp))
-            h_prob[label] = h_prob.get(label, Fraction(0)) + w
-            link = tg.connected(mask, [inst.origin], comp, allowed=inst.s1)
-            escape = tg.connected(mask, [inst.origin], inst.s1_shell - comp,
-                                  allowed=verts - comp)
-            arm = tg.connected(mask, comp - inst.s1, inst.targets, allowed=arm_region)
-            if arm:
-                gamma_num[label] = gamma_num.get(label, Fraction(0)) + w
-            core = link and not escape
-            if core:
-                m0[label] = m0.get(label, Fraction(0)) + w
-                if cyl_ok:
-                    m0_cyl[label] = m0_cyl.get(label, Fraction(0)) + w
-            if core and arm:
-                g_prob[label] = g_prob.get(label, Fraction(0)) + w
-                n_g += 1
-                if cyl_ok:
-                    g_cyl[label] = g_cyl.get(label, Fraction(0)) + w
-                    n_g_cyl += 1
-        if n_g:
-            g_union += w
-            if n_g > 1:
-                uniq_violations += 1
-        if n_g_cyl:
-            g_union_cyl += w
-
-    labels = sorted(h_prob)
-    zero = Fraction(0)
-    gamma = {lab: gamma_num.get(lab, zero) / h_prob[lab] for lab in labels}
-    fact_ok = all(
-        g_prob.get(lab, zero) == m0.get(lab, zero) * gamma[lab]
-        and g_cyl.get(lab, zero) == m0_cyl.get(lab, zero) * gamma[lab]
-        for lab in labels
-    )
-    rhs = sum((m0.get(lab, zero) * gamma[lab] for lab in labels), zero)
-    rhs_cyl = sum((m0_cyl.get(lab, zero) * gamma[lab] for lab in labels), zero)
-    union_eq = (rhs == g_union) and (rhs_cyl == g_union_cyl)
-
+    lhs, lhs_cyl = prob(arm_full), prob(arm_full & cyl)
+    rhs = sum((m0[lab] * gamma[lab] for lab in labels), Fraction(0))
+    rhs_cyl = sum((m0_cyl[lab] * gamma[lab] for lab in labels), Fraction(0))
     return ArmDecompositionReport(
         name=inst.name,
         labels=labels,
         h_prob=h_prob,
-        m0={lab: m0.get(lab, zero) for lab in labels},
-        m0_cyl={lab: m0_cyl.get(lab, zero) for lab in labels},
+        m0=m0,
+        m0_cyl=m0_cyl,
         gamma=gamma,
         lhs=lhs,
         lhs_cyl=lhs_cyl,
@@ -929,8 +923,8 @@ def decompose_arm_exact(inst: ArmDecompositionInstance) -> ArmDecompositionRepor
         rhs_cyl=rhs_cyl,
         defect=lhs - rhs,
         defect_cyl=lhs_cyl - rhs_cyl,
-        uniqueness_violations=uniq_violations,
+        uniqueness_violations=int(np.count_nonzero(n_g > 1)),
         factorization_exact=fact_ok,
-        union_equals_sum=union_eq,
-        max_labels_per_config=max_labels,
+        union_equals_sum=rhs == prob(n_g > 0) and rhs_cyl == prob((n_g > 0) & cyl),
+        max_labels_per_config=int(n_labels.max()),
     )

@@ -43,7 +43,9 @@ A vectorised query (built on :meth:`TinyGraph.reach`, which sweeps the open
 edges of every configuration at once) fills an event table over all ``2^m``
 configuration masks in :func:`exact_event_table`, and ``enumerate_exact``
 reads that table into an exact rational: the true masks are counted per
-number of open edges and weighted in integer arithmetic.
+number of open edges and weighted in integer arithmetic.  No query takes a
+vertex restriction: restricting to a vertex set ``S`` is the edge mask
+``masks & tg.within(S)``, which keeps the edges with both ends in ``S``.
 """
 
 from __future__ import annotations
@@ -487,7 +489,12 @@ class TinyGraph:
     """An explicit finite graph whose configurations are integer bitmasks.
 
     Edge ``j`` of ``self.edges`` is open in configuration ``mask`` iff bit
-    ``j`` of ``mask`` is set.  Vertices may be any hashable labels.
+    ``j`` of ``mask`` is set.  Vertices may be any hashable labels.  No query
+    takes a vertex restriction: a query inside a vertex set ``S`` runs on
+    ``masks & tg.within(S)``, with its sources and targets cut to ``S``.
+    :meth:`reach` and :meth:`connects` answer every mask of an array at once;
+    ``components``, ``component_of`` and ``connected`` answer one mask and are
+    the per-mask reference.
     """
 
     def __init__(self, edges: Iterable[Tuple]):
@@ -523,10 +530,14 @@ class TinyGraph:
                 return j
         raise KeyError(f"no edge {a}-{b}")
 
-    def components(self, mask: int, allowed: Optional[Iterable] = None) -> List[Set]:
-        """Connected components of the open subgraph (optionally restricted
-        to an allowed vertex set; edges touching a disallowed vertex are
-        ignored and disallowed vertices do not appear)."""
+    def within(self, vertices: Iterable) -> int:
+        """Edge mask of the edges with both ends in ``vertices``: a
+        configuration restricted to a vertex set is ``mask & within(S)``."""
+        inside = set(vertices)
+        return sum(1 << j for j, (a, b) in enumerate(self.edges) if a in inside and b in inside)
+
+    def components(self, mask: int) -> List[Set]:
+        """Connected components of the open subgraph of one configuration."""
         n = len(self.vertices)
         parent = list(range(n))
 
@@ -536,54 +547,31 @@ class TinyGraph:
                 i = parent[i]
             return i
 
-        if allowed is None:
-            amask = None
-        else:
-            amask = {self._vidx[v] for v in allowed if v in self._vidx}
         for j, (ia, ib) in enumerate(self._eidx):
-            if not (mask >> j) & 1:
-                continue
-            if amask is not None and (ia not in amask or ib not in amask):
-                continue
-            ra, rb = find(ia), find(ib)
-            if ra != rb:
-                parent[ra] = rb
+            if (mask >> j) & 1:
+                ra, rb = find(ia), find(ib)
+                if ra != rb:
+                    parent[ra] = rb
         comps: Dict[int, Set] = {}
-        idxs = range(n) if amask is None else sorted(amask)
-        for i in idxs:
+        for i in range(n):
             comps.setdefault(find(i), set()).add(self.vertices[i])
         return list(comps.values())
 
-    def component_of(self, mask: int, v, allowed: Optional[Iterable] = None) -> Set:
-        for comp in self.components(mask, allowed):
+    def component_of(self, mask: int, v) -> Set:
+        for comp in self.components(mask):
             if v in comp:
                 return comp
         return {v}
 
-    def connected(self, mask: int, sources: Iterable, targets: Iterable,
-                  allowed: Optional[Iterable] = None) -> bool:
-        """Open path inside ``allowed`` from some source to some target.
-
-        Sources/targets outside ``allowed`` are ignored, except that a
-        source that is also a target connects trivially."""
-        src = set(sources)
-        tgt = set(targets)
-        if allowed is not None:
-            al = set(allowed)
-            if src & tgt & al:
-                return True
-            src &= al
-            tgt &= al
+    def connected(self, mask: int, sources: Iterable, targets: Iterable) -> bool:
+        """Open path from some source to some target in one configuration;
+        a source that is also a target connects trivially."""
+        src, tgt = set(sources), set(targets)
         if src & tgt:
             return True
-        if not src or not tgt:
-            return False
-        for comp in self.components(mask, allowed):
-            if comp & src and comp & tgt:
-                return True
-        return False
+        return any(comp & src and comp & tgt for comp in self.components(mask))
 
-    def _bits(self, vertices: Iterable) -> int:
+    def bits(self, vertices: Iterable) -> int:
         """Bitset of the ``vertices`` that belong to the graph."""
         return sum(1 << self._vidx[v] for v in set(vertices) if v in self._vidx)
 
@@ -597,7 +585,7 @@ class TinyGraph:
         At most 24 edges make at most 48 vertices, so one word holds a bitset.
         """
         masks = np.asarray(masks, dtype=np.int64)
-        reached = np.full(masks.shape, self._bits(sources), dtype=np.uint64)
+        reached = np.full(masks.shape, self.bits(sources), dtype=np.uint64)
         sweep = [(((masks >> j) & 1).astype(bool), np.uint64((1 << ia) | (1 << ib)))
                  for j, (ia, ib) in enumerate(self._eidx)]
         while True:
@@ -614,7 +602,7 @@ class TinyGraph:
         src, tgt = set(sources), set(targets)
         if src & tgt:
             return np.ones(np.shape(masks), dtype=bool)
-        return (self.reach(masks, src) & np.uint64(self._bits(tgt))) != 0
+        return (self.reach(masks, src) & np.uint64(self.bits(tgt))) != 0
 
 
 def enumerate_exact(

@@ -18,7 +18,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import (
-    MAX_EXACT_EDGES,
     PercolationConfig,
     TinyGraph,
     enumerate_exact,
@@ -497,7 +496,7 @@ def nofurther_check(
     "C is an open cluster of A0" pins every edge of C open and every other
     A0-edge touching C closed.  Both sides are returned as exact rationals
     via full enumeration; the instance must have at most
-    ``MAX_EXACT_EDGES`` edges in A1.
+    :data:`~percolab.engine.MAX_EXACT_EDGES` edges in A1.
 
     The inequality's proof needs A0 to be induced in A1 over its vertex set
     (no A1-shortcut between two A0 vertices that bypasses A0's edges) and B
@@ -529,8 +528,6 @@ def nofurther_check(
         u, v = tuple(e)
         if u in v_a0 and v in v_a0 and e not in e_a0:
             raise ValueError("A0 must be induced in A1 over its vertex set")
-    if len(a1_edges) > MAX_EXACT_EDGES:
-        raise ValueError("instance too large for exact enumeration")
 
     adjacency = set(map(frozenset, ambient_edges)) if ambient_edges is not None else e_a1
     boundary = sorted(

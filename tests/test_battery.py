@@ -6,11 +6,13 @@ exists (series/parallel identities) and otherwise frozen from the
 enumeration itself after independent spot-checks.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from percolab.battery import (
+    MAX_ARM_EDGES,
     arm_decomposition_instances,
     attachment_pairs,
     decompose_arm_exact,
@@ -167,15 +169,50 @@ def test_nofurther_battery_deterministic():
 # Arm-decomposition certificates
 
 
+#: Recorded from the per-configuration enumeration this decomposition
+#: replaced; every field must stay equal.  A label is written as its sorted
+#: vertex names, and maps to (h_prob, m0, m0_cyl, gamma).
+F = Fraction
 FROZEN_DECOMP = {
-    "diamond": dict(lhs=Fraction(91, 512), rhs=Fraction(5, 32),
-                    defect=Fraction(11, 512), max_labels=1),
-    "twin-outer-obstacle": dict(lhs=Fraction(47, 256),
-                                rhs=Fraction(159, 1024),
-                                defect=Fraction(29, 1024), max_labels=2),
-    "split-annulus": dict(lhs=Fraction(94689, 390625),
-                          rhs=Fraction(324, 3125),
-                          defect=Fraction(54189, 390625), max_labels=2),
+    "diamond": dict(
+        lhs=F(91, 512), rhs=F(5, 32), defect=F(11, 512), max_labels=1,
+        lhs_cyl=F(65, 512), rhs_cyl=F(27, 256), defect_cyl=F(11, 512), uniqueness_violations=0,
+        labels={
+            "a1 a2 b1 b2 c1": (F(9, 32), F(27, 128), F(9, 64), F(1, 2)),
+            "a1 a2 b1 c1": (F(1, 64), F(3, 256), F(1, 128), F(1, 2)),
+            "a1 a2 b2 c1": (F(1, 16), F(3, 64), F(1, 32), F(1, 2)),
+            "a1 b1 b2 c1": (F(5, 64), F(5, 256), F(5, 256), F(1, 2)),
+            "a1 b1 c1": (F(1, 32), F(1, 128), F(1, 128), F(1, 2)),
+            "a1 b2 c1": (F(1, 64), F(1, 256), F(1, 256), F(1, 2)),
+            "a2 b1 b2 c1": (F(1, 64), F(1, 256), F(0), F(1, 2)),
+            "a2 b2 c1": (F(1, 32), F(1, 128), F(0), F(1, 2)),
+        }),
+    "twin-outer-obstacle": dict(
+        lhs=F(47, 256), rhs=F(159, 1024), defect=F(29, 1024), max_labels=2,
+        lhs_cyl=F(65, 512), rhs_cyl=F(101, 1024), defect_cyl=F(29, 1024), uniqueness_violations=0,
+        labels={
+            "a1 a2 b1 b2 c1": (F(5, 64), F(15, 256), F(5, 128), F(1, 2)),
+            "a1 a2 b1 b2 c1 c2": (F(5, 64), F(15, 256), F(5, 128), F(3, 4)),
+            "a1 a2 b1 b2 c2": (F(5, 64), F(15, 256), F(5, 128), F(1, 2)),
+            "a1 a2 b1 c1": (F(1, 32), F(3, 128), F(1, 64), F(1, 2)),
+            "a1 a2 b2 c2": (F(1, 32), F(3, 128), F(1, 64), F(1, 2)),
+            "a1 b1 b2 c1": (F(1, 64), F(1, 256), F(1, 256), F(1, 2)),
+            "a1 b1 b2 c1 c2": (F(1, 64), F(1, 256), F(1, 256), F(3, 4)),
+            "a1 b1 b2 c2": (F(1, 64), F(1, 256), F(1, 256), F(1, 2)),
+            "a1 b1 c1": (F(1, 16), F(1, 64), F(1, 64), F(1, 2)),
+            "a2 b1 b2 c1": (F(1, 64), F(1, 256), F(0), F(1, 2)),
+            "a2 b1 b2 c1 c2": (F(1, 64), F(1, 256), F(0), F(3, 4)),
+            "a2 b1 b2 c2": (F(1, 64), F(1, 256), F(0), F(1, 2)),
+            "a2 b2 c2": (F(1, 16), F(1, 64), F(0), F(1, 2)),
+        }),
+    "split-annulus": dict(
+        lhs=F(94689, 390625), rhs=F(324, 3125), defect=F(54189, 390625), max_labels=2,
+        lhs_cyl=F(74439, 390625), rhs_cyl=F(162, 3125), defect_cyl=F(54189, 390625),
+        uniqueness_violations=0,
+        labels={
+            "a1 b1 c1": (F(9, 25), F(54, 625), F(54, 625), F(3, 5)),
+            "a2 b2 c2": (F(9, 25), F(54, 625), F(0), F(3, 5)),
+        }),
 }
 
 
@@ -185,11 +222,32 @@ def test_arm_decomposition_frozen_rationals():
     for inst in insts:
         rep = decompose_arm_exact(inst)
         want = FROZEN_DECOMP[inst.name]
-        assert rep.lhs == want["lhs"], inst.name
-        assert rep.rhs == want["rhs"], inst.name
-        assert rep.defect == want["defect"], inst.name
+        for field in ("lhs", "rhs", "defect", "lhs_cyl", "rhs_cyl", "defect_cyl",
+                      "uniqueness_violations"):
+            assert getattr(rep, field) == want[field], (inst.name, field)
         assert rep.lhs - rep.rhs == rep.defect
         assert rep.max_labels_per_config == want["max_labels"]
+
+
+def test_arm_decomposition_frozen_labels():
+    for inst in arm_decomposition_instances():
+        rep = decompose_arm_exact(inst)
+        want = {tuple(k.split()): v for k, v in FROZEN_DECOMP[inst.name]["labels"].items()}
+        assert rep.labels == sorted(want), inst.name
+        for lab in rep.labels:
+            got = (rep.h_prob[lab], rep.m0[lab], rep.m0_cyl[lab], rep.gamma[lab])
+            assert got == want[lab], (inst.name, lab)
+        assert set(rep.h_prob) == set(rep.m0) == set(rep.m0_cyl) == set(rep.gamma) == set(want)
+
+
+def test_arm_decomposition_instances_hold_at_most_one_table_chunk():
+    # every event table of the decomposition spans all 2^m masks at once
+    diamond = arm_decomposition_instances()[0]
+    tail = tuple((f"x{i}", f"x{i + 1}") for i in range(MAX_ARM_EDGES))
+    room = MAX_ARM_EDGES - len(diamond.edges)
+    assert len(replace(diamond, edges=diamond.edges + tail[:room]).edges) == MAX_ARM_EDGES
+    with pytest.raises(ValueError, match=f"{MAX_ARM_EDGES + 1} edges exceeds"):
+        replace(diamond, edges=diamond.edges + tail[:room + 1])
 
 
 def test_arm_decomposition_certificates():

@@ -33,6 +33,7 @@ from percolab.engine import (
     sample_masks,
     spanning_clusters,
 )
+from percolab.estimators import SubgraphSpec, nofurther_check
 from percolab.lattice import LatticeSpec, annulus, box, canonical_edge, contains, neighbours
 from percolab.windowed import build_window
 
@@ -292,9 +293,11 @@ def test_enumerate_exact_rejects_large_instances():
     edges = [(i, i + 1) for i in range(MAX_EXACT_EDGES + 1)]
     # one size check, with one message, guards the whole exact tier
     message = f"{MAX_EXACT_EDGES + 1} edges exceeds exact-enumeration cap {MAX_EXACT_EDGES}"
+    c = SubgraphSpec(vertices=frozenset({0}), edges=frozenset())
     for build in (lambda: TinyGraph(edges),
                   lambda: enumerate_exact(edges, Fraction(1, 2), np.ones(1, dtype=np.uint8)),
-                  lambda: exact_event_table(len(edges), lambda ms: ms >= 0)):
+                  lambda: exact_event_table(len(edges), lambda ms: ms >= 0),
+                  lambda: nofurther_check([], edges, c, {len(edges)}, Fraction(1, 2))):
         with pytest.raises(ValueError, match=message):
             build()
 

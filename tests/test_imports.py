@@ -8,7 +8,9 @@ sources keep by hand:
 * every top-level ``def`` or ``class`` of the package is named somewhere in
   the package, ``scripts/`` or ``perfbench/`` (a call, an attribute, a
   reference), unless :data:`TEST_ONLY` keeps it with a reason.  A definition
-  that only tests call is deleted, not kept for them.
+  that only tests call is deleted, not kept for them;
+* likewise every method of a top-level class, dunders aside, unless
+  :data:`UNCALLED_METHODS` keeps it with a reason.
 """
 
 import ast
@@ -34,6 +36,12 @@ TEST_ONLY = {
     "obstacle_family": "sibling of the family constructors the scripts use",
     "halfspace_family": "sibling of the family constructors the scripts use",
     "interleaved_family": "sibling of the family constructors the scripts use",
+}
+
+#: Methods that nothing outside the tests names, kept on purpose.
+UNCALLED_METHODS = {
+    "_Parser.error": "argparse hook: ArgumentParser calls it on a bad command line",
+    "TinyGraph.component_of": "per-mask reference for TinyGraph.reach and popcount64",
 }
 
 
@@ -95,4 +103,31 @@ def test_test_only_entries_are_current():
     defined = {name for _, name in _top_level_definitions()}
     used = _referenced_names()
     stale = sorted(name for name in TEST_ONLY if name not in defined or name in used)
+    assert stale == []
+
+
+def _methods():
+    """(module, "Class.method", method) for every non-dunder method of a
+    top-level class of the package."""
+    for path in SOURCES:
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        yield path.name, f"{node.name}.{item.name}", item.name
+
+
+def test_every_method_has_a_non_test_caller():
+    used = _referenced_names()
+    uncalled = [f"{module}: {qualname}" for module, qualname, name in _methods()
+                if name not in used and qualname not in UNCALLED_METHODS]
+    assert uncalled == []
+
+
+def test_uncalled_method_entries_are_current():
+    """An entry that is gone, or whose name has gained a caller, is stale."""
+    used = _referenced_names()
+    names = {qualname: name for _, qualname, name in _methods()}
+    stale = sorted(q for q in UNCALLED_METHODS if q not in names or names[q] in used)
     assert stale == []
