@@ -7,9 +7,10 @@ Four families of small instances, used by the test suite and the
   whose event probabilities are exactly enumerable, against which the hashed
   Monte Carlo sampler is scored in 4-sigma cells over many seed groups;
 * a *two-annulus pivotal-pair battery*: hand-built cluster/corridor
-  geometries over which every free-edge configuration is enumerated and the
-  set of boundary pairs whose attachment edges are both open and pivotal is
-  proved to contain at most one pair;
+  geometries in which, over every free-edge configuration, the boundary
+  pairs whose attachment edges are both open and pivotal (decided by
+  removing the edge and retesting the event) are proved to number at most
+  one;
 * a randomized battery of tiny *cluster-exit bound* instances (the
   conditional-connection inequality checked in exact rational arithmetic);
 * *arm-decomposition instances*: fully enumerable one-step models of the
@@ -17,9 +18,11 @@ Four families of small instances, used by the test suite and the
   the kernel factorization, the per-configuration uniqueness of the
   localized transition event, and the lower-bound defect are all exact.
 
-Every exact probability is :func:`~percolab.engine.enumerate_exact` of an
-event table over all ``2^m`` configuration masks, and a query inside a
-vertex set ``S`` runs on ``masks & tg.within(S)``.
+Every exact answer is read off event tables over all ``2^m``
+configuration masks, with no per-mask loop: each probability is
+:func:`~percolab.engine.enumerate_exact` of a table, the two-annulus pair
+counts are sums of per-edge pivotal tables, and a query inside a vertex set
+``S`` runs on ``masks & tg.within(S)``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from .clusters import pivotal_from_graph
 from .engine import (
     PercolationConfig,
     TinyGraph,
@@ -453,52 +455,6 @@ def y_geometries() -> Tuple[YGeometry, ...]:
     return tuple(geoms)
 
 
-def _pivots(geom: YGeometry, free_mask: int) -> Set[FrozenSet[V]]:
-    """Pivotal edges for {C <-> D within mid} in one configuration (none
-    when the event fails), on the open graph restricted to ``mid``."""
-    adj: Dict[V, List[V]] = {v: [] for v in geom.mid}
-    free_open = tuple(e for j, e in enumerate(geom.free_edges) if (free_mask >> j) & 1)
-    for a, b in geom.c_edges + geom.d_edges + free_open:
-        if a in geom.mid and b in geom.mid:
-            adj[a].append(b)
-            adj[b].append(a)
-    try:
-        return pivotal_from_graph(adj, geom.c_vertices, geom.d_vertices)
-    except ValueError:
-        return set()
-
-
-def attachment_pairs(geom: YGeometry, free_mask: int) -> List[Tuple[V, V]]:
-    """The qualifying boundary pairs of one configuration.
-
-    A pair (x_i, x_j) qualifies when both attachment edges {x_i, x_i*} and
-    {x_j, x_j*} are open and pivotal for {C <-> D within mid}; a pivotal
-    edge is an edge of the open graph, so it is open.
-    """
-    pivots = _pivots(geom, free_mask)
-    return [(xi, xj)
-            for xi, si in geom.out_candidates if frozenset((xi, si)) in pivots
-            for xj, sj in geom.in_candidates if frozenset((xj, sj)) in pivots]
-
-
-def _pivotal_by_removal(geom: YGeometry, free_mask: int, edge: FrozenSet[V]) -> bool:
-    """Reference pivotality: the event holds, and fails with ``edge`` closed."""
-    pinned = geom.c_edges + geom.d_edges
-    tg = TinyGraph(pinned + geom.free_edges)
-    inside = tg.within(geom.mid)
-
-    def holds(mask: int) -> bool:
-        # the pinned-open C/D edges are the low bits of the full mask
-        full = (mask << len(pinned)) | ((1 << len(pinned)) - 1)
-        return tg.connected(full & inside, geom.mid.intersection(geom.c_vertices),
-                            geom.mid.intersection(geom.d_vertices))
-
-    j = next(k for k, e in enumerate(geom.free_edges) if frozenset(e) == edge)
-    if not (free_mask >> j) & 1:
-        return False
-    return holds(free_mask) and not holds(free_mask & ~(1 << j))
-
-
 @dataclass
 class YGeometryResult:
     name: str
@@ -529,42 +485,44 @@ class YBatteryReport:
         return out
 
 
-def enumerate_y_geometry(geom: YGeometry, crosscheck_stride: int = 7) -> YGeometryResult:
-    """Exhaust all free-edge configurations of one geometry.
+def enumerate_y_geometry(geom: YGeometry) -> YGeometryResult:
+    """Exhaust all free-edge configurations of one geometry, as event tables.
 
-    Every ``crosscheck_stride``-th configuration additionally re-derives the
-    pivotality of each candidate attachment edge by the remove-and-retest
-    definition and insists the two methods agree.
+    The pinned C/D edges are the always-open low bits of each mask, and the
+    event is {C <-> D within ``mid``}.  An attachment edge is pivotal where
+    the event holds and fails with the edge closed (remove and retest), so a
+    pivotal edge is open.  A configuration has (#pivotal outward) x
+    (#pivotal inward) qualifying pairs.
     """
-    counts: Dict[int, int] = {}
-    witness = None
-    violations: List[int] = []
-    rows: List[Tuple[str, int, int]] = []
-    cand_edges = [frozenset((x, s)) for x, s in geom.out_candidates + geom.in_candidates]
-    for mask in range(1 << len(geom.free_edges)):
-        pairs = attachment_pairs(geom, mask)
-        k = len(pairs)
-        counts[k] = counts.get(k, 0) + 1
-        rows.append((geom.name, mask, k))
-        if k == 1 and witness is None:
-            witness = mask
-        if k >= 2:
-            violations.append(mask)
-        if mask % crosscheck_stride == 0:
-            pivots = _pivots(geom, mask)
-            for e in cand_edges:
-                if (e in pivots) != _pivotal_by_removal(geom, mask, e):
-                    raise AssertionError(
-                        f"pivotality mismatch in {geom.name}, mask {mask}, edge {set(e)}"
-                    )
+    pinned = geom.c_edges + geom.d_edges
+    tg = TinyGraph(pinned + geom.free_edges)
+    inside, low = tg.within(geom.mid), (1 << len(pinned)) - 1
+    c_in = geom.mid.intersection(geom.c_vertices)
+    d_in = geom.mid.intersection(geom.d_vertices)
+    f = len(geom.free_edges)
+
+    def event(masks: np.ndarray) -> np.ndarray:
+        return tg.connects(((masks << len(pinned)) | low) & inside, c_in, d_in)
+
+    holds = exact_event_table(f, event)
+
+    def n_pivotal(candidates) -> np.ndarray:
+        n = np.zeros(1 << f, dtype=np.int64)
+        for x, star in candidates:
+            bit = 1 << (tg.edge_index(x, star) - len(pinned))
+            n += holds & exact_event_table(f, lambda masks: ~event(masks & ~bit))
+        return n
+
+    k = n_pivotal(geom.out_candidates) * n_pivotal(geom.in_candidates)
+    witnesses = np.flatnonzero(k == 1)
     return YGeometryResult(
         name=geom.name,
-        n_configs=1 << len(geom.free_edges),
-        counts=counts,
-        max_pairs=max(counts),
-        witness_mask=witness,
-        violations=violations,
-        rows=rows,
+        n_configs=1 << f,
+        counts={int(v): int(n) for v, n in zip(*np.unique(k, return_counts=True))},
+        max_pairs=int(k.max()),
+        witness_mask=int(witnesses[0]) if len(witnesses) else None,
+        violations=np.flatnonzero(k >= 2).tolist(),
+        rows=[(geom.name, mask, n) for mask, n in enumerate(k.tolist())],
     )
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from percolab.battery import (
     MAX_ARM_EDGES,
+    YGeometry,
     arm_decomposition_instances,
-    attachment_pairs,
     decompose_arm_exact,
     enumerate_y_geometry,
     oracle_battery,
@@ -22,6 +22,7 @@ from percolab.battery import (
     run_oracle_battery,
     y_geometries,
 )
+from percolab.clusters import pivotal_from_graph
 from percolab.engine import TinyGraph, exact_event_table
 
 
@@ -132,17 +133,70 @@ def test_y_enumeration_frozen_counts_and_uniqueness():
             assert res.witness_mask is not None
 
 
-def test_y_witness_masks_reproduce_single_pair():
+def _reference_pair_count(geom, mask):
+    """The number of qualifying pairs in one configuration, by the per-mask
+    rule: the pivotal edges of the open graph restricted to ``mid`` (none
+    when C and D are not joined there), then every (outward, inward) pair
+    of candidates whose attachment edges are both pivotal."""
+    adj = {v: [] for v in geom.mid}
+    free_open = tuple(e for j, e in enumerate(geom.free_edges) if (mask >> j) & 1)
+    for a, b in geom.c_edges + geom.d_edges + free_open:
+        if a in geom.mid and b in geom.mid:
+            adj[a].append(b)
+            adj[b].append(a)
+    try:
+        pivots = pivotal_from_graph(adj, geom.c_vertices, geom.d_vertices)
+    except ValueError:
+        pivots = set()
+    pairs = [(xi, xj)
+             for xi, si in geom.out_candidates if frozenset((xi, si)) in pivots
+             for xj, sj in geom.in_candidates if frozenset((xj, sj)) in pivots]
+    return len(pairs)
+
+
+def test_y_rows_equal_the_per_mask_pivotal_reference():
     for geom in y_geometries():
         res = enumerate_y_geometry(geom)
-        if res.witness_mask is None:
-            continue
-        assert len(attachment_pairs(geom, res.witness_mask)) == 1
+        reference = [(geom.name, mask, _reference_pair_count(geom, mask))
+                     for mask in range(1 << len(geom.free_edges))]
+        assert res.rows == reference, geom.name
+        # no free edge open: C and D are not joined within mid
+        assert res.rows[0][2] == 0, geom.name
+        witnesses = [mask for _, mask, k in reference if k == 1]
+        assert res.witness_mask == (witnesses[0] if witnesses else None), geom.name
 
 
-def test_attachment_pairs_empty_when_mid_disconnected():
-    geom = y_geometries()[0]  # single-corridor
-    assert attachment_pairs(geom, 0) == []
+def test_y_long_corridor_spans_several_table_chunks():
+    """17 free edges: 2^17 masks, more than one exact-tier table chunk."""
+    mids = [f"m{i}" for i in range(16)]
+    route = ["c1"] + mids + ["d0"]
+    geom = YGeometry(
+        name="long-corridor",
+        c_vertices=("c0", "c1"), c_edges=(("c0", "c1"),),
+        d_vertices=("d0", "d1"), d_edges=(("d0", "d1"),),
+        closed_edges=(),
+        free_edges=tuple(zip(route, route[1:])),
+        out_candidates=(("c1", "m0"),),
+        in_candidates=(("d0", "m15"),),
+        mid=frozenset(["c0", "c1", "d0", "d1"] + mids),
+    )
+    assert len(geom.free_edges) == 17 and geom.n_edges == 19
+    res = enumerate_y_geometry(geom)
+    assert res.counts == {0: 2 ** 17 - 1, 1: 1}
+    assert res.witness_mask == 2 ** 17 - 1
+    assert res.max_pairs == 1 and res.violations == []
+
+
+@pytest.mark.parametrize("dropped", [
+    {"out_candidates": (), "in_candidates": ()},
+    {"in_candidates": ()},
+])
+def test_y_geometry_without_candidates_has_no_pairs(dropped):
+    geom = replace(y_geometries()[1], **dropped)  # twin-corridors, 2^6 masks
+    res = enumerate_y_geometry(geom)
+    assert res.counts == {0: 64}
+    assert res.max_pairs == 0
+    assert res.witness_mask is None and res.violations == []
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ TEST_ONLY = {
 UNCALLED_METHODS = {
     "_Parser.error": "argparse hook: ArgumentParser calls it on a bad command line",
     "TinyGraph.component_of": "per-mask reference for TinyGraph.reach and popcount64",
+    "TinyGraph.connected": "per-mask reference for TinyGraph.connects",
 }
 
 
