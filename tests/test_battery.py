@@ -160,10 +160,24 @@ def test_y_rows_equal_the_per_mask_pivotal_reference():
         reference = [(geom.name, mask, _reference_pair_count(geom, mask))
                      for mask in range(1 << len(geom.free_edges))]
         assert res.rows == reference, geom.name
-        # no free edge open: C and D are not joined within mid
-        assert res.rows[0][2] == 0, geom.name
         witnesses = [mask for _, mask, k in reference if k == 1]
         assert res.witness_mask == (witnesses[0] if witnesses else None), geom.name
+
+
+def test_y_witness_masks_reproduce_single_pair():
+    for geom in y_geometries():
+        res = enumerate_y_geometry(geom)
+        if res.witness_mask is None:
+            continue
+        assert res.rows[res.witness_mask][2] == 1, geom.name
+        assert _reference_pair_count(geom, res.witness_mask) == 1, geom.name
+
+
+def test_attachment_pairs_empty_when_mid_disconnected():
+    # no free edge open: C and D are not joined within mid
+    for geom in y_geometries():
+        assert enumerate_y_geometry(geom).rows[0][2] == 0, geom.name
+        assert _reference_pair_count(geom, 0) == 0, geom.name
 
 
 def test_y_long_corridor_spans_several_table_chunks():
