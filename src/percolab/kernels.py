@@ -10,7 +10,9 @@ Two arithmetic paths coexist: a log-domain float path (products of many
 kernels underflow linear floats) and an exact-rational path that activates
 automatically when every entry is an int or Fraction — the bracket
 monotonicity statements are algebraic identities and the exact path asserts
-them with zero tolerance.
+them with zero tolerance.  The float path sums in the log domain with the
+module's own ``_logsumexp``, so its floats do not depend on the installed
+scipy release.
 """
 
 from __future__ import annotations
@@ -22,9 +24,20 @@ from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 EPS_REL = 1e-12
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a), axis)) for finite real ``a``, bit for bit the steps of
+    scipy 1.17's ``logsumexp``: the maxima are taken out of the sum and
+    counted, so a row of ties loses no precision."""
+    a_max = a.max(axis, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis, keepdims=True, dtype=a.dtype)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return np.squeeze((np.log1p(s) + np.log(m)) + a_max, axis)
 
 
 def _as_exact(values) -> Optional[List[Fraction]]:
@@ -126,8 +139,10 @@ def apply_kernel(T: Kernel, f: Sequence):
     ef = _as_exact(f)
     if ef is not None and T.exact is not None:
         return [sum(r * v for r, v in zip(line, ef)) for line in T.exact]
-    logf = np.log(np.asarray(f, dtype=float))
-    return list(np.exp(logsumexp(T.log_mat + logf[None, :], axis=1)))
+    fa = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(fa) & (fa > 0)):
+        raise ValueError("apply_kernel requires strictly positive finite values")
+    return list(np.exp(_logsumexp(T.log_mat + np.log(fa)[None, :], axis=1)))
 
 
 def contract_check(T: Kernel, f: Sequence, g: Sequence) -> Tuple[float, float, bool]:
@@ -247,9 +262,7 @@ def ratio_limit(Ts: Sequence[Kernel], kappa_bound: float) -> RatioLimitReport:
         else:
             for lab in labels:
                 v = np.asarray(vecs[lab])
-                vecs[lab] = list(
-                    logsumexp(v[:, None] + T.log_mat, axis=0)
-                )
+                vecs[lab] = list(_logsumexp(v[:, None] + T.log_mat, axis=0))
         record()
 
     widths_by_step = [

@@ -349,11 +349,22 @@ def test_faithful_ladder_intrusion_is_a_refusal(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-def test_cli_import_does_not_load_networkx():
-    # networkx is a test-only reference: the package must not import it
+def _loaded_by_cli_import(module: str) -> bool:
+    # a fresh interpreter, so modules the tests import do not count
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, percolab.cli; print('networkx' in sys.modules)"
+    probe = f"import sys, percolab.cli; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_networkx():
+    # networkx is a test-only reference: the package must not import it
+    assert not _loaded_by_cli_import("networkx")
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # kernels sums in the log domain itself; scipy.special would add set-up
+    # time and memory to every run for nothing
+    assert not _loaded_by_cli_import("scipy.special")
