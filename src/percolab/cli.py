@@ -568,9 +568,11 @@ def build_parser() -> _Parser:
                    help="csv writes both CSV and the JSON mirror; json only the mirror")
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name, fn, **extra):
+    def add(name, fn, scales=False, **extra):
+        # ``scales``: the subcommand reads the scale ladder, so its config
+        # section is checked at load time
         sp = sub.add_parser(name)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, scales=scales)
         sp.add_argument("--n-samples", type=_int_at_least(1), default=None)
         for flag, kw in extra.items():
             sp.add_argument(flag, **kw)
@@ -579,9 +581,9 @@ def build_parser() -> _Parser:
     add("estimate-two-point", cmd_estimate_two_point)
     add("estimate-one-arm", cmd_estimate_one_arm)
     add("find-pc", cmd_find_pc)
-    add("scan-good-clusters", cmd_scan_good_clusters)
-    add("extract-kernels", cmd_extract_kernels)
-    add("reconstruct-arm", cmd_reconstruct_arm,
+    add("scan-good-clusters", cmd_scan_good_clusters, scales=True)
+    add("extract-kernels", cmd_extract_kernels, scales=True)
+    add("reconstruct-arm", cmd_reconstruct_arm, scales=True,
         **{"--oracle": {"action": "store_true"},
            "--j": {"type": _int_at_least(1), "default": 1}})
     add("hopf-demo", cmd_hopf_demo)
@@ -589,7 +591,7 @@ def build_parser() -> _Parser:
     add("supercritical-sweep", cmd_supercritical_sweep)
     add("oracle-battery", cmd_oracle_battery,
         **{"--n-groups": {"type": _int_at_least(1), "default": None}})
-    add("scale-table", cmd_scale_table,
+    add("scale-table", cmd_scale_table, scales=True,
         **{"--i-max": {"type": _int_at_least(0), "default": 6}})
     return p
 
@@ -600,7 +602,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.scales)
         sink = _Sink(args.out_dir, args.format)
         return args.fn(cfg, args, sink)
     except (ConfigError, BracketError, HorizonError, WindowTooLargeError) as exc:

@@ -10,7 +10,8 @@ sweep, Hopf-demo, and verification-battery knobs.
 
 Unknown keys anywhere are errors (typo protection), as is any value a
 domain constructor rejects; both raise :class:`ConfigError`, which the CLI
-maps to exit code 4.
+maps to exit code 4.  The CLI checks the ``scales`` section only for the
+subcommands that read the ladder.
 """
 
 from __future__ import annotations
@@ -147,36 +148,42 @@ class Config:
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def from_dict(cls, overrides: Optional[Dict[str, Any]] = None) -> "Config":
+    def from_dict(cls, overrides: Optional[Dict[str, Any]] = None,
+                  scales: bool = True) -> "Config":
+        """Merge ``overrides`` into the defaults and check the result.
+
+        ``scales=False`` leaves the ``scales`` section, and the
+        ``extraction.q_list`` checked against it, to the subcommands that
+        read them: a spread-out lattice's default ladder is refused, yet a
+        sweep never reads it.
+        """
         merged = _merge(_DEFAULTS, overrides or {})
         cfg = cls(merged)
-        cfg._validate()
+        cfg._validate(scales)
         return cfg
 
-    def _validate(self) -> None:
+    def _validate(self, scales: bool) -> None:
         # construct every typed object once, so errors surface at load time
         self.spec()
         self.percolation()
-        self.scale_params()
+        if scales:
+            self.scale_params()
         self.regularity()
         self.goodness()
-        ev = self.event()
-        # the ladder must accommodate the event's support ball
-        try:
-            validate_scale_params(self.scale_params(), self.spec(), cylinder_exp=ev.L)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"scales: {exc}") from exc
+        self.event()
         n_list = self.data["iic"]["n_list"]
         if not (isinstance(n_list, (list, tuple)) and n_list):
             raise ConfigError("iic.n_list must be a non-empty list of integer scales")
         self.iic_families()
         self.extraction_family()
         self._validate_estimation()
-        q_list, q_max = self.data["extraction"]["q_list"], self.scale_params().q_max
-        if q_list is not None and not (isinstance(q_list, (list, tuple)) and all(
-                _is_int(q) and 0 <= q <= q_max for q in q_list)):
-            raise ConfigError(f"extraction.q_list must be null or a list of integers "
-                              f"in [0, {q_max}], got {q_list!r}")
+        q_list = self.data["extraction"]["q_list"]
+        if scales and q_list is not None:
+            q_max = self.scale_params().q_max
+            if not (isinstance(q_list, (list, tuple)) and all(
+                    _is_int(q) and 0 <= q <= q_max for q in q_list)):
+                raise ConfigError(f"extraction.q_list must be null or a list of integers "
+                                  f"in [0, {q_max}], got {q_list!r}")
         sc = self.data["supercritical"]
         _check_radii("supercritical.r_pair", sc["r_pair"], 0, pair=True)
         p_list = sc["p_list"]
@@ -262,7 +269,8 @@ class Config:
                 )
             else:
                 raise ConfigError(f"scales.mode must be toy or faithful, got {sc['mode']!r}")
-            validate_scale_params(params, self.spec())
+            # the ladder must accommodate the event's support ball
+            validate_scale_params(params, self.spec(), cylinder_exp=self.event().L)
             return params
         except ConfigError:
             raise
@@ -351,10 +359,11 @@ class Config:
         return copy.deepcopy(self.data)
 
 
-def load_config(path: Optional[str]) -> Config:
-    """Read a JSON config file (or return pure defaults for ``None``)."""
+def load_config(path: Optional[str], scales: bool = True) -> Config:
+    """Read a JSON config file (or return pure defaults for ``None``);
+    ``scales`` as in :meth:`Config.from_dict`."""
     if path is None:
-        return Config.from_dict({})
+        return Config.from_dict({}, scales)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -364,4 +373,4 @@ def load_config(path: Optional[str]) -> Config:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return Config.from_dict(raw)
+    return Config.from_dict(raw, scales)

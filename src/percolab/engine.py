@@ -175,20 +175,23 @@ def keyed_edge_state(cfg: PercolationConfig, key: int) -> int:
     return 1 if mix64(key ^ cfg.sample_key) < cfg.threshold else 0
 
 
-def edge_keys_bulk(seed: int, a_coords: np.ndarray, b_coords: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`edge_key` over arrays of endpoint coordinates.
+def edge_keys_bulk(seed: int, a_cols: Sequence[np.ndarray],
+                   b_cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Vectorised :func:`edge_key` over coordinate columns.
 
-    ``a_coords``/``b_coords`` are ``(m, d)`` signed integer arrays with the
-    canonical (lexicographic) endpoint order already applied.
+    ``a_cols``/``b_cols`` hold the ``d`` signed integer coordinate columns of
+    the canonical (lexicographically smaller) end and of the other end.  All
+    ``2d`` columns broadcast together, and so does the result: a window
+    passes ``(n, 1)`` first-end columns against ``(n, k)`` second-end ones,
+    and hashes each first end once.
     """
-    a = np.asarray(a_coords, dtype=np.int64).astype(np.uint64)
-    b = np.asarray(b_coords, dtype=np.int64).astype(np.uint64)
-    m, d = a.shape
-    h = np.full(m, mix64((seed & MASK64) ^ _PHI), dtype=np.uint64)
-    for j in range(d):
-        h = _mix64_np(h ^ a[:, j] ^ np.uint64(_COORD_SALT_A))
-    for j in range(d):
-        h = _mix64_np(h ^ b[:, j] ^ np.uint64(_COORD_SALT_B))
+    h = np.uint64(mix64((seed & MASK64) ^ _PHI))
+    for x in a_cols:
+        h = _mix64_np(h ^ np.asarray(x, dtype=np.int64).view(np.uint64)
+                      ^ np.uint64(_COORD_SALT_A))
+    for x in b_cols:
+        h = _mix64_np(h ^ np.asarray(x, dtype=np.int64).view(np.uint64)
+                      ^ np.uint64(_COORD_SALT_B))
     return h
 
 

@@ -154,6 +154,9 @@ class ConditioningFamily:
             raise ValueError(f"family scales must be integers, got {list(self.n_list)!r}")
         if any(n < 2 for n in self.n_list):
             raise ValueError("family scales must be >= 2")
+        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ValueError(f"family scales must be strictly increasing, "
+                             f"got {list(self.n_list)!r}")
         if (self.kind == "interleaved") != (self.sub is not None):
             raise ValueError("an interleaved family needs its two sub-families, "
                              "and only an interleaved family takes them")
@@ -582,22 +585,47 @@ def extract_kernels(
 
 
 def _conditioned_window(
-    cfg: PercolationConfig, cond: Conditioning
-) -> Tuple[Window, np.ndarray, Optional[np.ndarray]]:
-    """The window of ``cond`` with its target rows and its blocked (obstacle)
-    rows, ``None`` when there are no obstacles.
+    cfg: PercolationConfig, conds: Sequence[Conditioning]
+) -> Tuple[Window, List[np.ndarray], Optional[np.ndarray]]:
+    """One window ``B(max outer)`` for conditionings that share it, with
+    each one's target rows and the blocked (obstacle) rows, ``None`` when
+    there are no obstacles.  Conditionings share a window only when
+    :func:`_decided_in_any_box` holds for each, so only a lone one has
+    obstacles.
 
     Refuses (``ValueError``) a conditioning whose targets the origin cannot
-    reach off the obstacles even with every edge open.
+    reach off the obstacles even with every edge open; one all-open
+    labelling checks them all.
     """
-    win = build_window(cfg.spec, cfg.seed, cond.outer)
-    target_rows = win.rows_of(sorted(cond.targets))
-    blocked = win.rows_of(sorted(cond.obstacles)) if cond.obstacles else None
+    win = build_window(cfg.spec, cfg.seed, max(c.outer for c in conds))
+    target_rows = [win.rows_of(sorted(c.targets)) for c in conds]
+    obstacles = frozenset().union(*(c.obstacles for c in conds))
+    blocked = win.rows_of(sorted(obstacles)) if obstacles else None
     labels = component_labels(win, np.ones(win.n_edges, dtype=bool), blocked_rows=blocked)
     origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
-    if not connection_indicator(labels, origin_row, target_rows):
-        raise ValueError(f"{cond.kind}: no obstacle-avoiding route from 0 to V_{cond.n}")
+    for cond, rows in zip(conds, target_rows):
+        if not connection_indicator(labels, origin_row, rows):
+            raise ValueError(f"{cond.kind}: no obstacle-avoiding route from 0 to V_{cond.n}")
     return win, target_rows, blocked
+
+
+def _steps_cross_every_shell(spec: LatticeSpec) -> bool:
+    """Does every path from inside ``B(r)`` to outside it step onto the
+    shell of radius ``r + 1``, for every ``r``?  Nearest-neighbour steps
+    change the l-infinity norm by at most one, so they do; a spread-out step
+    can jump a shell."""
+    return spec.edge_mode == NEAREST_NEIGHBOUR
+
+
+def _decided_in_any_box(spec: LatticeSpec, cond: Conditioning) -> bool:
+    """Is 0 <-> V within ``B(outer)`` the same event as the origin's
+    component reaching V in every larger box around the origin?  It is when
+    no step jumps a shell, nothing is blocked and V is the whole outer shell
+    of the window: a path leaving ``B(outer - 1)`` steps onto V first."""
+    o, d = cond.outer, spec.d
+    return (_steps_cross_every_shell(spec) and not cond.obstacles
+            and len(cond.targets) == (2 * o + 1) ** d - (2 * o - 1) ** d
+            and all(norm_inf(x) == o for x in cond.targets))
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +750,7 @@ def matrix_reconstruction(
     rhs_stderr = math.sqrt(rhs_var)
 
     # direct side, on fresh samples
-    win, tgt_rows, blocked = _conditioned_window(cfg, family.at(cfg.spec, n))
+    win, (tgt_rows,), blocked = _conditioned_window(cfg, [family.at(cfg.spec, n)])
     origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
     lhs_start = sample_start + n_samples
     # samples failing the event are dropped before they are labelled
@@ -795,21 +823,37 @@ def iic_conditional(
     starvation is visible; fewer than 100 accepted samples flags the point
     low-confidence.
     """
-    cond = family.at(cfg.spec, n)
-    win, target_rows, blocked = _conditioned_window(cfg, cond)
+    return _iic_points(cfg, event, [family.at(cfg.spec, n)], n_samples, sample_start)[0]
+
+
+def _iic_points(
+    cfg: PercolationConfig,
+    event: CylinderEvent,
+    conds: Sequence[Conditioning],
+    n_samples: int,
+    sample_start: int,
+) -> List[IICPoint]:
+    """The :func:`iic_conditional` point of each conditioning in ``conds``,
+    all from one :func:`_conditioned_window`: one labelling per sample
+    answers every one of them, and the event is read at most once per
+    sample (only when some conditioning accepts it)."""
+    win, target_rows, blocked = _conditioned_window(cfg, conds)
     origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
     srange = (sample_start, sample_start + n_samples)
-    accepted = 0
-    hits = 0
+    accepted = [0] * len(conds)
+    hits = [0] * len(conds)
     for sid, labels in sample_labels(win, cfg, range(*srange), blocked):
-        if not connection_indicator(labels, origin_row, target_rows):
+        reached = [connection_indicator(labels, origin_row, rows) for rows in target_rows]
+        if not any(reached):
             continue
-        accepted += 1
-        if event.evaluate(cfg.with_sample(sid)):
-            hits += 1
-    return IICPoint(n=n, family_kind=cond.kind, event_name=event.name,
-                    exact_window=cond.exact,
-                    **_conditioned_fields(hits, accepted, cfg.seed, srange))
+        hit = event.evaluate(cfg.with_sample(sid))
+        for i, ok in enumerate(reached):
+            accepted[i] += ok
+            hits[i] += ok and hit
+    return [IICPoint(n=cond.n, family_kind=cond.kind, event_name=event.name,
+                     exact_window=cond.exact,
+                     **_conditioned_fields(h, a, cfg.seed, srange))
+            for cond, h, a in zip(conds, hits, accepted)]
 
 
 def iic_series(
@@ -819,10 +863,30 @@ def iic_series(
     n_samples: int,
     sample_start: int = 0,
 ) -> List[IICPoint]:
-    return [
-        iic_conditional(cfg, event, family, n, n_samples, sample_start)
-        for n in family.n_list
-    ]
+    """:func:`iic_conditional` at every scale of ``family``, in order.
+
+    The scales whose conditioning :func:`_decided_in_any_box` (the
+    box-boundary ones on a nearest-neighbour lattice, and so the box-boundary
+    members of an interleaved family) share one window ``B(max outer)`` and
+    one labelling per sample: 0 <-> the shell of radius ``n + 1`` inside
+    ``B(n + 1)`` holds iff the origin's component in the larger window
+    reaches that shell, since a path leaving ``B(n)`` steps onto it first.
+    Every other scale keeps its own window, where it is decided: obstacles,
+    targets short of a whole shell or steps that jump a shell would change
+    the event in a larger box.
+    """
+    groups: List[List[Conditioning]] = []
+    shared: List[Conditioning] = []
+    for cond in (family.at(cfg.spec, n) for n in family.n_list):
+        if not _decided_in_any_box(cfg.spec, cond):
+            groups.append([cond])
+            continue
+        if not shared:
+            groups.append(shared)
+        shared.append(cond)
+    points = {pt.n: pt for group in groups
+              for pt in _iic_points(cfg, event, group, n_samples, sample_start)}
+    return [points[n] for n in family.n_list]
 
 
 # ---------------------------------------------------------------------------
@@ -1026,10 +1090,10 @@ def supercritical_report(
     r_a, r_b = r_pair
     if r_a >= r_b:
         raise ValueError("r_pair must be increasing")
-    # a nearest-neighbour path first meets shell r_a with every earlier site
-    # inside B(r_a - 1), so one B(r_b) tree answers both radii; a
-    # spread-out step can jump over shell r_a, so each radius keeps its window
-    if cfg_base.spec.edge_mode == NEAREST_NEIGHBOUR:
+    # a path that cannot jump shell r_a first meets it with every earlier
+    # site inside B(r_a - 1), so one B(r_b) tree answers both radii;
+    # otherwise each radius keeps its window
+    if _steps_cross_every_shell(cfg_base.spec):
         sweeps = _proxy_sweep(cfg_base, event, p_list, (r_a, r_b), n_samples, sample_start)
     else:
         sweeps = {

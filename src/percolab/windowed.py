@@ -9,12 +9,15 @@ as the lazy explorer — the tests exploit that to cross-validate the two
 implementations edge for edge.
 
 The edge keys (sample-independent) are hashed once per window, and the
-window's edge list is its CSR skeleton: sorted by first row, then second row
-(the canonical order of a CSR matrix), with both row columns contiguous
-int32 arrays.  Producing a sample costs a single avalanche pass, one ``bincount`` and
-``cumsum`` of the open edges' first rows (the sample's ``indptr``), one take
-of their second rows (its ``indices``) and one connected-components call; no
-COO conversion or canonicalisation runs per sample.
+window's edge list is its CSR skeleton: in the canonical order of a CSR
+matrix (by first row, then second row), with both row columns contiguous
+int32 arrays.  :func:`build_window` lays the edges out in that order as it
+finds them, one (site x offset) grid with the offsets in lexicographic
+order, so no sort runs.  Producing a sample costs a single avalanche pass,
+one ``bincount`` and ``cumsum`` of the open edges' first rows (the sample's
+``indptr``), one take of their second rows (its ``indices``) and one
+connected-components call; no COO conversion or canonicalisation runs per
+sample.
 :func:`sample_labels` owns that per-sample loop for every caller.
 :func:`escape_levels` answers a whole decreasing grid of p per sample from
 one minimum spanning tree, since the open edge sets are nested in p, and
@@ -86,7 +89,13 @@ class Window:
 
     def norms(self) -> np.ndarray:
         """l-infinity norm of every box site relative to the center."""
-        return np.abs(self.sites - np.asarray(self.center)).max(axis=1)
+        return _linf_norms(self.sites.T, self.center)
+
+
+def _linf_norms(cols: Sequence[np.ndarray], center: Sequence[int]) -> np.ndarray:
+    """l-infinity distance to ``center`` of the sites with coordinate columns
+    ``cols`` (any broadcastable shape), one column at a time."""
+    return np.maximum.reduce([np.abs(x - c) for x, c in zip(cols, center)])
 
 
 def check_window_size(spec: LatticeSpec, outer: int) -> int:
@@ -103,7 +112,12 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
                  center: Sequence[int] = None) -> Window:
     """Materialise ``B(center; outer) \\ B(center; inner)`` and hash its edges.
 
-    Only edges with both endpoints in the region are kept, in CSR order.
+    Only edges with both endpoints in the region are kept, in CSR order by
+    construction: an edge runs from a first row ``a`` by a lexicographically
+    positive offset, and with the offsets in lexicographic order the
+    (site x offset) grid read row by row is already sorted by first row,
+    then second row, so no sort runs.  The keys are hashed over that grid
+    (each first end once) and compressed by the same validity mask.
     Memory scales like ``d * (2*outer+1)^d``; callers are expected to stay at
     desk scale, and a window :func:`check_window_size` refuses raises
     :class:`WindowTooLargeError`.
@@ -115,33 +129,19 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
     side = 2 * outer + 1
     n = check_window_size(spec, outer)
     axes = [np.arange(c - outer, c + outer + 1, dtype=np.int64) for c in center]
-    grids = np.meshgrid(*axes, indexing="ij")
-    sites = np.stack([g.ravel() for g in grids], axis=1)  # lex order
-    norms = np.abs(sites - np.asarray(center)).max(axis=1)
-    member = norms > inner
+    cols = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    sites = np.stack(cols, axis=1)  # lex order
+    member = _linf_norms(cols, center) > inner
 
-    strides = np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
-    lo = np.asarray([c - outer for c in center])
-    rel = sites - lo  # coordinates in [0, side)
-    rows_a: List[np.ndarray] = []
-    rows_b: List[np.ndarray] = []
-    for off in (v for v in spec.offsets() if v > (0,) * d):  # each edge once
-        offv = np.asarray(off)
-        ok = np.ones(n, dtype=bool)
-        for j in range(d):
-            if off[j] > 0:
-                ok &= rel[:, j] < side - off[j]
-            elif off[j] < 0:
-                ok &= rel[:, j] >= -off[j]
-        idx_a = np.flatnonzero(ok & member)
-        idx_b = (rel[idx_a] + offv) @ strides
-        keep = member[idx_b]
-        rows_a.append(idx_a[keep])
-        rows_b.append(idx_b[keep])
-    a_rows = np.concatenate(rows_a)
-    b_rows = np.concatenate(rows_b)
-    order = np.lexsort((b_rows, a_rows))
-    a_rows, b_rows = a_rows[order], b_rows[order]
+    # each edge once, from its lexicographically smaller end; rows are in
+    # lexicographic order, so for a fixed first row the second rows ascend
+    # with the offsets taken in lexicographic order
+    offs = np.array(sorted(v for v in spec.offsets() if v > (0,) * d), dtype=np.int64)
+    steps = offs @ np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
+    b_cols = [x[:, None] + o for x, o in zip(cols, offs.T)]  # (n, k) each
+    b_norms = _linf_norms(b_cols, center)
+    ok = member[:, None] & (b_norms <= outer) & (b_norms > inner)
+    rows = np.arange(n)[:, None]
     return Window(
         spec=spec,
         center=center,
@@ -150,8 +150,9 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
         seed=seed,
         sites=sites,
         member=member,
-        edge_rows=np.array([a_rows, b_rows], dtype=np.int32).T,
-        keys=edge_keys_bulk(seed, sites[a_rows], sites[b_rows]),
+        edge_rows=np.array([np.broadcast_to(rows, ok.shape)[ok], (rows + steps)[ok]],
+                           dtype=np.int32).T,
+        keys=edge_keys_bulk(seed, [x[:, None] for x in cols], b_cols)[ok],
     )
 
 

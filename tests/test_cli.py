@@ -322,6 +322,38 @@ def test_bad_hopf_or_battery_value_exits_4(tmp_path, capsys, argv, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_list", [[4, 4], [8, 4]], ids=["repeated", "decreasing"])
+def test_non_increasing_iic_scales_exit_4(tmp_path, capsys, n_list):
+    # both used to exit 3 and write repeated or decreasing rows to iic.csv
+    code, out = _run(tmp_path, ["iic-converge", "--n-samples", "20"],
+                     cfg={"iic": {"n_list": n_list}})
+    assert code == 4
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SPREAD_OUT = {"lattice": {"d": 2, "edge_mode": "spread_out", "lam": 1}}
+
+
+def test_spread_out_sweep_runs_and_reruns_byte_identical(tmp_path):
+    # the sweep reads no scale, so the default ladder, which this lattice
+    # refuses, used to stop it with exit 4
+    runs = [_run(tmp_path, ["supercritical-sweep", "--n-samples", "200"],
+                 cfg=SPREAD_OUT, sub=sub) for sub in ("a", "b")]
+    assert [code for code, _ in runs] == [0, 0]
+    for name in ("supercritical.csv", "supercritical.json"):
+        assert (runs[0][1] / name).read_bytes() == (runs[1][1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["scale-table"], ["extract-kernels"],
+                                  ["scan-good-clusters"], ["reconstruct-arm"]])
+def test_spread_out_default_ladder_refused_where_read(tmp_path, capsys, argv):
+    code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=SPREAD_OUT)
+    assert code == 4
+    assert "not separated by more than 2*lam" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_window_is_a_config_error(tmp_path, capsys):
     # refused at the first window build, not an invariant violation (exit 2)
     code, out = _run(tmp_path, ["iic-converge", "--n-samples", "5"],

@@ -100,6 +100,32 @@ def test_non_integer_counts_rejected(override, message):
         Config.from_dict(override)
 
 
+@pytest.mark.parametrize("n_list,message", [
+    ([4, 4], "family scales must be strictly increasing"),
+    ([8, 4], "family scales must be strictly increasing"),
+    ([8, 4.5], "family scales must be integers"),
+], ids=["repeated", "decreasing", "decreasing-float"])
+def test_non_increasing_scales_rejected(n_list, message):
+    with pytest.raises(ConfigError, match=message):
+        Config.from_dict({"iic": {"n_list": n_list}})
+
+
+def test_scales_checked_only_where_read():
+    # the spread-out default ladder is refused, but only a subcommand that
+    # reads the ladder (or the extraction q_list checked against it) asks
+    spread = {"lattice": {"d": 2, "edge_mode": "spread_out", "lam": 1}}
+    with pytest.raises(ConfigError, match=r"scales: .*not separated by more than 2\*lam"):
+        Config.from_dict(spread)
+    cfg = Config.from_dict(spread, scales=False)
+    assert cfg.spec().lam == 1
+    with pytest.raises(ConfigError, match="not separated"):
+        cfg.scale_params()
+    out_of_range = {"extraction": {"q_list": [5]}}
+    with pytest.raises(ConfigError, match="q_list"):
+        Config.from_dict(out_of_range)
+    assert Config.from_dict(out_of_range, scales=False)
+
+
 def test_supercritical_origin_radius_accepted():
     # radius 0: the shell is the origin itself, a defined escape event
     assert Config.from_dict({"supercritical": {"r_pair": [0, 4]}})

@@ -74,7 +74,7 @@ def test_scalar_edge_key_matches_bulk_keys(seed, spec, data):
     a = tuple(data.draw(st.tuples(*[coord] * spec.d)))
     b = tuple(x + o for x, o in zip(a, data.draw(st.sampled_from(spec.offsets()))))
     e = canonical_edge(spec, a, b)
-    bulk = edge_keys_bulk(seed, np.array([e[0]]), np.array([e[1]]))
+    bulk = edge_keys_bulk(seed, np.array([e[0]]).T, np.array([e[1]]).T)
     assert edge_key(seed, e) == int(bulk[0])
 
 

@@ -270,6 +270,48 @@ def test_iic_series_frozen_rows(build, rows):
 
 
 # ---------------------------------------------------------------------------
+# Nested box-boundary scales share one window
+
+
+_LAM1 = LatticeSpec(d=2, edge_mode="spread_out", lam=1)
+_LAM2 = LatticeSpec(d=2, edge_mode="spread_out", lam=2)
+
+
+@pytest.mark.parametrize("spec,build,windows", [
+    (SPEC2, box_boundary_family, 1),
+    (LatticeSpec(d=3), box_boundary_family, 1),
+    (SPEC2, lambda ns: interleaved_family(box_boundary_family(ns),
+                                          single_vertex_family(ns), ns), 2),
+    (SPEC2, obstacle_family, 3),
+    (_LAM1, box_boundary_family, 3),
+    (_LAM2, box_boundary_family, 3),
+], ids=["box-d2", "box-d3", "interleaved-box-single", "obstacle", "lam1-box", "lam2-box"])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_iic_series_equals_per_scale_points(spec, build, windows, seed, monkeypatch):
+    # the box-boundary scales of a nearest-neighbour lattice share the window
+    # of the largest one; every other conditioning keeps its own window, and
+    # every point equals the one its own window gives
+    fam = build((2, 3, 5))
+    ev = two_east_edges_event(spec)
+    cfg = PercolationConfig(spec, 0.5 if spec.edge_mode == "nearest_neighbour" else 0.25,
+                            seed)
+    per_scale = [iic_conditional(cfg, ev, fam, n, 150, seed) for n in fam.n_list]
+    built = []
+    real_build = experiments.build_window
+    monkeypatch.setattr(experiments, "build_window",
+                        lambda *a, **k: built.append(a) or real_build(*a, **k))
+    read = []
+    real_evaluate = CylinderEvent.evaluate
+    monkeypatch.setattr(CylinderEvent, "evaluate",
+                        lambda self, c: read.append(c.sample_id) or real_evaluate(self, c))
+    series = iic_series(cfg, ev, fam, 150, sample_start=seed)
+    assert series == per_scale
+    assert len(built) == windows
+    if windows == 1:  # one read of the event per sample, at most
+        assert len(read) == len(set(read)) <= 150
+
+
+# ---------------------------------------------------------------------------
 # Convergence diagnostics (pure arithmetic on synthetic points)
 
 

@@ -10,7 +10,13 @@ from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from percolab.engine import PercolationConfig, edge_state, explore_cluster, spanning_clusters
+from percolab.engine import (
+    PercolationConfig,
+    edge_keys_bulk,
+    edge_state,
+    explore_cluster,
+    spanning_clusters,
+)
 from percolab.lattice import LatticeSpec, annulus, box, edge_count_box
 from percolab.windowed import (
     WindowTooLargeError,
@@ -100,6 +106,73 @@ def test_connection_indicator_consistent_with_labels():
         labels = component_labels(win, sample_open_edges(win, cfg, sid))
         hit = connection_indicator(labels, origin, targets)
         assert hit == bool((labels[targets] == labels[origin]).any())
+
+
+# ---------------------------------------------------------------------------
+# The window builder against the sorting builder it replaced
+
+
+def _sorted_window_arrays(spec, seed, outer, inner, center):
+    """Reference: ``(sites, member, edge_rows, keys, norms)`` as the builder
+    made them before it built edges in CSR order: per positive offset, the
+    valid first rows and their second rows by stride arithmetic, then one
+    ``lexsort`` by first row, then second row, and keys hashed from the
+    gathered end coordinates."""
+    d = spec.d
+    side = 2 * outer + 1
+    axes = [np.arange(c - outer, c + outer + 1, dtype=np.int64) for c in center]
+    sites = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    norms = np.abs(sites - np.asarray(center)).max(axis=1)
+    member = norms > inner
+    strides = np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
+    rel = sites - np.asarray([c - outer for c in center])
+    rows_a, rows_b = [], []
+    for off in (v for v in spec.offsets() if v > (0,) * d):
+        ok = member.copy()
+        for j in range(d):
+            if off[j] > 0:
+                ok &= rel[:, j] < side - off[j]
+            elif off[j] < 0:
+                ok &= rel[:, j] >= -off[j]
+        idx_a = np.flatnonzero(ok)
+        idx_b = (rel[idx_a] + np.asarray(off)) @ strides
+        keep = member[idx_b]
+        rows_a.append(idx_a[keep])
+        rows_b.append(idx_b[keep])
+    a_rows, b_rows = np.concatenate(rows_a), np.concatenate(rows_b)
+    order = np.lexsort((b_rows, a_rows))
+    a_rows, b_rows = a_rows[order], b_rows[order]
+    keys = edge_keys_bulk(seed, sites[a_rows].T, sites[b_rows].T)
+    return sites, member, np.array([a_rows, b_rows], dtype=np.int32).T, keys, norms
+
+
+def _builder_cases():
+    specs = [LatticeSpec(d=d) for d in (1, 2, 3, 4)] + [
+        LatticeSpec(d=2, edge_mode="spread_out", lam=lam) for lam in (1, 2, 3)]
+    for spec in specs:
+        # every outer 0..17 where the box stays small, so the case list runs
+        # in seconds; lam = 3 reaches past the box at outer <= 1
+        outers = [r for r in range(18) if (2 * r + 1) ** spec.d <= 6000]
+        for outer in outers:
+            for inner in sorted({-1, 0, outer // 2, outer - 1}):
+                for center in ((0,) * spec.d, (3, -5, 7, -1)[:spec.d]):
+                    yield spec, outer, inner, center
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_window_arrays_equal_the_sorting_builder(seed):
+    n_cases = 0
+    for spec, outer, inner, center in _builder_cases():
+        win = build_window(spec, seed, outer=outer, inner=inner, center=center)
+        ref = _sorted_window_arrays(spec, seed, outer, inner, center)
+        got = (win.sites, win.member, win.edge_rows, win.keys, win.norms())
+        for name, a, b in zip(("sites", "member", "edge_rows", "keys", "norms"), got, ref):
+            where = f"{name} of {spec}, outer {outer}, inner {inner}, center {center}"
+            assert a.dtype == b.dtype and np.array_equal(a, b), where
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
+                (b.flags.c_contiguous, b.flags.f_contiguous), where
+        n_cases += 1
+    assert n_cases > 300
 
 
 # ---------------------------------------------------------------------------
