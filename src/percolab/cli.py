@@ -46,8 +46,8 @@ from .kernels import (
     random_kernel,
     ratio_limit,
 )
+from .lattice import WindowTooLargeError
 from .scales import HorizonError, faithful_report, scale_sequence
-from .windowed import WindowTooLargeError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -602,7 +602,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        cfg = load_config(args.config, args.scales)
+        # the oracle tier reads neither the ladder nor the lattice
+        reads_ladder = args.scales and not getattr(args, "oracle", False)
+        cfg = load_config(args.config, reads_ladder)
         sink = _Sink(args.out_dir, args.format)
         return args.fn(cfg, args, sink)
     except (ConfigError, BracketError, HorizonError, WindowTooLargeError) as exc:

@@ -1,21 +1,17 @@
 """Cluster-structure analysis: volume tameness, regularity by conditional
-resampling, certification of good spanning sets, pivotal edges, and the
-attachment-pair set whose cardinality is a.s. at most one.
+resampling, and certification of good spanning sets.
 
 Conventions fixed here (the source definitions leave them open):
 natural logarithms throughout the s^4 log^7 s volume threshold and the
 exp(-log^2 s) badness level; conditional resampling freezes every edge with
-at least one endpoint in the conditioned cluster; the designated outward /
-inward neighbours ("stars") are the lexicographically smallest qualifying
-ones.
+at least one endpoint in the conditioned cluster.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .engine import (
     ClusterRecord,
@@ -24,22 +20,13 @@ from .engine import (
     cluster_components,
     edge_key,
     explore,
-    explore_cluster,
     keyed_edge_state,
     membership,
     mix64,
-    raw_edge_state,
     spanning_clusters,
 )
 from .estimators import Estimate
-from .lattice import (
-    Edge,
-    Region,
-    Site,
-    box,
-    neighbours,
-    norm_inf,
-)
+from .lattice import Edge, Region, Site, box
 from .scales import ScaleIndex, ScaleParams, sub_annulus
 
 
@@ -373,143 +360,4 @@ def scan_good_spanning(
             out.append(
                 good_spanning_check(cfg, rec, idx, q, scale_params, params, reg)
             )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pivotal edges
-
-
-def pivotal_from_graph(
-    adj: Mapping, sources: Iterable, targets: Iterable
-) -> Set[frozenset]:
-    """Edges of the open graph whose removal disconnects sources from targets.
-
-    ``adj`` maps each vertex to its open neighbours (a dict of lists or an
-    ``nx.Graph``); sources and targets it does not hold are ignored.  A
-    pivotal edge lies on every source-target path, so the candidates are the
-    edges of one shortest path, each kept iff the targets are unreachable
-    without it.
-    """
-    src = [s for s in sources if s in adj]
-    tgt = {t for t in targets if t in adj}
-    path = _shortest_path(adj, src, tgt)
-    if path is None:
-        raise ValueError("sources and targets are not connected")
-    return {e for e in path if _shortest_path(adj, src, tgt, cut=e) is None}
-
-
-def _shortest_path(adj: Mapping, src: List, tgt: Set,
-                   cut: FrozenSet = frozenset()) -> Optional[List[frozenset]]:
-    """Edges of a shortest ``src``-``tgt`` path avoiding the edge ``cut``
-    (breadth-first search), or None when there is no such path."""
-    parent = {s: s for s in src}
-    frontier = deque(src)
-    while frontier:
-        u = frontier.popleft()
-        if u in tgt:
-            path = []
-            while parent[u] != u:
-                path.append(frozenset((parent[u], u)))
-                u = parent[u]
-            return path
-        for v in adj[u]:
-            if v not in parent and not (u in cut and v in cut):
-                parent[v] = u
-                frontier.append(v)
-    return None
-
-
-def pivotal_edges(
-    cfg: PercolationConfig,
-    sources: Iterable[Site],
-    targets: Iterable[Site],
-    restriction: RegionLike,
-) -> Set[frozenset]:
-    """Open pivotal edges for {sources <-> targets} within a lattice region.
-
-    The graph is the sources' open cluster within ``restriction``, explored
-    once: no other part of the region can hold a pivotal edge.
-    """
-    sources = list(sources)
-    open_edges: Set[Edge] = set()
-    visited, _ = explore(cfg.spec, sources, membership(restriction),
-                         lambda e: raw_edge_state(cfg, e),
-                         cap=math.inf, open_edges=open_edges)
-    adj: Dict[Site, List[Site]] = {v: [] for v in visited}
-    for a, b in open_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return pivotal_from_graph(adj, sources, targets)
-
-
-# ---------------------------------------------------------------------------
-# The attachment-pair set
-
-
-def outward_star(spec, x: Site, outer_radius: int) -> Optional[Site]:
-    """Lexicographically smallest neighbour of x strictly outside
-    B(0; outer_radius)."""
-    cands = [y for y in neighbours(spec, x) if norm_inf(y) > outer_radius]
-    return min(cands) if cands else None
-
-
-def inward_star(spec, x: Site, hole_radius: int) -> Optional[Site]:
-    """Lexicographically smallest neighbour of x inside B(0; hole_radius)."""
-    cands = [y for y in neighbours(spec, x) if norm_inf(y) <= hole_radius]
-    return min(cands) if cands else None
-
-
-def verify_pinned(cfg: PercolationConfig, cluster: ClusterRecord) -> bool:
-    """Does the realized configuration make ``cluster`` a spanning cluster of
-    its region (all its edges open, all other region edges touching it
-    closed, both boundaries met)?"""
-    if not cluster.spans:
-        return False
-    rec = explore_cluster(cfg, cluster.root, cluster.region)
-    return rec.vertices == cluster.vertices
-
-
-def y_set(
-    cfg: PercolationConfig,
-    c_rec: SpanningSetRecord,
-    d_rec: SpanningSetRecord,
-    mid: Region,
-) -> Set[Tuple[Site, Site]]:
-    """Pairs (x_i, x_j) of regular boundary vertices whose designated
-    attachment edges are open and pivotal for the mid-region connection.
-
-    x_i ranges over the regular outer boundary of C (outward star past C's
-    annulus), x_j over the regular inner boundary of D (inward star into
-    D's annulus hole); the connection event is {C <-> D within ``mid``}.
-    """
-    for role, rec in (("C", c_rec), ("D", d_rec)):
-        if not verify_pinned(cfg, rec.cluster):
-            raise ValueError(f"{role} is not pinned as a spanning cluster here")
-    spec = cfg.spec
-    c_region = c_rec.cluster.region
-    d_region = d_rec.cluster.region
-    if not (isinstance(c_region, Region) and isinstance(d_region, Region)):
-        raise ValueError("records must carry annulus regions")
-
-    try:
-        piv = pivotal_edges(cfg, c_rec.cluster.vertices, d_rec.cluster.vertices, mid)
-    except ValueError:
-        return set()
-
-    out: Set[Tuple[Site, Site]] = set()
-    for xi in sorted(c_rec.regular_out):
-        xs = outward_star(spec, xi, c_region.outer)
-        if xs is None:
-            continue
-        e_i = frozenset((xi, xs))
-        if e_i not in piv:
-            continue
-        for xj in sorted(d_rec.regular_in):
-            xjs = inward_star(spec, xj, d_region.inner)
-            if xjs is None:
-                continue
-            e_j = frozenset((xj, xjs))
-            if e_j in piv:
-                out.add((xi, xj))
     return out

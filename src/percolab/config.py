@@ -27,7 +27,7 @@ from .clusters import GoodSpanningParams, RegularityParams
 from .engine import PercolationConfig
 from .estimators import PC_CRITERIA
 from .experiments import ConditioningFamily, CylinderEvent, sure_event, two_east_edges_event
-from .lattice import LatticeSpec, Site
+from .lattice import LatticeSpec, Site, canonical_edge
 from .scales import ScaleParams, faithful_params, toy_params, validate_scale_params
 
 __all__ = ["ConfigError", "Config", "load_config"]
@@ -313,8 +313,10 @@ class Config:
                     "custom events need event.L and event.pattern "
                     "([[ [x...], [y...] ], state] entries)"
                 )
+            # a non-edge is refused here, not at the event's first reading
+            spec = self.spec()
             pattern = tuple(
-                ((tuple(a), tuple(b)), bool(state))
+                (canonical_edge(spec, tuple(a), tuple(b)), bool(state))
                 for (a, b), state in ev["pattern"]
             )
             return CylinderEvent(name, ev["L"], pattern)

@@ -164,7 +164,7 @@ class ConditioningFamily:
     def at(self, spec: LatticeSpec, n: int) -> Conditioning:
         """The family at scale ``n``: the only place its ``kind`` is read.
 
-        Raises :class:`~percolab.windowed.WindowTooLargeError` before
+        Raises :class:`~percolab.lattice.WindowTooLargeError` before
         materialising any site when ``B(outer)`` could not be materialised.
         """
         if self.kind == "interleaved":

@@ -37,6 +37,11 @@ SPREAD_OUT = "spread_out"
 MATERIALISE_LIMIT = 80_000_000
 
 
+class WindowTooLargeError(ValueError):
+    """A region or window too large to materialise: a refusal to run on a
+    bad input, not a broken invariant."""
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Dimension plus edge-set choice.
@@ -172,7 +177,7 @@ def region_sites(region: Region, limit: int = MATERIALISE_LIMIT) -> Iterator[Sit
     annuli are meant to be reasoned about symbolically, never enumerated.
     """
     if site_count(region) > limit:
-        raise ValueError(
+        raise WindowTooLargeError(
             f"region with {site_count(region)} sites exceeds materialisation limit {limit}"
         )
     c = region.center
@@ -218,7 +223,7 @@ def region_boundaries(spec: LatticeSpec, region: Region) -> Tuple[Tuple[Site, ..
     c = region.center
     r, s = region.inner, region.outer
     if site_count(region, spec.d) > MATERIALISE_LIMIT:
-        raise ValueError("refusing to enumerate boundaries of a huge region")
+        raise WindowTooLargeError("refusing to enumerate boundaries of a huge region")
     # No edge is longer than w in sup norm, so boundary sites lie within w of
     # the hole or of the outer shell: only those two bands are walked, in
     # region_sites' lexicographic order, so both lists come out sorted.

@@ -39,6 +39,7 @@ from .lattice import (
     LatticeSpec,
     Region,
     Site,
+    WindowTooLargeError,
     annulus,
     box,
     edge_count_box,
@@ -212,7 +213,7 @@ def sub_annulus(spec: LatticeSpec, idx: ScaleIndex, q: int, params: ScaleParams)
     """
     lo, hi = sub_annulus_exponents(idx, q, params.q_max)
     if hi > MATERIALISE_EXP_LIMIT:
-        raise ValueError(
+        raise WindowTooLargeError(
             f"radius exponent {hi} exceeds materialisation limit; use "
             "sub_annulus_exponents for symbolic work"
         )

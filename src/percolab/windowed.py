@@ -35,12 +35,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
-from .lattice import LatticeSpec, Site, annulus, region_boundaries
-
-
-class WindowTooLargeError(ValueError):
-    """A window too large to materialise: a refusal to run on a bad input,
-    not a broken invariant."""
+from .lattice import LatticeSpec, Site, WindowTooLargeError, annulus, region_boundaries
 
 
 @dataclass

@@ -9,6 +9,7 @@ enumeration itself after independent spot-checks.
 from dataclasses import replace
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from percolab.battery import (
@@ -22,7 +23,6 @@ from percolab.battery import (
     run_oracle_battery,
     y_geometries,
 )
-from percolab.clusters import pivotal_from_graph
 from percolab.engine import TinyGraph, exact_event_table
 
 
@@ -135,23 +135,37 @@ def test_y_enumeration_frozen_counts_and_uniqueness():
 
 def _reference_pair_count(geom, mask):
     """The number of qualifying pairs in one configuration, by the per-mask
-    rule: the pivotal edges of the open graph restricted to ``mid`` (none
-    when C and D are not joined there), then every (outward, inward) pair
-    of candidates whose attachment edges are both pivotal."""
-    adj = {v: [] for v in geom.mid}
+    rule in networkx: an attachment edge is pivotal when it is an open edge
+    of the open graph restricted to ``mid`` and removing it disjoins C from
+    D there (none is when C and D are not joined there); every (outward,
+    inward) pair of candidates whose attachment edges are both pivotal
+    counts."""
+    g = nx.Graph()
+    g.add_nodes_from(geom.mid)
     free_open = tuple(e for j, e in enumerate(geom.free_edges) if (mask >> j) & 1)
-    for a, b in geom.c_edges + geom.d_edges + free_open:
-        if a in geom.mid and b in geom.mid:
-            adj[a].append(b)
-            adj[b].append(a)
-    try:
-        pivots = pivotal_from_graph(adj, geom.c_vertices, geom.d_vertices)
-    except ValueError:
-        pivots = set()
-    pairs = [(xi, xj)
-             for xi, si in geom.out_candidates if frozenset((xi, si)) in pivots
-             for xj, sj in geom.in_candidates if frozenset((xj, sj)) in pivots]
-    return len(pairs)
+    g.add_edges_from((a, b) for a, b in geom.c_edges + geom.d_edges + free_open
+                     if a in geom.mid and b in geom.mid)
+    src = [v for v in geom.c_vertices if v in g]
+    tgt = {v for v in geom.d_vertices if v in g}
+
+    def joined():
+        reach = set()
+        for s in src:
+            if s not in reach:
+                reach |= nx.node_connected_component(g, s)
+        return not reach.isdisjoint(tgt)
+
+    def pivotal(edge):
+        if not g.has_edge(*edge):
+            return False
+        g.remove_edge(*edge)
+        cut = not joined()
+        g.add_edge(*edge)
+        return cut
+
+    if not joined():
+        return 0
+    return sum(map(pivotal, geom.out_candidates)) * sum(map(pivotal, geom.in_candidates))
 
 
 def test_y_rows_equal_the_per_mask_pivotal_reference():

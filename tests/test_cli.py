@@ -354,6 +354,43 @@ def test_spread_out_default_ladder_refused_where_read(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_spread_out_oracle_reconstruction_runs(tmp_path):
+    # the oracle tier reads neither the ladder nor the lattice, so the
+    # default ladder this lattice refuses used to stop it with exit 4; the
+    # Monte Carlo tier still refuses it (the test above)
+    spread = _run(tmp_path, ["reconstruct-arm", "--oracle"], cfg=SPREAD_OUT, sub="spread")
+    default = _run(tmp_path, ["reconstruct-arm", "--oracle"], sub="default")
+    assert [code for code, _ in (spread, default)] == [0, 0]
+    name = "reconstruction_oracle.csv"
+    assert (spread[1] / name).read_bytes() == (default[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("k1,message", [
+    (8, "refusing to enumerate boundaries of a huge region"),
+    (16, "radius exponent 33 exceeds materialisation limit"),
+], ids=["k1-8", "k1-16"])
+def test_oversized_toy_ladder_is_a_config_error(tmp_path, capsys, k1, message):
+    # both used to exit 2, "invariant violation"
+    code, out = _run(tmp_path, ["scan-good-clusters", "--n-samples", "1"],
+                     cfg={"scales": {"k1": k1}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("edge", [[[0, 0], [2, 0]], [[0, 0, 0], [1, 0, 0]]],
+                         ids=["non-edge", "wrong-dimension"])
+def test_custom_pattern_non_edge_is_a_config_error(tmp_path, capsys, edge):
+    # both passed the load and exited 2 at the event's first reading
+    code, out = _run(tmp_path, ["iic-converge", "--n-samples", "10"],
+                     cfg={"event": {"name": "bad", "L": 1, "pattern": [[edge, True]]}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error: event:" in err and "is not an edge" in err
+    assert not out.exists()
+
+
 def test_oversized_window_is_a_config_error(tmp_path, capsys):
     # refused at the first window build, not an invariant violation (exit 2)
     code, out = _run(tmp_path, ["iic-converge", "--n-samples", "5"],

@@ -1,4 +1,4 @@
-"""Cluster regularity, good spanning sets, pivotal edges, attachment pairs.
+"""Cluster regularity, good spanning sets, and lattice attachment pairs.
 
 The centrepiece is an exact oracle for the conditional-resampling
 regularity estimate: on a hand-sized region the conditional law given the
@@ -18,18 +18,11 @@ import percolab.engine
 from percolab.clusters import (
     GoodSpanningParams,
     RegularityParams,
-    SpanningSetRecord,
     badness_threshold,
     estimate_regularity,
     good_spanning_check,
-    inward_star,
-    outward_star,
-    pivotal_edges,
-    pivotal_from_graph,
     scan_good_spanning,
     tame_threshold,
-    verify_pinned,
-    y_set,
 )
 from percolab.engine import (
     PercolationConfig,
@@ -220,7 +213,10 @@ def test_good_records_are_pinned_spanning_sets():
     for sid in range(30):
         cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
         for rec in scan_good_spanning(cfg, ladder[1], params, good, reg):
-            assert verify_pinned(cfg, rec.cluster)
+            # the sample pins the record: it spans, and its root explores it
+            assert rec.cluster.spans
+            assert explore_cluster(cfg, rec.cluster.root, rec.cluster.region).vertices \
+                == rec.cluster.vertices
             checked += 1
     assert checked > 20
 
@@ -269,7 +265,6 @@ def test_good_spanning_check_explores_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("explore_cluster called during certification")
 
-    monkeypatch.setattr(percolab.clusters, "explore_cluster", forbidden)
     monkeypatch.setattr(percolab.engine, "explore_cluster", forbidden)
     regions = []
     real = percolab.clusters.estimate_regularity
@@ -292,180 +287,78 @@ def test_good_spanning_check_explores_nothing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Pivotal edges
+# Attachment pairs on the lattice, against networkx
 
 
-def test_pivotal_from_graph_theta_and_bridge():
-    g = nx.Graph()
-    # two internally disjoint a->b routes plus a pendant bridge b-t
-    g.add_edges_from([("a", "u"), ("u", "b"), ("a", "v"), ("v", "b"),
-                      ("b", "t")])
-    piv = pivotal_from_graph(g, ["a"], ["t"])
-    assert piv == {frozenset(("b", "t"))}
-    g.remove_edge("a", "v")
-    piv2 = pivotal_from_graph(g, ["a"], ["t"])
-    assert piv2 == {frozenset(("a", "u")), frozenset(("u", "b")),
-                    frozenset(("b", "t"))}
+def _joined(g, sources, targets):
+    """Is some source joined to some target in the graph ``g``?"""
+    reach = set()
+    for s in sources:
+        if s not in reach:
+            reach |= nx.node_connected_component(g, s)
+    return not reach.isdisjoint(targets)
 
 
-def test_pivotal_from_graph_disconnected_raises():
-    g = nx.Graph()
-    g.add_edges_from([("a", "b"), ("t", "u")])
-    with pytest.raises(ValueError):
-        pivotal_from_graph(g, ["a"], ["t"])
+def _pivotal(g, sources, targets, edge):
+    """Is ``edge`` an open edge of ``g`` whose removal disjoins sources from
+    targets (remove and retest)?"""
+    if not g.has_edge(*edge):
+        return False
+    g.remove_edge(*edge)
+    try:
+        return not _joined(g, sources, targets)
+    finally:
+        g.add_edge(*edge)
 
 
-def test_pivotal_edges_on_lattice_corridor():
-    # at p = 1 a full box has no pivotal edges for a cross-box connection
-    cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=3)
-    piv = pivotal_edges(cfg, [(-2, 0)], [(2, 0)], box((0, 0), 2))
-    assert piv == set()
-    # a width-1 corridor makes every edge pivotal
-    corridor = frozenset((k, 0) for k in range(-2, 3))
-    piv2 = pivotal_edges(cfg, [(-2, 0)], [(2, 0)], corridor)
-    assert len(piv2) == 4
-
-
-def test_pivotal_agrees_with_removal_retest():
-    import random as _random
-
-    rnd = _random.Random(7)
-    seen = {"raised": 0, "several": 0, "overlap": 0, "absent": 0}
-    for trial in range(900):
-        g = nx.Graph()
-        n = rnd.randint(4, 9)
-        nodes = list(range(n))
-        for u in nodes:
-            for v in nodes:
-                if u < v and rnd.random() < 0.45:
-                    g.add_edge(u, v)
-        g.add_nodes_from(nodes)
-        if trial < 300:
-            src, tgt = {0}, {n - 1}
-        else:
-            # several sources and targets, which may overlap; n and n + 1
-            # are absent from the graph
-            pool = nodes + [n, n + 1]
-            src = set(rnd.sample(pool, rnd.randint(1, 3)))
-            tgt = set(rnd.sample(pool, rnd.randint(1, 3)))
-            seen["several"] += len(src) > 1 and len(tgt) > 1
-            seen["overlap"] += bool(src & tgt & set(nodes))
-            seen["absent"] += bool(src - set(nodes))
-        # the same graph as a plain dict of open neighbours
-        adj = {v: list(g[v]) for v in g}
-        if not any(nx.has_path(g, s, t)
-                   for s in src if s in g for t in tgt if t in g):
-            for graph in (g, adj):
-                with pytest.raises(ValueError):
-                    pivotal_from_graph(graph, src, tgt)
-            seen["raised"] += 1
-            continue
-        piv = pivotal_from_graph(g, src, tgt)
-        assert pivotal_from_graph(adj, src, tgt) == piv
-        for e in g.edges():
-            h = g.copy()
-            h.remove_edge(*e)
-            sep = not any(nx.has_path(h, s, t)
-                          for s in src if s in h for t in tgt if t in h)
-            assert (frozenset(e) in piv) == sep
-    assert min(seen.values()) > 30, seen
-
-
-def test_pivotal_edges_match_whole_region_graph():
-    # only the sources' open cluster can hold a pivotal edge: the whole open
-    # graph of the region, hashed edge by edge, gives the same set
-    graphs = [(reg, list(region_sites(reg)), list(edges_within(SPEC2, reg)))
-              for reg in (box((0, 0), 4), annulus((0, 0), 1, 5))]
-    strip = frozenset((k, j) for k in range(-3, 4) for j in (0, 1))
-    graphs.append((strip, sorted(strip),
-                   [e for e in edges_within(SPEC2, box((0, 0), 3))
-                    if e[0] in strip and e[1] in strip]))
-    src, tgt = [(-2, 0), (2, 1), (9, 9)], [(3, 0), (-4, 4), (5, 5)]
-    agreed = 0
-    for sid in range(30):
-        cfg = PercolationConfig(spec=SPEC2, p=0.6, seed=5, sample_id=sid)
-        for reg, sites, edges in graphs:
-            g = nx.Graph()
-            g.add_nodes_from(sites)
-            g.add_edges_from(e for e in edges if edge_state(cfg, e))
-            try:
-                want = pivotal_from_graph(g, src, tgt)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    pivotal_edges(cfg, src, tgt, reg)
-                continue
-            assert pivotal_edges(cfg, src, tgt, reg) == want
-            agreed += bool(want)
-    assert agreed > 10
-
-
-# ---------------------------------------------------------------------------
-# Attachment pairs on the lattice
-
-
-def _records_for(cfg, ann, level):
-    recs, truncated = spanning_clusters(cfg, ann)
-    assert not truncated
+def _attachment_edges(sites, admits):
+    """Each site with its lexicographically smallest neighbour that
+    ``admits`` accepts; a site with none has no attachment edge."""
     out = []
-    for cl in recs:
-        out.append(SpanningSetRecord(
-            cluster=cl, level=level, q=0, good=True, failure_reasons=[],
-            regular_in=frozenset(
-                v for v in cl.vertices if norm_inf(v) == ann.inner + 1),
-            regular_out=frozenset(
-                v for v in cl.vertices if norm_inf(v) == ann.outer)))
+    for x in sorted(sites):
+        ys = [y for y in neighbours(SPEC2, x) if admits(norm_inf(y))]
+        if ys:
+            out.append((x, min(ys)))
     return out
 
 
-def test_attachment_stars():
-    assert outward_star(SPEC2, (2, 1), 2) == (3, 1)
-    assert outward_star(SPEC2, (1, 1), 2) is None
-    assert inward_star(SPEC2, (2, 0), 1) == (1, 0)
-    assert inward_star(SPEC2, (2, 2), 1) is None
-
-
-def test_y_set_lattice_frozen_histogram():
+def test_lattice_attachment_pairs_frozen_histogram():
+    # C spans annulus(0, 2), D spans annulus(8, 16), and the connection event
+    # is {C <-> D within mid}.  A pair (x_i, x_j) counts when the outward
+    # attachment edge of the norm-2 site x_i of C and the inward one of the
+    # norm-9 site x_j of D are both pivotal for it.
     ann_c = annulus((0, 0), 0, 2)
     ann_d = annulus((0, 0), 8, 16)
     mid = annulus((0, 0), 1, 9)
+    mid_sites = list(region_sites(mid))
+    mid_edges = list(edges_within(SPEC2, mid))
     hist = {}
+    pairs = []
     for sid in range(40):
         cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024, sample_id=sid)
-        for c in _records_for(cfg, ann_c, 1):
-            for d in _records_for(cfg, ann_d, 2):
-                k = len(y_set(cfg, c, d, mid))
-                hist[k] = hist.get(k, 0) + 1
+        g = nx.Graph()
+        g.add_nodes_from(mid_sites)
+        g.add_edges_from(e for e in mid_edges if edge_state(cfg, e))
+        for c in spanning_clusters(cfg, ann_c)[0]:
+            src = [v for v in c.vertices if v in g]
+            outward = _attachment_edges(
+                (v for v in c.vertices if norm_inf(v) == 2), lambda n: n > 2)
+            for d in spanning_clusters(cfg, ann_d)[0]:
+                tgt = {v for v in d.vertices if v in g}
+                found = []
+                if _joined(g, src, tgt):
+                    inward = _attachment_edges(
+                        (v for v in d.vertices if norm_inf(v) == 9), lambda n: n <= 8)
+                    outs = [e for e in outward if _pivotal(g, src, tgt, e)]
+                    ins = [e for e in inward if _pivotal(g, src, tgt, e)] if outs else []
+                    found = [(ei, ej) for ei in outs for ej in ins]
+                hist[len(found)] = hist.get(len(found), 0) + 1
+                for ei, ej in found:
+                    assert edge_state(cfg, canonical_edge(SPEC2, *ei))
+                    assert edge_state(cfg, canonical_edge(SPEC2, *ej))
+                pairs += found
     assert hist == {0: 371, 1: 12}  # never more than one attachment pair
-
-
-def test_y_set_pairs_are_open_pivotal_attachments():
-    ann_c = annulus((0, 0), 0, 2)
-    ann_d = annulus((0, 0), 8, 16)
-    mid = annulus((0, 0), 1, 9)
-    seen = 0
-    for sid in range(40):
-        cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024, sample_id=sid)
-        for c in _records_for(cfg, ann_c, 1):
-            for d in _records_for(cfg, ann_d, 2):
-                for xi, xj in y_set(cfg, c, d, mid):
-                    assert xi in c.regular_out and xj in d.regular_in
-                    ei = canonical_edge(SPEC2, xi, outward_star(SPEC2, xi, 2))
-                    ej = canonical_edge(SPEC2, xj, inward_star(SPEC2, xj, 8))
-                    assert edge_state(cfg, ei) and edge_state(cfg, ej)
-                    seen += 1
-    assert seen == 12
-
-
-def test_verify_pinned_rejects_foreign_sample():
-    ann = annulus((0, 0), 1, 3)
-    cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=6, sample_id=0)
-    recs, _ = spanning_clusters(cfg, ann)
-    if not recs:
-        pytest.skip("no spanning cluster in this sample")
-    other = cfg.with_sample(991)
-    assert verify_pinned(cfg, recs[0])
-    assert not verify_pinned(other, recs[0]) or \
-        explore_cluster(other, recs[0].root, ann).vertices == recs[0].vertices
+    assert len(pairs) == 12
 
 
 def test_cluster_components_match_graph_components():

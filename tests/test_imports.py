@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the two rules the
+No linter ships with the project, so this stands in for the three rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
@@ -31,7 +31,6 @@ TEST_ONLY = {
     "component_rows": "reference oracle for one component of a window labelling",
     "edges_within": "reference oracle for the edge set of a region",
     "edge_state": "reference oracle: the validated scalar edge bit (perfbench spans it by name)",
-    "y_set": "holds the frozen attachment-pair histogram {0: 371, 1: 12}",
     "convolution_sweep": "the convolution bound over a sweep of separations",
     "obstacle_family": "sibling of the family constructors the scripts use",
     "halfspace_family": "sibling of the family constructors the scripts use",
