@@ -6,6 +6,7 @@ frozen cluster is enumerable edge-by-edge, so the Monte Carlo estimate can
 be held against an exact rational.
 """
 
+import functools
 import math
 from collections import deque
 from fractions import Fraction
@@ -322,11 +323,16 @@ def _attachment_edges(sites, admits):
     return out
 
 
-def test_lattice_attachment_pairs_frozen_histogram():
-    # C spans annulus(0, 2), D spans annulus(8, 16), and the connection event
-    # is {C <-> D within mid}.  A pair (x_i, x_j) counts when the outward
-    # attachment edge of the norm-2 site x_i of C and the inward one of the
-    # norm-9 site x_j of D are both pivotal for it.
+@functools.lru_cache(maxsize=None)
+def _lattice_attachment_pairs():
+    """One networkx pass over the 40 samples: the histogram of attachment-pair
+    counts and, for each counted pair, its sample, the two clusters' vertex
+    sets and the two attachment edges.
+
+    C spans annulus(0, 2), D spans annulus(8, 16), and the connection event
+    is {C <-> D within mid}.  A pair counts when the outward attachment edge
+    of the norm-2 site x_i of C and the inward one of the norm-9 site x_j of
+    D are both pivotal for it."""
     ann_c = annulus((0, 0), 0, 2)
     ann_d = annulus((0, 0), 8, 16)
     mid = annulus((0, 0), 1, 9)
@@ -353,11 +359,23 @@ def test_lattice_attachment_pairs_frozen_histogram():
                     ins = [e for e in inward if _pivotal(g, src, tgt, e)] if outs else []
                     found = [(ei, ej) for ei in outs for ej in ins]
                 hist[len(found)] = hist.get(len(found), 0) + 1
-                for ei, ej in found:
-                    assert edge_state(cfg, canonical_edge(SPEC2, *ei))
-                    assert edge_state(cfg, canonical_edge(SPEC2, *ej))
-                pairs += found
+                pairs += [(cfg, c.vertices, d.vertices, ei, ej) for ei, ej in found]
+    return hist, pairs
+
+
+def test_y_set_lattice_frozen_histogram():
+    hist, _ = _lattice_attachment_pairs()
     assert hist == {0: 371, 1: 12}  # never more than one attachment pair
+
+
+def test_y_set_pairs_are_open_pivotal_attachments():
+    _, pairs = _lattice_attachment_pairs()
+    for cfg, c_vertices, d_vertices, ei, ej in pairs:
+        # x_i is a norm-2 site of C, x_j a norm-9 site of D
+        assert ei[0] in c_vertices and norm_inf(ei[0]) == 2
+        assert ej[0] in d_vertices and norm_inf(ej[0]) == 9
+        assert edge_state(cfg, canonical_edge(SPEC2, *ei))
+        assert edge_state(cfg, canonical_edge(SPEC2, *ej))
     assert len(pairs) == 12
 
 
