@@ -112,11 +112,11 @@ class OracleGraph:
         return enumerate_exact(self.edges, self.p, table)
 
 
-def _path_edges(n: int, axis: int = 0, d: int = 2) -> Tuple[Edge, ...]:
+def _path_edges(n: int, axis: int = 0) -> Tuple[Edge, ...]:
     out = []
     for i in range(n):
-        a = tuple(i if j == axis else 0 for j in range(d))
-        b = tuple(i + 1 if j == axis else 0 for j in range(d))
+        a = tuple(i if j == axis else 0 for j in range(2))
+        b = tuple(i + 1 if j == axis else 0 for j in range(2))
         out.append(_e(a, b))
     return tuple(out)
 

@@ -116,19 +116,24 @@ def label_key(label: Tuple) -> str:
 
 
 class _Sink:
-    """Collects output files for one run; honours --format and --out-dir."""
+    """Collects output files for one run; honours --format and --out-dir.
+    The directory is made on the first write, so a run refused before it
+    writes anything leaves none."""
 
     def __init__(self, out_dir: str, fmt: str):
         self.out_dir = out_dir
         self.fmt = fmt
-        os.makedirs(out_dir, exist_ok=True)
+
+    def _path(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
 
     def csv(self, name: str, header, rows) -> None:
         if self.fmt == "csv":
-            write_csv(os.path.join(self.out_dir, name), header, rows)
+            write_csv(self._path(name), header, rows)
 
     def json(self, name: str, obj) -> None:
-        write_json(os.path.join(self.out_dir, name), obj)
+        write_json(self._path(name), obj)
 
 
 _PROFILE_HEADER = ("observable", "scale", "value", "stderr", "n", "n_truncated", "seed")

@@ -315,7 +315,7 @@ def good_spanning_check(
     if params.check_minimality and not reasons:
         for r in range(1, q):
             sub = sub_annulus(cfg.spec, idx, r, scale_params)
-            for comp in cluster_components(cfg.spec, candidate, sub):
+            for comp in cluster_components(cfg, candidate, sub):
                 comp_reasons, _, _, _ = _items_one_to_three(
                     cfg, comp, sub, params, reg
                 )

@@ -246,7 +246,6 @@ def explore(
     target: Optional[Callable[[Site], bool]] = None,
     cap: int = 1_000_000,
     edge_log: Optional[list] = None,
-    open_edges: Optional[Set[Edge]] = None,
 ) -> Tuple[Set[Site], Optional[bool]]:
     """The frontier loop behind every lattice exploration in the package.
 
@@ -258,10 +257,8 @@ def explore(
     included), ``None`` when the vertex cap censored the closure, ``False``
     otherwise.
 
-    Without ``open_edges`` an edge is queried only towards a site not yet
-    visited, which is all a connection or a vertex set needs.  With it, every
-    edge leaving an expanded site is queried exactly once and the open ones
-    are added to ``open_edges``.  ``edge_log`` receives every queried
+    An edge is queried only towards a site not yet visited, so each is
+    queried at most once.  ``edge_log`` receives every queried
     ``(edge, bit)`` in order.  The frontier is FIFO (breadth-first).
     """
     visited: Set[Site] = set()
@@ -275,16 +272,11 @@ def explore(
         if s not in visited:
             visited.add(s)
             frontier.append(s)
-    # Sites whose edges need no query: the visited ones, or, when every open
-    # edge is wanted, the expanded ones (which queried their edges already).
-    done = visited if open_edges is None else set()
     truncated = False
     while frontier:
         y = frontier.popleft()
-        if open_edges is not None:
-            done.add(y)
         for z in neighbours(spec, y):
-            if z in done or not member(z):
+            if z in visited or not member(z):
                 continue
             e = (y, z) if y < z else (z, y)
             bit = state(e)
@@ -292,10 +284,6 @@ def explore(
                 edge_log.append((e, bit))
             if not bit:
                 continue
-            if open_edges is not None:
-                open_edges.add(e)
-                if z in visited:
-                    continue
             if target is not None and target(z):
                 return visited, True
             if len(visited) >= cap:
@@ -313,8 +301,7 @@ class ClusterRecord:
     ``boundary_in``/``boundary_out`` are the intersections of the vertex set
     with the boundaries of a :class:`~percolab.lattice.Region`, as sorted
     tuples; both are empty when ``region`` is a site set or a predicate.
-    ``open_edges`` holds the open edges with both endpoints in the vertex
-    set.  ``truncated`` means the vertex cap censored the closure, so the
+    ``truncated`` means the vertex cap censored the closure, so the
     vertex set is a subset of the true restricted cluster.  Records are
     built only by :func:`_cluster_record`.
     """
@@ -322,7 +309,6 @@ class ClusterRecord:
     root: Site
     region: RegionLike
     vertices: FrozenSet[Site]
-    open_edges: FrozenSet[Edge]
     boundary_in: Tuple[Site, ...]
     boundary_out: Tuple[Site, ...]
     truncated: bool
@@ -346,9 +332,7 @@ def _cluster_record(
     edge_log: Optional[list] = None,
 ) -> ClusterRecord:
     """Explore the cluster of ``root`` under ``state`` and record it."""
-    open_edges: Set[Edge] = set()
-    visited, outcome = explore(spec, [root], member, state, cap=cap,
-                               edge_log=edge_log, open_edges=open_edges)
+    visited, outcome = explore(spec, [root], member, state, cap=cap, edge_log=edge_log)
     b_in: List[Site] = []
     b_out: List[Site] = []
     if isinstance(region, Region):  # site sets and predicates have no boundary
@@ -358,14 +342,10 @@ def _cluster_record(
                 b_in.append(v)
             if bo:
                 b_out.append(v)
-    # When truncated, open edges to unvisited sites are dropped so that every
-    # recorded edge is internal to the vertex set.
-    kept = frozenset(e for e in open_edges if e[0] in visited and e[1] in visited)
     return ClusterRecord(
         root=root,
         region=region,
         vertices=frozenset(visited),
-        open_edges=kept,
         boundary_in=tuple(sorted(b_in)),
         boundary_out=tuple(sorted(b_out)),
         truncated=outcome is None,
@@ -393,19 +373,21 @@ def explore_cluster(
 
 
 def cluster_components(
-    spec: LatticeSpec, cluster: ClusterRecord, region: Region
+    cfg: PercolationConfig, cluster: ClusterRecord, region: Region
 ) -> List[ClusterRecord]:
     """Connected components of (cluster's vertex set) ∩ ``region`` under the
-    cluster's own open edges, as records relative to ``region``, in order of
-    their minimal vertex (which is each record's root)."""
+    open edges of ``cfg``, as records relative to ``region``, in order of
+    their minimal vertex (which is each record's root).  For a cluster
+    explored under ``cfg`` these are its own open edges: an untruncated
+    vertex set is closed under them."""
     sites = {v for v in cluster.vertices if contains(region, v)}
     out: List[ClusterRecord] = []
     seen: Set[Site] = set()
     for root in sorted(sites):
         if root in seen:
             continue
-        rec = _cluster_record(spec, root, region, sites.__contains__,
-                              cluster.open_edges.__contains__)
+        rec = _cluster_record(cfg.spec, root, region, sites.__contains__,
+                              lambda e: raw_edge_state(cfg, e))
         seen |= rec.vertices
         out.append(rec)
     return out
@@ -416,7 +398,6 @@ def connect_sets(
     sources: Iterable[Site],
     targets: Union[Iterable[Site], RegionLike],
     region: RegionLike,
-    cap: int = 1_000_000,
     edge_log: Optional[list] = None,
 ) -> Optional[bool]:
     """Tri-state: is some source joined to some target by an open path in
@@ -432,14 +413,13 @@ def connect_sets(
     else:
         target = frozenset(tuple(t) for t in targets).__contains__
     _, outcome = explore(cfg.spec, sources, membership(region),
-                         lambda e: raw_edge_state(cfg, e), target, cap, edge_log)
+                         lambda e: raw_edge_state(cfg, e), target, edge_log=edge_log)
     return outcome
 
 
 def spanning_clusters(
     cfg: PercolationConfig,
     ann: Region,
-    cap: int = 1_000_000,
     edge_log: Optional[list] = None,
 ) -> Tuple[List[ClusterRecord], bool]:
     """All open clusters of an annulus touching both of its boundaries.
@@ -457,7 +437,7 @@ def spanning_clusters(
     for start in b_in:
         if start in seen:
             continue
-        rec = explore_cluster(cfg, start, ann, cap=cap, edge_log=edge_log)
+        rec = explore_cluster(cfg, start, ann, edge_log=edge_log)
         seen |= rec.vertices
         if rec.truncated:
             incomplete = True

@@ -76,24 +76,19 @@ def two_point_profile(
     cfg: PercolationConfig,
     targets: Sequence[Site],
     n_samples: int,
-    radius: Optional[int] = None,
     sample_start: int = 0,
 ) -> List[Tuple[Site, "Estimate"]]:
-    """P(0 connects to x within B(radius)) for each target, sharing samples.
+    """P(0 connects to x within B(R)) for each target, sharing samples.
 
-    One component decomposition per sample serves every target.  ``radius``
-    defaults to twice the farthest target, so the estimate is the
+    One component decomposition per sample serves every target.  ``R`` is
+    twice the farthest target's norm, and at least 2, so the estimate is the
     box-restricted two-point function (the unrestricted one is not samplable:
     critical clusters have heavy tails).
     """
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
     rmax = max((norm_inf(t) for t in targets), default=0)
-    if radius is None:
-        radius = max(2, 2 * rmax)
-    if radius < rmax:
-        raise ValueError("radius smaller than the farthest target")
-    win = build_window(cfg.spec, cfg.seed, outer=radius)
+    win = build_window(cfg.spec, cfg.seed, outer=max(2, 2 * rmax))
     origin = win.row_of((0,) * cfg.spec.d)
     rows = win.rows_of(targets)
     hits = np.zeros(len(targets), dtype=np.int64)
@@ -156,22 +151,17 @@ class PowerFit:
     n_points: int = 0
 
 
-def fit_exponent(
-    profile: Sequence[Tuple[float, Estimate]],
-    window: Optional[Tuple[int, int]] = None,
-) -> PowerFit:
+def fit_exponent(profile: Sequence[Tuple[float, Estimate]]) -> PowerFit:
     """Weighted least squares for value ~ amplitude * scale^exponent.
 
-    Fits (log scale, log value) with inverse-variance weights; the default
-    window drops the two smallest and the largest scale (lattice effects at
-    the bottom, truncation at the top).  Zero-valued points are excluded with
-    a warning.  If any retained point reports zero stderr the fit falls back
-    to uniform weights (exact synthetic data).
+    Fits (log scale, log value) with inverse-variance weights; from six
+    points up, the fit window drops the two smallest and the largest scale
+    (lattice effects at the bottom, truncation at the top).  Zero-valued
+    points are excluded with a warning.  If any retained point reports zero
+    stderr the fit falls back to uniform weights (exact synthetic data).
     """
     n = len(profile)
-    if window is None:
-        window = (2, n - 1) if n >= 6 else (0, n)
-    lo, hi = window
+    lo, hi = (2, n - 1) if n >= 6 else (0, n)
     pts = []
     for scale, est in profile[lo:hi]:
         if est.value <= 0:
@@ -482,13 +472,11 @@ def nofurther_check(
     b_vertices: Iterable,
     p,
     a0_vertices: Optional[Iterable] = None,
-    a1_vertices: Optional[Iterable] = None,
-    ambient_edges: Optional[Sequence[Tuple[object, object]]] = None,
 ) -> Tuple[Fraction, Fraction, bool]:
     """Exact check of the cluster-exit inequality on a small instance.
 
     Let A0 be a subgraph of A1 and C a connected subgraph of A0.  Writing
-    dC for the vertices of A1 outside A0 that are ambient-adjacent to C,
+    dC for the vertices of A1 outside A0 that are A1-adjacent to C,
 
         P(C <-> B inside A1 | C is an open cluster of A0)
             <= sum over w in dC of P(w <-> B inside A1 minus C).
@@ -507,8 +495,7 @@ def nofurther_check(
     b_set = frozenset(b_vertices)
     v_a0 = set(a0_vertices) if a0_vertices is not None else _vertices_of(a0_edges)
     v_a0 |= c.vertices
-    v_a1 = set(a1_vertices) if a1_vertices is not None else _vertices_of(a1_edges)
-    v_a1 |= v_a0 | b_set
+    v_a1 = _vertices_of(a1_edges) | v_a0 | b_set
 
     e_a0 = set(map(frozenset, a0_edges))
     e_a1 = set(map(frozenset, a1_edges))
@@ -529,12 +516,11 @@ def nofurther_check(
         if u in v_a0 and v in v_a0 and e not in e_a0:
             raise ValueError("A0 must be induced in A1 over its vertex set")
 
-    adjacency = set(map(frozenset, ambient_edges)) if ambient_edges is not None else e_a1
     boundary = sorted(
         (
             v
             for v in v_a1 - v_a0
-            if any(frozenset((v, w)) in adjacency for w in c.vertices)
+            if any(frozenset((v, w)) in e_a1 for w in c.vertices)
         ),
         key=repr,
     )

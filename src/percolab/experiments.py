@@ -387,7 +387,6 @@ def extract_kernels(
     q_list: Optional[Sequence[int]] = None,
     sample_start: int = 0,
     p_c_ref: float = 0.5,
-    cap: int = 1_000_000,
 ) -> KernelExtraction:
     """Tabulate the level-``level`` transition kernel from simulation.
 
@@ -463,7 +462,7 @@ def extract_kernels(
             label_q[dlab] = drec.q
             dverts = drec.cluster.vertices
             arm_src = [x for x in dverts if norm_inf(x) > sep_out_radius]
-            arm = connect_sets(c, arm_src, cond.targets, arm_region, cap=cap)
+            arm = connect_sets(c, arm_src, cond.targets, arm_region)
             if arm is None:
                 raise RuntimeError("arm query hit the exploration cap")
             if arm:
@@ -484,15 +483,12 @@ def extract_kernels(
                 if clab == dlab:
                     continue
                 if level == 0:
-                    link = connect_sets(
-                        c, [origin], dverts, _sep_box_pred(sep_out_radius), cap=cap
-                    )
+                    link = connect_sets(c, [origin], dverts, _sep_box_pred(sep_out_radius))
                     leak = connect_sets(
                         c, [origin],
                         _shell_pred(sep_out_radius),
                         lambda x, dv=dverts: norm_inf(x) <= sep_out_radius
                         and x not in dv,
-                        cap=cap,
                     )
                 else:
                     link = connect_sets(
@@ -500,13 +496,11 @@ def extract_kernels(
                         [x for x in c_sites if norm_inf(x) > sep_in],
                         dverts,
                         lambda x: sep_in < norm_inf(x) <= window_outer,
-                        cap=cap,
                     )
                     leak = connect_sets(
                         c, c_sites,
                         _shell_pred(sep_out_radius),
                         lambda x, dv=dverts: norm_inf(x) <= sep_out_radius and x not in dv,
-                        cap=cap,
                     )
                 if link is None or leak is None:
                     raise RuntimeError("kernel query hit the exploration cap")
@@ -528,7 +522,6 @@ def extract_kernels(
                 f_conn = connect_sets(
                     c, [origin], dverts,
                     lambda x: norm_inf(x) <= window_outer and x not in obstacles,
-                    cap=cap,
                 )
                 if not f_conn:
                     f_failures += 1
@@ -683,13 +676,13 @@ def matrix_reconstruction(
     event: Optional[CylinderEvent] = None,
     good: Optional[GoodSpanningParams] = None,
     reg: Optional[RegularityParams] = None,
-    sample_start: int = 0,
     p_c_ref: float = 0.5,
 ) -> ReconstructionReport:
     """Compare the direct conditioned-arm estimate with the kernel product.
 
-    ``lhs`` estimates P(E and 0 connected to the targets off the obstacle
-    set) on a sample range disjoint from the extraction's; ``rhs`` chains
+    The extractions read sample ids ``[0, n_samples)``.  ``lhs`` estimates
+    P(E and 0 connected to the targets off the obstacle set) on the disjoint
+    range ``[n_samples, 2 n_samples)``; ``rhs`` chains
     the extracted kernels: the level-0 entries (with the event), the
     intermediate kernels up to level j-1, and the level-j onward weights.
     The lower-bound construction makes rhs an estimate of a sub-event of
@@ -704,8 +697,7 @@ def matrix_reconstruction(
             extract_kernels(
                 cfg, params, lev, n_samples, family, n,
                 event=event if lev == 0 else None,
-                good=good, reg=reg,
-                sample_start=sample_start, p_c_ref=p_c_ref,
+                good=good, reg=reg, p_c_ref=p_c_ref,
             )
         )
 
@@ -752,7 +744,7 @@ def matrix_reconstruction(
     # direct side, on fresh samples
     win, (tgt_rows,), blocked = _conditioned_window(cfg, [family.at(cfg.spec, n)])
     origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
-    lhs_start = sample_start + n_samples
+    lhs_start = n_samples
     # samples failing the event are dropped before they are labelled
     lhs_ids = (sid for sid in range(lhs_start, lhs_start + n_samples)
                if event is None or event.evaluate(cfg.with_sample(sid)))
@@ -918,16 +910,17 @@ class ConvergenceReport:
         }
 
 
-def convergence_diagnostic(
-    series_by_family: Dict[str, List[IICPoint]],
-    slack: float = 0.02,
-) -> ConvergenceReport:
+#: How far past 3 sigma a gap may reach and still read ``inconclusive``.
+CONVERGENCE_SLACK = 0.02
+
+
+def convergence_diagnostic(series_by_family: Dict[str, List[IICPoint]]) -> ConvergenceReport:
     """Successive-difference and cross-family agreement at 3 sigma.
 
     Verdict tiers: ``consistent`` when every successive gap and the terminal
     cross-family gap sit within 3 combined sigma; ``inconclusive`` when some
-    exceed 3 sigma but all stay within 3 sigma + ``slack`` (desk-scale
-    lattice effects); ``inconsistent`` otherwise.
+    exceed 3 sigma but all stay within 3 sigma + :data:`CONVERGENCE_SLACK`
+    (desk-scale lattice effects); ``inconsistent`` otherwise.
     """
     if any(len(s) < 2 for s in series_by_family.values()):
         raise ValueError("need >= 2 points per family")
@@ -955,11 +948,11 @@ def convergence_diagnostic(
 
     if all_within_3s:
         verdict = "consistent"
-    elif worst_over <= slack:
+    elif worst_over <= CONVERGENCE_SLACK:
         verdict = "inconclusive"
     else:
         verdict = "inconsistent"
-    return ConvergenceReport(successive, terminal, verdict, slack)
+    return ConvergenceReport(successive, terminal, verdict, CONVERGENCE_SLACK)
 
 
 # ---------------------------------------------------------------------------

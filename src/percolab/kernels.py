@@ -293,19 +293,7 @@ def random_kernel(
     n_cols: int,
     low: float = 0.1,
     high: float = 10.0,
-    kappa_max: Optional[float] = None,
 ) -> Kernel:
-    """Log-uniform random kernel, optionally conditioned on kappa <= kappa_max
-    by damping toward a rank-one profile until the bound holds."""
+    """Log-uniform random kernel with entries in ``[low, high]``."""
     mat = np.exp(rng.uniform(math.log(low), math.log(high), size=(n_rows, n_cols)))
-    T = Kernel.from_entries(range(n_rows), range(n_cols), mat)
-    if kappa_max is None:
-        return T
-    while cross_ratio_kappa(T) > kappa_max:
-        # Mix with the rank-one hull (row sums x col sums) to shrink ratios.
-        r = mat.sum(axis=1, keepdims=True)
-        c = mat.sum(axis=0, keepdims=True)
-        rank_one = r @ c / mat.sum()
-        mat = 0.5 * mat + 0.5 * rank_one
-        T = Kernel.from_entries(range(n_rows), range(n_cols), mat)
-    return T
+    return Kernel.from_entries(range(n_rows), range(n_cols), mat)

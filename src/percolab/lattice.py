@@ -170,15 +170,15 @@ def site_count(region: Region, d: Optional[int] = None) -> int:
     return outer - inner
 
 
-def region_sites(region: Region, limit: int = MATERIALISE_LIMIT) -> Iterator[Site]:
+def region_sites(region: Region) -> Iterator[Site]:
     """Iterate the sites of a region in lexicographic order.
 
-    Refuses to run when the cardinality exceeds ``limit``: faithful-mode
-    annuli are meant to be reasoned about symbolically, never enumerated.
+    Refuses a region of more than :data:`MATERIALISE_LIMIT` sites: faithful-
+    mode annuli are meant to be reasoned about symbolically, never enumerated.
     """
-    if site_count(region) > limit:
+    if site_count(region) > MATERIALISE_LIMIT:
         raise WindowTooLargeError(
-            f"region with {site_count(region)} sites exceeds materialisation limit {limit}"
+            f"region with {site_count(region)} sites exceeds materialisation limit {MATERIALISE_LIMIT}"
         )
     c = region.center
     s = region.outer

@@ -40,13 +40,12 @@ from .lattice import LatticeSpec, Site, WindowTooLargeError, annulus, region_bou
 
 @dataclass
 class Window:
-    """A finite annulus/box window with precomputed edge hash keys.
+    """An annulus/box window around the origin with precomputed edge keys.
 
     Edges are in CSR order (by first row, then second row), in ``edge_rows``
     and ``keys`` alike."""
 
     spec: LatticeSpec
-    center: Tuple[int, ...]
     outer: int
     inner: int  # hole radius; -1 for a solid box
     seed: int
@@ -73,7 +72,7 @@ class Window:
         side = 2 * self.outer + 1
         row = 0
         for j in range(d):
-            c = x[j] - (self.center[j] - self.outer)
+            c = x[j] + self.outer
             if not 0 <= c < side:
                 raise ValueError(f"site {x} outside window box")
             row = row * side + c
@@ -83,14 +82,14 @@ class Window:
         return np.array([self.row_of(x) for x in xs], dtype=np.int64)
 
     def norms(self) -> np.ndarray:
-        """l-infinity norm of every box site relative to the center."""
-        return _linf_norms(self.sites.T, self.center)
+        """l-infinity norm of every box site."""
+        return _linf_norms(self.sites.T)
 
 
-def _linf_norms(cols: Sequence[np.ndarray], center: Sequence[int]) -> np.ndarray:
-    """l-infinity distance to ``center`` of the sites with coordinate columns
-    ``cols`` (any broadcastable shape), one column at a time."""
-    return np.maximum.reduce([np.abs(x - c) for x, c in zip(cols, center)])
+def _linf_norms(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """l-infinity norm of the sites with coordinate columns ``cols`` (any
+    broadcastable shape), one column at a time."""
+    return np.maximum.reduce([np.abs(x) for x in cols])
 
 
 def check_window_size(spec: LatticeSpec, outer: int) -> int:
@@ -103,9 +102,8 @@ def check_window_size(spec: LatticeSpec, outer: int) -> int:
     return n
 
 
-def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
-                 center: Sequence[int] = None) -> Window:
-    """Materialise ``B(center; outer) \\ B(center; inner)`` and hash its edges.
+def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1) -> Window:
+    """Materialise ``B(outer) \\ B(inner)`` around the origin; hash its edges.
 
     Only edges with both endpoints in the region are kept, in CSR order by
     construction: an edge runs from a first row ``a`` by a lexicographically
@@ -118,15 +116,12 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
     :class:`WindowTooLargeError`.
     """
     d = spec.d
-    if center is None:
-        center = (0,) * d
-    center = tuple(center)
     side = 2 * outer + 1
     n = check_window_size(spec, outer)
-    axes = [np.arange(c - outer, c + outer + 1, dtype=np.int64) for c in center]
-    cols = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    axis = np.arange(-outer, outer + 1, dtype=np.int64)
+    cols = [g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")]
     sites = np.stack(cols, axis=1)  # lex order
-    member = _linf_norms(cols, center) > inner
+    member = _linf_norms(cols) > inner
 
     # each edge once, from its lexicographically smaller end; rows are in
     # lexicographic order, so for a fixed first row the second rows ascend
@@ -134,12 +129,11 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
     offs = np.array(sorted(v for v in spec.offsets() if v > (0,) * d), dtype=np.int64)
     steps = offs @ np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
     b_cols = [x[:, None] + o for x, o in zip(cols, offs.T)]  # (n, k) each
-    b_norms = _linf_norms(b_cols, center)
+    b_norms = _linf_norms(b_cols)
     ok = member[:, None] & (b_norms <= outer) & (b_norms > inner)
     rows = np.arange(n)[:, None]
     return Window(
         spec=spec,
-        center=center,
         outer=outer,
         inner=inner,
         seed=seed,
@@ -274,7 +268,7 @@ def component_rows(labels: np.ndarray, row: int) -> np.ndarray:
 
 
 def shell_rows(win: Window, radius: int) -> np.ndarray:
-    """Rows of sites at l-infinity norm exactly ``radius`` from the center."""
+    """Rows of sites at l-infinity norm exactly ``radius``."""
     return np.flatnonzero(win.norms() == radius)
 
 
@@ -288,7 +282,7 @@ def spanning_cluster_sets(
     window, sorted by minimal vertex.  Used to cross-validate the lazy
     engine's spanning-cluster enumeration on identical edge states.
     """
-    b_in, b_out = region_boundaries(win.spec, annulus(win.center, win.inner, win.outer))
+    b_in, b_out = region_boundaries(win.spec, annulus((0,) * win.spec.d, win.inner, win.outer))
     labels = component_labels(win, sample_open_edges(win, cfg, sample_id))
     rin = win.rows_of(b_in)
     rout = win.rows_of(b_out)

@@ -294,7 +294,7 @@ def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg)
     code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 SMALL_BATTERY = {"n_samples": 10, "n_groups": 1, "nofurther_instances": 2}
@@ -376,7 +376,7 @@ def test_oversized_toy_ladder_is_a_config_error(tmp_path, capsys, k1, message):
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and message in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edge", [[[0, 0], [2, 0]], [[0, 0, 0], [1, 0, 0]]],
@@ -398,7 +398,7 @@ def test_oversized_window_is_a_config_error(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and "too large to materialise" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_format_json_suppresses_csv(tmp_path):
@@ -415,7 +415,7 @@ def test_faithful_ladder_intrusion_is_a_refusal(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "config error" in err and "intrudes" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def _loaded_by_cli_import(module: str) -> bool:

@@ -229,8 +229,7 @@ NESTED = toy_params(2, 1, 2)
 
 def _record_value(rec):
     """A record's fields except its root: any of its vertices explores it."""
-    return (rec.region, rec.vertices, rec.open_edges, rec.boundary_in,
-            rec.boundary_out, rec.truncated)
+    return (rec.region, rec.vertices, rec.boundary_in, rec.boundary_out, rec.truncated)
 
 
 def test_records_given_to_regularity_equal_fresh_explorations():
@@ -243,7 +242,7 @@ def test_records_given_to_regularity_equal_fresh_explorations():
         for rec in spanning_clusters(cfg, outer)[0]:
             for v in rec.boundary_in + rec.boundary_out:
                 assert _record_value(explore_cluster(cfg, v, outer)) == _record_value(rec)
-            for comp in cluster_components(SPEC2, rec, inner):
+            for comp in cluster_components(cfg, rec, inner):
                 for v in comp.vertices:
                     assert _record_value(explore_cluster(cfg, v, inner)) == _record_value(comp)
                     checked += 1
@@ -387,16 +386,15 @@ def test_cluster_components_match_graph_components():
         cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=5, sample_id=sid)
         recs, _ = spanning_clusters(cfg, outer)
         for rec in recs:
-            comps = cluster_components(SPEC2, rec, inner)
+            comps = cluster_components(cfg, rec, inner)
             g = nx.Graph()
             g.add_nodes_from(v for v in rec.vertices if norm_inf(v) <= 4)
-            g.add_edges_from(e for e in rec.open_edges if e[0] in g and e[1] in g)
+            g.add_edges_from((v, w) for v in g for w in neighbours(SPEC2, v)
+                             if v < w and w in g and edge_state(cfg, (v, w)))
             assert sorted(map(frozenset, nx.connected_components(g)), key=min) == \
                 [c.vertices for c in comps]
             for c in comps:
                 assert c.root == c.min_vertex and c.region == inner
-                assert c.open_edges == {e for e in rec.open_edges
-                                        if e[0] in c.vertices and e[1] in c.vertices}
                 # one constructor: the same field types as an explored record
                 assert [type(getattr(c, f)) for f in c.__dataclass_fields__] == \
                     [type(getattr(rec, f)) for f in rec.__dataclass_fields__]

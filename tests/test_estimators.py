@@ -62,13 +62,6 @@ def test_one_arm_profile_decreasing():
     assert vals[0] > vals[-1]
 
 
-def test_restricted_two_point_dominated_by_full_space():
-    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=4)
-    (_, ef), = two_point_profile(cfg, [(3, 0)], n_samples=2500)
-    (_, eh), = two_point_profile(cfg, [(3, 0)], n_samples=2500, radius=3)
-    assert eh.value <= ef.value + 4 * math.hypot(ef.stderr, eh.stderr)
-
-
 def test_fit_exponent_recovers_planted_power():
     prof = [(r, Estimate(2.5 * r ** -1.25, 1e-9, 10**6, 0, 0, (0, 1)))
             for r in (2, 4, 8, 16, 32)]

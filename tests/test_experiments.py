@@ -341,7 +341,7 @@ def test_convergence_verdict_inconclusive_within_slack():
         "a": [_fake_point(8, "a", 0.30, 0.001),
               _fake_point(16, "a", 0.313, 0.001)],  # 13 sigma but 0.013 gap
     }
-    rep = convergence_diagnostic(series, slack=0.02)
+    rep = convergence_diagnostic(series)
     assert rep.verdict == "inconclusive"
 
 
@@ -354,7 +354,7 @@ def test_convergence_verdict_inconsistent_beyond_slack():
         "b": [_fake_point(8, "b", 0.42, 0.002),
               _fake_point(16, "b", 0.42, 0.002)],
     }
-    rep = convergence_diagnostic(series, slack=0.02)
+    rep = convergence_diagnostic(series)
     assert rep.verdict == "inconsistent"
 
 

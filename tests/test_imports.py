@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the three rules the
+No linter ships with the project, so this stands in for the four rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
@@ -10,7 +10,12 @@ sources keep by hand:
   reference), unless :data:`TEST_ONLY` keeps it with a reason.  A definition
   that only tests call is deleted, not kept for them;
 * likewise every method of a top-level class, dunders aside, unless
-  :data:`UNCALLED_METHODS` keeps it with a reason.
+  :data:`UNCALLED_METHODS` keeps it with a reason;
+* every defaulted parameter of a package function or method is passed, by
+  keyword or by position, by some call in the package, ``scripts/`` or
+  ``perfbench/``, unless :data:`TEST_ONLY_PARAMETERS` keeps it with a reason
+  (definitions in :data:`TEST_ONLY` are exempt).  An option with one value
+  in use is a constant.
 """
 
 import ast
@@ -42,6 +47,19 @@ UNCALLED_METHODS = {
     "_Parser.error": "argparse hook: ArgumentParser calls it on a bad command line",
     "TinyGraph.component_of": "per-mask reference for TinyGraph.reach and popcount64",
     "TinyGraph.connected": "per-mask reference for TinyGraph.connects",
+}
+
+#: Defaulted parameters, as ``module.function.parameter`` (or
+#: ``module.Class.method.parameter``), that only tests pass, kept on purpose.
+TEST_ONLY_PARAMETERS = {
+    "engine.connect_sets.edge_log": "measurability tests: the edges a connection query hashes",
+    "engine.spanning_clusters.edge_log": "measurability tests: the edges a spanning scan hashes",
+    "engine.explore_cluster.cap": "truncation tests: a record censored by the vertex cap",
+    "clusters.estimate_regularity.resample_region":
+        "frozen d = 3 tallies 67/100 and 86/100, and the exact conditional",
+    "experiments.iic_conditional.sample_start": "bit-identity reference for iic_series",
+    "battery.run_y_battery.geoms": "criterion 5 runs the battery on its own geometries",
+    "cli.main.argv": "the tests run the CLI in-process; the console script passes none",
 }
 
 
@@ -130,4 +148,83 @@ def test_uncalled_method_entries_are_current():
     used = _referenced_names()
     names = {qualname: name for _, qualname, name in _methods()}
     stale = sorted(q for q in UNCALLED_METHODS if q not in names or names[q] in used)
+    assert stale == []
+
+
+def _defaulted_parameters():
+    """(key, callee name, parameter, position) for every defaulted parameter
+    of a top-level function or method of the package.  ``position`` counts
+    the positional parameters after ``self``/``cls`` (``None`` for a
+    keyword-only one); a constructor is called by its class name."""
+    for path in SOURCES:
+        module = path.stem
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                funcs = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{item.name}",
+                          node.name if item.name == "__init__" else item.name, item,
+                          not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in item.decorator_list))
+                         for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            else:
+                continue
+            if node.name in TEST_ONLY:
+                continue
+            for qualname, callee, func, bound in funcs:
+                args = func.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if bound else 0
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    name = positional[i].arg
+                    yield f"{module}.{qualname}.{name}", callee, name, i - skip
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{module}.{qualname}.{arg.arg}", callee, arg.arg, None
+
+
+def _passed_arguments():
+    """For each callee name, the keywords passed to it and the most
+    positional arguments passed to it by any call outside the tests; a
+    ``*args`` or ``**kwargs`` counts as passing everything."""
+    keywords, positions = {}, {}
+    for path in CALLERS:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n = float("inf") if starred else len(node.args)
+            positions[name] = max(positions.get(name, 0), n)
+            kws = keywords.setdefault(name, set())
+            for kw in node.keywords:
+                kws.add("**" if kw.arg is None else kw.arg)
+    return keywords, positions
+
+
+def _parameters_passed():
+    """(key, passed outside the tests?) for every defaulted parameter."""
+    keywords, positions = _passed_arguments()
+    for key, callee, name, position in _defaulted_parameters():
+        kws = keywords.get(callee, set())
+        passed = (name in kws or "**" in kws
+                  or (position is not None and positions.get(callee, 0) > position))
+        yield key, passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    unset = [key for key, passed in _parameters_passed()
+             if not passed and key not in TEST_ONLY_PARAMETERS]
+    assert unset == []
+
+
+def test_test_only_parameter_entries_are_current():
+    """An entry that is gone, or that has gained a caller, is stale."""
+    passed = dict(_parameters_passed())
+    stale = sorted(key for key in TEST_ONLY_PARAMETERS if passed.get(key, True))
     assert stale == []

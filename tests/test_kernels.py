@@ -115,13 +115,6 @@ def test_contract_check_exact_inputs():
     assert holds and lhs <= rhs
 
 
-def test_random_kernel_respects_kappa_cap():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        T = random_kernel(rng, 4, 4, 0.1, 10.0, kappa_max=1.5)
-        assert cross_ratio_kappa(T) <= 1.5 + 1e-9
-
-
 def test_ratio_limit_frozen_symmetric_chain():
     rep = ratio_limit([BASE] * 30, kappa_bound=2.0)
     assert rep.exact_path  # rational entries keep the bracket exact

@@ -112,7 +112,7 @@ def test_connection_indicator_consistent_with_labels():
 # The window builder against the sorting builder it replaced
 
 
-def _sorted_window_arrays(spec, seed, outer, inner, center):
+def _sorted_window_arrays(spec, seed, outer, inner):
     """Reference: ``(sites, member, edge_rows, keys, norms)`` as the builder
     made them before it built edges in CSR order: per positive offset, the
     valid first rows and their second rows by stride arithmetic, then one
@@ -120,12 +120,12 @@ def _sorted_window_arrays(spec, seed, outer, inner, center):
     gathered end coordinates."""
     d = spec.d
     side = 2 * outer + 1
-    axes = [np.arange(c - outer, c + outer + 1, dtype=np.int64) for c in center]
-    sites = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    norms = np.abs(sites - np.asarray(center)).max(axis=1)
+    axis = np.arange(-outer, outer + 1, dtype=np.int64)
+    sites = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    norms = np.abs(sites).max(axis=1)
     member = norms > inner
     strides = np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
-    rel = sites - np.asarray([c - outer for c in center])
+    rel = sites + outer
     rows_a, rows_b = [], []
     for off in (v for v in spec.offsets() if v > (0,) * d):
         ok = member.copy()
@@ -155,24 +155,23 @@ def _builder_cases():
         outers = [r for r in range(18) if (2 * r + 1) ** spec.d <= 6000]
         for outer in outers:
             for inner in sorted({-1, 0, outer // 2, outer - 1}):
-                for center in ((0,) * spec.d, (3, -5, 7, -1)[:spec.d]):
-                    yield spec, outer, inner, center
+                yield spec, outer, inner
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_window_arrays_equal_the_sorting_builder(seed):
     n_cases = 0
-    for spec, outer, inner, center in _builder_cases():
-        win = build_window(spec, seed, outer=outer, inner=inner, center=center)
-        ref = _sorted_window_arrays(spec, seed, outer, inner, center)
+    for spec, outer, inner in _builder_cases():
+        win = build_window(spec, seed, outer=outer, inner=inner)
+        ref = _sorted_window_arrays(spec, seed, outer, inner)
         got = (win.sites, win.member, win.edge_rows, win.keys, win.norms())
         for name, a, b in zip(("sites", "member", "edge_rows", "keys", "norms"), got, ref):
-            where = f"{name} of {spec}, outer {outer}, inner {inner}, center {center}"
+            where = f"{name} of {spec}, outer {outer}, inner {inner}"
             assert a.dtype == b.dtype and np.array_equal(a, b), where
             assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
                 (b.flags.c_contiguous, b.flags.f_contiguous), where
         n_cases += 1
-    assert n_cases > 300
+    assert n_cases == 377
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +195,20 @@ def _coo_component_labels(win, open_mask, blocked_rows=None):
 
 _LAM1 = LatticeSpec(d=2, edge_mode="spread_out", lam=1)
 _LAM2 = LatticeSpec(d=2, edge_mode="spread_out", lam=2)
-# (spec, outer, inner, center): boxes and annuli (inner 0 drops only the
-# centre), d = 1, 2, 3, spread-out lam 1 and 2, offset centres
+# (spec, outer, inner): boxes and annuli (inner 0 drops only the centre),
+# d = 1, 2, 3, spread-out lam 1 and 2
 _LABEL_WINDOWS = [
-    (LatticeSpec(d=1), 7, -1, (0,)),
-    (LatticeSpec(d=1), 7, 2, (-5,)),
-    (SPEC2, 6, -1, (0, 0)),
-    (SPEC2, 6, 0, (3, -2)),
-    (SPEC2, 7, 3, (0, 0)),
-    (SPEC3, 3, -1, (1, 0, -4)),
-    (SPEC3, 3, 1, (0, 0, 0)),
-    (_LAM1, 5, -1, (0, 0)),
-    (_LAM1, 5, 2, (-7, 11)),
-    (_LAM2, 5, -1, (2, 2)),
-    (_LAM2, 6, 2, (0, 0)),
+    (LatticeSpec(d=1), 7, -1),
+    (LatticeSpec(d=1), 7, 2),
+    (SPEC2, 6, -1),
+    (SPEC2, 6, 0),
+    (SPEC2, 7, 3),
+    (SPEC3, 3, -1),
+    (SPEC3, 3, 1),
+    (_LAM1, 5, -1),
+    (_LAM1, 5, 2),
+    (_LAM2, 5, -1),
+    (_LAM2, 6, 2),
 ]
 _LABEL_IDS = ["d1-box", "d1-annulus-offset", "d2-box", "d2-hole0-offset",
               "d2-annulus", "d3-box-offset", "d3-annulus", "lam1-box",
@@ -223,9 +222,9 @@ def _assert_same_labels(win, mask, blocked_rows=None):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("spec,outer,inner,center", _LABEL_WINDOWS, ids=_LABEL_IDS)
-def test_skeleton_labels_equal_coo_labels(spec, outer, inner, center):
-    win = build_window(spec, seed=41, outer=outer, inner=inner, center=center)
+@pytest.mark.parametrize("spec,outer,inner", _LABEL_WINDOWS, ids=_LABEL_IDS)
+def test_skeleton_labels_equal_coo_labels(spec, outer, inner):
+    win = build_window(spec, seed=41, outer=outer, inner=inner)
     a, b = win.edge_rows[:, 0], win.edge_rows[:, 1]
     # the skeleton: canonical CSR order, contiguous int32 columns
     assert (a < b).all() and np.array_equal(np.lexsort((b, a)), np.arange(win.n_edges))
@@ -250,8 +249,8 @@ def test_skeleton_labels_equal_coo_labels(spec, outer, inner, center):
        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.integers(0, 2**64 - 1),
        st.data())
 def test_skeleton_labels_equal_coo_labels_random(window, seed, p, sid, data):
-    spec, outer, inner, center = window
-    win = build_window(spec, seed, outer=outer, inner=inner, center=center)
+    spec, outer, inner = window
+    win = build_window(spec, seed, outer=outer, inner=inner)
     mask = sample_open_edges(win, PercolationConfig(spec, p, seed), sid)
     blocked = data.draw(st.lists(st.integers(0, win.n_sites - 1), max_size=8))
     _assert_same_labels(win, mask, np.asarray(blocked, dtype=np.int64))
