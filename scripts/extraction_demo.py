@@ -16,11 +16,7 @@ from collections import Counter
 from percolab import battery as bat
 from percolab.clusters import GoodSpanningParams, RegularityParams
 from percolab.engine import PercolationConfig
-from percolab.experiments import (
-    box_boundary_family,
-    extract_kernels,
-    two_east_edges_event,
-)
+from percolab.experiments import ConditioningFamily, extract_kernels, two_east_edges_event
 from percolab.lattice import LatticeSpec
 from percolab.scales import toy_params
 
@@ -37,7 +33,7 @@ def main() -> None:
         warnings.simplefilter("always")
         ext = extract_kernels(
             cfg, toy_params(1, 2, 1), level=0, n_samples=args.n_samples,
-            family=box_boundary_family([16]), n=16,
+            family=ConditioningFamily("box_boundary", (16,)), n=16,
             event=two_east_edges_event(spec),
             good=GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5),
             reg=RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0),

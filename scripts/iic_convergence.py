@@ -14,10 +14,9 @@ import time
 
 from percolab.engine import PercolationConfig
 from percolab.experiments import (
-    box_boundary_family,
+    ConditioningFamily,
     convergence_diagnostic,
     iic_series,
-    single_vertex_family,
     supercritical_report,
     two_east_edges_event,
 )
@@ -44,8 +43,7 @@ def main() -> None:
         ("box_boundary", budgets["box_boundary"]),
         ("single_vertex", budgets["single_vertex"]),
     ):
-        build = box_boundary_family if fam == "box_boundary" else single_vertex_family
-        pts = iic_series(cfg, event, build(n_list), n_samples)
+        pts = iic_series(cfg, event, ConditioningFamily(fam, tuple(n_list)), n_samples)
         series[fam] = pts
         for pt in pts:
             flag = "  LOW-CONFIDENCE" if pt.low_confidence else ""

@@ -31,7 +31,6 @@ from .clusters import scan_good_spanning
 from .config import Config, ConfigError, load_config
 from .estimators import BracketError, Estimate, locate_pc, one_arm_profile, two_point_profile
 from .experiments import (
-    iic_conditional,
     iic_series,
     convergence_diagnostic,
     extract_kernels,
@@ -453,10 +452,8 @@ def cmd_supercritical_sweep(cfg: Config, args, sink: _Sink) -> int:
     pc = cfg.percolation(args.seed)
     event = cfg.event()
     terminal_n = ii["n_list"][-1]
-    crit = iic_conditional(
-        pc, event, cfg.family("box_boundary", [terminal_n]), terminal_n,
-        args.n_samples or ii["n_samples"],
-    )
+    crit = iic_series(pc, event, cfg.family("box_boundary", [terminal_n]),
+                      args.n_samples or ii["n_samples"])[0]
     rep = supercritical_report(
         pc, event, sc["p_list"], tuple(sc["r_pair"]), n_samples, critical=crit,
     )

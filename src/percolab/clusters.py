@@ -135,17 +135,15 @@ def estimate_regularity(
     thresholds = {
         s: tame_threshold(s, params.log_base) for s in params.s_list
     }
-    frozen_counts = {s: _ball_count(frozen, x, s) for s in params.s_list}
-    deterministic_bad = {
-        s for s in params.s_list if frozen_counts[s] >= thresholds[s]
-    }
     # The ball has only (2s+1)^d sites; when that is below the threshold the
-    # tameness event is sure regardless of the resample.
+    # tameness event is sure whatever the cluster holds, so only the other
+    # scales count the frozen cluster.
     deterministic_tame = {
-        s
-        for s in params.s_list
-        if s not in deterministic_bad
-        and (2 * s + 1) ** cfg.spec.d < thresholds[s]
+        s for s in params.s_list if (2 * s + 1) ** cfg.spec.d < thresholds[s]
+    }
+    deterministic_bad = {
+        s for s in params.s_list
+        if s not in deterministic_tame and _ball_count(frozen, x, s) >= thresholds[s]
     }
 
     per_s: List[Tuple[int, Estimate, float, Optional[bool]]] = []

@@ -174,6 +174,12 @@ class Config:
         n_list = self.data["iic"]["n_list"]
         if not (isinstance(n_list, (list, tuple)) and n_list):
             raise ConfigError("iic.n_list must be a non-empty list of integer scales")
+        # an empty list computes nothing, and a repeated kind repeats every row
+        kinds = self.data["iic"]["families"]
+        if not (isinstance(kinds, (list, tuple)) and kinds
+                and all(isinstance(k, str) for k in kinds) and len(set(kinds)) == len(kinds)):
+            raise ConfigError(f"iic.families must be a non-empty list of distinct family "
+                              f"kinds, got {kinds!r}")
         self.iic_families()
         self.extraction_family()
         self._validate_estimation()
@@ -219,9 +225,9 @@ class Config:
         if est["pc_radii"] is not None:
             _check_radii("estimation.pc_radii", est["pc_radii"], 1, pair=True)
         targets = est["targets"]
-        if not (isinstance(targets, (list, tuple)) and all(
+        if not (isinstance(targets, (list, tuple)) and targets and all(
                 isinstance(t, (list, tuple)) and all(map(_is_int, t)) for t in targets)):
-            raise ConfigError("estimation.targets must be a list of integer sites, "
+            raise ConfigError("estimation.targets must be a non-empty list of integer sites, "
                               f"got {targets!r}")
         if len({tuple(t) for t in targets}) != len(targets):
             raise ConfigError("estimation.targets must be distinct")

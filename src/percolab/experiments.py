@@ -14,6 +14,12 @@ experiments:
 * the supercritical sweep (conditioning on a large-radius escape as a proxy
   for the infinite-cluster conditioning) against the critical value.
 
+Each conditioned estimate has one entry point: :func:`iic_series` over the
+scales of a :class:`ConditioningFamily` (one scale gives one point), and
+:func:`supercritical_sweep` over a p grid and its proxy radii.  One counting
+loop, :func:`_conditioned_counts`, labels the samples of the IIC points and
+of the reconstruction's direct side.
+
 Everything is seed-deterministic: a fixed config and sample range produce
 identical numbers on every run.
 """
@@ -25,7 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,11 +74,6 @@ from .windowed import (
 __all__ = [
     "Conditioning",
     "ConditioningFamily",
-    "box_boundary_family",
-    "single_vertex_family",
-    "obstacle_family",
-    "halfspace_family",
-    "interleaved_family",
     "CylinderEvent",
     "two_east_edges_event",
     "sure_event",
@@ -81,7 +82,6 @@ __all__ = [
     "ReconstructionReport",
     "matrix_reconstruction",
     "IICPoint",
-    "iic_conditional",
     "iic_series",
     "ConvergenceReport",
     "convergence_diagnostic",
@@ -195,28 +195,6 @@ class ConditioningFamily:
             targets = frozenset((n + 1,) + rest
                                 for rest in itertools.product(rng, repeat=spec.d - 1))
         return Conditioning(self.kind, n, targets, obstacles, outer, exact)
-
-
-def box_boundary_family(n_list: Sequence[int]) -> ConditioningFamily:
-    return ConditioningFamily("box_boundary", tuple(n_list))
-
-
-def single_vertex_family(n_list: Sequence[int]) -> ConditioningFamily:
-    return ConditioningFamily("single_vertex", tuple(n_list))
-
-
-def obstacle_family(n_list: Sequence[int]) -> ConditioningFamily:
-    return ConditioningFamily("vertex_set_with_obstacle", tuple(n_list))
-
-
-def halfspace_family(n_list: Sequence[int]) -> ConditioningFamily:
-    return ConditioningFamily("halfspace_target", tuple(n_list))
-
-
-def interleaved_family(a: ConditioningFamily, b: ConditioningFamily,
-                       n_list: Sequence[int]) -> ConditioningFamily:
-    """Alternate two families along ``n_list`` (even positions a, odd b)."""
-    return ConditioningFamily("interleaved", tuple(n_list), sub=(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +580,35 @@ def _conditioned_window(
     return win, target_rows, blocked
 
 
+def _conditioned_counts(
+    cfg: PercolationConfig,
+    event: CylinderEvent,
+    conds: Sequence[Conditioning],
+    sample_ids: Iterable[int],
+) -> Tuple[List[int], List[int]]:
+    """``(accepted, hits)``: for each conditioning in ``conds``, how many of
+    ``sample_ids`` connect the origin to its targets off the obstacles, and
+    how many of those also satisfy ``event``.
+
+    The one conditioned counting loop: one :func:`_conditioned_window` and
+    one labelling per sample answer every conditioning, and the event is
+    read at most once per sample (only when some conditioning accepts it).
+    """
+    win, target_rows, blocked = _conditioned_window(cfg, conds)
+    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
+    accepted = [0] * len(conds)
+    hits = [0] * len(conds)
+    for sid, labels in sample_labels(win, cfg, sample_ids, blocked):
+        reached = [connection_indicator(labels, origin_row, rows) for rows in target_rows]
+        if not any(reached):
+            continue
+        hit = event.evaluate(cfg.with_sample(sid))
+        for i, ok in enumerate(reached):
+            accepted[i] += ok
+            hits[i] += ok and hit
+    return accepted, hits
+
+
 def _steps_cross_every_shell(spec: LatticeSpec) -> bool:
     """Does every path from inside ``B(r)`` to outside it step onto the
     shell of radius ``r + 1``, for every ``r``?  Nearest-neighbour steps
@@ -682,7 +689,8 @@ def matrix_reconstruction(
 
     The extractions read sample ids ``[0, n_samples)``.  ``lhs`` estimates
     P(E and 0 connected to the targets off the obstacle set) on the disjoint
-    range ``[n_samples, 2 n_samples)``; ``rhs`` chains
+    range ``[n_samples, 2 n_samples)``, counted by the loop behind
+    :func:`iic_series`; ``rhs`` chains
     the extracted kernels: the level-0 entries (with the event), the
     intermediate kernels up to level j-1, and the level-j onward weights.
     The lower-bound construction makes rhs an estimate of a sub-event of
@@ -691,15 +699,10 @@ def matrix_reconstruction(
     """
     if j < 1:
         raise ValueError("reconstruction needs j >= 1")
-    extractions = []
-    for lev in range(j):
-        extractions.append(
-            extract_kernels(
-                cfg, params, lev, n_samples, family, n,
-                event=event if lev == 0 else None,
-                good=good, reg=reg, p_c_ref=p_c_ref,
-            )
-        )
+    extractions = [extract_kernels(cfg, params, lev, n_samples, family, n,
+                                   event=event if lev == 0 else None,
+                                   good=good, reg=reg, p_c_ref=p_c_ref)
+                   for lev in range(j)]
 
     # chain the kernels: start from the level-0 row vector
     ext0 = extractions[0]
@@ -742,16 +745,10 @@ def matrix_reconstruction(
     rhs_stderr = math.sqrt(rhs_var)
 
     # direct side, on fresh samples
-    win, (tgt_rows,), blocked = _conditioned_window(cfg, [family.at(cfg.spec, n)])
-    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
-    lhs_start = n_samples
-    # samples failing the event are dropped before they are labelled
-    lhs_ids = (sid for sid in range(lhs_start, lhs_start + n_samples)
-               if event is None or event.evaluate(cfg.with_sample(sid)))
-    hits = sum(connection_indicator(labels, origin_row, tgt_rows)
-               for _, labels in sample_labels(win, cfg, lhs_ids, blocked))
-    lhs = Estimate.from_counts(hits, n_samples, seed=cfg.seed,
-                               sample_range=(lhs_start, lhs_start + n_samples))
+    lhs_range = (n_samples, 2 * n_samples)
+    _, (hits,) = _conditioned_counts(cfg, event or sure_event(), [family.at(cfg.spec, n)],
+                                     range(*lhs_range))
+    lhs = Estimate.from_counts(hits, n_samples, seed=cfg.seed, sample_range=lhs_range)
 
     return ReconstructionReport(
         j=j, lhs=lhs, rhs=rhs, rhs_stderr=rhs_stderr,
@@ -800,54 +797,6 @@ def _conditioned_fields(hits: int, accepted: int, seed: int,
     )
 
 
-def iic_conditional(
-    cfg: PercolationConfig,
-    event: CylinderEvent,
-    family: ConditioningFamily,
-    n: int,
-    n_samples: int,
-    sample_start: int = 0,
-) -> IICPoint:
-    """P(E | origin reaches the targets off the obstacle set), by rejection.
-
-    Samples achieving the arm are kept; the event frequency among them is
-    the conditional estimate.  Acceptance statistics ship with the point so
-    starvation is visible; fewer than 100 accepted samples flags the point
-    low-confidence.
-    """
-    return _iic_points(cfg, event, [family.at(cfg.spec, n)], n_samples, sample_start)[0]
-
-
-def _iic_points(
-    cfg: PercolationConfig,
-    event: CylinderEvent,
-    conds: Sequence[Conditioning],
-    n_samples: int,
-    sample_start: int,
-) -> List[IICPoint]:
-    """The :func:`iic_conditional` point of each conditioning in ``conds``,
-    all from one :func:`_conditioned_window`: one labelling per sample
-    answers every one of them, and the event is read at most once per
-    sample (only when some conditioning accepts it)."""
-    win, target_rows, blocked = _conditioned_window(cfg, conds)
-    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
-    srange = (sample_start, sample_start + n_samples)
-    accepted = [0] * len(conds)
-    hits = [0] * len(conds)
-    for sid, labels in sample_labels(win, cfg, range(*srange), blocked):
-        reached = [connection_indicator(labels, origin_row, rows) for rows in target_rows]
-        if not any(reached):
-            continue
-        hit = event.evaluate(cfg.with_sample(sid))
-        for i, ok in enumerate(reached):
-            accepted[i] += ok
-            hits[i] += ok and hit
-    return [IICPoint(n=cond.n, family_kind=cond.kind, event_name=event.name,
-                     exact_window=cond.exact,
-                     **_conditioned_fields(h, a, cfg.seed, srange))
-            for cond, h, a in zip(conds, hits, accepted)]
-
-
 def iic_series(
     cfg: PercolationConfig,
     event: CylinderEvent,
@@ -855,7 +804,13 @@ def iic_series(
     n_samples: int,
     sample_start: int = 0,
 ) -> List[IICPoint]:
-    """:func:`iic_conditional` at every scale of ``family``, in order.
+    """P(E | origin reaches V_n off the obstacle set D_n), by rejection, at
+    every scale ``n`` of ``family``, in order.
+
+    Samples achieving the arm are kept; the event frequency among them is
+    the conditional estimate.  Acceptance statistics ship with each point
+    so starvation is visible; fewer than 100 accepted samples flags a point
+    low-confidence.  A one-scale family gives the point of one scale.
 
     The scales whose conditioning :func:`_decided_in_any_box` (the
     box-boundary ones on a nearest-neighbour lattice, and so the box-boundary
@@ -876,8 +831,14 @@ def iic_series(
         if not shared:
             groups.append(shared)
         shared.append(cond)
-    points = {pt.n: pt for group in groups
-              for pt in _iic_points(cfg, event, group, n_samples, sample_start)}
+    srange = (sample_start, sample_start + n_samples)
+    points = {}
+    for group in groups:
+        accepted, hits = _conditioned_counts(cfg, event, group, range(*srange))
+        for cond, a, h in zip(group, accepted, hits):
+            points[cond.n] = IICPoint(n=cond.n, family_kind=cond.kind, event_name=event.name,
+                                      exact_window=cond.exact,
+                                      **_conditioned_fields(h, a, cfg.seed, srange))
     return [points[n] for n in family.n_list]
 
 
@@ -981,39 +942,23 @@ def supercritical_sweep(
     cfg_base: PercolationConfig,
     event: CylinderEvent,
     p_list: Sequence[float],
-    r_proxy: int,
-    n_samples: int,
-    sample_start: int = 0,
-) -> List[SweepPoint]:
-    """P_p(E | origin escapes to the radius-``r_proxy`` shell) for every p.
-
-    The escape event proxies the infinite-cluster conditioning; it is
-    decided exactly within the window (the shell blocks every outward
-    path).  ``p_list`` must be strictly decreasing (a sweep down toward the
-    critical point).  This is the one-radius case of :func:`_proxy_sweep`.
-    """
-    return _proxy_sweep(cfg_base, event, p_list, (r_proxy,), n_samples,
-                        sample_start)[r_proxy]
-
-
-def _proxy_sweep(
-    cfg_base: PercolationConfig,
-    event: CylinderEvent,
-    p_list: Sequence[float],
     radii: Sequence[int],
     n_samples: int,
-    sample_start: int,
+    sample_start: int = 0,
 ) -> Dict[int, List[SweepPoint]]:
-    """The sweep points of every radius in ``radii``, from one window
-    ``B(max(radii))``.
+    """P_p(E | origin escapes to the radius-r shell) for every p of
+    ``p_list`` and every r of ``radii``, from one window ``B(max(radii))``.
 
-    The open edge sets are nested in p, so one
+    The escape event proxies the infinite-cluster conditioning; it is
+    decided exactly within ``B(r)`` (the shell blocks every outward path).
+    ``p_list`` must be strictly decreasing (a sweep down toward the critical
+    point).  The open edge sets are nested in p, so one
     :func:`~percolab.windowed.escape_levels` pass per sample gives, for each
     radius, the prefix of ``p_list`` at which the origin reaches that shell
     inside the window.  That is the escape to shell r within ``B(r)`` only
-    when no step jumps over shell r (nearest-neighbour steps); callers pass
-    several radii only then.  The event's threshold interval is read once
-    per sample, and the counts become each point's
+    when no step jumps over shell r (nearest-neighbour steps), so several
+    radii are refused otherwise.  The event's threshold interval is read
+    once per sample, and the counts become each point's
     :func:`_conditioned_fields`.
     """
     if len(p_list) < 1:
@@ -1021,6 +966,10 @@ def _proxy_sweep(
     if any(b >= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be strictly decreasing")
     spec = cfg_base.spec
+    if not radii or len(set(radii)) != len(radii):
+        raise ValueError(f"radii must be distinct and at least one, got {list(radii)!r}")
+    if len(radii) > 1 and not _steps_cross_every_shell(spec):
+        raise ValueError("a step can jump a shell: one radius per sweep on this lattice")
     win = build_window(spec, cfg_base.seed, max(radii))
     cfgs = [PercolationConfig(spec, p, cfg_base.seed) for p in p_list]
     ts = [cfg.threshold for cfg in cfgs]
@@ -1086,13 +1035,10 @@ def supercritical_report(
     # a path that cannot jump shell r_a first meets it with every earlier
     # site inside B(r_a - 1), so one B(r_b) tree answers both radii;
     # otherwise each radius keeps its window
-    if _steps_cross_every_shell(cfg_base.spec):
-        sweeps = _proxy_sweep(cfg_base, event, p_list, (r_a, r_b), n_samples, sample_start)
-    else:
-        sweeps = {
-            r: supercritical_sweep(cfg_base, event, p_list, r, n_samples, sample_start)
-            for r in (r_a, r_b)
-        }
+    groups = [r_pair] if _steps_cross_every_shell(cfg_base.spec) else [(r,) for r in r_pair]
+    sweeps: Dict[int, List[SweepPoint]] = {}
+    for radii in groups:
+        sweeps.update(supercritical_sweep(cfg_base, event, p_list, radii, n_samples, sample_start))
     term_a = sweeps[r_a][-1].conditional
     term_b = sweeps[r_b][-1].conditional
     sensitivity = abs(term_a.value - term_b.value)

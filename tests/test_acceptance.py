@@ -20,11 +20,10 @@ from percolab import cli
 from percolab.clusters import GoodSpanningParams, RegularityParams
 from percolab.engine import PercolationConfig
 from percolab.experiments import (
-    box_boundary_family,
+    ConditioningFamily,
     convergence_diagnostic,
     extract_kernels,
     iic_series,
-    single_vertex_family,
     supercritical_report,
     two_east_edges_event,
 )
@@ -159,7 +158,7 @@ def _desk_extraction():
         warnings.simplefilter("ignore")
         return extract_kernels(
             cfg, toy_params(1, 2, 1), level=0, n_samples=400,
-            family=box_boundary_family([16]), n=16,
+            family=ConditioningFamily("box_boundary", (16,)), n=16,
             event=two_east_edges_event(SPEC2),
             good=GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5),
             reg=RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0),
@@ -211,11 +210,9 @@ def iic_run():
     t0 = time.monotonic()
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
     event = two_east_edges_event(SPEC2)
-    n_list = [16, 32, 64]
-    series = {
-        "box_boundary": iic_series(cfg, event, box_boundary_family(n_list), 4000),
-        "single_vertex": iic_series(cfg, event, single_vertex_family(n_list), 8000),
-    }
+    n_list = (16, 32, 64)
+    series = {kind: iic_series(cfg, event, ConditioningFamily(kind, n_list), n_samples)
+              for kind, n_samples in (("box_boundary", 4000), ("single_vertex", 8000))}
     return SimpleNamespace(
         cfg=cfg,
         event=event,

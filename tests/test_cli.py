@@ -283,14 +283,15 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
     (["extract-kernels"], {"extraction": {"q_list": [5]}}),
     (["estimate-two-point"], {"estimation": {"targets": [[1, 0, 0]]}}),
     (["estimate-two-point"], {"estimation": {"targets": [[1]]}}),
+    (["estimate-two-point"], {"estimation": {"targets": []}}),
 ], ids=["radii-decreasing", "pc-criterion-unknown", "pc-bracket-reversed",
         "pc-tol-zero", "pc-radii-decreasing", "targets-repeated",
-        "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d"])
+        "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d", "targets-empty"])
 def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg):
     # each used to exit 2 ("invariant violation"), except pc_tol 0 (it ran,
     # and a negative pc_tol never ends), pc_radii [32, 16] (it ran on radius
-    # 16) and the wrong-dimension targets: (1, 0, 0) ran as (1, 0) and (1,)
-    # escaped as an IndexError
+    # 16), the wrong-dimension targets: (1, 0, 0) ran as (1, 0) and (1,)
+    # escaped as an IndexError, and no targets (exit 0, a header-only CSV)
     code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err
@@ -319,6 +320,19 @@ def test_bad_hopf_or_battery_value_exits_4(tmp_path, capsys, argv, cfg):
     code, out = _run(tmp_path, argv, cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("families", [[], ["box_boundary", "box_boundary"], "box_boundary"],
+                         ids=["empty", "repeated", "string"])
+def test_empty_or_repeated_iic_families_exit_4(tmp_path, capsys, families):
+    # no family exited 0 with a header-only iic.csv; a repeated one wrote
+    # every row twice and dropped the diagnostic; a bare string was read
+    # letter by letter ("unknown family kind 'b'")
+    code, out = _run(tmp_path, ["iic-converge", "--n-samples", "20"],
+                     cfg={"iic": {"families": families}})
+    assert code == 4
+    assert "iic.families must be a non-empty list of distinct" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -155,6 +155,18 @@ def test_unbuildable_iic_section_exits_4(tmp_path, iic):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"iic": {"families": []}}, "iic.families must be a non-empty list"),
+    ({"iic": {"families": ["box_boundary", "box_boundary"]}}, "of distinct family kinds"),
+    ({"iic": {"families": "box_boundary"}}, "iic.families must be a non-empty list"),
+    ({"iic": {"families": [["box_boundary"]]}}, "iic.families must be a non-empty list"),
+    ({"estimation": {"targets": []}}, "estimation.targets must be a non-empty list"),
+], ids=["no-family", "repeated-family", "family-string", "family-list", "no-target"])
+def test_lists_that_compute_nothing_or_repeat_rejected(override, message):
+    with pytest.raises(ConfigError, match=message):
+        Config.from_dict(override)
+
+
 def test_faithful_mode_requires_admissible_k1():
     with pytest.raises(ConfigError, match="floor|k1"):
         Config.from_dict({"scales": {"mode": "faithful", "k1": 10}})

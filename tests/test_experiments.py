@@ -20,16 +20,10 @@ from percolab.experiments import (
     Conditioning,
     ConditioningFamily,
     CylinderEvent,
-    box_boundary_family,
     convergence_diagnostic,
     extract_kernels,
-    halfspace_family,
-    iic_conditional,
     iic_series,
-    interleaved_family,
     matrix_reconstruction,
-    obstacle_family,
-    single_vertex_family,
     supercritical_report,
     supercritical_sweep,
     sure_event,
@@ -49,28 +43,36 @@ SPEC2 = LatticeSpec(d=2)
 
 
 def test_family_windows_and_targets():
-    fam = box_boundary_family([4, 8])
+    fam = ConditioningFamily("box_boundary", (4, 8))
     assert fam.at(SPEC2, 4).outer == 5
     assert min(norm_inf(x) for x in fam.at(SPEC2, 4).targets) == 5
-    single = single_vertex_family([4])
+    single = ConditioningFamily("single_vertex", (4,))
     assert single.at(SPEC2, 4).outer == 5 + 2  # padded past the pinned vertex
-    obst = obstacle_family([4])
+    obst = ConditioningFamily("vertex_set_with_obstacle", (4,))
     assert obst.at(SPEC2, 4).outer == 6
     assert all(x[0] <= 0 for x in obst.at(SPEC2, 4).obstacles)
-    half = halfspace_family([4])
+    half = ConditioningFamily("halfspace_target", (4,))
     assert half.at(SPEC2, 4).outer > 5
 
 
+_KINDS = ("box_boundary", "single_vertex", "vertex_set_with_obstacle", "halfspace_target")
+
+
+def _interleaved(kind_a, kind_b, ns):
+    """Alternate two families along ``ns`` (even positions ``kind_a``)."""
+    ns = tuple(ns)
+    return ConditioningFamily("interleaved", ns, sub=(ConditioningFamily(kind_a, ns),
+                                                      ConditioningFamily(kind_b, ns)))
+
+
 def test_families_validate_against_spec():
-    for fam in (box_boundary_family([4]), single_vertex_family([4]),
-                obstacle_family([4]), halfspace_family([4])):
-        assert fam.at(SPEC2, 4).targets
+    for kind in _KINDS:
+        assert ConditioningFamily(kind, (4,)).at(SPEC2, 4).targets
 
 
 def test_family_targets_avoid_conditioning_box():
-    for fam in (box_boundary_family([6]), single_vertex_family([6]),
-                obstacle_family([6]), halfspace_family([6])):
-        cond = fam.at(SPEC2, 6)
+    for kind in _KINDS:
+        cond = ConditioningFamily(kind, (6,)).at(SPEC2, 6)
         for site in cond.targets:
             assert max(abs(c) for c in site) > 6
         for site in cond.obstacles:
@@ -79,8 +81,7 @@ def test_family_targets_avoid_conditioning_box():
 
 def test_interleaved_family_delegates_by_position():
     ns = [4, 6, 8]
-    fam = interleaved_family(box_boundary_family(ns), single_vertex_family(ns),
-                             ns)
+    fam = _interleaved("box_boundary", "single_vertex", ns)
     assert fam.at(SPEC2, 4).kind == "box_boundary"
     assert fam.at(SPEC2, 6).kind == "single_vertex"
     assert fam.at(SPEC2, 8).kind == "box_boundary"
@@ -194,8 +195,8 @@ def test_iic_conditional_matches_exact_enumeration():
     cond, acc = _exact_d1_box_conditional(Fraction(1, 2), 4, 5)
     assert cond == Fraction(13, 21)
     assert acc == Fraction(63, 1024)
-    pt = iic_conditional(cfg, two_east_edges_event(SPEC1),
-                         box_boundary_family([4]), 4, n_samples=4000)
+    pt, = iic_series(cfg, two_east_edges_event(SPEC1),
+                     ConditioningFamily("box_boundary", (4,)), n_samples=4000)
     assert abs(pt.conditional.value - float(cond)) <= 4 * pt.conditional.stderr
     assert abs(pt.acceptance.value - float(acc)) <= 4 * pt.acceptance.stderr
     assert pt.n_accepted == round(pt.acceptance.value * 4000)
@@ -203,7 +204,7 @@ def test_iic_conditional_matches_exact_enumeration():
 
 def test_sure_event_conditional_is_exactly_one():
     cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=5)
-    pt = iic_conditional(cfg, sure_event(), box_boundary_family([4]), 4, 600)
+    pt, = iic_series(cfg, sure_event(), ConditioningFamily("box_boundary", (4,)), 600)
     assert pt.conditional.value == 1.0
     assert pt.conditional.stderr == 0.0
 
@@ -212,8 +213,8 @@ def test_single_vertex_conditioning_forces_event_in_d1():
     # pinning 0 <-> {n+1} on the half-line closes over every east edge up
     # to n+1, so the two-east cylinder is implied by the conditioning
     cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=9)
-    pt = iic_conditional(cfg, two_east_edges_event(SPEC1),
-                         single_vertex_family([6]), 6, 800)
+    pt, = iic_series(cfg, two_east_edges_event(SPEC1),
+                     ConditioningFamily("single_vertex", (6,)), 800)
     assert pt.n_accepted > 0
     assert pt.conditional.value == 1.0
 
@@ -222,10 +223,9 @@ def test_interleaved_series_equals_positionwise_families():
     cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=5)
     ev = two_east_edges_event(SPEC1)
     ns = [4, 6]
-    inter = iic_series(cfg, ev, interleaved_family(
-        box_boundary_family(ns), single_vertex_family(ns), ns), 400)
-    boxes = iic_series(cfg, ev, box_boundary_family(ns), 400)
-    singles = iic_series(cfg, ev, single_vertex_family(ns), 400)
+    inter = iic_series(cfg, ev, _interleaved("box_boundary", "single_vertex", ns), 400)
+    boxes = iic_series(cfg, ev, ConditioningFamily("box_boundary", tuple(ns)), 400)
+    singles = iic_series(cfg, ev, ConditioningFamily("single_vertex", tuple(ns)), 400)
     assert inter[0].conditional.value == boxes[0].conditional.value
     assert inter[0].acceptance.value == boxes[0].acceptance.value
     assert inter[1].conditional.value == singles[1].conditional.value
@@ -233,8 +233,8 @@ def test_interleaved_series_equals_positionwise_families():
 
 def test_low_confidence_flag():
     cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=5)
-    pt = iic_conditional(cfg, two_east_edges_event(SPEC1),
-                         box_boundary_family([4]), 4, n_samples=200)
+    pt, = iic_series(cfg, two_east_edges_event(SPEC1),
+                     ConditioningFamily("box_boundary", (4,)), n_samples=200)
     # acceptance ~ 6%: around twelve accepted samples, far below the floor
     assert pt.n_accepted < 100
     assert pt.low_confidence
@@ -257,15 +257,15 @@ _HALFSPACE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("build,rows", [
-    (obstacle_family, _OBSTACLE_ROWS),
-    (halfspace_family, _HALFSPACE_ROWS),
-    (lambda ns: interleaved_family(obstacle_family(ns), halfspace_family(ns), ns),
+@pytest.mark.parametrize("fam,rows", [
+    (ConditioningFamily("vertex_set_with_obstacle", (4, 8)), _OBSTACLE_ROWS),
+    (ConditioningFamily("halfspace_target", (4, 8)), _HALFSPACE_ROWS),
+    (_interleaved("vertex_set_with_obstacle", "halfspace_target", (4, 8)),
      [_OBSTACLE_ROWS[0], _HALFSPACE_ROWS[1]]),
 ], ids=["obstacle", "halfspace", "interleaved"])
-def test_iic_series_frozen_rows(build, rows):
+def test_iic_series_frozen_rows(fam, rows):
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
-    pts = iic_series(cfg, two_east_edges_event(SPEC2), build((4, 8)), 300)
+    pts = iic_series(cfg, two_east_edges_event(SPEC2), fam, 300)
     assert [pt.row() for pt in pts] == rows
 
 
@@ -277,25 +277,28 @@ _LAM1 = LatticeSpec(d=2, edge_mode="spread_out", lam=1)
 _LAM2 = LatticeSpec(d=2, edge_mode="spread_out", lam=2)
 
 
-@pytest.mark.parametrize("spec,build,windows", [
-    (SPEC2, box_boundary_family, 1),
-    (LatticeSpec(d=3), box_boundary_family, 1),
-    (SPEC2, lambda ns: interleaved_family(box_boundary_family(ns),
-                                          single_vertex_family(ns), ns), 2),
-    (SPEC2, obstacle_family, 3),
-    (_LAM1, box_boundary_family, 3),
-    (_LAM2, box_boundary_family, 3),
+_BOX235 = ConditioningFamily("box_boundary", (2, 3, 5))
+
+
+@pytest.mark.parametrize("spec,fam,windows", [
+    (SPEC2, _BOX235, 1),
+    (LatticeSpec(d=3), _BOX235, 1),
+    (SPEC2, _interleaved("box_boundary", "single_vertex", (2, 3, 5)), 2),
+    (SPEC2, ConditioningFamily("vertex_set_with_obstacle", (2, 3, 5)), 3),
+    (_LAM1, _BOX235, 3),
+    (_LAM2, _BOX235, 3),
 ], ids=["box-d2", "box-d3", "interleaved-box-single", "obstacle", "lam1-box", "lam2-box"])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_iic_series_equals_per_scale_points(spec, build, windows, seed, monkeypatch):
+def test_iic_series_equals_per_scale_points(spec, fam, windows, seed, monkeypatch):
     # the box-boundary scales of a nearest-neighbour lattice share the window
     # of the largest one; every other conditioning keeps its own window, and
-    # every point equals the one its own window gives
-    fam = build((2, 3, 5))
+    # every point equals the one-scale family's point
     ev = two_east_edges_event(spec)
     cfg = PercolationConfig(spec, 0.5 if spec.edge_mode == "nearest_neighbour" else 0.25,
                             seed)
-    per_scale = [iic_conditional(cfg, ev, fam, n, 150, seed) for n in fam.n_list]
+    per_scale = [iic_series(cfg, ev, ConditioningFamily(fam.at(spec, n).kind, (n,)), 150,
+                            seed)[0]
+                 for n in fam.n_list]
     built = []
     real_build = experiments.build_window
     monkeypatch.setattr(experiments, "build_window",
@@ -360,7 +363,7 @@ def test_convergence_verdict_inconsistent_beyond_slack():
 
 def test_convergence_detects_planted_p_mismatch_end_to_end():
     ev = two_east_edges_event(SPEC1)
-    fam = box_boundary_family([2, 4])
+    fam = ConditioningFamily("box_boundary", (2, 4))
     sa = iic_series(PercolationConfig(spec=SPEC1, p=0.5, seed=3), ev, fam, 4000)
     sb = iic_series(PercolationConfig(spec=SPEC1, p=0.9, seed=3), ev, fam, 4000)
     rep = convergence_diagnostic({"box_boundary": sa, "single_vertex": sb})
@@ -379,7 +382,7 @@ def test_extract_kernels_desk_scale_invariants():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ext = extract_kernels(cfg, params, level=0, n_samples=400,
-                              family=box_boundary_family([16]), n=16,
+                              family=ConditioningFamily("box_boundary", (16,)), n=16,
                               event=two_east_edges_event(SPEC2),
                               good=good, reg=reg)
     assert ext.g_violations == 0
@@ -399,7 +402,7 @@ def test_extract_kernels_obstacle_family_frozen():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ext = extract_kernels(cfg, toy_params(1, 2, 1), level=0, n_samples=200,
-                              family=obstacle_family([16]), n=16,
+                              family=ConditioningFamily("vertex_set_with_obstacle", (16,)), n=16,
                               event=two_east_edges_event(SPEC2),
                               good=good, reg=reg)
     assert ext.summary() == {  # frozen at seed 2024
@@ -420,7 +423,7 @@ def test_extract_kernels_faithful_gate_refuses():
     params = faithful_params(SPEC2, k1_floor(SPEC2, 1))
     with pytest.raises(ValueError, match="intrudes"):
         extract_kernels(cfg, params, level=0, n_samples=10,
-                        family=box_boundary_family([16]), n=16,
+                        family=ConditioningFamily("box_boundary", (16,)), n=16,
                         event=two_east_edges_event(SPEC2))
 
 
@@ -431,7 +434,7 @@ def test_extract_kernels_toy_gate_warns():
     reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
     with pytest.warns(RuntimeWarning, match="error band"):
         extract_kernels(cfg, params, level=0, n_samples=5,
-                        family=box_boundary_family([16]), n=16,
+                        family=ConditioningFamily("box_boundary", (16,)), n=16,
                         event=two_east_edges_event(SPEC2), good=good, reg=reg)
 
 
@@ -440,18 +443,25 @@ def test_matrix_reconstruction_containment():
     params = toy_params(1, 2, 1)
     good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
     reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
+    fam = ConditioningFamily("box_boundary", (16,))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = matrix_reconstruction(cfg, j=1, family=box_boundary_family([16]),
-                                    n=16, n_samples=400, params=params,
-                                    event=two_east_edges_event(SPEC2),
+        rep = matrix_reconstruction(cfg, j=1, family=fam, n=16, n_samples=400,
+                                    params=params, event=two_east_edges_event(SPEC2),
                                     good=good, reg=reg)
-    assert rep.lhs.value > 0
+    # the direct side reads the disjoint ids [400, 800): frozen at seed 2024
+    assert rep.lhs == Estimate.from_counts(77, 400, seed=2024, sample_range=(400, 800))
     assert rep.rhs >= 0
     # the reconstruction only collects part of the conditioning mass
     sigma = np.hypot(rep.lhs.stderr, rep.rhs_stderr)
     assert rep.rhs <= rep.lhs.value + 4 * sigma
     assert rep.extractions[0].g_violations == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sure = matrix_reconstruction(cfg, j=1, family=fam, n=16, n_samples=40,
+                                     params=params, good=good, reg=reg)
+    # no event: lhs is the arm probability alone, on ids [40, 80)
+    assert sure.lhs == Estimate.from_counts(31, 40, seed=2024, sample_range=(40, 80))
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +472,23 @@ def test_supercritical_sweep_validation():
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=1)
     ev = two_east_edges_event(SPEC2)
     with pytest.raises(ValueError):
-        supercritical_sweep(cfg, ev, [0.51, 0.55], r_proxy=8, n_samples=50)
+        supercritical_sweep(cfg, ev, [0.51, 0.55], (8,), n_samples=50)
     with pytest.raises(ValueError):
         supercritical_report(cfg, ev, [0.55, 0.52], (16, 8), n_samples=50)
+    # a repeated radius would count each sample twice; no radius, nothing
+    for radii in [(8, 8), ()]:
+        with pytest.raises(ValueError, match="distinct and at least one"):
+            supercritical_sweep(cfg, ev, [0.55, 0.52], radii, n_samples=50)
+    # a spread-out step can jump shell 4, so B(8) does not decide it
+    lam1 = PercolationConfig(spec=_LAM1, p=0.2, seed=1)
+    with pytest.raises(ValueError, match="jump a shell"):
+        supercritical_sweep(lam1, two_east_edges_event(_LAM1), [0.3, 0.2], (4, 8), 50)
 
 
 def test_supercritical_sweep_decreases_toward_density():
     cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=4)
     ev = two_east_edges_event(SPEC1)
-    pts = supercritical_sweep(cfg, ev, [0.9, 0.7], r_proxy=5, n_samples=1200)
+    pts = supercritical_sweep(cfg, ev, [0.9, 0.7], (5,), n_samples=1200)[5]
     assert [pt.p for pt in pts] == [0.9, 0.7]
     assert pts[0].conditional.value > pts[1].conditional.value
     assert all(pt.r_proxy == 5 for pt in pts)
@@ -506,8 +524,8 @@ _SWEEP_CLI_ROWS = [
 ], ids=["grid12-r8", "cli-grid-r16"])
 def test_supercritical_sweep_frozen_rows(p_list, r_proxy, sample_start, rows):
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
-    pts = supercritical_sweep(cfg, two_east_edges_event(SPEC2), p_list, r_proxy,
-                              n_samples=300, sample_start=sample_start)
+    pts = supercritical_sweep(cfg, two_east_edges_event(SPEC2), p_list, (r_proxy,),
+                              n_samples=300, sample_start=sample_start)[r_proxy]
     assert [pt.row() for pt in pts] == rows
 
 
@@ -564,7 +582,7 @@ def test_supercritical_report_equals_per_radius_sweeps(case, seed, data):
     assert built == ([r_b] if shared else [r_a, r_b])
     assert list(rep.sweeps) == [r_a, r_b]
     for r in (r_a, r_b):
-        alone = supercritical_sweep(cfg, ev, p_list, r, 10, sample_start=start)
+        alone = supercritical_sweep(cfg, ev, p_list, (r,), 10, sample_start=start)[r]
         assert repr([pt.row() for pt in rep.sweeps[r]]) == repr([pt.row() for pt in alone])
 
 
@@ -577,7 +595,7 @@ def test_supercritical_sweep_labels_no_window(monkeypatch):
     monkeypatch.setattr(experiments, "component_labels", refuse)
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
     pts = supercritical_sweep(cfg, two_east_edges_event(SPEC2),
-                              [0.6, 0.55, 0.5], r_proxy=8, n_samples=40)
+                              [0.6, 0.55, 0.5], (8,), n_samples=40)[8]
     assert [pt.n_accepted for pt in pts] == sorted((pt.n_accepted for pt in pts),
                                                    reverse=True)
 
@@ -585,7 +603,7 @@ def test_supercritical_sweep_labels_no_window(monkeypatch):
 def test_supercritical_sweep_origin_is_the_shell():
     # r_proxy = 0: the shell is the origin, so every sample escapes at every p
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
-    pts = supercritical_sweep(cfg, sure_event(), [1.0, 0.5, 0.0], r_proxy=0,
-                              n_samples=20)
+    pts = supercritical_sweep(cfg, sure_event(), [1.0, 0.5, 0.0], (0,),
+                              n_samples=20)[0]
     assert [(pt.n_accepted, pt.acceptance.value, pt.conditional.value)
             for pt in pts] == [(20, 1.0, 1.0)] * 3

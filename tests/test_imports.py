@@ -1,10 +1,12 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the four rules the
+No linter ships with the project, so this stands in for the five rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
   ``__all__``;
+* every ``__all__`` entry names a top-level definition, assignment or import
+  of its own module (a stale entry breaks ``from module import *``);
 * every top-level ``def`` or ``class`` of the package is named somewhere in
   the package, ``scripts/`` or ``perfbench/`` (a call, an attribute, a
   reference), unless :data:`TEST_ONLY` keeps it with a reason.  A definition
@@ -37,9 +39,6 @@ TEST_ONLY = {
     "edges_within": "reference oracle for the edge set of a region",
     "edge_state": "reference oracle: the validated scalar edge bit (perfbench spans it by name)",
     "convolution_sweep": "the convolution bound over a sweep of separations",
-    "obstacle_family": "sibling of the family constructors the scripts use",
-    "halfspace_family": "sibling of the family constructors the scripts use",
-    "interleaved_family": "sibling of the family constructors the scripts use",
 }
 
 #: Methods that nothing outside the tests names, kept on purpose.
@@ -57,7 +56,6 @@ TEST_ONLY_PARAMETERS = {
     "engine.explore_cluster.cap": "truncation tests: a record censored by the vertex cap",
     "clusters.estimate_regularity.resample_region":
         "frozen d = 3 tallies 67/100 and 86/100, and the exact conditional",
-    "experiments.iic_conditional.sample_start": "bit-identity reference for iic_series",
     "battery.run_y_battery.geoms": "criterion 5 runs the battery on its own geometries",
     "cli.main.argv": "the tests run the CLI in-process; the console script passes none",
 }
@@ -77,18 +75,45 @@ def _unused_imports(tree: ast.Module):
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    exported = set()
+    exported = _exported(tree)
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used and name not in exported)
+
+
+def _exported(tree: ast.Module):
+    """The module's ``__all__`` entries (none when it has no ``__all__``)."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported = set(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in used and name not in exported)
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _bound_names(tree: ast.Module):
+    """Every name the module binds at top level: definitions, assignments
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_module_imports_are_used(path):
     assert _unused_imports(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_all_entries_are_defined(path):
+    tree = _parse(path)
+    assert sorted(_exported(tree) - _bound_names(tree)) == []
 
 
 def _top_level_definitions():

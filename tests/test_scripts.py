@@ -1,6 +1,6 @@
 """Every script under ``scripts/`` starts and prints its help.
 
-The scripts import public names of the package (``box_boundary_family``,
+The scripts import public names of the package (``ConditioningFamily``,
 ``locate_pc``, ...), and nothing else in the suite imports them: a rename or
 a deletion in the package must fail here, not at the next manual run.
 """
