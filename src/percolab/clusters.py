@@ -10,8 +10,12 @@ at least one endpoint in the conditioned cluster.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .engine import (
     ClusterRecord,
@@ -23,11 +27,11 @@ from .engine import (
     keyed_edge_state,
     membership,
     mix64,
-    spanning_clusters,
 )
 from .estimators import Estimate
-from .lattice import Edge, Region, Site, box
+from .lattice import Edge, LatticeSpec, Region, Site, box, region_boundaries
 from .scales import ScaleIndex, ScaleParams, sub_annulus
+from .windowed import Window, build_window, component_labels, sample_open_edges
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +52,11 @@ def badness_threshold(s: int, log_base: float = math.e) -> float:
     return 1.0 - math.exp(-math.log(s, log_base) ** 2)
 
 
-def _ball_count(sites: Iterable[Site], x: Site, s: int) -> int:
-    """Number of ``sites`` within sup-distance ``s`` of ``x``."""
-    return sum(1 for v in sites if max(abs(a - b) for a, b in zip(v, x)) <= s)
+def _ball_counts(sites: Iterable[Site], x: Site, scales: Iterable[int]) -> Dict[int, int]:
+    """Number of ``sites`` within sup-distance ``s`` of ``x``, for each ``s``
+    in ``scales``, from one pass over ``sites``."""
+    dist = Counter(max(abs(a - b) for a, b in zip(v, x)) for v in sites)
+    return {s: sum(n for r, n in dist.items() if r <= s) for s in scales}
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +118,12 @@ def estimate_regularity(
     the caller (e.g. ``explore_cluster(cfg, x, region)``, or a record the
     caller already holds); it must contain ``x`` and must not be truncated.
     Every edge touching it (either endpoint) is frozen at its realized
-    state; all other edges are redrawn ``n_inner`` times from independent
-    derived sample streams, each edge key hashed once per call.  For each
-    tested s, the frequency of the tameness event is compared against
-    1 - exp(-log^2 s): the vertex is declared bad at s when the estimate sits
-    below the level by more than 3 sigma, not-bad when above by more than
-    3 sigma, and undecided in between.
+    state, computed once per call; all other edges are redrawn ``n_inner``
+    times from independent derived sample streams, each edge key hashed once
+    per call.  For each tested s, the frequency of the tameness event is
+    compared against 1 - exp(-log^2 s): the vertex is declared bad at s when
+    the estimate sits below the level by more than 3 sigma, not-bad when
+    above by more than 3 sigma, and undecided in between.
 
     Regular = no tested s >= K is bad.  A frozen cluster that already meets
     the volume threshold at some s >= K is bad with probability one and
@@ -141,37 +147,40 @@ def estimate_regularity(
     deterministic_tame = {
         s for s in params.s_list if (2 * s + 1) ** cfg.spec.d < thresholds[s]
     }
-    deterministic_bad = {
-        s for s in params.s_list
-        if s not in deterministic_tame and _ball_count(frozen, x, s) >= thresholds[s]
-    }
+    untamed = [s for s in params.s_list if s not in deterministic_tame]
+    frozen_counts = _ball_counts(frozen, x, untamed) if untamed else {}
+    deterministic_bad = {s for s in untamed if frozen_counts[s] >= thresholds[s]}
 
     per_s: List[Tuple[int, Estimate, float, Optional[bool]]] = []
-    pending = [
-        s
-        for s in params.s_list
-        if s not in deterministic_bad and s not in deterministic_tame
-    ]
+    pending = [s for s in untamed if s not in deterministic_bad]
     tallies = {s: 0 for s in pending}
     if pending:
         member = membership(resample_region)
-        keys: Dict[Edge, int] = {}  # edge keys do not depend on the sample
+        keys: Dict[Edge, int] = {}  # resampled edges' keys: they do not depend on the sample
+        fixed: Dict[Edge, int] = {}  # frozen edges' realized bits
         for inner in range(params.n_inner):
             inner_cfg = cfg.with_sample(_inner_sample_id(cfg.sample_id, inner))
 
             def state(e: Edge) -> int:
+                bit = fixed.get(e)
+                if bit is not None:
+                    return bit
                 key = keys.get(e)
                 if key is None:
-                    key = keys[e] = edge_key(cfg.seed, e)
-                frozen_edge = e[0] in frozen or e[1] in frozen
-                return keyed_edge_state(cfg if frozen_edge else inner_cfg, key)
+                    key = edge_key(cfg.seed, e)
+                    if e[0] in frozen or e[1] in frozen:
+                        bit = fixed[e] = keyed_edge_state(cfg, key)
+                        return bit
+                    keys[e] = key
+                return keyed_edge_state(inner_cfg, key)
 
             cluster, outcome = explore(cfg.spec, [x], member, state,
                                        cap=_RESAMPLE_CAP - 1)
             if outcome is None:
                 raise RuntimeError("mixed exploration exceeded its cap")
+            counts = _ball_counts(cluster, x, pending)
             for s in pending:
-                tallies[s] += int(_ball_count(cluster, x, s) < thresholds[s])
+                tallies[s] += int(counts[s] < thresholds[s])
 
     for s in params.s_list:
         level = badness_threshold(s, params.log_base)
@@ -337,6 +346,45 @@ def good_spanning_check(
     )
 
 
+@lru_cache(maxsize=4)
+def _scan_window(
+    spec: LatticeSpec, seed: int, region: Region
+) -> Tuple[Window, Tuple[Site, ...], Tuple[Site, ...], np.ndarray, np.ndarray]:
+    """The window of an origin-centred annulus, its inner and outer
+    boundaries and their rows.  Kept across calls: callers scan one
+    sub-annulus for sample after sample."""
+    b_in, b_out = region_boundaries(spec, region)
+    win = build_window(spec, seed, region.outer, region.inner)
+    return win, b_in, b_out, win.rows_of(b_in), win.rows_of(b_out)
+
+
+def _window_spanning_clusters(cfg: PercolationConfig, region: Region) -> List[ClusterRecord]:
+    """The open clusters of an origin-centred annulus that touch both of its
+    boundaries, from one labelling of its window, sorted by minimal vertex.
+
+    Each record equals the one :func:`~percolab.engine.spanning_clusters`
+    explores: its root is the cluster's first inner-boundary site in
+    :func:`~percolab.lattice.region_boundaries` order.
+    """
+    win, b_in, b_out, rin, rout = _scan_window(cfg.spec, cfg.seed, region)
+    labels = component_labels(win, sample_open_edges(win, cfg, cfg.sample_id))
+    lab_in, lab_out = labels[rin], labels[rout]
+    out = []
+    for lab in np.intersect1d(lab_in, lab_out):
+        on_in = np.flatnonzero(lab_in == lab)
+        rows = np.flatnonzero(labels == lab)
+        out.append(ClusterRecord(
+            root=b_in[on_in[0]],
+            region=region,
+            vertices=frozenset(map(tuple, win.sites[rows].tolist())),
+            boundary_in=tuple(b_in[i] for i in on_in),
+            boundary_out=tuple(b_out[i] for i in np.flatnonzero(lab_out == lab)),
+            truncated=False,
+        ))
+    out.sort(key=lambda r: r.min_vertex)
+    return out
+
+
 def scan_good_spanning(
     cfg: PercolationConfig,
     idx: ScaleIndex,
@@ -351,10 +399,7 @@ def scan_good_spanning(
     out: List[SpanningSetRecord] = []
     for q in q_list:
         region = sub_annulus(cfg.spec, idx, q, scale_params)
-        records, incomplete = spanning_clusters(cfg, region)
-        if incomplete:
-            raise RuntimeError(f"spanning-cluster scan truncated at q={q}")
-        for rec in records:
+        for rec in _window_spanning_clusters(cfg, region):
             out.append(
                 good_spanning_check(cfg, rec, idx, q, scale_params, params, reg)
             )

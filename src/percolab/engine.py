@@ -303,7 +303,9 @@ class ClusterRecord:
     tuples; both are empty when ``region`` is a site set or a predicate.
     ``truncated`` means the vertex cap censored the closure, so the
     vertex set is a subset of the true restricted cluster.  Records are
-    built only by :func:`_cluster_record`.
+    built by :func:`_cluster_record`, and by the window scan of
+    :mod:`percolab.clusters`, whose records the tests hold field for field
+    against :func:`spanning_clusters`.
     """
 
     root: Site
@@ -422,7 +424,8 @@ def spanning_clusters(
     ann: Region,
     edge_log: Optional[list] = None,
 ) -> Tuple[List[ClusterRecord], bool]:
-    """All open clusters of an annulus touching both of its boundaries.
+    """All open clusters of an annulus touching both of its boundaries: the
+    lazy reference for the window scan of :mod:`percolab.clusters`.
 
     Explores from every inner-boundary site, deduplicates by membership, and
     returns records sorted by minimal contained vertex.  The second return

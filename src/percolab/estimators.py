@@ -1,6 +1,6 @@
 """Monte Carlo estimation of connection probabilities, exponent fits, and
-threshold location, plus two exact numeric checks (a convolution partial-sum
-bound and the cluster-exit inequality on tiny graphs).
+threshold location, plus one exact numeric check (the cluster-exit
+inequality on tiny graphs).
 
 Estimates carry standard errors and explicit truncation counts:
 a tri-state connectivity query that returns "unknown" (exploration cap hit)
@@ -303,125 +303,6 @@ def locate_pc(
         "seed": seed,
     }
     return estimate, diagnostics
-
-
-# ---------------------------------------------------------------------------
-# Convolution partial sums
-
-
-def _masked_power(r2: np.ndarray, half_exp: float) -> np.ndarray:
-    """r2**half_exp with the convention 0**(negative) = 1."""
-    out = np.ones_like(r2)
-    nz = r2 != 0
-    out[nz] = r2[nz] ** half_exp
-    return out
-
-
-def convolution_check(
-    d: int, a: float, b: float, x: Site, y: Site, R: int
-) -> dict:
-    """Partial sum of |z-x|^(a-d) |z-y|^(b-d) over the box B(0; R).
-
-    Valid for 0 < a, 0 < b, a + b < d; the infinite sum is then bounded by a
-    constant times |x-y|^(a+b-d), and the report exposes the ratio of the
-    partial sum to that reference so boundedness can be inspected over a
-    sweep of separations.  Norms are Euclidean with |0|^t := 1 for t <= 0.
-
-    For d > 3 the box is too large to enumerate directly; we require x and y
-    to differ in the first coordinate only and collapse the perpendicular
-    directions through their shell counts (an exact rearrangement, since the
-    summand depends only on z_1 and |z_perp|^2).
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError("need a > 0 and b > 0")
-    if a + b >= d:
-        raise ValueError("need a + b < d for a summable tail")
-    x = tuple(x)
-    y = tuple(y)
-    if x == y:
-        raise ValueError("x and y must differ")
-    if len(x) != d or len(y) != d:
-        raise ValueError("site dimension mismatch")
-    if R < 1:
-        raise ValueError("R must be >= 1")
-
-    if d <= 3:
-        axes = [np.arange(-R, R + 1)] * d
-        grids = np.meshgrid(*axes, indexing="ij")
-        z = np.stack([g.ravel() for g in grids], axis=1).astype(np.float64)
-        dx = np.sum((z - np.asarray(x, dtype=np.float64)) ** 2, axis=1)
-        dy = np.sum((z - np.asarray(y, dtype=np.float64)) ** 2, axis=1)
-        fa = _masked_power(dx, (a - d) / 2.0)
-        fb = _masked_power(dy, (b - d) / 2.0)
-        partial = float(np.sum(fa * fb))
-    else:
-        diff = [yi - xi for xi, yi in zip(x, y)]
-        if any(diff[1:]):
-            raise ValueError(
-                "for d > 3 the separation must lie along the first axis"
-            )
-        # Shell counts of Z^(d-1) restricted to [-R, R]^(d-1): convolve the
-        # one-dimensional square-histogram with itself d-1 times.
-        theta = np.zeros(R * R + 1)
-        theta[0] = 1.0
-        for t in range(1, R + 1):
-            theta[t * t] = 2.0
-        counts = theta
-        for _ in range(d - 2):
-            counts = np.convolve(counts, theta)
-        s = np.arange(len(counts), dtype=np.float64)  # |z_perp|^2 values
-        x1, y1 = float(x[0]), float(y[0])
-        partial = 0.0
-        for z1 in range(-R, R + 1):
-            rx = (z1 - x1) ** 2 + s
-            ry = (z1 - y1) ** 2 + s
-            fa = _masked_power(rx, (a - d) / 2.0)
-            fb = _masked_power(ry, (b - d) / 2.0)
-            partial += float(np.sum(counts * fa * fb))
-
-    sep = math.dist(x, y)
-    reference = sep ** (a + b - d)
-    # Crude closed-form tail bound: for |z|_inf = k > R >= 2 max(|x|,|y|)
-    # each factor is at most (k/2)^(exponent) and the shell has at most
-    # 2d(3k)^(d-1) sites.
-    if R >= 2 * max(norm_inf(x), norm_inf(y)):
-        const = 2 * d * 3 ** (d - 1) * 2.0 ** (2 * d - a - b)
-        tail = const * (
-            R ** (a + b - d) / (d - a - b) + (R + 1) ** (a + b - d - 1)
-        )
-    else:
-        tail = float("inf")
-    return {
-        "partial_sum": partial,
-        "tail_bound": tail,
-        "separation": sep,
-        "reference": reference,
-        "ratio": partial / reference,
-        "params": {"d": d, "a": a, "b": b, "R": R},
-    }
-
-
-def convolution_sweep(
-    d: int,
-    a: float,
-    b: float,
-    distances: Sequence[int],
-    R_factor: int = 8,
-) -> dict:
-    """Ratio of the convolution partial sum to its predicted power over a
-    geometric sweep of separations; a bounded ratio band is the observable
-    form of the convolution estimate."""
-    reports = []
-    for t in distances:
-        x = (0,) * d
-        y = (t,) + (0,) * (d - 1)
-        reports.append(convolution_check(d, a, b, x, y, R_factor * t))
-    ratios = [r["ratio"] for r in reports]
-    return {
-        "reports": reports,
-        "ratios": ratios,
-        "band": max(ratios) / min(ratios),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,14 @@ one tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
-from .lattice import LatticeSpec, Site, WindowTooLargeError, annulus, region_boundaries
+from .lattice import LatticeSpec, Site, WindowTooLargeError
 
 
 @dataclass
@@ -271,27 +271,3 @@ def shell_rows(win: Window, radius: int) -> np.ndarray:
     """Rows of sites at l-infinity norm exactly ``radius``."""
     return np.flatnonzero(win.norms() == radius)
 
-
-def spanning_cluster_sets(
-    win: Window, cfg: PercolationConfig, sample_id: int
-) -> List[frozenset]:
-    """Union-find oracle for annulus spanning clusters.
-
-    Returns the vertex sets (as frozensets of coordinate tuples) of open
-    clusters meeting both the inner and outer boundary of the annulus
-    window, sorted by minimal vertex.  Used to cross-validate the lazy
-    engine's spanning-cluster enumeration on identical edge states.
-    """
-    b_in, b_out = region_boundaries(win.spec, annulus((0,) * win.spec.d, win.inner, win.outer))
-    labels = component_labels(win, sample_open_edges(win, cfg, sample_id))
-    rin = win.rows_of(b_in)
-    rout = win.rows_of(b_out)
-    good_labels = set(labels[rin]) & set(labels[rout])
-    out = []
-    for lab in good_labels:
-        rows = np.flatnonzero(labels == lab)
-        rows = rows[win.member[rows]]
-        verts = frozenset(tuple(int(c) for c in win.sites[r]) for r in rows)
-        out.append(verts)
-    out.sort(key=min)
-    return out

@@ -18,8 +18,6 @@ from percolab.estimators import (
     Estimate,
     SubgraphSpec,
     combine_gap_sigma,
-    convolution_check,
-    convolution_sweep,
     fit_exponent,
     locate_pc,
     nofurther_check,
@@ -106,22 +104,6 @@ def test_locate_pc_rejects_non_straddling_bracket():
     with pytest.raises(ValueError, match="straddle"):
         locate_pc(SPEC2, criterion="arm_scaling", bracket=(0.4, 0.6),
                   tol=0.01, radii=(4, 8), n_samples=300, seed=11)
-
-
-def test_convolution_sweep_bounded_ratio():
-    sw = convolution_sweep(5, 2.0, 2.0, (2, 4, 8), R_factor=4)
-    assert sw["band"] < 1.2
-    sw2 = convolution_sweep(2, 0.9, 0.9, (2, 4, 8), R_factor=4)
-    assert sw2["band"] < 1.3
-
-
-def test_convolution_check_validation():
-    with pytest.raises(ValueError):
-        convolution_check(3, 2.0, 2.0, (0, 0, 0), (1, 0, 0), 8)  # a+b >= d
-    with pytest.raises(ValueError):
-        convolution_check(5, 2.0, 2.0, (0,) * 5, (1, 1, 0, 0, 0), 8)  # off-axis
-    rep = convolution_check(2, 0.5, 0.5, (0, 0), (3, 0), 24)
-    assert rep["ratio"] > 0 and rep["tail_bound"] < float("inf")
 
 
 # ---------------------------------------------------------------------------

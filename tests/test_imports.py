@@ -34,11 +34,11 @@ CALLERS = SOURCES + sorted((ROOT / "scripts").glob("*.py")) \
 
 #: Top-level definitions that only tests call, kept on purpose.
 TEST_ONLY = {
-    "spanning_cluster_sets": "reference oracle for the lazy spanning-cluster scan",
+    "spanning_clusters":
+        "reference oracle: the lazy spanning-cluster scan (perfbench spans it by name)",
     "component_rows": "reference oracle for one component of a window labelling",
     "edges_within": "reference oracle for the edge set of a region",
     "edge_state": "reference oracle: the validated scalar edge bit (perfbench spans it by name)",
-    "convolution_sweep": "the convolution bound over a sweep of separations",
 }
 
 #: Methods that nothing outside the tests names, kept on purpose.
@@ -52,7 +52,6 @@ UNCALLED_METHODS = {
 #: ``module.Class.method.parameter``), that only tests pass, kept on purpose.
 TEST_ONLY_PARAMETERS = {
     "engine.connect_sets.edge_log": "measurability tests: the edges a connection query hashes",
-    "engine.spanning_clusters.edge_log": "measurability tests: the edges a spanning scan hashes",
     "engine.explore_cluster.cap": "truncation tests: a record censored by the vertex cap",
     "clusters.estimate_regularity.resample_region":
         "frozen d = 3 tallies 67/100 and 86/100, and the exact conditional",

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from percolab.clusters import _scan_window, _window_spanning_clusters
 from percolab.engine import (
     PercolationConfig,
     edge_keys_bulk,
@@ -17,7 +18,7 @@ from percolab.engine import (
     explore_cluster,
     spanning_clusters,
 )
-from percolab.lattice import LatticeSpec, annulus, box, edge_count_box
+from percolab.lattice import SPREAD_OUT, LatticeSpec, annulus, box, edge_count_box
 from percolab.windowed import (
     WindowTooLargeError,
     build_window,
@@ -28,7 +29,6 @@ from percolab.windowed import (
     sample_labels,
     sample_open_edges,
     shell_rows,
-    spanning_cluster_sets,
 )
 
 SPEC2 = LatticeSpec(d=2)
@@ -85,16 +85,31 @@ def test_component_labels_match_exploration():
         assert sites == set(rec.vertices)
 
 
-def test_spanning_sets_match_engine_enumeration():
-    win = build_window(SPEC2, seed=9, outer=6, inner=2)
-    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=9)
+def test_window_spanning_clusters_equal_lazy_scan():
+    # the cases share a region under two seeds and two lattices, and each
+    # sample id visits them in turn, so a window cached under the wrong key
+    # shows; five windows overflow the cache, three p per window hit it
+    spread = LatticeSpec(d=2, edge_mode=SPREAD_OUT, lam=2)
     ann = annulus((0, 0), 2, 6)
-    for sid in range(25):
-        fast = {frozenset(s) for s in spanning_cluster_sets(win, cfg, sid)}
-        recs, truncated = spanning_clusters(cfg.with_sample(sid), ann)
-        assert not truncated
-        slow = {frozenset(r.vertices) for r in recs}
-        assert fast == slow
+    cases = [
+        (SPEC2, 9, ann, 0.5),
+        (SPEC2, 10, ann, 0.5),
+        (spread, 9, ann, 0.07),
+        (SPEC2, 4, annulus((0, 0), 2, 3), 0.5),  # p = 0: every non-corner site spans alone
+        (SPEC3, 7, annulus((0, 0, 0), 1, 4), 0.2488),
+    ]
+    _scan_window.cache_clear()
+    for sid in range(50):
+        for spec, seed, region, p_c in cases:
+            for p in (0.0, p_c, 1.0):
+                cfg = PercolationConfig(spec=spec, p=p, seed=seed, sample_id=sid)
+                fast = _window_spanning_clusters(cfg, region)
+                slow, truncated = spanning_clusters(cfg, region)
+                assert not truncated
+                assert fast == slow, (spec, seed, region, p, sid)
+                assert all(type(c) is int for r in fast for v in r.vertices for c in v)
+    info = _scan_window.cache_info()
+    assert info.hits > 0 and info.misses > 0
 
 
 def test_connection_indicator_consistent_with_labels():
