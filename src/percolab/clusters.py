@@ -29,7 +29,7 @@ from .engine import (
     mix64,
 )
 from .estimators import Estimate
-from .lattice import Edge, LatticeSpec, Region, Site, box, region_boundaries
+from .lattice import Edge, LatticeSpec, Region, Site, box, neighbours, region_boundaries
 from .scales import ScaleIndex, ScaleParams, sub_annulus
 from .windowed import Window, build_window, component_labels, sample_open_edges
 
@@ -79,8 +79,12 @@ class RegularityParams:
     def __post_init__(self):
         if self.K < 2:
             raise ValueError("K must be >= 2")
+        if not self.s_list or len(set(self.s_list)) < len(self.s_list):
+            raise ValueError("s_list must be a non-empty list of distinct scales")
         if any(s < 2 for s in self.s_list):
             raise ValueError("all tested scales must be >= 2")
+        if max(self.s_list) < self.K:
+            raise ValueError("s_list needs a scale >= K, or no vertex is tested")
         if self.n_inner < 100:
             raise ValueError("n_inner must be >= 100")
         if self.log_base <= 1:
@@ -120,10 +124,23 @@ def estimate_regularity(
     Every edge touching it (either endpoint) is frozen at its realized
     state, computed once per call; all other edges are redrawn ``n_inner``
     times from independent derived sample streams, each edge key hashed once
-    per call.  For each tested s, the frequency of the tameness event is
-    compared against 1 - exp(-log^2 s): the vertex is declared bad at s when
-    the estimate sits below the level by more than 3 sigma, not-bad when
-    above by more than 3 sigma, and undecided in between.
+    per call.
+
+    The *core* is what ``x`` reaches through open edges between frozen sites
+    of ``resample_region``; its *exits* are the non-frozen sites of the
+    region behind an open edge from the core.  Both are walked through
+    frozen edges only, so they are found, and the core's ball counted, once
+    per call.  An edge into the core from the rest of the region is closed
+    or comes from an exit, so each inner sample's cluster of ``x`` is the
+    core plus what it explores from the exits outside the core, and a core
+    without exits makes every resample explore nothing.  The cap counts the
+    core: an inner cluster of ``_RESAMPLE_CAP`` sites raises
+    ``RuntimeError``.
+
+    For each tested s, the frequency of the tameness event is compared
+    against 1 - exp(-log^2 s): the vertex is declared bad at s when the
+    estimate sits below the level by more than 3 sigma, not-bad when above
+    by more than 3 sigma, and undecided in between.
 
     Regular = no tested s >= K is bad.  A frozen cluster that already meets
     the volume threshold at some s >= K is bad with probability one and
@@ -158,29 +175,40 @@ def estimate_regularity(
         member = membership(resample_region)
         keys: Dict[Edge, int] = {}  # resampled edges' keys: they do not depend on the sample
         fixed: Dict[Edge, int] = {}  # frozen edges' realized bits
+
+        def frozen_bit(e: Edge) -> int:
+            bit = fixed.get(e)
+            if bit is None:
+                bit = fixed[e] = keyed_edge_state(cfg, edge_key(cfg.seed, e))
+            return bit
+
+        # The core and its exits are walked through frozen edges only, so
+        # they are the same in every inner sample.
+        core, _ = explore(cfg.spec, [x], lambda v: v in frozen and member(v), frozen_bit,
+                          cap=len(frozen))
+        exits = {z for y in core for z in neighbours(cfg.spec, y)
+                 if z not in frozen and member(z) and frozen_bit((y, z) if y < z else (z, y))}
+        core_counts = _ball_counts(core, x, pending)
+        beyond = lambda v: v not in core and member(v)
         for inner in range(params.n_inner):
             inner_cfg = cfg.with_sample(_inner_sample_id(cfg.sample_id, inner))
 
             def state(e: Edge) -> int:
-                bit = fixed.get(e)
-                if bit is not None:
-                    return bit
+                if e[0] in frozen or e[1] in frozen:
+                    return frozen_bit(e)
                 key = keys.get(e)
                 if key is None:
-                    key = edge_key(cfg.seed, e)
-                    if e[0] in frozen or e[1] in frozen:
-                        bit = fixed[e] = keyed_edge_state(cfg, key)
-                        return bit
-                    keys[e] = key
+                    key = keys[e] = edge_key(cfg.seed, e)
                 return keyed_edge_state(inner_cfg, key)
 
-            cluster, outcome = explore(cfg.spec, [x], member, state,
-                                       cap=_RESAMPLE_CAP - 1)
-            if outcome is None:
+            rest, outcome = explore(cfg.spec, exits, beyond, state,
+                                    cap=_RESAMPLE_CAP - 1 - len(core))
+            # explore adds its sources without checking the cap
+            if outcome is None or len(core) + len(rest) >= _RESAMPLE_CAP:
                 raise RuntimeError("mixed exploration exceeded its cap")
-            counts = _ball_counts(cluster, x, pending)
+            counts = _ball_counts(rest, x, pending)
             for s in pending:
-                tallies[s] += int(counts[s] < thresholds[s])
+                tallies[s] += int(core_counts[s] + counts[s] < thresholds[s])
 
     for s in params.s_list:
         level = badness_threshold(s, params.log_base)

@@ -336,6 +336,22 @@ def test_empty_or_repeated_iic_families_exit_4(tmp_path, capsys, families):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("regularity,message", [
+    ({"s_list": []}, "s_list must be a non-empty list of distinct scales"),
+    ({"s_list": [3, 3]}, "s_list must be a non-empty list of distinct scales"),
+    ({"K": 5, "s_list": [3, 4]}, "s_list needs a scale >= K"),
+], ids=["empty", "repeated", "none-from-K"])
+def test_regularity_scales_that_test_nothing_exit_4(tmp_path, capsys, regularity, message):
+    # no scale exited 2 ("max() arg is an empty sequence"); a repeated one
+    # exited 0 with the scale twice in every regularity report; none from K
+    # up exited 0, every vertex regular untested
+    code, out = _run(tmp_path, ["scan-good-clusters", "--n-samples", "2"],
+                     cfg={"regularity": regularity})
+    assert code == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_list", [[4, 4], [8, 4]], ids=["repeated", "decreasing"])
 def test_non_increasing_iic_scales_exit_4(tmp_path, capsys, n_list):
     # both used to exit 3 and write repeated or decreasing rows to iic.csv

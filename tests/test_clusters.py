@@ -35,6 +35,7 @@ from percolab.engine import (
 from percolab.estimators import Estimate
 from percolab.lattice import (
     LatticeSpec,
+    Region,
     annulus,
     box,
     canonical_edge,
@@ -177,6 +178,137 @@ def test_regularity_resampling_frozen_tallies_d3():
         assert est3 == Estimate.from_counts(tally, 100, 0, 2024)
         assert (s4, est4.n_samples, v4) == (4, 0, True)  # 9^3 < 4^4 log^7 4
         assert rep.regular is regular
+
+
+def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None, sizes=None):
+    """Reference for :func:`estimate_regularity`: the path its core/exit walk
+    replaced, in which every inner sample explores the whole mixed cluster
+    from ``x``.  ``sizes`` receives each inner cluster's size."""
+    frozen = cluster.vertices
+    if resample_region is None:
+        resample_region = box(x, 2 * max(params.s_list))
+    thresholds = {s: tame_threshold(s, params.log_base) for s in params.s_list}
+    tame = {s for s in params.s_list if (2 * s + 1) ** cfg.spec.d < thresholds[s]}
+    frozen_counts = percolab.clusters._ball_counts(frozen, x, params.s_list)
+    bad = {s for s in params.s_list
+           if s not in tame and frozen_counts[s] >= thresholds[s]}
+    pending = [s for s in params.s_list if s not in tame | bad]
+    tallies = {s: 0 for s in pending}
+    if pending:
+        member = percolab.engine.membership(resample_region)
+        for inner in range(params.n_inner):
+            inner_cfg = cfg.with_sample(percolab.clusters._inner_sample_id(cfg.sample_id, inner))
+
+            def state(e):
+                return edge_state(cfg if e[0] in frozen or e[1] in frozen else inner_cfg, e)
+
+            mixed, outcome = percolab.engine.explore(
+                cfg.spec, [x], member, state, cap=percolab.clusters._RESAMPLE_CAP - 1)
+            if outcome is None:
+                raise RuntimeError("mixed exploration exceeded its cap")
+            if sizes is not None:
+                sizes.append(len(mixed))
+            counts = percolab.clusters._ball_counts(mixed, x, pending)
+            for s in pending:
+                tallies[s] += int(counts[s] < thresholds[s])
+    per_s = []
+    for s in params.s_list:
+        level = badness_threshold(s, params.log_base)
+        if s in bad | tame:
+            per_s.append((s, Estimate(float(s in tame), 0.0, 0, 0, cfg.seed, (0, 0)),
+                          level, s in tame))
+            continue
+        est = Estimate.from_counts(tallies[s], params.n_inner, 0, cfg.seed)
+        verdict = (True if est.value - 3 * est.stderr > level
+                   else False if est.value + 3 * est.stderr < level else None)
+        per_s.append((s, est, level, verdict))
+    relevant = [v for s, _, _, v in per_s if s >= params.K]
+    regular = (False if False in relevant
+               else True if all(v is True for v in relevant) else None)
+    return percolab.clusters.RegularityReport(x, len(frozen), per_s, regular)
+
+
+def _core_and_exits(cfg, x, cluster, resample_region):
+    """The core and its exits, walked independently of the package: what
+    ``x`` reaches inside the frozen sites of the region, and the non-frozen
+    sites of the region behind a realized open edge from it."""
+    frozen, member = cluster.vertices, percolab.engine.membership(resample_region)
+    core = explore_cluster(cfg, x, frozenset(v for v in frozen if member(v))).vertices
+    return core, {z for y in core for z in neighbours(cfg.spec, y) if z not in frozen
+                  and member(z) and edge_state(cfg, canonical_edge(cfg.spec, y, z))}
+
+
+SPEC3 = LatticeSpec(d=3)
+SPREAD2 = LatticeSpec(d=2, edge_mode="spread_out", lam=2)
+D3_REG = RegularityParams(K=3, s_list=(3, 4), n_inner=100)
+# log base 3.6 puts s = 3's threshold at 28 of the ball's 49 sites in d = 2,
+# and 2.1 puts s = 2's at 10 of the spread-out ball's 25
+D2_REG = RegularityParams(K=3, s_list=(3,), n_inner=100, log_base=3.6)
+SPREAD_REG = RegularityParams(K=2, s_list=(2,), n_inner=100, log_base=2.1)
+
+
+def _d3_case(p, sid):
+    cfg = PercolationConfig(spec=SPEC3, p=p, seed=77, sample_id=sid)
+    x = (0, 0, 0)
+    return cfg, x, explore_cluster(cfg, x, box(x, 1)), D3_REG, box(x, 3)
+
+
+def _d2_case(sid):
+    cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=5, sample_id=sid)
+    x = (1, 0)
+    return cfg, x, explore_cluster(cfg, x, annulus((0, 0), 0, 2)), D2_REG, None
+
+
+def _resampling_cases():
+    """(cfg, x, cluster, params, resample_region) cases that resample: d = 3
+    near p_c, d = 2 under a log base that leaves s = 3 unsettled by volume,
+    with the default region and with a frozenset one, and spread-out d = 2."""
+    cases = [_d3_case(p, sid) for p in (0.22, 0.25, 0.3) for sid in (1, 2)]
+    for sid in range(3):
+        cfg, x, _, params, _ = _d2_case(sid)
+        cases.append(_d2_case(sid))
+        cases.append((cfg, x, explore_cluster(cfg, x, box(x, 1)), params,
+                      frozenset(region_sites(box((0, 0), 4))) - {(2, 2), (-1, 3)}))
+        cfg = PercolationConfig(spec=SPREAD2, p=0.05, seed=9, sample_id=sid)
+        cases.append((cfg, (0, 0), explore_cluster(cfg, (0, 0), box((0, 0), 1)),
+                      SPREAD_REG, box((0, 0), 5)))
+    return cases
+
+
+def test_regularity_core_walk_matches_whole_cluster_resampling():
+    kinds = set()
+    for cfg, x, cluster, params, region in _resampling_cases():
+        rep = estimate_regularity(cfg, x, cluster, params, resample_region=region)
+        assert rep == _whole_cluster_regularity(cfg, x, cluster, params, region)
+        assert any(est.n_samples for _, est, _, _ in rep.per_s)
+        _, exits = _core_and_exits(cfg, x, cluster, region or box(x, 2 * max(params.s_list)))
+        kinds.add((cfg.spec, type(region), bool(exits)))
+    # d = 3 resampled both sealed cores and cores with exits
+    assert {(SPEC3, Region, False), (SPEC3, Region, True), (SPEC2, type(None), True),
+            (SPEC2, frozenset, True), (SPREAD2, Region, True)} <= kinds
+
+
+@pytest.mark.parametrize("sealed", [False, True], ids=["exits", "sealed"])
+def test_regularity_cap_counts_the_core(monkeypatch, sealed):
+    cfg, x, cluster, params, region = _d3_case(0.22, 2) if sealed else _d2_case(0)
+    core, exits = _core_and_exits(cfg, x, cluster, region or box(x, 2 * max(params.s_list)))
+    sizes = []
+    _whole_cluster_regularity(cfg, x, cluster, params, region, sizes)
+    assert bool(exits) != sealed
+    assert min(sizes) >= len(core) and bool(exits) == (max(sizes) > len(core))
+    # from the core alone at the cap to the largest inner cluster just under it
+    caps = set(range(len(core) - 1, len(core) + len(exits) + 2)) | {max(sizes), max(sizes) + 1}
+    for cap in sorted(caps):
+        monkeypatch.setattr(percolab.clusters, "_RESAMPLE_CAP", cap)
+        raised = []
+        for run in (estimate_regularity, _whole_cluster_regularity):
+            try:
+                run(cfg, x, cluster, params, region)
+            except RuntimeError:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert raised == [max(sizes) >= cap] * 2, cap
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,11 @@ def test_unbuildable_iic_section_exits_4(tmp_path, iic):
     ({"iic": {"families": "box_boundary"}}, "iic.families must be a non-empty list"),
     ({"iic": {"families": [["box_boundary"]]}}, "iic.families must be a non-empty list"),
     ({"estimation": {"targets": []}}, "estimation.targets must be a non-empty list"),
-], ids=["no-family", "repeated-family", "family-string", "family-list", "no-target"])
+    ({"regularity": {"s_list": []}}, "regularity: s_list must be a non-empty list of distinct"),
+    ({"regularity": {"s_list": [3, 3]}}, "regularity: s_list must be a non-empty list of distinct"),
+    ({"regularity": {"K": 4, "s_list": [2, 3]}}, "regularity: s_list needs a scale >= K"),
+], ids=["no-family", "repeated-family", "family-string", "family-list", "no-target",
+        "no-scale", "repeated-scale", "no-scale-from-K"])
 def test_lists_that_compute_nothing_or_repeat_rejected(override, message):
     with pytest.raises(ConfigError, match=message):
         Config.from_dict(override)
