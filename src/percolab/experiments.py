@@ -68,6 +68,7 @@ from .windowed import (
     connection_indicator,
     escape_levels,
     sample_labels,
+    sample_open_edges,
     shell_rows,
 )
 
@@ -352,6 +353,40 @@ def _shell_pred(radius: int) -> Callable[[Site], bool]:
     return lambda x: norm_inf(x) == radius
 
 
+def _arm_region_pred(cond: Conditioning, inner: int) -> Callable[[Site], bool]:
+    """Membership of ``B(cond.outer) \\ B(inner)`` off the obstacles."""
+    return lambda x: inner < norm_inf(x) <= cond.outer and x not in cond.obstacles
+
+
+@lru_cache(maxsize=4)
+def _arm_window(
+    spec: LatticeSpec, seed: int, cond: Conditioning, inner: int
+) -> Tuple[Window, np.ndarray, np.ndarray]:
+    """The window of ``B(cond.outer) \\ B(inner)``, the rows of the targets
+    in its region off the obstacles, and the obstacle rows.  Kept across
+    calls: an extraction labels one arm window for sample after sample."""
+    win = build_window(spec, seed, cond.outer, inner)
+    targets = filter(_arm_region_pred(cond, inner), cond.targets)
+    return win, win.rows_of(targets), win.rows_of(cond.obstacles)
+
+
+def _onward_arms(
+    cfg: PercolationConfig, cond: Conditioning, inner: int,
+    vertex_sets: Sequence[FrozenSet[Site]],
+) -> List[bool]:
+    """Does each vertex set reach ``cond.targets`` by an open path in
+    ``B(cond.outer) \\ B(inner)`` off the obstacles?  One labelling of the
+    cached arm window answers every set of the sample; no set, no labelling.
+    The sites of a set outside that region are not sources."""
+    if not vertex_sets:
+        return []
+    win, target_rows, blocked = _arm_window(cfg.spec, cfg.seed, cond, inner)
+    labels = component_labels(win, sample_open_edges(win, cfg, cfg.sample_id), blocked)
+    in_region = _arm_region_pred(cond, inner)
+    return [connection_indicator(labels, win.rows_of(filter(in_region, vs)), target_rows)
+            for vs in vertex_sets]
+
+
 def extract_kernels(
     cfg: PercolationConfig,
     params: ScaleParams,
@@ -371,12 +406,18 @@ def extract_kernels(
     Per sample: certify the good spanning sets of the level and
     level+1 annuli; for each certified pair evaluate the localized
     transition (connection off the inner separation box, no escape to the
-    outer separation shell avoiding the target set) and the onward arm.
+    outer separation shell avoiding the target set) with the lazy explorer.
+    The onward arm of a level+1 set (from its sites beyond the outer
+    separation box to the targets, inside the conditioning window off the
+    obstacles) is read off one labelling of the window of that annulus per
+    sample, which serves every set of the sample; the window and its target
+    and obstacle rows are kept across calls.
     Conditional frequencies become kernel entries keyed by canonical labels.
 
     The per-sample uniqueness of the localized transition and its
     containment in the relaxed transition are asserted sample by sample and
-    reported as violation counts (both must be zero).
+    reported as violation counts (both must be zero).  A lazy query that
+    hits the exploration cap raises ``RuntimeError``: it decided nothing.
     """
     spec = cfg.spec
     cond = family.at(spec, n)
@@ -410,13 +451,6 @@ def extract_kernels(
     if level == 0:
         c_counts[_ORIGIN_LABEL] = 0
 
-    def arm_region(x: Site) -> bool:
-        return (
-            norm_inf(x) <= window_outer
-            and norm_inf(x) > sep_out_radius
-            and x not in obstacles
-        )
-
     for sid in range(sample_start, sample_start + n_samples):
         c = cfg.with_sample(sid)
         d_records = [r for r in scan_good_spanning(c, idx_d, params, good, reg, q_list)
@@ -434,15 +468,11 @@ def extract_kernels(
         ev_ok = event.evaluate(c) if event is not None else True
 
         d_info = []
-        for drec in d_records:
+        arms = _onward_arms(c, cond, sep_out_radius, [r.cluster.vertices for r in d_records])
+        for drec, arm in zip(d_records, arms):
             dlab = tuple(sorted(drec.cluster.vertices))
             counts[dlab] = counts.get(dlab, 0) + 1
             label_q[dlab] = drec.q
-            dverts = drec.cluster.vertices
-            arm_src = [x for x in dverts if norm_inf(x) > sep_out_radius]
-            arm = connect_sets(c, arm_src, cond.targets, arm_region)
-            if arm is None:
-                raise RuntimeError("arm query hit the exploration cap")
             if arm:
                 gamma_hits[dlab] = gamma_hits.get(dlab, 0) + 1
             d_info.append((drec, dlab, arm))
@@ -501,6 +531,8 @@ def extract_kernels(
                     c, [origin], dverts,
                     lambda x: norm_inf(x) <= window_outer and x not in obstacles,
                 )
+                if f_conn is None:
+                    raise RuntimeError("kernel query hit the exploration cap")
                 if not f_conn:
                     f_failures += 1
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from percolab import experiments, windowed
-from percolab.engine import PercolationConfig, edge_state
+from percolab.engine import PercolationConfig, connect_sets, edge_state
 from percolab.estimators import Estimate
 from percolab.experiments import (
     Conditioning,
@@ -30,8 +30,8 @@ from percolab.experiments import (
     two_east_edges_event,
 )
 from percolab.clusters import GoodSpanningParams, RegularityParams
-from percolab.lattice import LatticeSpec, canonical_edge, norm_inf
-from percolab.scales import toy_params
+from percolab.lattice import LatticeSpec, annulus, canonical_edge, norm_inf, region_sites
+from percolab.scales import scale_sequence, toy_params
 from percolab.windowed import build_window, component_labels
 
 SPEC1 = LatticeSpec(d=1)
@@ -393,6 +393,12 @@ def test_extract_kernels_desk_scale_invariants():
         assert 0.0 <= est.value <= 1.0
     for est in ext.gamma.values():
         assert 0.0 <= est.value <= 1.0
+    assert _gamma_hits(ext) == 68  # frozen at seed 2024
+
+
+def _gamma_hits(ext):
+    """Onward-arm successes summed over the labels."""
+    return sum(round(est.value * est.n_samples) for est in ext.gamma.values())
 
 
 def test_extract_kernels_obstacle_family_frozen():
@@ -413,6 +419,143 @@ def test_extract_kernels_obstacle_family_frozen():
     }
     # the onward arm reaches V_16 off the obstacles for 28 of the labels
     assert sum(est.value for est in ext.gamma.values()) == 28
+
+
+@pytest.mark.parametrize("kind,hits", [("single_vertex", 16), ("halfspace_target", 34)])
+def test_extract_kernels_padded_families_frozen(kind, hits):
+    # the padded windows of the unbounded-target families, frozen at seed 2024
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ext = extract_kernels(cfg, toy_params(1, 2, 1), level=0, n_samples=200,
+                              family=ConditioningFamily(kind, (16,)), n=16,
+                              event=two_east_edges_event(SPEC2), good=good, reg=reg)
+    assert len(ext.d_labels) == 44
+    assert _gamma_hits(ext) == hits
+
+
+def _lazy_arm(cfg, cond, inner, vertices):
+    """The onward-arm query as the lazy explorer answers it: from the sites of
+    ``vertices`` beyond ``B(inner)`` to the targets, inside
+    ``B(cond.outer) \\ B(inner)`` off the obstacles."""
+    return connect_sets(
+        cfg, [x for x in vertices if norm_inf(x) > inner], cond.targets,
+        lambda x: inner < norm_inf(x) <= cond.outer and x not in cond.obstacles,
+    )
+
+
+_ARM_FAMILIES = [ConditioningFamily(kind, (6, 9, 16)) for kind in _KINDS] + [
+    ConditioningFamily("interleaved", (6, 9, 16), sub=(
+        ConditioningFamily("halfspace_target", (6, 9, 16)),
+        ConditioningFamily("single_vertex", (6, 9, 16)),
+    )),
+]
+
+
+def _arm_probes(spec, cond, inner):
+    """Source sets for the arm query: two opposite corners of the region's
+    inner shell, that whole shell, a target, and a set that is no source at
+    all (the origin, a site beyond the window, an obstacle)."""
+    origin = (0,) * spec.d
+    shell = frozenset(region_sites(annulus(origin, inner, inner + 1)))
+    beyond = (-(cond.outer + 1),) + origin[1:]
+    return [frozenset([min(shell)]), frozenset([max(shell)]), shell,
+            frozenset([min(cond.targets)]),
+            frozenset([origin, beyond, *sorted(cond.obstacles)[:1]])]
+
+
+def test_onward_arms_match_lazy_queries():
+    # consecutive windows change the lattice (three lattices, two seeds), and
+    # a lattice's next window changes n or the inner radius within the
+    # cache's reach, so a window cached under the wrong key shows; each
+    # window serves four samples (p = 0 and p = 1 read no sample id), so
+    # three of them hit it
+    lattices = [
+        (SPEC2, 2024, 0.5),
+        (LatticeSpec(d=3), 77, 0.2488),
+        (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 2024, 0.07),
+    ]
+    ladder = scale_sequence(toy_params(1, 2, 1), 2)
+    experiments._arm_window.cache_clear()
+    answers, windows = set(), 0
+    for fam in _ARM_FAMILIES:
+        for level, n in ((0, 6), (0, 9), (1, 16)):
+            inner = 2 ** ladder[level + 1].ell
+            for spec, seed, p_c in lattices:
+                cond = fam.at(spec, n)
+                probes = _arm_probes(spec, cond, inner)
+                windows += 1
+                for p, sid in ((0.0, 0), (p_c, 0), (p_c, 1), (1.0, 0)):
+                    cfg = PercolationConfig(spec=spec, p=p, seed=seed, sample_id=sid)
+                    got = experiments._onward_arms(cfg, cond, inner, probes)
+                    want = [_lazy_arm(cfg, cond, inner, vs) for vs in probes]
+                    assert got == want, (spec, seed, fam.kind, level, p, sid)
+                    answers.update(got)
+    assert answers == {True, False}
+    assert experiments._onward_arms(cfg, cond, inner, []) == []
+    info = experiments._arm_window.cache_info()
+    assert (info.misses, info.hits) == (windows, 3 * windows)
+
+
+def test_extract_kernels_arm_matches_lazy_query(monkeypatch):
+    # every (sample, good D-record) of real extractions, at both levels
+    real = experiments._onward_arms
+    toy = toy_params(1, 2, 1)
+    ladder = scale_sequence(toy, 2)
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=100, log_base=2.0)
+    answers = []
+    # (spec, p, family, level, n, sample ids); samples 2 and 3 hold level-2
+    # good sets at seed 2024
+    cases = [(SPEC2, 0.5, fam, 0, 16, range(40)) for fam in _ARM_FAMILIES] + [
+        (SPEC2, 0.5, _ARM_FAMILIES[2], 1, 16, range(2, 4)),
+        (LatticeSpec(d=3), 0.2488, _ARM_FAMILIES[1], 0, 6, range(10)),
+        (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 0.07, _ARM_FAMILIES[2], 0, 6,
+         range(20)),
+    ]
+    for spec, p, fam, level, n, sids in cases:
+        cond, inner = fam.at(spec, n), 2 ** ladder[level + 1].ell
+
+        def spy(cfg, *args):
+            got = real(cfg, *args)
+            answers.extend(got)
+            assert got == [_lazy_arm(cfg, cond, inner, vs) for vs in args[-1]]
+            return got
+
+        monkeypatch.setattr(experiments, "_onward_arms", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            extract_kernels(PercolationConfig(spec=spec, p=p, seed=2024), toy, level, len(sids),
+                            fam, n, good=good, reg=reg, sample_start=sids.start)
+    assert set(answers) == {True, False}
+
+
+def test_extract_kernels_censored_f_query_raises(monkeypatch):
+    # the relaxed connection is the one query whose region reaches the window
+    # edge; a censored answer decides nothing, so it is no containment failure
+    cond = ConditioningFamily("box_boundary", (16,)).at(SPEC2, 16)
+    real = experiments.connect_sets
+    asked = []
+
+    def censor_f(cfg, sources, targets, region):
+        if region((cond.outer,) + (0,) * (SPEC2.d - 1)):
+            asked.append(cfg.sample_id)
+            return None
+        return real(cfg, sources, targets, region)
+
+    monkeypatch.setattr(experiments, "connect_sets", censor_f)
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="kernel query hit the exploration cap"):
+            extract_kernels(PercolationConfig(spec=SPEC2, p=0.5, seed=2024),
+                            toy_params(1, 2, 1), level=0, n_samples=400,
+                            family=ConditioningFamily("box_boundary", (16,)), n=16,
+                            good=good, reg=reg)
+    assert len(asked) == 1
 
 
 def test_extract_kernels_faithful_gate_refuses():
