@@ -17,8 +17,8 @@ experiments:
 Each conditioned estimate has one entry point: :func:`iic_series` over the
 scales of a :class:`ConditioningFamily` (one scale gives one point), and
 :func:`supercritical_sweep` over a p grid and its proxy radii.  One counting
-loop, :func:`_conditioned_counts`, labels the samples of the IIC points and
-of the reconstruction's direct side.
+loop, :func:`_conditioned_counts`, searches the origin's cluster in each
+sample of the IIC points and of the reconstruction's direct side.
 
 Everything is seed-deterministic: a fixed config and sample range produce
 identical numbers on every run.
@@ -67,7 +67,7 @@ from .windowed import (
     component_labels,
     connection_indicator,
     escape_levels,
-    sample_labels,
+    origin_cluster,
     sample_open_edges,
     shell_rows,
 )
@@ -623,15 +623,18 @@ def _conditioned_counts(
     how many of those also satisfy ``event``.
 
     The one conditioned counting loop: one :func:`_conditioned_window` and
-    one labelling per sample answer every conditioning, and the event is
-    read at most once per sample (only when some conditioning accepts it).
+    one breadth-first search from the origin per sample answer every
+    conditioning (a conditioning accepts iff the origin's cluster holds one
+    of its target rows), and the event is read at most once per sample
+    (only when some conditioning accepts it).
     """
     win, target_rows, blocked = _conditioned_window(cfg, conds)
-    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
+    origin_row = win.row_of((0,) * cfg.spec.d)
     accepted = [0] * len(conds)
     hits = [0] * len(conds)
-    for sid, labels in sample_labels(win, cfg, sample_ids, blocked):
-        reached = [connection_indicator(labels, origin_row, rows) for rows in target_rows]
+    for sid in sample_ids:
+        cluster = origin_cluster(win, sample_open_edges(win, cfg, sid), origin_row, blocked)
+        reached = [bool(cluster[rows].any()) for rows in target_rows]
         if not any(reached):
             continue
         hit = event.evaluate(cfg.with_sample(sid))
@@ -847,9 +850,10 @@ def iic_series(
     The scales whose conditioning :func:`_decided_in_any_box` (the
     box-boundary ones on a nearest-neighbour lattice, and so the box-boundary
     members of an interleaved family) share one window ``B(max outer)`` and
-    one labelling per sample: 0 <-> the shell of radius ``n + 1`` inside
-    ``B(n + 1)`` holds iff the origin's component in the larger window
-    reaches that shell, since a path leaving ``B(n)`` steps onto it first.
+    one breadth-first search from the origin per sample: 0 <-> the shell of
+    radius ``n + 1`` inside ``B(n + 1)`` holds iff the origin's cluster in
+    the larger window reaches that shell, since a path leaving ``B(n)``
+    steps onto it first.
     Every other scale keeps its own window, where it is decided: obstacles,
     targets short of a whole shell or steps that jump a shell would change
     the event in a larger box.

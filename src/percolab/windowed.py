@@ -18,7 +18,15 @@ one ``bincount`` and ``cumsum`` of the open edges' first rows (the sample's
 ``indptr``), one take of their second rows (its ``indices``) and one
 connected-components call; no COO conversion or canonicalisation runs per
 sample.
-:func:`sample_labels` owns that per-sample loop for every caller.
+:func:`sample_labels` owns that per-sample loop for the estimators that
+reduce a whole labelling.
+
+A conditioned count asks one question per sample: does the origin's open
+cluster reach a target set?  :func:`origin_cluster` answers it by one
+breadth-first search from the origin over the same CSR matrix, which costs
+scipy's transpose of the matrix plus the size of that cluster, not a
+traversal of the whole window; a target set is reached iff the cluster's
+mask holds one of its rows.
 :func:`escape_levels` answers a whole decreasing grid of p per sample from
 one minimum spanning tree, since the open edge sets are nested in p, and
 reads every target set (say, the shells of several nested radii) off that
@@ -166,6 +174,17 @@ def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = No
     return csr_matrix((data, tails.take(on), indptr), shape=(n, n))
 
 
+def _unblocked(win: Window, open_mask: np.ndarray,
+               blocked_rows: Optional[np.ndarray]) -> np.ndarray:
+    """``open_mask`` less every edge incident to a row of ``blocked_rows``."""
+    if blocked_rows is None or not len(blocked_rows):
+        return open_mask
+    blocked = np.zeros(win.n_sites, dtype=bool)
+    blocked[blocked_rows] = True
+    er = win.edge_rows
+    return open_mask & ~blocked[er[:, 0]] & ~blocked[er[:, 1]]
+
+
 def component_labels(
     win: Window,
     open_mask: np.ndarray,
@@ -181,27 +200,35 @@ def component_labels(
     dropped.  Sites outside the region keep their own singleton labels (they
     have no incident edges by construction).
     """
-    sel = open_mask
-    if blocked_rows is not None and len(blocked_rows):
-        blocked = np.zeros(win.n_sites, dtype=bool)
-        blocked[blocked_rows] = True
-        er = win.edge_rows
-        sel = sel & ~blocked[er[:, 0]] & ~blocked[er[:, 1]]
-    _, labels = connected_components(_edge_graph(win, sel), directed=False)
-    return labels
+    graph = _edge_graph(win, _unblocked(win, open_mask, blocked_rows))
+    return connected_components(graph, directed=False)[1]
+
+
+def origin_cluster(
+    win: Window,
+    open_mask: np.ndarray,
+    origin_row: int,
+    blocked_rows: Optional[np.ndarray],
+) -> np.ndarray:
+    """Boolean row mask of the open cluster of ``origin_row``: the sites
+    that share its :func:`component_labels` label, read by one breadth-first
+    search from it instead of a labelling of the whole window.  Blocked rows
+    are isolated as there."""
+    graph = _edge_graph(win, _unblocked(win, open_mask, blocked_rows))
+    mask = np.zeros(win.n_sites, dtype=bool)
+    mask[breadth_first_order(graph, origin_row, directed=False,
+                             return_predecessors=False)] = True
+    return mask
 
 
 def sample_labels(
-    win: Window,
-    cfg: PercolationConfig,
-    sample_ids: Iterable[int],
-    blocked_rows: Optional[np.ndarray] = None,
+    win: Window, cfg: PercolationConfig, sample_ids: Iterable[int]
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """``(sample_id, component labels)`` of the window for each sample id,
-    in order: the one loop over samples behind every windowed estimator and
-    experiment, which keep only their reduction of the labels."""
+    in order: the loop over samples behind the windowed estimators, which
+    keep only their reduction of the labels."""
     for sid in sample_ids:
-        yield sid, component_labels(win, sample_open_edges(win, cfg, sid), blocked_rows)
+        yield sid, component_labels(win, sample_open_edges(win, cfg, sid))
 
 
 def escape_levels(

@@ -32,7 +32,12 @@ from percolab.experiments import (
 from percolab.clusters import GoodSpanningParams, RegularityParams
 from percolab.lattice import LatticeSpec, annulus, canonical_edge, norm_inf, region_sites
 from percolab.scales import scale_sequence, toy_params
-from percolab.windowed import build_window, component_labels
+from percolab.windowed import (
+    build_window,
+    component_labels,
+    connection_indicator,
+    sample_open_edges,
+)
 
 SPEC1 = LatticeSpec(d=1)
 SPEC2 = LatticeSpec(d=2)
@@ -312,6 +317,76 @@ def test_iic_series_equals_per_scale_points(spec, fam, windows, seed, monkeypatc
     assert len(built) == windows
     if windows == 1:  # one read of the event per sample, at most
         assert len(read) == len(set(read)) <= 150
+
+
+def _labelled_counts(cfg, event, conds, sample_ids):
+    """Reference: the counting loop that one search from the origin per
+    sample replaced, with a full window labelling per sample."""
+    win, target_rows, blocked = experiments._conditioned_window(cfg, conds)
+    origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
+    accepted = [0] * len(conds)
+    hits = [0] * len(conds)
+    for sid in sample_ids:
+        labels = component_labels(win, sample_open_edges(win, cfg, sid), blocked)
+        reached = [connection_indicator(labels, origin_row, rows) for rows in target_rows]
+        if not any(reached):
+            continue
+        hit = event.evaluate(cfg.with_sample(sid))
+        for i, ok in enumerate(reached):
+            accepted[i] += ok
+            hits[i] += ok and hit
+    return accepted, hits
+
+
+_COUNT_FAMILIES = [ConditioningFamily(kind, (2, 3, 5)) for kind in _KINDS] + [
+    _interleaved("vertex_set_with_obstacle", "halfspace_target", (2, 3, 5))]
+
+
+@pytest.mark.parametrize("spec,p", [(SPEC2, 0.5), (LatticeSpec(d=3), 0.2488), (_LAM2, 0.07)],
+                         ids=["d2", "d3", "lam2"])
+@pytest.mark.parametrize("fam", _COUNT_FAMILIES, ids=[*_KINDS, "interleaved"])
+def test_conditioned_counts_equal_labelled_counts(spec, p, fam):
+    # every scale alone, and the scales as one group sharing the window of
+    # the largest, as iic_series groups the box-boundary ones
+    cfg = PercolationConfig(spec, p, 2024)
+    ev = two_east_edges_event(spec)
+    conds = [fam.at(spec, n) for n in fam.n_list]
+    seen = set()
+    for group in [[c] for c in conds] + [conds]:
+        sids = range(300, 380)
+        got = experiments._conditioned_counts(cfg, ev, group, sids)
+        assert got == _labelled_counts(cfg, ev, group, sids), [c.n for c in group]
+        seen.update(zip(*got))
+    assert any(0 < a < 80 for a, _ in seen)  # some scale splits the samples
+    assert any(h > 0 for _, h in seen)
+
+
+@pytest.mark.parametrize("fam,windows", [
+    (_BOX235, 1),
+    (_interleaved("box_boundary", "single_vertex", (2, 3, 5)), 2),
+    (ConditioningFamily("vertex_set_with_obstacle", (2, 3)), 2),
+], ids=["box", "interleaved-box-single", "obstacle"])
+def test_iic_series_labels_once_per_window(fam, windows, monkeypatch):
+    # the all-open feasibility check is the only labelling of a conditioned
+    # window; each sample is one search from the origin per window
+    calls = {"labels": 0, "searches": 0, "windows": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    labelling = counting("labels", windowed.component_labels)
+    for mod in (windowed, experiments):
+        monkeypatch.setattr(mod, "component_labels", labelling)
+    monkeypatch.setattr(experiments, "origin_cluster",
+                        counting("searches", windowed.origin_cluster))
+    monkeypatch.setattr(experiments, "build_window",
+                        counting("windows", windowed.build_window))
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    iic_series(cfg, two_east_edges_event(SPEC2), fam, 40)
+    assert calls == {"labels": windows, "searches": 40 * windows, "windows": windows}
 
 
 # ---------------------------------------------------------------------------

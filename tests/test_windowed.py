@@ -26,6 +26,7 @@ from percolab.windowed import (
     component_rows,
     connection_indicator,
     escape_levels,
+    origin_cluster,
     sample_labels,
     sample_open_edges,
     shell_rows,
@@ -269,6 +270,39 @@ def test_skeleton_labels_equal_coo_labels_random(window, seed, p, sid, data):
     mask = sample_open_edges(win, PercolationConfig(spec, p, seed), sid)
     blocked = data.draw(st.lists(st.integers(0, win.n_sites - 1), max_size=8))
     _assert_same_labels(win, mask, np.asarray(blocked, dtype=np.int64))
+
+
+# (spec, outer, p_c): d = 2, d = 3 and spread-out lam 2 near criticality
+_CLUSTER_WINDOWS = [(SPEC2, 6, 0.5), (SPEC3, 3, 0.2488), (_LAM2, 5, 0.07)]
+
+
+@given(st.sampled_from(_CLUSTER_WINDOWS), st.sampled_from(["0", "p_c", "1"]),
+       st.integers(0, 2**64 - 1), st.data())
+def test_origin_cluster_equals_origin_label(window, p, sid, data):
+    # one search from the origin against the origin's label in a full
+    # labelling, with no, empty and drawn blocked rows: sites on the rim of
+    # the cluster (outside it, one window edge from it), inside it (the
+    # origin included) and anywhere
+    spec, outer, p_c = window
+    win = build_window(spec, 41, outer)
+    mask = sample_open_edges(win, PercolationConfig(spec, {"0": 0.0, "p_c": p_c, "1": 1.0}[p],
+                                                    41), sid)
+    o = win.row_of((0,) * spec.d)
+
+    def check(blocked):
+        lab = component_labels(win, mask, blocked)
+        got = origin_cluster(win, mask, o, blocked)
+        assert got.dtype == bool and np.array_equal(got, lab == lab[o])
+        return got
+
+    cluster = check(None)
+    check(np.zeros(0, dtype=np.int64))
+    a, b = win.edge_rows.T.astype(np.int64)
+    rim = np.union1d(b[cluster[a] & ~cluster[b]], a[cluster[b] & ~cluster[a]])
+    pools = [rim, np.flatnonzero(cluster), np.arange(win.n_sites)]
+    blocked = [row for pool in pools if len(pool)
+               for row in data.draw(st.lists(st.sampled_from(list(pool)), max_size=4))]
+    check(np.asarray(blocked, dtype=np.int64))
 
 
 def test_oversized_windows_are_refused_before_materialising():
