@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .engine import (
     exact_event_table,
 )
 from .lattice import Site, norm_inf
-from .windowed import Window, build_window, sample_labels
+from .windowed import Window, build_window, component_labels, origin_cluster, sample_open_edges
 
 # ---------------------------------------------------------------------------
 # Estimates
@@ -72,6 +72,16 @@ def combine_gap_sigma(a: Estimate, b: Estimate) -> Tuple[float, float]:
 # Connection-probability profiles (windowed implementation)
 
 
+def _origin_reach(win: Window, cfg: PercolationConfig,
+                  sample_ids: Iterable[int]) -> Iterator[int]:
+    """Largest norm the origin's open cluster reaches in ``win``, per sample
+    id, in order: one search from the origin per sample."""
+    origin = win.row_of((0,) * cfg.spec.d)
+    norms = win.norms()
+    for sid in sample_ids:
+        yield norms[origin_cluster(win, sample_open_edges(win, cfg, sid), origin, None)].max()
+
+
 def two_point_profile(
     cfg: PercolationConfig,
     targets: Sequence[Site],
@@ -80,7 +90,7 @@ def two_point_profile(
 ) -> List[Tuple[Site, "Estimate"]]:
     """P(0 connects to x within B(R)) for each target, sharing samples.
 
-    One component decomposition per sample serves every target.  ``R`` is
+    One search from the origin per sample serves every target.  ``R`` is
     twice the farthest target's norm, and at least 2, so the estimate is the
     box-restricted two-point function (the unrestricted one is not samplable:
     critical clusters have heavy tails).
@@ -93,8 +103,8 @@ def two_point_profile(
     rows = win.rows_of(targets)
     hits = np.zeros(len(targets), dtype=np.int64)
     rng = (sample_start, sample_start + n_samples)
-    for _, labels in sample_labels(win, cfg, range(*rng)):
-        hits += labels[rows] == labels[origin]
+    for sid in range(*rng):
+        hits += origin_cluster(win, sample_open_edges(win, cfg, sid), origin, None)[rows]
     return [
         (t, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
         for t, h in zip(targets, hits)
@@ -109,27 +119,22 @@ def one_arm_profile(
 ) -> List[Tuple[int, "Estimate"]]:
     """P(origin's open cluster reaches sup-norm >= n) for each radius.
 
-    A single exploration per sample records the maximal norm reached, so the
-    profile is exactly nonincreasing in n (the events are nested by
+    One search from the origin per sample records the maximal norm reached,
+    so the profile is exactly nonincreasing in n (the events are nested by
     construction, not merely in expectation).
     """
     radii = list(radii)
+    if not radii:
+        raise ValueError("radii must be non-empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
-    n_max = radii[-1]
-    if n_max == 0:
-        rng = (sample_start, sample_start + n_samples)
-        return [(0, Estimate.from_counts(n_samples, n_samples, 0, cfg.seed, rng))]
-    win = build_window(cfg.spec, cfg.seed, outer=n_max)
-    origin = win.row_of((0,) * cfg.spec.d)
-    norms = win.norms()
+    win = build_window(cfg.spec, cfg.seed, outer=radii[-1])
     hits = np.zeros(len(radii), dtype=np.int64)
     rad_arr = np.asarray(radii)
     rng = (sample_start, sample_start + n_samples)
-    for _, labels in sample_labels(win, cfg, range(*rng)):
-        reach = norms[labels == labels[origin]].max()
+    for reach in _origin_reach(win, cfg, range(*rng)):
         hits += rad_arr <= reach
     return [
         (r, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
@@ -202,12 +207,9 @@ def _arm_scaling_stat(
 ) -> Tuple[float, float]:
     """n2^2*pi(n2) - n1^2*pi(n1) from shared samples (one window, one pass)."""
     n1, n2 = radii
-    origin = win.row_of((0,) * cfg.spec.d)
-    norms = win.norms()
     vals = np.empty(n_samples)
     ids = range(sample_start, sample_start + n_samples)
-    for i, (_, labels) in enumerate(sample_labels(win, cfg, ids)):
-        reach = norms[labels == labels[origin]].max()
+    for i, reach in enumerate(_origin_reach(win, cfg, ids)):
         vals[i] = n2 * n2 * (reach >= n2) - n1 * n1 * (reach >= n1)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
@@ -221,7 +223,8 @@ def _crossing_stat(
     left = np.flatnonzero(win.sites[:, 0] == -n)
     right = np.flatnonzero(win.sites[:, 0] == n)
     hits = 0
-    for _, labels in sample_labels(win, cfg, range(sample_start, sample_start + n_samples)):
+    for sid in range(sample_start, sample_start + n_samples):
+        labels = component_labels(win, sample_open_edges(win, cfg, sid))
         hits += int(np.isin(labels[left], labels[right]).any())
     ph = hits / n_samples
     return ph - 0.5, math.sqrt(max(ph * (1 - ph), 1.0 / n_samples) / n_samples)

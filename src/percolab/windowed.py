@@ -18,11 +18,11 @@ one ``bincount`` and ``cumsum`` of the open edges' first rows (the sample's
 ``indptr``), one take of their second rows (its ``indices``) and one
 connected-components call; no COO conversion or canonicalisation runs per
 sample.
-:func:`sample_labels` owns that per-sample loop for the estimators that
-reduce a whole labelling.
+A statistic that needs every component (a crossing, a spanning cluster,
+arms from many vertex sets) reads :func:`component_labels`.
 
-A conditioned count asks one question per sample: does the origin's open
-cluster reach a target set?  :func:`origin_cluster` answers it by one
+A question about the origin alone (does its open cluster reach a target
+set, how far does it reach?) is answered by :func:`origin_cluster`: one
 breadth-first search from the origin over the same CSR matrix, which costs
 scipy's transpose of the matrix plus the size of that cluster, not a
 traversal of the whole window; a target set is reached iff the cluster's
@@ -221,16 +221,6 @@ def origin_cluster(
     return mask
 
 
-def sample_labels(
-    win: Window, cfg: PercolationConfig, sample_ids: Iterable[int]
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """``(sample_id, component labels)`` of the window for each sample id,
-    in order: the loop over samples behind the windowed estimators, which
-    keep only their reduction of the labels."""
-    for sid in sample_ids:
-        yield sid, component_labels(win, sample_open_edges(win, cfg, sid))
-
-
 def escape_levels(
     win: Window,
     cfgs: Sequence[PercolationConfig],
@@ -288,10 +278,6 @@ def connection_indicator(
 ) -> bool:
     """Do a source and a target share a component label?"""
     return bool(np.isin(labels[source_rows], labels[target_rows]).any())
-
-
-def component_rows(labels: np.ndarray, row: int) -> np.ndarray:
-    return np.flatnonzero(labels == labels[row])
 
 
 def shell_rows(win: Window, radius: int) -> np.ndarray:

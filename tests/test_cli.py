@@ -38,11 +38,13 @@ def test_estimate_two_point_csv(tmp_path):
     code, out = _run(tmp_path, ["estimate-two-point", "--n-samples", "300"])
     assert code == 0
     lines = (out / "two_point.csv").read_text().splitlines()
-    assert lines[0] == PROFILE_HEADER
-    assert lines[1] == "two_point,1,0.73,0.025632011235952594,300,0,2024"
-    vals = [float(l.split(",")[2]) for l in lines[1:]]
-    assert len(vals) == 4
-    assert vals == sorted(vals, reverse=True)
+    assert lines == [
+        PROFILE_HEADER,
+        "two_point,1,0.73,0.025632011235952594,300,0,2024",
+        "two_point,2,0.62,0.0280237994093116,300,0,2024",
+        "two_point,4,0.5266666666666666,0.028826428203351226,300,0,2024",
+        "two_point,8,0.41,0.02839600910926276,300,0,2024",
+    ]
     blob = json.loads((out / "two_point.json").read_text())
     assert blob["rows"][0]["value"] == 0.73
     assert blob["config"]["sample"]["seed"] == 2024
@@ -52,7 +54,13 @@ def test_estimate_one_arm_monotone(tmp_path):
     code, out = _run(tmp_path, ["estimate-one-arm", "--n-samples", "300"])
     assert code == 0
     lines = (out / "one_arm.csv").read_text().splitlines()
-    assert lines[0] == PROFILE_HEADER
+    assert lines == [
+        PROFILE_HEADER,
+        "one_arm,2,0.8466666666666667,0.020802421511466898,300,0,2024",
+        "one_arm,4,0.8033333333333333,0.02294841235531621,300,0,2024",
+        "one_arm,8,0.75,0.025,300,0,2024",
+        "one_arm,16,0.6766666666666666,0.027005486411029452,300,0,2024",
+    ]
     vals = [float(l.split(",")[2]) for l in lines[1:]]
     # single-pass estimator: the same samples at every radius, so the
     # observed profile is nonincreasing exactly, not just in expectation

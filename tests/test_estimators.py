@@ -17,6 +17,7 @@ from percolab.engine import PercolationConfig, TinyGraph
 from percolab.estimators import (
     Estimate,
     SubgraphSpec,
+    _arm_scaling_stat,
     combine_gap_sigma,
     fit_exponent,
     locate_pc,
@@ -24,10 +25,12 @@ from percolab.estimators import (
     one_arm_profile,
     two_point_profile,
 )
-from percolab.lattice import LatticeSpec
+from percolab.lattice import SPREAD_OUT, LatticeSpec, norm_inf
+from percolab.windowed import build_window, component_labels, sample_open_edges
 
 SPEC2 = LatticeSpec(d=2)
 SPEC3 = LatticeSpec(d=3)
+LAM2 = LatticeSpec(d=2, edge_mode=SPREAD_OUT, lam=2)
 
 
 def test_estimate_from_counts():
@@ -58,6 +61,78 @@ def test_one_arm_profile_decreasing():
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12  # same samples, nested events: exact ordering
     assert vals[0] > vals[-1]
+
+
+@pytest.mark.parametrize("radii", [[], [2, 1], [1, 1], [-1, 2]])
+def test_one_arm_profile_refuses_bad_radii(radii):
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=8)
+    with pytest.raises(ValueError, match="radii"):
+        one_arm_profile(cfg, radii, n_samples=5)
+
+
+# ---------------------------------------------------------------------------
+# The origin reductions against the full labelling they replaced
+
+
+def _labelled_reach(win, cfg, ids):
+    origin = win.row_of((0,) * cfg.spec.d)
+    norms = win.norms()
+    for sid in ids:
+        labels = component_labels(win, sample_open_edges(win, cfg, sid))
+        yield norms[labels == labels[origin]].max()
+
+
+def _labelled_two_point(cfg, targets, n_samples, sample_start):
+    rmax = max(norm_inf(t) for t in targets)
+    win = build_window(cfg.spec, cfg.seed, outer=max(2, 2 * rmax))
+    origin = win.row_of((0,) * cfg.spec.d)
+    rows = win.rows_of(targets)
+    hits = np.zeros(len(targets), dtype=np.int64)
+    rng = (sample_start, sample_start + n_samples)
+    for sid in range(*rng):
+        labels = component_labels(win, sample_open_edges(win, cfg, sid))
+        hits += labels[rows] == labels[origin]
+    return [(t, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
+            for t, h in zip(targets, hits)]
+
+
+def _labelled_one_arm(cfg, radii, n_samples, sample_start):
+    # with its B(0) shortcut: a window of one site gives the same profile
+    rng = (sample_start, sample_start + n_samples)
+    if radii[-1] == 0:
+        return [(0, Estimate.from_counts(n_samples, n_samples, 0, cfg.seed, rng))]
+    win = build_window(cfg.spec, cfg.seed, outer=radii[-1])
+    hits = np.zeros(len(radii), dtype=np.int64)
+    for reach in _labelled_reach(win, cfg, range(*rng)):
+        hits += np.asarray(radii) <= reach
+    return [(r, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
+            for r, h in zip(radii, hits)]
+
+
+def _labelled_arm_scaling(win, cfg, radii, n_samples, sample_start):
+    n1, n2 = radii
+    ids = range(sample_start, sample_start + n_samples)
+    vals = np.array([n2 * n2 * (reach >= n2) - n1 * n1 * (reach >= n1)
+                     for reach in _labelled_reach(win, cfg, ids)], dtype=float)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+
+
+@pytest.mark.parametrize("spec,p_c", [(SPEC2, 0.5), (SPEC3, 0.2488), (LAM2, 0.07)],
+                         ids=["d2", "d3", "lam2"])
+@pytest.mark.parametrize("p", ["0", "p_c", "1"])
+def test_origin_reductions_equal_the_full_labelling(spec, p_c, p):
+    cfg = PercolationConfig(spec, {"0": 0.0, "p_c": p_c, "1": 1.0}[p], seed=13)
+    o = (0,) * spec.d
+    n, start = 40, 9
+    for targets in ([o], [o, (1,) + o[1:], (2, -1) + o[2:]], [(3,) + o[1:]]):
+        assert (two_point_profile(cfg, targets, n, start)
+                == _labelled_two_point(cfg, targets, n, start))
+    for radii in ([0], [0, 1], [0, 1, 3], [1, 2, 4]):
+        assert one_arm_profile(cfg, radii, n, start) == _labelled_one_arm(cfg, radii, n, start)
+    for radii in ((0, 2), (1, 3), (2, 4)):
+        win = build_window(spec, cfg.seed, outer=radii[-1])
+        assert (_arm_scaling_stat(win, cfg, radii, n, start)
+                == _labelled_arm_scaling(win, cfg, radii, n, start))
 
 
 def test_fit_exponent_recovers_planted_power():

@@ -36,7 +36,6 @@ CALLERS = SOURCES + sorted((ROOT / "scripts").glob("*.py")) \
 TEST_ONLY = {
     "spanning_clusters":
         "reference oracle: the lazy spanning-cluster scan (perfbench spans it by name)",
-    "component_rows": "reference oracle for one component of a window labelling",
     "edges_within": "reference oracle for the edge set of a region",
     "edge_state": "reference oracle: the validated scalar edge bit (perfbench spans it by name)",
 }

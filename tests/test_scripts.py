@@ -1,4 +1,5 @@
-"""Every script under ``scripts/`` starts and prints its help.
+"""Every script under ``scripts/`` starts and prints its help, and the
+profile script runs end to end.
 
 The scripts import public names of the package (``ConditioningFamily``,
 ``locate_pc``, ...), and nothing else in the suite imports them: a rename or
@@ -16,10 +17,31 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_exits_0(script):
+def _run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    res = subprocess.run([sys.executable, str(script), *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert "usage:" in res.stdout
+    return res.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_exits_0(script):
+    assert "usage:" in _run_script(script, "--help")
+
+
+def test_run_profiles_prints_frozen_profiles_and_fits():
+    # both profiles at d = 2, p = 1/2, seed 2024 on five radii, and a fit of
+    # each: the table and the fits are deterministic to the last digit
+    out = _run_script(ROOT / "scripts" / "run_profiles.py", "--n-samples", "50")
+    assert out.splitlines() == [
+        "# d=2 p=0.5 seed=2024 n=50",
+        "r  two_point +- err      one_arm +- err",
+        "2   0.6800 +- 0.0660    0.9000 +- 0.0424",
+        "4   0.5000 +- 0.0707    0.8600 +- 0.0491",
+        "8   0.4000 +- 0.0693    0.7800 +- 0.0586",
+        "16  0.3200 +- 0.0660    0.6600 +- 0.0670",
+        "32  0.2600 +- 0.0620    0.5600 +- 0.0702",
+        "two-point: value ~ 0.855 * r^(-0.356 +- 0.073)  [window (0, 5), 5 pts]",
+        "one-arm: value ~ 1.025 * r^(-0.152 +- 0.036)  [window (0, 5), 5 pts]",
+    ]

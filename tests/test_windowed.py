@@ -23,11 +23,9 @@ from percolab.windowed import (
     WindowTooLargeError,
     build_window,
     component_labels,
-    component_rows,
     connection_indicator,
     escape_levels,
     origin_cluster,
-    sample_labels,
     sample_open_edges,
     shell_rows,
 )
@@ -73,17 +71,31 @@ def test_open_edges_bit_exact_against_scalar_sampler():
                 assert bool(bits[k]) == bool(edge_state(c, (a, b)))
 
 
-def test_component_labels_match_exploration():
-    win = build_window(SPEC2, seed=5, outer=4)
-    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=5)
-    region = box((0, 0), 4)
-    origin = win.row_of((0, 0))
+@pytest.mark.parametrize("spec,outer,p", [
+    (SPEC2, 4, 0.5),
+    (SPEC3, 3, 0.2488),
+    (LatticeSpec(d=2, edge_mode=SPREAD_OUT, lam=2), 4, 0.07),
+], ids=["d2", "d3", "lam2"])
+def test_component_labels_match_exploration(spec, outer, p):
+    # the origin's label in a full labelling and one search from the origin
+    # both give the lazy explorer's vertex set
+    win = build_window(spec, seed=5, outer=outer)
+    cfg = PercolationConfig(spec=spec, p=p, seed=5)
+    o = (0,) * spec.d
+    region = box(o, outer)
+    origin = win.row_of(o)
+    sizes = set()
     for sid in range(25):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
-        rows = component_rows(labels, origin)
-        sites = {tuple(win.sites[r]) for r in rows}
-        rec = explore_cluster(cfg.with_sample(sid), (0, 0), region)
-        assert sites == set(rec.vertices)
+        mask = sample_open_edges(win, cfg, sid)
+        labels = component_labels(win, mask)
+        by_label = {tuple(win.sites[r]) for r in np.flatnonzero(labels == labels[origin])}
+        by_search = {tuple(win.sites[r])
+                     for r in np.flatnonzero(origin_cluster(win, mask, origin, None))}
+        rec = explore_cluster(cfg.with_sample(sid), o, region)
+        assert not rec.truncated
+        assert by_label == by_search == set(rec.vertices)
+        sizes.add(len(by_search))
+    assert len(sizes) > 2  # the samples are not all trivial
 
 
 def test_window_spanning_clusters_equal_lazy_scan():
@@ -335,7 +347,7 @@ def _reference_levels(win, cfgs, sids, origin_row, target_sets):
     configs that connect."""
     out = []
     for sid in sids:
-        labels = [lab for cfg in cfgs for _, lab in sample_labels(win, cfg, [sid])]
+        labels = [component_labels(win, sample_open_edges(win, cfg, sid)) for cfg in cfgs]
         ks = []
         for rows in target_sets:
             hits = [connection_indicator(lab, origin_row, rows) for lab in labels]
