@@ -183,7 +183,12 @@ class Config:
         self.iic_families()
         self.extraction_family()
         self._validate_estimation()
-        q_list = self.data["extraction"]["q_list"]
+        ex = self.data["extraction"]
+        _check_int("extraction.level", ex["level"], 0)
+        p_c_ref = ex["p_c_ref"]  # no integer lies in (0, 1)
+        if not (isinstance(p_c_ref, float) and 0 < p_c_ref < 1):
+            raise ConfigError(f"extraction.p_c_ref must be a number in (0, 1), got {p_c_ref!r}")
+        q_list = ex["q_list"]
         if scales and q_list is not None:
             q_max = self.scale_params().q_max
             if not (isinstance(q_list, (list, tuple)) and all(

@@ -30,7 +30,9 @@ is a :class:`~percolab.lattice.Region` (an annulus or a box), a ``frozenset``
 of sites, or a membership predicate (:data:`RegionLike`).  ``explore_cluster``,
 ``cluster_components``, ``connect_sets`` and ``spanning_clusters`` are built
 on it here, and the regularity resampling in :mod:`percolab.clusters` runs
-it with an edge-state callable that mixes two samples.  Only edges with both
+it with an edge-state callable that mixes two samples.  ``connect_sets`` is
+the tests' reference for the window queries of kernel extraction, as
+``spanning_clusters`` is for the window scan.  Only edges with both
 endpoints inside the allowed region are ever queried; the tests read the
 ``edge_log`` to prove such measurability claims (e.g. spanning-cluster
 detection never touches an edge outside the annulus).  Annulus geometry is

@@ -31,7 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .clusters import (
     SpanningSetRecord,
     scan_good_spanning,
 )
-from .engine import PercolationConfig, connect_sets, edge_key, mix64
+from .engine import PercolationConfig, edge_key, mix64
 from .estimators import Estimate, combine_gap_sigma
 from .lattice import (
     NEAREST_NEIGHBOUR,
@@ -113,6 +113,7 @@ class Conditioning:
     ``targets`` is the arm target set ``V_n`` and ``obstacles`` the obstacle
     set ``D_n``, both as sites inside ``B(outer)``, the simulation window;
     ``exact`` says whether the arm event is decided exactly within it.
+    ``min_norm`` is the least norm of a target or an obstacle.
     """
 
     kind: str
@@ -121,11 +122,17 @@ class Conditioning:
     obstacles: FrozenSet[Site]
     outer: int
     exact: bool
+    min_norm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for x in itertools.chain(self.targets, self.obstacles):
-            if norm_inf(x) <= self.n:
-                raise ValueError(f"conditioning site {x} intrudes into B({self.n})")
+        if not self.targets:
+            raise ValueError("a conditioning needs at least one target site")
+        sites = [*self.targets, *self.obstacles]
+        norms = np.abs(np.array(sites, dtype=np.int64)).max(axis=1)
+        intruders = np.flatnonzero(norms <= self.n)
+        if len(intruders):
+            raise ValueError(f"conditioning site {sites[intruders[0]]} intrudes into B({self.n})")
+        object.__setattr__(self, "min_norm", int(norms.min()))
 
 
 @dataclass(frozen=True)
@@ -280,11 +287,9 @@ def _gate_level(
     out_warnings: List[str],
 ) -> None:
     """Honour the horizon hypotheses: refuse in faithful mode, warn in toy."""
-    q_n = conditioning_horizon(params, cond.targets, cond.obstacles)
-    try:
-        beta = likelihood_ratio_horizon(params, spec, p, p_c_ref)
-    except ValueError:
-        beta = math.inf  # subcritical p: the ratio gate is vacuous here
+    q_n = conditioning_horizon(params, cond.min_norm)
+    # a subcritical p leaves the ratio gate vacuous
+    beta = math.inf if p < p_c_ref else likelihood_ratio_horizon(params, spec, p, p_c_ref)
     gate = min(q_n, beta)
     if level_needed < 0 or level_needed + 1 >= gate:
         msg = (
@@ -345,46 +350,68 @@ class KernelExtraction:
         }
 
 
-def _sep_box_pred(sep_radius: int) -> Callable[[Site], bool]:
-    return lambda x: norm_inf(x) <= sep_radius
-
-
-def _shell_pred(radius: int) -> Callable[[Site], bool]:
-    return lambda x: norm_inf(x) == radius
-
-
-def _arm_region_pred(cond: Conditioning, inner: int) -> Callable[[Site], bool]:
-    """Membership of ``B(cond.outer) \\ B(inner)`` off the obstacles."""
-    return lambda x: inner < norm_inf(x) <= cond.outer and x not in cond.obstacles
+def _box_rows(win: Window, sites: Iterable[Site]) -> np.ndarray:
+    """Rows of the ``sites`` inside the window's box, in one vectorised step;
+    a site outside it lies in no query's region, so it is dropped."""
+    d, side = win.spec.d, 2 * win.outer + 1
+    c = np.array(list(sites), dtype=np.int64).reshape(-1, d) + win.outer
+    c = c[((c >= 0) & (c < side)).all(axis=1)]
+    return c @ side ** np.arange(d - 1, -1, -1)
 
 
 @lru_cache(maxsize=4)
-def _arm_window(
-    spec: LatticeSpec, seed: int, cond: Conditioning, inner: int
-) -> Tuple[Window, np.ndarray, np.ndarray]:
-    """The window of ``B(cond.outer) \\ B(inner)``, the rows of the targets
-    in its region off the obstacles, and the obstacle rows.  Kept across
-    calls: an extraction labels one arm window for sample after sample."""
-    win = build_window(spec, seed, cond.outer, inner)
-    targets = filter(_arm_region_pred(cond, inner), cond.targets)
-    return win, win.rows_of(targets), win.rows_of(cond.obstacles)
+def _query_window(
+    spec: LatticeSpec, seed: int, cond: Conditioning, sep_in: Optional[int], sep_out: int
+) -> Tuple[Window, Dict[str, Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """The window ``B(max(cond.outer, sep_out))`` of an extraction, kept
+    across calls, with the target rows, the rows of the shell of radius
+    ``sep_out`` and, per query, the row mask of its region and the mask of
+    the edges inside it.  With ``free`` = ``B(cond.outer)`` off the
+    obstacles: ``arm`` is ``free`` beyond ``B(sep_out)``; ``link`` is
+    ``B(sep_out)`` at level 0 (``sep_in`` None), else
+    ``B(cond.outer) \\ B(sep_in)``; ``leak`` is ``B(sep_out)``, less a
+    D-record's rows per query; ``free`` is the relaxed connection's."""
+    win = build_window(spec, seed, max(cond.outer, sep_out))
+    norms = win.norms()
+    free = norms <= cond.outer
+    free[_box_rows(win, cond.obstacles)] = False
+    box = norms <= sep_out
+    link = box if sep_in is None else (norms > sep_in) & (norms <= cond.outer)
+    heads, tails = win.edge_rows.T
+    regions = {name: (rows, rows[heads] & rows[tails])
+               for name, rows in (("arm", free & (norms > sep_out)), ("link", link),
+                                  ("leak", box), ("free", free))}
+    return win, regions, _box_rows(win, cond.targets), np.flatnonzero(norms == sep_out)
 
 
-def _onward_arms(
-    cfg: PercolationConfig, cond: Conditioning, inner: int,
-    vertex_sets: Sequence[FrozenSet[Site]],
-) -> List[bool]:
-    """Does each vertex set reach ``cond.targets`` by an open path in
-    ``B(cond.outer) \\ B(inner)`` off the obstacles?  One labelling of the
-    cached arm window answers every set of the sample; no set, no labelling.
-    The sites of a set outside that region are not sources."""
-    if not vertex_sets:
-        return []
-    win, target_rows, blocked = _arm_window(cfg.spec, cfg.seed, cond, inner)
-    labels = component_labels(win, sample_open_edges(win, cfg, cfg.sample_id), blocked)
-    in_region = _arm_region_pred(cond, inner)
-    return [connection_indicator(labels, win.rows_of(filter(in_region, vs)), target_rows)
-            for vs in vertex_sets]
+class _SampleQueries:
+    """The connection questions of one extraction sample: one hash of the
+    cached :func:`_query_window`'s edges, then a :func:`component_labels` +
+    :func:`connection_indicator` read per query, with the rows outside its
+    region isolated.  One labelling per region serves the sample (every
+    D-record's arm, every (C, D) pair's link); a leak, whose region also
+    loses D's rows, takes its own."""
+
+    def __init__(self, query_window, cfg: PercolationConfig):
+        self.win, self.regions, self.targets, self.shell = query_window
+        self.open = sample_open_edges(self.win, cfg, cfg.sample_id)
+        self._labels: Dict[str, np.ndarray] = {}
+
+    def joined(self, region: str, sources: np.ndarray, targets: np.ndarray,
+               blocked: Optional[np.ndarray] = None) -> bool:
+        """Does an open path inside ``region`` less the ``blocked`` rows join
+        a source row to a target row?  Both ends are cut to the region first:
+        a blocked source that is also a target keeps its own label."""
+        rows, edges = self.regions[region]
+        if blocked is not None:
+            labels = component_labels(self.win, self.open & edges, blocked)
+            rows = rows.copy()
+            rows[blocked] = False
+        elif region in self._labels:
+            labels = self._labels[region]
+        else:
+            labels = self._labels[region] = component_labels(self.win, self.open & edges)
+        return connection_indicator(labels, sources[rows[sources]], targets[rows[targets]])
 
 
 def extract_kernels(
@@ -406,18 +433,16 @@ def extract_kernels(
     Per sample: certify the good spanning sets of the level and
     level+1 annuli; for each certified pair evaluate the localized
     transition (connection off the inner separation box, no escape to the
-    outer separation shell avoiding the target set) with the lazy explorer.
-    The onward arm of a level+1 set (from its sites beyond the outer
-    separation box to the targets, inside the conditioning window off the
-    obstacles) is read off one labelling of the window of that annulus per
-    sample, which serves every set of the sample; the window and its target
-    and obstacle rows are kept across calls.
+    outer separation shell avoiding the target set), and for each level+1
+    set its onward arm (from its sites beyond the outer separation box to
+    the targets, inside the conditioning window off the obstacles).  Every
+    query reads a labelling of one cached window (:class:`_SampleQueries`),
+    and a leak is asked only where its link holds.
     Conditional frequencies become kernel entries keyed by canonical labels.
 
     The per-sample uniqueness of the localized transition and its
     containment in the relaxed transition are asserted sample by sample and
-    reported as violation counts (both must be zero).  A lazy query that
-    hits the exploration cap raises ``RuntimeError``: it decided nothing.
+    reported as violation counts (both must be zero).
     """
     spec = cfg.spec
     cond = family.at(spec, n)
@@ -435,9 +460,9 @@ def extract_kernels(
     # the inward link is evaluated inside the level-1 box instead.
     sep_out_radius = 2 ** idx_d.ell
     sep_in = 2 ** idx_c.ell if idx_c is not None else None
-    window_outer = cond.outer
-    obstacles = cond.obstacles
-    origin = (0,) * spec.d
+    query_window = _query_window(spec, cfg.seed, cond, sep_in, sep_out_radius)
+    win = query_window[0]
+    origin_rows = _box_rows(win, [(0,) * spec.d])
 
     counts: Dict[Label, int] = {}
     label_q: Dict[Label, int] = {}
@@ -466,75 +491,47 @@ def extract_kernels(
                 c_counts[clab] = c_counts.get(clab, 0) + 1
 
         ev_ok = event.evaluate(c) if event is not None else True
+        if not d_records:
+            continue
+        queries = _SampleQueries(query_window, c)
 
         d_info = []
-        arms = _onward_arms(c, cond, sep_out_radius, [r.cluster.vertices for r in d_records])
-        for drec, arm in zip(d_records, arms):
+        for drec in d_records:
             dlab = tuple(sorted(drec.cluster.vertices))
+            d_rows = _box_rows(win, dlab)
+            arm = queries.joined("arm", d_rows, queries.targets)
             counts[dlab] = counts.get(dlab, 0) + 1
             label_q[dlab] = drec.q
             if arm:
                 gamma_hits[dlab] = gamma_hits.get(dlab, 0) + 1
-            d_info.append((drec, dlab, arm))
+            d_info.append((dlab, d_rows, arm))
 
         for crec in c_records:
             if crec is None:
-                clab = _ORIGIN_LABEL
-                c_sites: Tuple[Site, ...] = (origin,)
+                clab, c_rows = _ORIGIN_LABEL, origin_rows
             else:
                 clab = tuple(sorted(crec.cluster.vertices))
-                c_sites = tuple(crec.cluster.vertices)
+                c_rows = _box_rows(win, clab)
             n_g = 0
-            g_label = None
-            for drec, dlab, arm in d_info:
-                dverts = drec.cluster.vertices
+            g_rows = None
+            for dlab, d_rows, arm in d_info:
                 if clab == dlab:
                     continue
-                if level == 0:
-                    link = connect_sets(c, [origin], dverts, _sep_box_pred(sep_out_radius))
-                    leak = connect_sets(
-                        c, [origin],
-                        _shell_pred(sep_out_radius),
-                        lambda x, dv=dverts: norm_inf(x) <= sep_out_radius
-                        and x not in dv,
-                    )
-                else:
-                    link = connect_sets(
-                        c,
-                        [x for x in c_sites if norm_inf(x) > sep_in],
-                        dverts,
-                        lambda x: sep_in < norm_inf(x) <= window_outer,
-                    )
-                    leak = connect_sets(
-                        c, c_sites,
-                        _shell_pred(sep_out_radius),
-                        lambda x, dv=dverts: norm_inf(x) <= sep_out_radius and x not in dv,
-                    )
-                if link is None or leak is None:
-                    raise RuntimeError("kernel query hit the exploration cap")
-                core = bool(link) and not bool(leak)
-                if core:
+                if (queries.joined("link", c_rows, d_rows)
+                        and not queries.joined("leak", c_rows, queries.shell, d_rows)):
                     key = (clab, dlab)
                     core_hits[key] = core_hits.get(key, 0) + 1
                     if ev_ok:
                         event_hits[key] = event_hits.get(key, 0) + 1
                     if arm:
                         n_g += 1
-                        g_label = (dlab, dverts)
+                        g_rows = d_rows
             if n_g > 1:
                 g_violations += 1
-            if n_g >= 1 and level == 0:
-                # G => F: the origin must reach the realised label avoiding
-                # the obstacle set (the relaxed transition's connection).
-                dlab, dverts = g_label
-                f_conn = connect_sets(
-                    c, [origin], dverts,
-                    lambda x: norm_inf(x) <= window_outer and x not in obstacles,
-                )
-                if f_conn is None:
-                    raise RuntimeError("kernel query hit the exploration cap")
-                if not f_conn:
-                    f_failures += 1
+            # G => F: the origin must reach the realised label avoiding the
+            # obstacle set (the relaxed transition's connection).
+            if n_g >= 1 and level == 0 and not queries.joined("free", c_rows, g_rows):
+                f_failures += 1
 
     c_labels = sorted(c_counts)
     d_labels = sorted(counts)

@@ -32,18 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .lattice import (
     NEAREST_NEIGHBOUR,
     LatticeSpec,
     Region,
-    Site,
     WindowTooLargeError,
     annulus,
     box,
     edge_count_box,
-    norm_inf,
 )
 
 #: Largest radius exponent that region materialisation will accept.
@@ -397,32 +395,25 @@ class HorizonError(ValueError):
     to run this ladder on this data, not a broken invariant."""
 
 
-def conditioning_horizon(
-    params: ScaleParams,
-    target_sites: Iterable[Site],
-    obstacle_sites: Iterable[Site] = (),
-) -> int:
+def conditioning_horizon(params: ScaleParams, min_norm: int) -> int:
     """Largest ``i`` with ``(V u D) cap B(2^{k_{i+1}^*})`` empty.
 
     ``V`` is the arm target set and ``D`` the obstacle set of a conditioning
-    instance.  Exact integer comparisons throughout; raises if even level 0
-    fails (the data intrudes into ``B(2^{k_1^*})``).
+    instance, and ``min_norm`` the least l-infinity norm of their sites.
+    Exact integer comparisons throughout; raises if even level 0 fails (the
+    data intrudes into ``B(2^{k_1^*})``).
     """
-    sites = list(target_sites) + list(obstacle_sites)
-    if not sites:
-        raise ValueError("conditioning horizon needs at least one target site")
-    minn = min(norm_inf(s) for s in sites)
     k = params.k1
     k_star = params.m * k
-    if not pow2_lt(k_star, minn):
+    if not pow2_lt(k_star, min_norm):
         raise HorizonError(
-            f"target/obstacle data at norm {minn} intrudes into B(2^{k_star})"
+            f"target/obstacle data at norm {min_norm} intrudes into B(2^{k_star})"
         )
     i = 0
     while True:
         k_next = params.m * k_star
         k_next_star = params.m * k_next
-        if pow2_lt(k_next_star, minn):
+        if pow2_lt(k_next_star, min_norm):
             i += 1
             k, k_star = k_next, k_next_star
         else:

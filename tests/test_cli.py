@@ -292,14 +292,24 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
     (["estimate-two-point"], {"estimation": {"targets": [[1, 0, 0]]}}),
     (["estimate-two-point"], {"estimation": {"targets": [[1]]}}),
     (["estimate-two-point"], {"estimation": {"targets": []}}),
+    (["extract-kernels"], {"extraction": {"level": -1}}),
+    (["extract-kernels"], {"extraction": {"level": "x"}}),
+    (["extract-kernels"], {"extraction": {"level": 0.5}}),
+    (["extract-kernels"], {"extraction": {"p_c_ref": 0}}),
+    (["extract-kernels"], {"extraction": {"p_c_ref": 1.5}}),
+    (["reconstruct-arm"], {"extraction": {"p_c_ref": "x"}}),
 ], ids=["radii-decreasing", "pc-criterion-unknown", "pc-bracket-reversed",
         "pc-tol-zero", "pc-radii-decreasing", "targets-repeated",
-        "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d", "targets-empty"])
+        "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d", "targets-empty",
+        "level-negative", "level-string", "level-float", "pc-ref-zero", "pc-ref-above-1",
+        "pc-ref-string"])
 def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg):
     # each used to exit 2 ("invariant violation"), except pc_tol 0 (it ran,
     # and a negative pc_tol never ends), pc_radii [32, 16] (it ran on radius
     # 16), the wrong-dimension targets: (1, 0, 0) ran as (1, 0) and (1,)
-    # escaped as an IndexError, and no targets (exit 0, a header-only CSV)
+    # escaped as an IndexError, and no targets (exit 0, a header-only CSV);
+    # a level "x" or 0.5 and a p_c_ref "x" escaped as a TypeError (exit 1),
+    # and a p_c_ref of 0 or 1.5 ran with the likelihood-ratio gate vacuous
     code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err

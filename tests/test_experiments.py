@@ -6,6 +6,7 @@ edges, which turns the conditional estimate into an exactly checkable
 quantity; the derivations are inlined where they fit on a few lines.
 """
 
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -511,14 +512,31 @@ def test_extract_kernels_padded_families_frozen(kind, hits):
     assert _gamma_hits(ext) == hits
 
 
-def _lazy_arm(cfg, cond, inner, vertices):
-    """The onward-arm query as the lazy explorer answers it: from the sites of
-    ``vertices`` beyond ``B(inner)`` to the targets, inside
-    ``B(cond.outer) \\ B(inner)`` off the obstacles."""
-    return connect_sets(
-        cfg, [x for x in vertices if norm_inf(x) > inner], cond.targets,
-        lambda x: inner < norm_inf(x) <= cond.outer and x not in cond.obstacles,
-    )
+def _lazy_query(cfg, cond, sep_in, sep_out, region, c_sites, d_sites):
+    """An extraction query as the lazy explorer answered it, with C's and
+    D's sites: ``arm`` from D to the targets in ``B(cond.outer) \\ B(sep_out)``
+    off the obstacles; ``link`` from C to D in ``B(sep_out)`` (level 0,
+    ``sep_in`` None) or in ``B(cond.outer) \\ B(sep_in)``; ``leak`` from C
+    to the shell of radius ``sep_out`` in ``B(sep_out)`` off D; ``free`` (the
+    relaxed connection) from C to D in ``B(cond.outer)`` off the obstacles."""
+    outer, obstacles = cond.outer, cond.obstacles
+    if region == "arm":
+        return connect_sets(cfg, d_sites, cond.targets,
+                            lambda x: sep_out < norm_inf(x) <= outer and x not in obstacles)
+    if region == "link":
+        lo, hi = (-1, sep_out) if sep_in is None else (sep_in, outer)
+        return connect_sets(cfg, c_sites, d_sites, lambda x: lo < norm_inf(x) <= hi)
+    if region == "leak":
+        dv = frozenset(d_sites)
+        return connect_sets(cfg, c_sites, lambda x: norm_inf(x) == sep_out,
+                            lambda x: norm_inf(x) <= sep_out and x not in dv)
+    assert region == "free"
+    return connect_sets(cfg, c_sites, d_sites,
+                        lambda x: norm_inf(x) <= outer and x not in obstacles)
+
+
+def _sites(win, rows):
+    return [tuple(int(c) for c in x) for x in win.sites[rows]]
 
 
 _ARM_FAMILIES = [ConditioningFamily(kind, (6, 9, 16)) for kind in _KINDS] + [
@@ -529,10 +547,10 @@ _ARM_FAMILIES = [ConditioningFamily(kind, (6, 9, 16)) for kind in _KINDS] + [
 ]
 
 
-def _arm_probes(spec, cond, inner):
-    """Source sets for the arm query: two opposite corners of the region's
-    inner shell, that whole shell, a target, and a set that is no source at
-    all (the origin, a site beyond the window, an obstacle)."""
+def _probes(spec, cond, inner):
+    """Vertex sets to ask the queries about: two opposite corners of the
+    shell of radius ``inner + 1``, that whole shell, a target, and a mixed
+    set (the origin, a site beyond the window, an obstacle)."""
     origin = (0,) * spec.d
     shell = frozenset(region_sites(annulus(origin, inner, inner + 1)))
     beyond = (-(cond.outer + 1),) + origin[1:]
@@ -543,94 +561,113 @@ def _arm_probes(spec, cond, inner):
 
 def test_onward_arms_match_lazy_queries():
     # consecutive windows change the lattice (three lattices, two seeds), and
-    # a lattice's next window changes n or the inner radius within the
+    # a lattice's next window changes n or the separation radii within the
     # cache's reach, so a window cached under the wrong key shows; each
     # window serves four samples (p = 0 and p = 1 read no sample id), so
-    # three of them hit it
+    # three of them hit it.  The arm is asked from every probe; at level 0
+    # (small separation boxes, so the lazy side stays quick) the other
+    # queries are asked from a corner and from the mixed probe to both
+    # corners and the mixed probe
     lattices = [
         (SPEC2, 2024, 0.5),
         (LatticeSpec(d=3), 77, 0.2488),
         (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 2024, 0.07),
     ]
     ladder = scale_sequence(toy_params(1, 2, 1), 2)
-    experiments._arm_window.cache_clear()
-    answers, windows = set(), 0
+    experiments._query_window.cache_clear()
+    answers, windows = {}, 0
     for fam in _ARM_FAMILIES:
         for level, n in ((0, 6), (0, 9), (1, 16)):
-            inner = 2 ** ladder[level + 1].ell
+            sep_in = 2 ** ladder[level].ell if level else None
+            sep_out = 2 ** ladder[level + 1].ell
             for spec, seed, p_c in lattices:
                 cond = fam.at(spec, n)
-                probes = _arm_probes(spec, cond, inner)
+                probes = _probes(spec, cond, sep_out)
                 windows += 1
                 for p, sid in ((0.0, 0), (p_c, 0), (p_c, 1), (1.0, 0)):
                     cfg = PercolationConfig(spec=spec, p=p, seed=seed, sample_id=sid)
-                    got = experiments._onward_arms(cfg, cond, inner, probes)
-                    want = [_lazy_arm(cfg, cond, inner, vs) for vs in probes]
-                    assert got == want, (spec, seed, fam.kind, level, p, sid)
-                    answers.update(got)
-    assert answers == {True, False}
-    assert experiments._onward_arms(cfg, cond, inner, []) == []
-    info = experiments._arm_window.cache_info()
+                    qw = experiments._query_window(spec, seed, cond, sep_in, sep_out)
+                    q = experiments._SampleQueries(qw, cfg)
+                    rows = [experiments._box_rows(q.win, vs) for vs in probes]
+                    for vs, r in zip(probes, rows):
+                        assert sorted(_sites(q.win, r)) == sorted(
+                            x for x in vs if norm_inf(x) <= q.win.outer)
+                    asked = [("arm", (), vs, q.joined("arm", r, q.targets))
+                             for vs, r in zip(probes, rows)]
+                    c_probes = [(probes[i], rows[i]) for i in (0, 4)]
+                    d_probes = [(probes[i], rows[i]) for i in (0, 1, 4)]
+                    pairs = itertools.product(c_probes, d_probes) if level == 0 else ()
+                    for (cs, cr), (ds, dr) in pairs:
+                        asked += [("link", cs, ds, q.joined("link", cr, dr)),
+                                  ("leak", cs, ds, q.joined("leak", cr, q.shell, dr)),
+                                  ("free", cs, ds, q.joined("free", cr, dr))]
+                    for region, cs, ds, got in asked:
+                        want = _lazy_query(cfg, cond, sep_in, sep_out, region, cs, ds)
+                        assert got == want, (spec, seed, fam.kind, level, p, sid, region)
+                        answers.setdefault(region, set()).add(got)
+    assert answers == dict.fromkeys(("arm", "link", "leak", "free"), {True, False})
+    info = experiments._query_window.cache_info()
     assert (info.misses, info.hits) == (windows, 3 * windows)
 
 
+class _SpiedQueries(experiments._SampleQueries):
+    """Holds every query of a real extraction against :func:`_lazy_query`
+    on C's and D's sites inside the window's box (every region lies inside
+    it, so a site beyond it takes part in no lazy query either)."""
+
+    asked = []
+    sep = None
+
+    def __init__(self, query_window, cfg):
+        super().__init__(query_window, cfg)
+        self.cfg = cfg
+
+    def joined(self, region, sources, targets, blocked=None):
+        got = super().joined(region, sources, targets, blocked)
+        c_sites = _sites(self.win, sources)
+        d_sites = _sites(self.win, {"arm": sources, "leak": blocked}.get(region, targets))
+        cond, sep_in, sep_out = self.sep
+        assert got == _lazy_query(self.cfg, cond, sep_in, sep_out, region, c_sites, d_sites), \
+            (self.cfg, region)
+        self.asked.append((region, got))
+        return got
+
+
 def test_extract_kernels_arm_matches_lazy_query(monkeypatch):
-    # every (sample, good D-record) of real extractions, at both levels
-    real = experiments._onward_arms
+    # every (sample, C-record, D-record) query of real extractions, at both
+    # levels, on three lattices and all five family kinds
     toy = toy_params(1, 2, 1)
     ladder = scale_sequence(toy, 2)
     good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
     reg = RegularityParams(K=3, s_list=(3, 4), n_inner=100, log_base=2.0)
-    answers = []
-    # (spec, p, family, level, n, sample ids); samples 2 and 3 hold level-2
-    # good sets at seed 2024
-    cases = [(SPEC2, 0.5, fam, 0, 16, range(40)) for fam in _ARM_FAMILIES] + [
-        (SPEC2, 0.5, _ARM_FAMILIES[2], 1, 16, range(2, 4)),
+    spread = LatticeSpec(d=2, edge_mode="spread_out", lam=2)
+    # (spec, p, family, level, n, sample ids).  At seed 2024, 24 of the 83
+    # d = 2 level-0 links asked in the first 400 samples hold, leak-free in
+    # samples 232, 281 and 372; sample 31 holds level-2 good sets and a
+    # leak-free level-1 link.  Wider goodness windows certify the same sets
+    cases = [(SPEC2, 0.5, fam, 0, 16, range(400)) for fam in _ARM_FAMILIES] + [
+        (SPEC2, 0.5, fam, 1, 16, range(31, 32)) for fam in _ARM_FAMILIES] + [
         (LatticeSpec(d=3), 0.2488, _ARM_FAMILIES[1], 0, 6, range(10)),
-        (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 0.07, _ARM_FAMILIES[2], 0, 6,
-         range(20)),
+        (spread, 0.07, _ARM_FAMILIES[2], 0, 6, range(20)),
     ]
+    monkeypatch.setattr(experiments, "_SampleQueries", _SpiedQueries)
+    monkeypatch.setattr(_SpiedQueries, "asked", [])
     for spec, p, fam, level, n, sids in cases:
-        cond, inner = fam.at(spec, n), 2 ** ladder[level + 1].ell
-
-        def spy(cfg, *args):
-            got = real(cfg, *args)
-            answers.extend(got)
-            assert got == [_lazy_arm(cfg, cond, inner, vs) for vs in args[-1]]
-            return got
-
-        monkeypatch.setattr(experiments, "_onward_arms", spy)
+        sep_in = 2 ** ladder[level].ell if level else None
+        monkeypatch.setattr(_SpiedQueries, "sep",
+                            (fam.at(spec, n), sep_in, 2 ** ladder[level + 1].ell))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            extract_kernels(PercolationConfig(spec=spec, p=p, seed=2024), toy, level, len(sids),
-                            fam, n, good=good, reg=reg, sample_start=sids.start)
-    assert set(answers) == {True, False}
-
-
-def test_extract_kernels_censored_f_query_raises(monkeypatch):
-    # the relaxed connection is the one query whose region reaches the window
-    # edge; a censored answer decides nothing, so it is no containment failure
-    cond = ConditioningFamily("box_boundary", (16,)).at(SPEC2, 16)
-    real = experiments.connect_sets
-    asked = []
-
-    def censor_f(cfg, sources, targets, region):
-        if region((cond.outer,) + (0,) * (SPEC2.d - 1)):
-            asked.append(cfg.sample_id)
-            return None
-        return real(cfg, sources, targets, region)
-
-    monkeypatch.setattr(experiments, "connect_sets", censor_f)
-    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
-    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(RuntimeError, match="kernel query hit the exploration cap"):
-            extract_kernels(PercolationConfig(spec=SPEC2, p=0.5, seed=2024),
-                            toy_params(1, 2, 1), level=0, n_samples=400,
-                            family=ConditioningFamily("box_boundary", (16,)), n=16,
-                            good=good, reg=reg)
-    assert len(asked) == 1
+            ext = extract_kernels(PercolationConfig(spec=spec, p=p, seed=2024), toy, level,
+                                  len(sids), fam, n, good=good, reg=reg,
+                                  sample_start=sids.start)
+        assert (ext.g_violations, ext.f_containment_failures) == (0, 0)
+    answers = {}
+    for region, got in _SpiedQueries.asked:
+        answers.setdefault(region, set()).add(got)
+    # a false relaxed connection would be a containment failure
+    assert answers == {"arm": {True, False}, "link": {True, False},
+                       "leak": {True, False}, "free": {True}}
 
 
 def test_extract_kernels_faithful_gate_refuses():

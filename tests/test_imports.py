@@ -38,6 +38,8 @@ TEST_ONLY = {
         "reference oracle: the lazy spanning-cluster scan (perfbench spans it by name)",
     "edges_within": "reference oracle for the edge set of a region",
     "edge_state": "reference oracle: the validated scalar edge bit (perfbench spans it by name)",
+    "connect_sets":
+        "reference oracle for extraction's window queries (perfbench spans it by name)",
 }
 
 #: Methods that nothing outside the tests names, kept on purpose.
@@ -50,7 +52,6 @@ UNCALLED_METHODS = {
 #: Defaulted parameters, as ``module.function.parameter`` (or
 #: ``module.Class.method.parameter``), that only tests pass, kept on purpose.
 TEST_ONLY_PARAMETERS = {
-    "engine.connect_sets.edge_log": "measurability tests: the edges a connection query hashes",
     "engine.explore_cluster.cap": "truncation tests: a record censored by the vertex cap",
     "clusters.estimate_regularity.resample_region":
         "frozen d = 3 tallies 67/100 and 86/100, and the exact conditional",

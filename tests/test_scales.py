@@ -129,10 +129,11 @@ def test_validate_scale_params_rejections():
 
 
 def test_conditioning_horizon_frozen():
-    assert conditioning_horizon(TOY, [(17, 0)]) == 0
-    assert conditioning_horizon(TOY, [(300, 0)]) == 1
-    # obstacles count against the horizon exactly like targets
-    assert conditioning_horizon(TOY, [(300, 0)], obstacle_sites=[(10, 0)]) == 0
+    # the least norm of the targets and obstacles: (17, 0), (300, 0), and
+    # (300, 0) with an obstacle at (10, 0), which counts like a target
+    assert conditioning_horizon(TOY, 17) == 0
+    assert conditioning_horizon(TOY, 300) == 1
+    assert conditioning_horizon(TOY, 10) == 0
 
 
 def test_likelihood_ratio_horizon_sides():
