@@ -19,7 +19,7 @@ one ``bincount`` and ``cumsum`` of the open edges' first rows (the sample's
 connected-components call; no COO conversion or canonicalisation runs per
 sample.
 A statistic that needs every component (a crossing, a spanning cluster,
-arms from many vertex sets) reads :func:`component_labels`.
+kernel extraction's connection queries) reads :func:`component_labels`.
 
 A question about the origin alone (does its open cluster reach a target
 set, how far does it reach?) is answered by :func:`origin_cluster`: one
