@@ -21,7 +21,6 @@ from .engine import (
     ClusterRecord,
     PercolationConfig,
     RegionLike,
-    cluster_components,
     edge_key,
     explore,
     keyed_edge_state,
@@ -260,6 +259,9 @@ class GoodSpanningParams:
             raise ValueError("need 0 < lo < hi")
         if not 0 < self.regular_fraction <= 1:
             raise ValueError("regular fraction must lie in (0, 1]")
+        if not isinstance(self.check_minimality, bool):
+            raise ValueError(f"check_minimality must be true or false, "
+                             f"got {self.check_minimality!r}")
 
 
 @dataclass
@@ -340,6 +342,14 @@ def good_spanning_check(
     least the required fraction of each boundary is regular; (4) minimality —
     no connected component of the candidate restricted to a smaller
     sub-annulus passes (1)-(3) there.
+
+    The candidate must be a whole open cluster of ``Ann^q`` under ``cfg``.
+    Item (4) then reads the spanning clusters of each ``Ann^r``, ``r < q``,
+    off the cached window scan: ``Ann^r`` lies inside ``Ann^q``, so an open
+    cluster of ``Ann^r`` that meets the candidate lies inside it and is a
+    component of the candidate restricted to ``Ann^r``.  A component that
+    does not span fails (1) before any regularity estimate, so keeping only
+    the spanning ones changes no verdict and no estimate.
     """
     region = sub_annulus(cfg.spec, idx, q, scale_params)
     if not candidate.spans:
@@ -350,18 +360,11 @@ def good_spanning_check(
     if params.check_minimality and not reasons:
         for r in range(1, q):
             sub = sub_annulus(cfg.spec, idx, r, scale_params)
-            for comp in cluster_components(cfg, candidate, sub):
-                comp_reasons, _, _, _ = _items_one_to_three(
-                    cfg, comp, sub, params, reg
-                )
-                if not comp_reasons:
-                    reasons.append(
-                        f"not minimal: a component already qualifies in sub-annulus {r}"
-                    )
-                    break
-            else:
-                continue
-            break
+            if any(comp.vertices <= candidate.vertices
+                   and not _items_one_to_three(cfg, comp, sub, params, reg)[0]
+                   for comp in _window_spanning_clusters(cfg, sub)):
+                reasons.append(f"not minimal: a component already qualifies in sub-annulus {r}")
+                break
     return SpanningSetRecord(
         cluster=candidate,
         level=idx.i,

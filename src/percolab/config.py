@@ -190,11 +190,13 @@ class Config:
             raise ConfigError(f"extraction.p_c_ref must be a number in (0, 1), got {p_c_ref!r}")
         q_list = ex["q_list"]
         if scales and q_list is not None:
+            # a repeated q scans, and counts, every record of that sub-annulus twice
             q_max = self.scale_params().q_max
-            if not (isinstance(q_list, (list, tuple)) and all(
-                    _is_int(q) and 0 <= q <= q_max for q in q_list)):
-                raise ConfigError(f"extraction.q_list must be null or a list of integers "
-                                  f"in [0, {q_max}], got {q_list!r}")
+            if not (isinstance(q_list, (list, tuple))
+                    and all(_is_int(q) and 0 <= q <= q_max for q in q_list)
+                    and len(set(q_list)) == len(q_list)):
+                raise ConfigError(f"extraction.q_list must be null or a list of distinct "
+                                  f"integers in [0, {q_max}], got {q_list!r}")
         sc = self.data["supercritical"]
         _check_radii("supercritical.r_pair", sc["r_pair"], 0, pair=True)
         p_list = sc["p_list"]

@@ -27,15 +27,17 @@ optional target for early exit, a hard vertex cap with a *tri-state* result
 (``True`` / ``False`` are certain, ``None`` means the cap censored the
 answer) and an optional ``edge_log`` of every (edge, bit) queried.  A region
 is a :class:`~percolab.lattice.Region` (an annulus or a box), a ``frozenset``
-of sites, or a membership predicate (:data:`RegionLike`).  ``explore_cluster``,
-``cluster_components``, ``connect_sets`` and ``spanning_clusters`` are built
-on it here, and the regularity resampling in :mod:`percolab.clusters` runs
-it with an edge-state callable that mixes two samples.  ``connect_sets`` is
-the tests' reference for the window queries of kernel extraction, as
-``spanning_clusters`` is for the window scan.  Only edges with both
-endpoints inside the allowed region are ever queried; the tests read the
-``edge_log`` to prove such measurability claims (e.g. spanning-cluster
-detection never touches an edge outside the annulus).  Annulus geometry is
+of sites, or a membership predicate (:data:`RegionLike`).  The one
+production caller of :func:`explore` is the regularity resampling in
+:mod:`percolab.clusters`, which runs it with an edge-state callable that
+mixes two samples.  ``explore_cluster``, ``connect_sets`` and
+``spanning_clusters`` are built on it here as the tests' lazy references:
+``connect_sets`` for the window queries of kernel extraction,
+``explore_cluster`` and ``spanning_clusters`` for the window scan and the
+minimality check that reads it.  Only edges with both endpoints inside the
+allowed region are ever queried; the tests read the ``edge_log`` to prove
+such measurability claims (e.g. spanning-cluster detection never touches an
+edge outside the annulus).  Annulus geometry is
 not decided here: cluster records take their boundary sites from
 :func:`percolab.lattice.boundary_membership`, and spanning-cluster detection
 starts from :func:`percolab.lattice.region_boundaries`.
@@ -305,7 +307,7 @@ class ClusterRecord:
     tuples; both are empty when ``region`` is a site set or a predicate.
     ``truncated`` means the vertex cap censored the closure, so the
     vertex set is a subset of the true restricted cluster.  Records are
-    built by :func:`_cluster_record`, and by the window scan of
+    built by :func:`explore_cluster`, and by the window scan of
     :mod:`percolab.clusters`, whose records the tests hold field for field
     against :func:`spanning_clusters`.
     """
@@ -326,36 +328,6 @@ class ClusterRecord:
         return bool(self.boundary_in) and bool(self.boundary_out)
 
 
-def _cluster_record(
-    spec: LatticeSpec,
-    root: Site,
-    region: RegionLike,
-    member: Callable[[Site], bool],
-    state: Callable[[Edge], int],
-    cap: int = 1_000_000,
-    edge_log: Optional[list] = None,
-) -> ClusterRecord:
-    """Explore the cluster of ``root`` under ``state`` and record it."""
-    visited, outcome = explore(spec, [root], member, state, cap=cap, edge_log=edge_log)
-    b_in: List[Site] = []
-    b_out: List[Site] = []
-    if isinstance(region, Region):  # site sets and predicates have no boundary
-        for v in visited:
-            bi, bo = boundary_membership(spec, region, v)
-            if bi:
-                b_in.append(v)
-            if bo:
-                b_out.append(v)
-    return ClusterRecord(
-        root=root,
-        region=region,
-        vertices=frozenset(visited),
-        boundary_in=tuple(sorted(b_in)),
-        boundary_out=tuple(sorted(b_out)),
-        truncated=outcome is None,
-    )
-
-
 def explore_cluster(
     cfg: PercolationConfig,
     x: Site,
@@ -372,29 +344,25 @@ def explore_cluster(
     member = membership(region)
     if not member(x):
         raise ValueError(f"root {x} not in region")
-    return _cluster_record(cfg.spec, x, region, member,
-                           lambda e: raw_edge_state(cfg, e), cap, edge_log)
-
-
-def cluster_components(
-    cfg: PercolationConfig, cluster: ClusterRecord, region: Region
-) -> List[ClusterRecord]:
-    """Connected components of (cluster's vertex set) ∩ ``region`` under the
-    open edges of ``cfg``, as records relative to ``region``, in order of
-    their minimal vertex (which is each record's root).  For a cluster
-    explored under ``cfg`` these are its own open edges: an untruncated
-    vertex set is closed under them."""
-    sites = {v for v in cluster.vertices if contains(region, v)}
-    out: List[ClusterRecord] = []
-    seen: Set[Site] = set()
-    for root in sorted(sites):
-        if root in seen:
-            continue
-        rec = _cluster_record(cfg.spec, root, region, sites.__contains__,
-                              lambda e: raw_edge_state(cfg, e))
-        seen |= rec.vertices
-        out.append(rec)
-    return out
+    visited, outcome = explore(cfg.spec, [x], member, lambda e: raw_edge_state(cfg, e),
+                               cap=cap, edge_log=edge_log)
+    b_in: List[Site] = []
+    b_out: List[Site] = []
+    if isinstance(region, Region):  # site sets and predicates have no boundary
+        for v in visited:
+            bi, bo = boundary_membership(cfg.spec, region, v)
+            if bi:
+                b_in.append(v)
+            if bo:
+                b_out.append(v)
+    return ClusterRecord(
+        root=x,
+        region=region,
+        vertices=frozenset(visited),
+        boundary_in=tuple(sorted(b_in)),
+        boundary_out=tuple(sorted(b_out)),
+        truncated=outcome is None,
+    )
 
 
 def connect_sets(

@@ -351,12 +351,10 @@ class KernelExtraction:
 
 
 def _box_rows(win: Window, sites: Iterable[Site]) -> np.ndarray:
-    """Rows of the ``sites`` inside the window's box, in one vectorised step;
-    a site outside it lies in no query's region, so it is dropped."""
-    d, side = win.spec.d, 2 * win.outer + 1
-    c = np.array(list(sites), dtype=np.int64).reshape(-1, d) + win.outer
-    c = c[((c >= 0) & (c < side)).all(axis=1)]
-    return c @ side ** np.arange(d - 1, -1, -1)
+    """Rows of the ``sites`` inside the window's box; a site outside it lies
+    in no query's region, so it is dropped."""
+    c = np.array(list(sites), dtype=np.int64).reshape(-1, win.spec.d)
+    return win.rows_of(c[(np.abs(c) <= win.outer).all(axis=1)])
 
 
 @lru_cache(maxsize=4)
@@ -598,9 +596,9 @@ def _conditioned_window(
     labelling checks them all.
     """
     win = build_window(cfg.spec, cfg.seed, max(c.outer for c in conds))
-    target_rows = [win.rows_of(sorted(c.targets)) for c in conds]
+    target_rows = [win.rows_of(c.targets) for c in conds]
     obstacles = frozenset().union(*(c.obstacles for c in conds))
-    blocked = win.rows_of(sorted(obstacles)) if obstacles else None
+    blocked = win.rows_of(obstacles) if obstacles else None
     labels = component_labels(win, np.ones(win.n_edges, dtype=bool), blocked_rows=blocked)
     origin_row = np.asarray([win.row_of((0,) * cfg.spec.d)])
     for cond, rows in zip(conds, target_rows):

@@ -73,21 +73,24 @@ class Window:
         return len(self.keys)
 
     def row_of(self, x: Site) -> int:
-        """Row index of a site by stride arithmetic (must lie in the box)."""
-        d = self.spec.d
-        if len(x) != d:
-            raise ValueError(f"site {x} has {len(x)} coordinates, not {d}")
-        side = 2 * self.outer + 1
-        row = 0
-        for j in range(d):
-            c = x[j] + self.outer
-            if not 0 <= c < side:
-                raise ValueError(f"site {x} outside window box")
-            row = row * side + c
-        return int(row)
+        """Row index of one site (see :meth:`rows_of`)."""
+        return int(self.rows_of([x])[0])
 
     def rows_of(self, xs: Iterable[Site]) -> np.ndarray:
-        return np.array([self.row_of(x) for x in xs], dtype=np.int64)
+        """Row indices of sites by stride arithmetic, in one vectorised step.
+
+        Refuses (``ValueError``) a site that does not have ``d`` coordinates
+        or lies outside the window's box."""
+        d, side = self.spec.d, 2 * self.outer + 1
+        c = np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=np.int64)
+        if c.shape == (0,):
+            c = c.reshape(0, d)
+        if c.ndim != 2 or c.shape[1] != d:
+            raise ValueError(f"sites must have {d} coordinates, got an array of shape {c.shape}")
+        if np.abs(c).max(initial=0) > self.outer:
+            bad = c[(np.abs(c) > self.outer).any(axis=1)][0]
+            raise ValueError(f"site {tuple(bad.tolist())} outside window box")
+        return (c + self.outer) @ side ** np.arange(d - 1, -1, -1)
 
     def norms(self) -> np.ndarray:
         """l-infinity norm of every box site."""

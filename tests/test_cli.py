@@ -92,6 +92,23 @@ def test_scan_good_clusters(tmp_path):
     assert blob["n_candidates"] == len(lines) - 1
 
 
+def test_scan_good_clusters_reaches_the_minimality_check(tmp_path):
+    # q_max = 2 certifies Ann^2 candidates against the Ann^1 scan
+    code, out = _run(tmp_path, ["scan-good-clusters", "--n-samples", "5"],
+                     cfg={"scales": {"k1": 3, "q_max": 2}})
+    assert code == 0
+    not_minimal = "not minimal: a component already qualifies in sub-annulus 1"
+    assert (out / "good_clusters.csv").read_text().splitlines() == [
+        "sample,level,q,label,n_vertices,good,failure_reasons",
+        "0,1,1,b4821dfef316,22035,1,",
+        f"0,1,2,490feff34d64,56370,0,{not_minimal}",
+        "2,1,1,7e4e0bd8896a,30008,1,",
+        f"2,1,2,c28b0d90d9fe,100609,0,{not_minimal}",
+        "3,1,1,a0214878fc13,17259,1,",
+        f"3,1,2,6de64b96c535,48467,0,{not_minimal}",
+    ]
+
+
 def test_extract_kernels_outputs(tmp_path):
     code, out = _run(tmp_path, ["extract-kernels", "--n-samples", "150"])
     assert code == 0
@@ -298,18 +315,26 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
     (["extract-kernels"], {"extraction": {"p_c_ref": 0}}),
     (["extract-kernels"], {"extraction": {"p_c_ref": 1.5}}),
     (["reconstruct-arm"], {"extraction": {"p_c_ref": "x"}}),
+    (["extract-kernels"], {"extraction": {"q_list": [1, 1]}}),
+    (["scan-good-clusters"], {"extraction": {"q_list": [1, 1]}}),
+    (["scan-good-clusters"], {"goodness": {"check_minimality": "no"}}),
+    (["scan-good-clusters"], {"goodness": {"check_minimality": 0}}),
+    (["scan-good-clusters"], {"goodness": {"check_minimality": None}}),
 ], ids=["radii-decreasing", "pc-criterion-unknown", "pc-bracket-reversed",
         "pc-tol-zero", "pc-radii-decreasing", "targets-repeated",
         "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d", "targets-empty",
         "level-negative", "level-string", "level-float", "pc-ref-zero", "pc-ref-above-1",
-        "pc-ref-string"])
+        "pc-ref-string", "q-list-repeated-extract", "q-list-repeated-scan",
+        "minimality-string", "minimality-zero", "minimality-null"])
 def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg):
     # each used to exit 2 ("invariant violation"), except pc_tol 0 (it ran,
     # and a negative pc_tol never ends), pc_radii [32, 16] (it ran on radius
     # 16), the wrong-dimension targets: (1, 0, 0) ran as (1, 0) and (1,)
     # escaped as an IndexError, and no targets (exit 0, a header-only CSV);
     # a level "x" or 0.5 and a p_c_ref "x" escaped as a TypeError (exit 1),
-    # and a p_c_ref of 0 or 1.5 ran with the likelihood-ratio gate vacuous
+    # and a p_c_ref of 0 or 1.5 ran with the likelihood-ratio gate vacuous;
+    # a repeated q wrote every record twice and doubled every gamma count,
+    # and a check_minimality of "no" ran the check while 0 or null skipped it
     code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err

@@ -19,6 +19,7 @@ import percolab.engine
 from percolab.clusters import (
     GoodSpanningParams,
     RegularityParams,
+    _window_spanning_clusters,
     badness_threshold,
     estimate_regularity,
     good_spanning_check,
@@ -27,8 +28,8 @@ from percolab.clusters import (
 )
 from percolab.engine import (
     PercolationConfig,
-    cluster_components,
     edge_state,
+    explore,
     explore_cluster,
     spanning_clusters,
 )
@@ -37,8 +38,10 @@ from percolab.lattice import (
     LatticeSpec,
     Region,
     annulus,
+    boundary_membership,
     box,
     canonical_edge,
+    contains,
     edges_within,
     neighbours,
     norm_inf,
@@ -364,6 +367,95 @@ def _record_value(rec):
     return (rec.region, rec.vertices, rec.boundary_in, rec.boundary_out, rec.truncated)
 
 
+def _minimality_components(cfg, candidate, sub):
+    """The components the minimality check reads: the window scan's spanning
+    clusters of ``sub`` inside the candidate."""
+    return [c for c in _window_spanning_clusters(cfg, sub) if c.vertices <= candidate.vertices]
+
+
+def _lazy_components(cfg, cluster, region):
+    """The lazy reference the minimality check used to explore: the
+    components of the cluster's vertex set inside ``region`` under the open
+    edges of ``cfg``, as ``(vertices, boundary_in, boundary_out)`` relative
+    to ``region``, in order of their minimal vertex."""
+    sites = {v for v in cluster.vertices if contains(region, v)}
+    out, seen = [], set()
+    for root in sorted(sites):
+        if root in seen:
+            continue
+        vertices, _ = explore(cfg.spec, [root], sites.__contains__, lambda e: edge_state(cfg, e))
+        seen |= vertices
+        sides = {v: boundary_membership(cfg.spec, region, v) for v in vertices}
+        out.append((frozenset(vertices), tuple(sorted(v for v in vertices if sides[v][0])),
+                    tuple(sorted(v for v in vertices if sides[v][1]))))
+    return out
+
+
+@pytest.mark.parametrize("spec,p", [
+    (SPEC2, 0.5),
+    (LatticeSpec(d=3), 0.25),
+    (LatticeSpec(d=2, edge_mode="spread_out", lam=1), 0.30),
+    (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 0.12),
+], ids=["d2", "d3", "spread-lam1", "spread-lam2"])
+def test_minimality_components_match_lazy_components(spec, p):
+    # the window scan of Ann^1 gives exactly the spanning components of each
+    # spanning cluster of Ann^2 restricted to Ann^1
+    idx = scale_sequence(NESTED, 1)[1]
+    outer, inner = (sub_annulus(spec, idx, q, NESTED) for q in (2, 1))
+    compared = 0
+    for sid in range(10):
+        cfg = PercolationConfig(spec=spec, p=p, seed=11, sample_id=sid)
+        for cand in spanning_clusters(cfg, outer)[0]:
+            lazy = [c for c in _lazy_components(cfg, cand, inner) if c[1] and c[2]]
+            comps = _minimality_components(cfg, cand, inner)
+            assert [(c.vertices, c.boundary_in, c.boundary_out) for c in comps] == lazy
+            assert all(c.region == inner and not c.truncated for c in comps)
+            compared += len(lazy)
+    assert compared > 0
+
+
+def test_scan_good_spanning_frozen_on_nested():
+    # every record of NESTED samples 0-9, two of them not minimal
+    idx = scale_sequence(NESTED, 1)[1]
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=100, log_base=2.0)
+    got = []
+    for sid in range(10):
+        cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
+        got += [(sid, r.q, r.good, r.failure_reasons, len(r.regular_in), len(r.regular_out))
+                for r in scan_good_spanning(cfg, idx, NESTED, good, reg)]
+    inner_large = "inner boundary too large ({} outside [1, 1])".format
+    not_minimal = "not minimal: a component already qualifies in sub-annulus 1"
+    assert got == [
+        (0, 1, True, [], 3, 3), (0, 1, True, [], 7, 23),
+        (0, 2, False, [inner_large(10)], 0, 0),
+        (1, 1, True, [], 2, 4), (1, 1, True, [], 4, 4), (1, 1, True, [], 5, 10),
+        (1, 1, True, [], 3, 5), (1, 2, False, [inner_large(9)], 0, 0),
+        (2, 1, True, [], 4, 11), (2, 2, False, [inner_large(4)], 0, 0),
+        (3, 1, True, [], 3, 13), (3, 1, True, [], 4, 6), (3, 1, True, [], 6, 11),
+        (3, 2, False, [inner_large(3)], 0, 0),
+        (4, 1, True, [], 7, 10), (4, 1, True, [], 3, 3),
+        (4, 2, False, [inner_large(6)], 0, 0),
+        (5, 1, True, [], 4, 14), (5, 1, True, [], 7, 10), (5, 1, True, [], 3, 2),
+        (5, 1, False, ["outer boundary too small (1 outside [1.23, 4.1e+03])"], 0, 0),
+        (5, 2, False, [inner_large(5)], 0, 0), (5, 2, False, [inner_large(3)], 0, 0),
+        (6, 1, True, [], 4, 22), (6, 1, True, [], 7, 11), (6, 1, True, [], 5, 3),
+        (6, 2, False, [inner_large(8)], 0, 0), (6, 2, False, [inner_large(3)], 0, 0),
+        (7, 1, True, [], 2, 3), (7, 1, True, [], 2, 2),
+        (7, 2, False, [not_minimal], 1, 9),
+        (8, 1, True, [], 6, 2), (8, 1, True, [], 5, 9), (8, 1, True, [], 3, 2),
+        (8, 2, False, [not_minimal], 1, 11), (8, 2, False, [inner_large(7)], 0, 0),
+        (9, 1, True, [], 10, 11), (9, 1, True, [], 3, 7),
+        (9, 2, False, [inner_large(5)], 0, 0),
+    ]
+
+
+def test_good_spanning_params_refuse_a_non_boolean_minimality_switch():
+    for value in ("no", 0, None):
+        with pytest.raises(ValueError, match="check_minimality must be true or false"):
+            GoodSpanningParams(check_minimality=value)
+
+
 def test_records_given_to_regularity_equal_fresh_explorations():
     idx = scale_sequence(NESTED, 1)[1]
     outer, inner = (sub_annulus(SPEC2, idx, q, NESTED) for q in (2, 1))
@@ -374,7 +466,7 @@ def test_records_given_to_regularity_equal_fresh_explorations():
         for rec in spanning_clusters(cfg, outer)[0]:
             for v in rec.boundary_in + rec.boundary_out:
                 assert _record_value(explore_cluster(cfg, v, outer)) == _record_value(rec)
-            for comp in cluster_components(cfg, rec, inner):
+            for comp in _minimality_components(cfg, rec, inner):
                 for v in comp.vertices:
                     assert _record_value(explore_cluster(cfg, v, inner)) == _record_value(comp)
                     checked += 1
@@ -395,9 +487,8 @@ def test_good_spanning_check_explores_nothing(monkeypatch):
     rec3 = explore_cluster(cfg3, x3, box(x3, 1))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("explore_cluster called during certification")
+        raise AssertionError("lazy exploration during certification")
 
-    monkeypatch.setattr(percolab.engine, "explore_cluster", forbidden)
     regions = []
     real = percolab.clusters.estimate_regularity
 
@@ -405,10 +496,16 @@ def test_good_spanning_check_explores_nothing(monkeypatch):
         regions.append(cluster.region)
         return real(cfg, x, cluster, *args, **kwargs)
 
-    monkeypatch.setattr(percolab.clusters, "estimate_regularity", counted)
     reasons = set()
-    for cfg, rec in cases:
-        reasons.update(good_spanning_check(cfg, rec, idx, 2, NESTED, good, reg).failure_reasons)
+    with monkeypatch.context() as m:
+        # d = 2 volumes settle every regularity estimate, so the lattice
+        # explorer has no caller left: the minimality check reads windows
+        m.setattr(percolab.engine, "explore", forbidden)
+        m.setattr(percolab.clusters, "explore", forbidden)
+        m.setattr(percolab.clusters, "estimate_regularity", counted)
+        for cfg, rec in cases:
+            reasons.update(
+                good_spanning_check(cfg, rec, idx, 2, NESTED, good, reg).failure_reasons)
     # regularity ran on candidates and, in the minimality check, on components
     assert outer in regions and sub_annulus(SPEC2, idx, 1, NESTED) in regions
     assert any(msg.startswith("not minimal") for msg in reasons)
@@ -510,7 +607,7 @@ def test_y_set_pairs_are_open_pivotal_attachments():
     assert len(pairs) == 12
 
 
-def test_cluster_components_match_graph_components():
+def test_minimality_components_match_graph_components():
     outer = annulus((0, 0), 1, 6)
     inner = annulus((0, 0), 1, 4)
     checked = 0
@@ -518,15 +615,20 @@ def test_cluster_components_match_graph_components():
         cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=5, sample_id=sid)
         recs, _ = spanning_clusters(cfg, outer)
         for rec in recs:
-            comps = cluster_components(cfg, rec, inner)
+            comps = _minimality_components(cfg, rec, inner)
             g = nx.Graph()
             g.add_nodes_from(v for v in rec.vertices if norm_inf(v) <= 4)
             g.add_edges_from((v, w) for v in g for w in neighbours(SPEC2, v)
                              if v < w and w in g and edge_state(cfg, (v, w)))
-            assert sorted(map(frozenset, nx.connected_components(g)), key=min) == \
-                [c.vertices for c in comps]
+            # the spanning components meet both boundaries of the annulus
+            spanning = []
+            for c in map(frozenset, nx.connected_components(g)):
+                sides = [boundary_membership(SPEC2, inner, v) for v in c]
+                if any(b_in for b_in, _ in sides) and any(b_out for _, b_out in sides):
+                    spanning.append(c)
+            assert sorted(spanning, key=min) == [c.vertices for c in comps]
             for c in comps:
-                assert c.root == c.min_vertex and c.region == inner
+                assert c.region == inner
                 # one constructor: the same field types as an explored record
                 assert [type(getattr(c, f)) for f in c.__dataclass_fields__] == \
                     [type(getattr(rec, f)) for f in rec.__dataclass_fields__]

@@ -51,6 +51,27 @@ def test_row_of_refuses_a_site_of_another_dimension(site):
         win.row_of(site)
 
 
+@pytest.mark.parametrize("sites,message", [
+    ([(0, 0), (4, 0)], "outside window box"),
+    ([(0, -4)], "outside window box"),
+    ([(1, 0, 0)], "coordinates"),
+    ([(0, 0), (1,)], None),  # numpy refuses the ragged array
+], ids=["outside", "outside-negative", "3d-in-2d", "mixed-dimensions"])
+def test_rows_of_refuses_what_row_of_refuses(sites, message):
+    win = build_window(SPEC2, seed=1, outer=3)
+    with pytest.raises(ValueError, match=message):
+        win.rows_of(sites)
+
+
+def test_rows_of_is_row_of_in_one_step():
+    win = build_window(SPEC2, seed=1, outer=3, inner=1)
+    sites = [tuple(x) for x in win.sites.tolist()]
+    assert win.rows_of(sites).tolist() == [win.row_of(x) for x in sites] \
+        == list(range(win.n_sites))
+    assert win.rows_of(win.sites[::-1]).tolist() == list(range(win.n_sites))[::-1]
+    assert win.rows_of(frozenset()).tolist() == []
+
+
 def test_annular_window_membership():
     win = build_window(SPEC2, seed=1, outer=4, inner=1)
     norms = win.norms()
