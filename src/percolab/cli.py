@@ -219,19 +219,18 @@ def cmd_scan_good_clusters(cfg: Config, args, sink: _Sink) -> int:
     rows = []
     blobs = []
     for sid, rec in records:
-        lab = tuple(sorted(rec.cluster.vertices))
+        key, size = label_key(rec.cluster.label), len(rec.cluster.label)
         rows.append(
-            (sid, rec.level, rec.q, label_key(lab), len(lab),
-             rec.good, "|".join(rec.failure_reasons))
+            (sid, rec.level, rec.q, key, size, rec.good, "|".join(rec.failure_reasons))
         )
         blobs.append({
             "sample": sid,
             "level": rec.level,
             "q": rec.q,
-            "label": label_key(lab),
+            "label": key,
             "good": rec.good,
             "failure_reasons": list(rec.failure_reasons),
-            "n_vertices": len(lab),
+            "n_vertices": size,
             "n_boundary_in": len(rec.cluster.boundary_in),
             "n_boundary_out": len(rec.cluster.boundary_out),
             "n_regular_in": len(rec.regular_in),

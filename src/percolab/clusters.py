@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral, Real
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,6 +63,15 @@ def _ball_counts(sites: Iterable[Site], x: Site, scales: Iterable[int]) -> Dict[
 # Regularity by conditional resampling
 
 
+def _check_numbers(kind: type, name: str, *values) -> None:
+    """Refuse (``ValueError``) any of ``values`` that is not a ``kind``
+    (``Integral`` or ``Real``), or is a ``bool``: ``True`` is an ``int``."""
+    noun = "an integer" if kind is Integral else "a real number"
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegularityParams:
     """Knobs for the conditional-resampling regularity estimate.
@@ -76,6 +86,10 @@ class RegularityParams:
     log_base: float = math.e
 
     def __post_init__(self):
+        _check_numbers(Integral, "K", self.K)
+        _check_numbers(Integral, "every s_list entry", *self.s_list)
+        _check_numbers(Integral, "n_inner", self.n_inner)
+        _check_numbers(Real, "log_base", self.log_base)
         if self.K < 2:
             raise ValueError("K must be >= 2")
         if not self.s_list or len(set(self.s_list)) < len(self.s_list):
@@ -255,6 +269,9 @@ class GoodSpanningParams:
     check_minimality: bool = True
 
     def __post_init__(self):
+        _check_numbers(Real, "lo", self.lo)
+        _check_numbers(Real, "hi", self.hi)
+        _check_numbers(Real, "regular_fraction", self.regular_fraction)
         if not 0 < self.lo < self.hi:
             raise ValueError("need 0 < lo < hi")
         if not 0 < self.regular_fraction <= 1:
@@ -314,7 +331,7 @@ def _items_one_to_three(
         # Regularity is the expensive item; only evaluated when the cheap
         # geometry already passes.
         for side, bnd, acc in (("inner", b_in, reg_in), ("outer", b_out, reg_out)):
-            for v in sorted(bnd):
+            for v in bnd:
                 rep = estimate_regularity(cfg, v, cluster, reg)
                 if rep.regular:
                     acc.add(v)
@@ -345,7 +362,8 @@ def good_spanning_check(
 
     The candidate must be a whole open cluster of ``Ann^q`` under ``cfg``.
     Item (4) then reads the spanning clusters of each ``Ann^r``, ``r < q``,
-    off the cached window scan: ``Ann^r`` lies inside ``Ann^q``, so an open
+    off the window scan, whose cache holds the labelling a scan of the
+    sample already made: ``Ann^r`` lies inside ``Ann^q``, so an open
     cluster of ``Ann^r`` that meets the candidate lies inside it and is a
     component of the candidate restricted to ``Ann^r``.  A component that
     does not span fails (1) before any regularity estimate, so keeping only
@@ -389,13 +407,21 @@ def _scan_window(
     return win, b_in, b_out, win.rows_of(b_in), win.rows_of(b_out)
 
 
-def _window_spanning_clusters(cfg: PercolationConfig, region: Region) -> List[ClusterRecord]:
+@lru_cache(maxsize=4)
+def _window_spanning_clusters(
+    cfg: PercolationConfig, region: Region
+) -> Tuple[ClusterRecord, ...]:
     """The open clusters of an origin-centred annulus that touch both of its
     boundaries, from one labelling of its window, sorted by minimal vertex.
 
     Each record equals the one :func:`~percolab.engine.spanning_clusters`
     explores: its root is the cluster's first inner-boundary site in
-    :func:`~percolab.lattice.region_boundaries` order.
+    :func:`~percolab.lattice.region_boundaries` order.  Its label is read
+    off the window with no sort: rows ascend and window rows are
+    lexicographic.  The last four results are kept, as their windows are,
+    so a scan's minimality check (for ``q_max <= 4``) reads the labelling
+    its own sample already made of each smaller sub-annulus; every caller
+    shares the returned tuple.
     """
     win, b_in, b_out, rin, rout = _scan_window(cfg.spec, cfg.seed, region)
     labels = component_labels(win, sample_open_edges(win, cfg, cfg.sample_id))
@@ -407,13 +433,12 @@ def _window_spanning_clusters(cfg: PercolationConfig, region: Region) -> List[Cl
         out.append(ClusterRecord(
             root=b_in[on_in[0]],
             region=region,
-            vertices=frozenset(map(tuple, win.sites[rows].tolist())),
+            label=tuple(zip(*win.sites[rows].T.tolist())),
             boundary_in=tuple(b_in[i] for i in on_in),
             boundary_out=tuple(b_out[i] for i in np.flatnonzero(lab_out == lab)),
             truncated=False,
         ))
-    out.sort(key=lambda r: r.min_vertex)
-    return out
+    return tuple(sorted(out, key=lambda r: r.min_vertex))
 
 
 def scan_good_spanning(

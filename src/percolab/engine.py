@@ -302,26 +302,34 @@ def explore(
 class ClusterRecord:
     """The explored open cluster of ``root`` restricted to ``region``.
 
-    ``boundary_in``/``boundary_out`` are the intersections of the vertex set
-    with the boundaries of a :class:`~percolab.lattice.Region`, as sorted
-    tuples; both are empty when ``region`` is a site set or a predicate.
-    ``truncated`` means the vertex cap censored the closure, so the
-    vertex set is a subset of the true restricted cluster.  Records are
-    built by :func:`explore_cluster`, and by the window scan of
+    ``label`` is the vertex set, stored once as its canonical form: the
+    sorted tuple of sites that keys kernel entries and CLI labels.
+    ``vertices`` is the same set as a ``frozenset``, built on first use for
+    membership tests.  ``boundary_in``/``boundary_out`` are the
+    intersections of the vertex set with the boundaries of a
+    :class:`~percolab.lattice.Region`, as sorted tuples; both are empty when
+    ``region`` is a site set or a predicate.  ``truncated`` means the vertex
+    cap censored the closure, so the vertex set is a subset of the true
+    restricted cluster.  Records, and so labels, are built by
+    :func:`explore_cluster`, and by the window scan of
     :mod:`percolab.clusters`, whose records the tests hold field for field
     against :func:`spanning_clusters`.
     """
 
     root: Site
     region: RegionLike
-    vertices: FrozenSet[Site]
+    label: Tuple[Site, ...]
     boundary_in: Tuple[Site, ...]
     boundary_out: Tuple[Site, ...]
     truncated: bool
 
+    @cached_property
+    def vertices(self) -> FrozenSet[Site]:
+        return frozenset(self.label)
+
     @property
     def min_vertex(self) -> Site:
-        return min(self.vertices)
+        return self.label[0]
 
     @property
     def spans(self) -> bool:
@@ -346,10 +354,11 @@ def explore_cluster(
         raise ValueError(f"root {x} not in region")
     visited, outcome = explore(cfg.spec, [x], member, lambda e: raw_edge_state(cfg, e),
                                cap=cap, edge_log=edge_log)
+    label = tuple(sorted(visited))
     b_in: List[Site] = []
     b_out: List[Site] = []
     if isinstance(region, Region):  # site sets and predicates have no boundary
-        for v in visited:
+        for v in label:
             bi, bo = boundary_membership(cfg.spec, region, v)
             if bi:
                 b_in.append(v)
@@ -358,9 +367,9 @@ def explore_cluster(
     return ClusterRecord(
         root=x,
         region=region,
-        vertices=frozenset(visited),
-        boundary_in=tuple(sorted(b_in)),
-        boundary_out=tuple(sorted(b_out)),
+        label=label,
+        boundary_in=tuple(b_in),
+        boundary_out=tuple(b_out),
         truncated=outcome is None,
     )
 
@@ -411,7 +420,7 @@ def spanning_clusters(
         if start in seen:
             continue
         rec = explore_cluster(cfg, start, ann, edge_log=edge_log)
-        seen |= rec.vertices
+        seen.update(rec.label)
         if rec.truncated:
             incomplete = True
         if rec.spans and not rec.truncated:

@@ -485,7 +485,7 @@ def extract_kernels(
             c_records = [r for r in scan_good_spanning(c, idx_c, params, good, reg, q_list)
                          if r.good]
             for crec in c_records:
-                clab = tuple(sorted(crec.cluster.vertices))
+                clab = crec.cluster.label
                 c_counts[clab] = c_counts.get(clab, 0) + 1
 
         ev_ok = event.evaluate(c) if event is not None else True
@@ -495,7 +495,7 @@ def extract_kernels(
 
         d_info = []
         for drec in d_records:
-            dlab = tuple(sorted(drec.cluster.vertices))
+            dlab = drec.cluster.label
             d_rows = _box_rows(win, dlab)
             arm = queries.joined("arm", d_rows, queries.targets)
             counts[dlab] = counts.get(dlab, 0) + 1
@@ -508,7 +508,7 @@ def extract_kernels(
             if crec is None:
                 clab, c_rows = _ORIGIN_LABEL, origin_rows
             else:
-                clab = tuple(sorted(crec.cluster.vertices))
+                clab = crec.cluster.label
                 c_rows = _box_rows(win, clab)
             n_g = 0
             g_rows = None

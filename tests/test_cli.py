@@ -109,6 +109,48 @@ def test_scan_good_clusters_reaches_the_minimality_check(tmp_path):
     ]
 
 
+#: ``gamma.csv`` of ``extract-kernels --n-samples 150`` at the defaults, less
+#: its header: label, q, size, gamma, stderr and count of each D-label.
+EXTRACTION_GAMMA_ROWS = [
+    "60a51fc76804,1,70,1.0,0.0,1",
+    "70302a8d18c0,1,105,1.0,0.0,1",
+    "08af5dabbdc1,1,19,1.0,0.0,1",
+    "62ed4fe7d747,1,25,1.0,0.0,1",
+    "8d86c12b5e37,1,39,1.0,0.0,1",
+    "1a5920c4627c,1,146,1.0,0.0,1",
+    "154a5aa504fc,1,31,0.0,0.0,1",
+    "5a288ae62960,1,116,1.0,0.0,1",
+    "30e2421119d1,1,15,1.0,0.0,1",
+    "03c05b5e047d,1,82,1.0,0.0,1",
+    "a1128f74a0d2,1,96,1.0,0.0,1",
+    "ed04cd59f73b,1,60,1.0,0.0,1",
+    "ee95a65f5588,1,79,1.0,0.0,1",
+    "e5316ec04bef,1,32,1.0,0.0,1",
+    "52283311cdaf,1,41,1.0,0.0,1",
+    "0aef1fb2196d,1,26,0.0,0.0,1",
+    "60bb6d7bb82b,1,40,1.0,0.0,1",
+    "67ff25577fe4,1,102,1.0,0.0,1",
+    "5370f6febaa6,1,57,1.0,0.0,1",
+    "84339b179803,1,49,0.0,0.0,1",
+    "81c26c50a26b,1,72,1.0,0.0,1",
+    "bc80faf61883,1,31,1.0,0.0,1",
+    "534321b2dac5,1,42,1.0,0.0,1",
+    "067ba41fbdf7,1,22,1.0,0.0,1",
+    "366b97067090,1,98,1.0,0.0,1",
+    "b61e7db996aa,1,39,1.0,0.0,1",
+    "cdb1310cb8d6,1,30,1.0,0.0,1",
+    "d9d6c27fcf31,1,33,0.0,0.0,1",
+    "d8084597602b,1,36,0.0,0.0,1",
+    "65714d7c2ca1,1,65,1.0,0.0,1",
+    "0f630ecb1898,1,43,1.0,0.0,1",
+    "e82ab4e37818,1,42,0.0,0.0,1",
+    "dc80844b4285,1,58,1.0,0.0,1",
+    "62b6b79a14f5,1,39,1.0,0.0,1",
+    "f2e5c8e3b28b,1,18,1.0,0.0,1",
+    "78c0692f5be1,1,46,1.0,0.0,1",
+]
+
+
 def test_extract_kernels_outputs(tmp_path):
     code, out = _run(tmp_path, ["extract-kernels", "--n-samples", "150"])
     assert code == 0
@@ -116,8 +158,11 @@ def test_extract_kernels_outputs(tmp_path):
     glines = (out / "gamma.csv").read_text().splitlines()
     assert klines[0] == "c_label,d_label,m_hat,stderr,m_event,n"
     assert glines[0] == "d_label,q,n_vertices,gamma,stderr,count"
-    # single C-label (the origin side) at level 0: one kernel row per D-label
-    assert len(klines) == len(glines) == 37
+    # single C-label (the origin side) at level 0: one kernel row per D-label,
+    # in the order of the sorted labels; both files are frozen at seed 2024
+    assert glines[1:] == EXTRACTION_GAMMA_ROWS
+    assert klines[1:] == ["origin,{},0.0,0.0,0.0,150".format(row.split(",")[0])
+                          for row in EXTRACTION_GAMMA_ROWS]
     summary = json.loads((out / "extraction.json").read_text())["summary"]
     assert summary["g_violations"] == 0
     assert summary["f_containment_failures"] == 0
@@ -320,12 +365,17 @@ def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
     (["scan-good-clusters"], {"goodness": {"check_minimality": "no"}}),
     (["scan-good-clusters"], {"goodness": {"check_minimality": 0}}),
     (["scan-good-clusters"], {"goodness": {"check_minimality": None}}),
+    (["scan-good-clusters"], {"regularity": {"n_inner": 100.5}}),
+    (["scan-good-clusters"], {"regularity": {"s_list": [3.5]}}),
+    (["scan-good-clusters"], {"regularity": {"K": 2.5}}),
+    (["scan-good-clusters"], {"goodness": {"lo": True}}),
 ], ids=["radii-decreasing", "pc-criterion-unknown", "pc-bracket-reversed",
         "pc-tol-zero", "pc-radii-decreasing", "targets-repeated",
         "q-list-out-of-range", "target-3d-in-2d", "target-1d-in-2d", "targets-empty",
         "level-negative", "level-string", "level-float", "pc-ref-zero", "pc-ref-above-1",
         "pc-ref-string", "q-list-repeated-extract", "q-list-repeated-scan",
-        "minimality-string", "minimality-zero", "minimality-null"])
+        "minimality-string", "minimality-zero", "minimality-null", "n-inner-float",
+        "scale-float", "K-float", "lo-bool"])
 def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg):
     # each used to exit 2 ("invariant violation"), except pc_tol 0 (it ran,
     # and a negative pc_tol never ends), pc_radii [32, 16] (it ran on radius
@@ -334,7 +384,9 @@ def test_bad_estimation_or_extraction_value_exits_4(tmp_path, capsys, argv, cfg)
     # a level "x" or 0.5 and a p_c_ref "x" escaped as a TypeError (exit 1),
     # and a p_c_ref of 0 or 1.5 ran with the likelihood-ratio gate vacuous;
     # a repeated q wrote every record twice and doubled every gamma count,
-    # and a check_minimality of "no" ran the check while 0 or null skipped it
+    # and a check_minimality of "no" ran the check while 0 or null skipped it;
+    # an n_inner of 100.5 escaped from the first d = 3 resample as a TypeError
+    # (exit 1), while a float scale or K and a boolean lo exited 0
     code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err

@@ -8,7 +8,7 @@ be held against an exact rational.
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import networkx as nx
@@ -364,7 +364,7 @@ NESTED = toy_params(2, 1, 2)
 
 def _record_value(rec):
     """A record's fields except its root: any of its vertices explores it."""
-    return (rec.region, rec.vertices, rec.boundary_in, rec.boundary_out, rec.truncated)
+    return (rec.region, rec.label, rec.boundary_in, rec.boundary_out, rec.truncated)
 
 
 def _minimality_components(cfg, candidate, sub):
@@ -454,6 +454,50 @@ def test_good_spanning_params_refuse_a_non_boolean_minimality_switch():
     for value in ("no", 0, None):
         with pytest.raises(ValueError, match="check_minimality must be true or false"):
             GoodSpanningParams(check_minimality=value)
+
+
+@pytest.mark.parametrize("params,kwargs,message", [
+    (RegularityParams, {"K": 2.5}, "K must be an integer"),
+    (RegularityParams, {"K": True}, "K must be an integer"),
+    (RegularityParams, {"s_list": (3.5, 4)}, "every s_list entry must be an integer"),
+    (RegularityParams, {"s_list": (3, True)}, "every s_list entry must be an integer"),
+    (RegularityParams, {"n_inner": 100.5}, "n_inner must be an integer"),
+    (RegularityParams, {"log_base": True}, "log_base must be a real number"),
+    (GoodSpanningParams, {"lo": True}, "lo must be a real number"),
+    (GoodSpanningParams, {"hi": True}, "hi must be a real number"),
+    (GoodSpanningParams, {"regular_fraction": True}, "regular_fraction must be a real number"),
+    (GoodSpanningParams, {"lo": "0.1"}, "lo must be a real number"),
+], ids=["K-float", "K-bool", "scale-float", "scale-bool", "n-inner-float", "log-base-bool",
+        "lo-bool", "hi-bool", "fraction-bool", "lo-string"])
+def test_certification_params_refuse_non_numbers(params, kwargs, message):
+    # a float n_inner escaped from the first d = 3 resample as a TypeError, and
+    # a float K or scale, or a boolean goodness window, certified as if valid
+    with pytest.raises(ValueError, match=message):
+        params(**kwargs)
+
+
+def test_scan_labels_each_sub_annulus_once_per_sample(monkeypatch):
+    # the minimality check reads Ann^1 off the scan's own labelling of the
+    # sample, so each (sample, sub-annulus) window is labelled exactly once
+    idx = scale_sequence(NESTED, 1)[1]
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=100, log_base=2.0)
+    calls, sid = Counter(), None
+    real = percolab.clusters.component_labels
+
+    def counted(win, *args, **kwargs):
+        calls[(sid, win.inner, win.outer)] += 1
+        return real(win, *args, **kwargs)
+
+    monkeypatch.setattr(percolab.clusters, "component_labels", counted)
+    _window_spanning_clusters.cache_clear()
+    reasons = set()
+    for sid in range(10):
+        cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
+        for rec in scan_good_spanning(cfg, idx, NESTED, good, reg):
+            reasons.update(rec.failure_reasons)
+    assert any(msg.startswith("not minimal") for msg in reasons)
+    assert calls == Counter({(s, lo, hi): 1 for s in range(10) for lo, hi in ((2, 8), (1, 16))})
 
 
 def test_records_given_to_regularity_equal_fresh_explorations():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from percolab import experiments, windowed
+from percolab.cli import label_key
 from percolab.engine import PercolationConfig, connect_sets, edge_state
 from percolab.estimators import Estimate
 from percolab.experiments import (
@@ -510,6 +511,25 @@ def test_extract_kernels_padded_families_frozen(kind, hits):
                               event=two_east_edges_event(SPEC2), good=good, reg=reg)
     assert len(ext.d_labels) == 44
     assert _gamma_hits(ext) == hits
+
+
+def test_extract_kernels_level_one_labels_frozen():
+    # level-2 good sets of up to 499008 sites, keyed by their canonical labels;
+    # frozen at seed 2024
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=100, log_base=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ext = extract_kernels(cfg, toy_params(1, 2, 1), level=1, n_samples=4,
+                              family=ConditioningFamily("box_boundary", (16,)), n=16,
+                              good=good, reg=reg, sample_start=29)
+    assert [label_key(lab) for lab in ext.c_labels] == ["8d86c12b5e37", "30e2421119d1"]
+    assert [label_key(lab) for lab in ext.d_labels] == [
+        "de57839f0a96", "61180294e083", "b26a7c3b8022"]
+    assert [len(lab) for lab in ext.d_labels] == [276681, 499008, 163087]
+    assert ext.label_counts == dict.fromkeys(ext.d_labels, 1)
+    assert ext.label_q == dict.fromkeys(ext.d_labels, 1)
 
 
 def _lazy_query(cfg, cond, sep_in, sep_out, region, c_sites, d_sites):

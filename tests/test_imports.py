@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the five rules the
+No linter ships with the project, so this stands in for the six rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
@@ -17,7 +17,10 @@ sources keep by hand:
   keyword or by position, by some call in the package, ``scripts/`` or
   ``perfbench/``, unless :data:`TEST_ONLY_PARAMETERS` keeps it with a reason
   (definitions in :data:`TEST_ONLY` are exempt).  An option with one value
-  in use is a constant.
+  in use is a constant;
+* every ``lru_cache`` of the package names an integer ``maxsize``, and no
+  ``functools.cache`` is used: the package caches whole windows and cluster
+  records, so an unbounded cache would grow with every sample.
 """
 
 import ast
@@ -113,6 +116,51 @@ def test_module_imports_are_used(path):
 def test_all_entries_are_defined(path):
     tree = _parse(path)
     assert sorted(_exported(tree) - _bound_names(tree)) == []
+
+
+def _unbounded_caches(tree: ast.Module):
+    """Lines that import or use ``functools.cache``, or use an ``lru_cache``
+    without an integer ``maxsize`` (a bare decorator, ``maxsize=None``)."""
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                bounded.add(id(node.func))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            if id(node) not in bounded:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_caches_are_bounded(path):
+    assert _unbounded_caches(_parse(path)) == []
+
+
+def test_unbounded_caches_are_caught():
+    src = """
+import functools
+from functools import cache, lru_cache
+@lru_cache
+def a(): pass
+@functools.lru_cache(maxsize=None)
+def b(): pass
+@functools.cache
+def c(): pass
+@lru_cache(maxsize=4)
+def d(): pass
+@lru_cache(8)
+def e(): pass
+"""
+    assert _unbounded_caches(ast.parse(src)) == [3, 4, 6, 8]
 
 
 def _top_level_definitions():

@@ -140,8 +140,12 @@ def test_window_spanning_clusters_equal_lazy_scan():
                 fast = _window_spanning_clusters(cfg, region)
                 slow, truncated = spanning_clusters(cfg, region)
                 assert not truncated
-                assert fast == slow, (spec, seed, region, p, sid)
-                assert all(type(c) is int for r in fast for v in r.vertices for c in v)
+                assert list(fast) == slow, (spec, seed, region, p, sid)
+                for r in (*fast, *slow):
+                    # the label is the canonical sorted vertex tuple
+                    assert all(a < b for a, b in zip(r.label, r.label[1:]))
+                    assert r.vertices == frozenset(r.label)
+                    assert all(type(c) is int for v in r.label for c in v)
     info = _scan_window.cache_info()
     assert info.hits > 0 and info.misses > 0
 
