@@ -7,7 +7,10 @@ demo, the conditional-measure convergence experiment, the supercritical
 sweep, and the verification batteries.
 
 Outputs are deterministic byte for byte: fixed column orders, ``repr``
-floats, sorted JSON keys, no timestamps.  Exit codes: 0 success, 2 an
+floats, sorted JSON keys, no timestamps.  Every JSON artifact is written by
+:func:`write_json`, the package's one encoder, in one pass that streams to
+the file; each label of an extraction is keyed (:func:`label_key`) once,
+and every file reads that key.  Exit codes: 0 success, 2 an
 invariant the package promises was violated, 3 results exist but are
 low-confidence (starved acceptance or undefined ratios), 4 configuration
 error.
@@ -77,13 +80,10 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return [_jsonable(v) for v in sorted(x)]
+def _json_default(x: Any) -> Any:
+    """``json``'s hook for the values it cannot encode itself (a tuple is
+    already an array and an ``np.float64`` a float); any other type is a
+    ``TypeError``."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Estimate):
@@ -93,18 +93,23 @@ def _jsonable(x: Any) -> Any:
             "n_samples": x.n_samples,
             "n_truncated": x.n_truncated,
             "seed": x.seed,
-            "sample_range": list(x.sample_range),
+            "sample_range": x.sample_range,
         }
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, (frozenset, set)):
+        return sorted(x)
+    if isinstance(x, np.floating):
         return float(x)
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
-    return x
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def write_json(path: str, obj: Any) -> None:
+    """The package's one JSON encoder: sorted keys, two-space indent, one
+    pass that streams to the file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
+        fh.write("\n")
 
 
 def label_key(label: Tuple) -> str:
@@ -253,11 +258,15 @@ def cmd_scan_good_clusters(cfg: Config, args, sink: _Sink) -> int:
     return EXIT_OK
 
 
-def _kernel_files(ext, sink: _Sink) -> None:
+def _kernel_files(ext, sink: _Sink) -> List[str]:
+    """Write ``kernels.csv`` and ``gamma.csv`` of one extraction, keying each
+    label once; return the D-label keys, in ``ext.d_labels`` order."""
+    c_keys = [label_key(lab) for lab in ext.c_labels]
+    d_keys = [label_key(lab) for lab in ext.d_labels]
     krows = []
     for (ci, di), est in sorted(ext.m_hat.items()):
         krows.append((
-            label_key(ext.c_labels[ci]), label_key(ext.d_labels[di]),
+            c_keys[ci], d_keys[di],
             est.value, est.stderr,
             ext.m_event[(ci, di)].value if (ci, di) in ext.m_event else "",
             est.n_samples,
@@ -271,7 +280,7 @@ def _kernel_files(ext, sink: _Sink) -> None:
     for di, lab in enumerate(ext.d_labels):
         g = ext.gamma[di]
         grows.append((
-            label_key(lab), ext.label_q[lab], len(lab),
+            d_keys[di], ext.label_q[lab], len(lab),
             g.value, g.stderr, ext.label_counts[lab],
         ))
     sink.csv(
@@ -279,6 +288,7 @@ def _kernel_files(ext, sink: _Sink) -> None:
         ("d_label", "q", "n_vertices", "gamma", "stderr", "count"),
         grows,
     )
+    return d_keys
 
 
 def cmd_extract_kernels(cfg: Config, args, sink: _Sink) -> int:
@@ -294,20 +304,20 @@ def cmd_extract_kernels(cfg: Config, args, sink: _Sink) -> int:
             event=cfg.event(), good=cfg.goodness(), reg=cfg.regularity(),
             q_list=ex["q_list"], p_c_ref=ex["p_c_ref"],
         )
-    _kernel_files(ext, sink)
+    d_keys = _kernel_files(ext, sink)
     sink.json("extraction.json", {
         "config": cfg.echo(),
         "summary": ext.summary(),
         "labels": {
-            label_key(lab): {
+            key: {
                 "q": ext.label_q[lab],
                 "count": ext.label_counts[lab],
                 "n_vertices": len(lab),
-                "vertices": [list(v) for v in lab],
+                "vertices": lab,
             }
-            for lab in ext.d_labels
+            for key, lab in zip(d_keys, ext.d_labels)
         },
-        "gamma": {label_key(lab): ext.gamma[di] for di, lab in enumerate(ext.d_labels)},
+        "gamma": {key: ext.gamma[di] for di, key in enumerate(d_keys)},
     })
     if ext.g_violations or ext.f_containment_failures:
         return EXIT_VIOLATION

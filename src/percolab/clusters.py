@@ -29,7 +29,9 @@ from .engine import (
     mix64,
 )
 from .estimators import Estimate
-from .lattice import Edge, LatticeSpec, Region, Site, box, neighbours, region_boundaries
+from .lattice import (
+    Edge, LatticeSpec, Region, Site, box, check_numbers, neighbours, region_boundaries,
+)
 from .scales import ScaleIndex, ScaleParams, sub_annulus
 from .windowed import Window, build_window, component_labels, sample_open_edges
 
@@ -63,15 +65,6 @@ def _ball_counts(sites: Iterable[Site], x: Site, scales: Iterable[int]) -> Dict[
 # Regularity by conditional resampling
 
 
-def _check_numbers(kind: type, name: str, *values) -> None:
-    """Refuse (``ValueError``) any of ``values`` that is not a ``kind``
-    (``Integral`` or ``Real``), or is a ``bool``: ``True`` is an ``int``."""
-    noun = "an integer" if kind is Integral else "a real number"
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} must be {noun}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RegularityParams:
     """Knobs for the conditional-resampling regularity estimate.
@@ -86,10 +79,10 @@ class RegularityParams:
     log_base: float = math.e
 
     def __post_init__(self):
-        _check_numbers(Integral, "K", self.K)
-        _check_numbers(Integral, "every s_list entry", *self.s_list)
-        _check_numbers(Integral, "n_inner", self.n_inner)
-        _check_numbers(Real, "log_base", self.log_base)
+        check_numbers(Integral, "K", self.K)
+        check_numbers(Integral, "every s_list entry", *self.s_list)
+        check_numbers(Integral, "n_inner", self.n_inner)
+        check_numbers(Real, "log_base", self.log_base)
         if self.K < 2:
             raise ValueError("K must be >= 2")
         if not self.s_list or len(set(self.s_list)) < len(self.s_list):
@@ -269,9 +262,9 @@ class GoodSpanningParams:
     check_minimality: bool = True
 
     def __post_init__(self):
-        _check_numbers(Real, "lo", self.lo)
-        _check_numbers(Real, "hi", self.hi)
-        _check_numbers(Real, "regular_fraction", self.regular_fraction)
+        check_numbers(Real, "lo", self.lo)
+        check_numbers(Real, "hi", self.hi)
+        check_numbers(Real, "regular_fraction", self.regular_fraction)
         if not 0 < self.lo < self.hi:
             raise ValueError("need 0 < lo < hi")
         if not 0 < self.regular_fraction <= 1:

@@ -219,6 +219,10 @@ class Config:
             raise ConfigError("hopf entries must be numbers with "
                               f"0 < entry_low <= entry_high, got {low!r}, {high!r}")
         _check_int("hopf.rng_seed", hp["rng_seed"], 0)
+        bt = self.data["battery"]
+        for key in ("seed", "nofurther_seed"):  # read only mid-run; a negative seed is a seed
+            if not _is_int(bt[key]):
+                raise ConfigError(f"battery.{key} must be an integer, got {bt[key]!r}")
         for name in ("hopf.n_kernels", "hopf.seq_len", "battery.n_groups",
                      "battery.nofurther_instances", "estimation.n_samples",
                      "extraction.n_samples", "iic.n_samples", "supercritical.n_samples",
@@ -329,7 +333,7 @@ class Config:
             # a non-edge is refused here, not at the event's first reading
             spec = self.spec()
             pattern = tuple(
-                (canonical_edge(spec, tuple(a), tuple(b)), bool(state))
+                (canonical_edge(spec, tuple(a), tuple(b)), state)
                 for (a, b), state in ev["pattern"]
             )
             return CylinderEvent(name, ev["L"], pattern)

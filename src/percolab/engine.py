@@ -59,6 +59,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -69,6 +70,7 @@ from .lattice import (
     Region,
     Site,
     boundary_membership,
+    check_numbers,
     contains,
     is_edge,
     neighbours,
@@ -141,6 +143,8 @@ class PercolationConfig:
     sample_id: int = 0
 
     def __post_init__(self):
+        check_numbers(Integral, "seed", self.seed)
+        check_numbers(Real, "p", self.p)
         if not 0 <= self.p <= 1:
             raise ValueError(f"p = {self.p} outside [0, 1]")
         if not 0 <= self.sample_id <= MASK64:

@@ -31,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +51,7 @@ from .lattice import (
     Site,
     annulus,
     canonical_edge,
+    check_numbers,
     norm_inf,
     region_sites,
 )
@@ -220,10 +222,13 @@ class CylinderEvent:
     pattern: Tuple[Tuple[Edge, bool], ...] = ()
 
     def __post_init__(self):
+        check_numbers(Integral, "L", self.L)
         if self.L < 0:
             raise ValueError("L must be >= 0")
         radius = 2**self.L
-        for (a, b), _ in self.pattern:
+        for (a, b), state in self.pattern:
+            if not isinstance(state, bool):
+                raise ValueError(f"a pattern state must be true or false, got {state!r}")
             if max(norm_inf(a), norm_inf(b)) > radius:
                 raise ValueError(f"edge {a}-{b} leaves B(2^{self.L})")
 

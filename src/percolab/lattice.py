@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from operator import add, sub
 from typing import Iterator, Optional, Tuple
 
@@ -42,6 +43,19 @@ class WindowTooLargeError(ValueError):
     bad input, not a broken invariant."""
 
 
+def check_numbers(kind: type, name: str, *values) -> None:
+    """Refuse (``ValueError``) any of ``values`` that is not a ``kind``
+    (``Integral`` or ``Real``), or is a ``bool``: ``True`` is an ``int``.
+    An exact ``int``, or ``float`` for ``Real``, skips the slower ABC check:
+    every sample's config is checked."""
+    for value in values:
+        if type(value) is int or (type(value) is float and kind is not Integral):
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is Integral else "a real number"
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Dimension plus edge-set choice.
@@ -56,6 +70,8 @@ class LatticeSpec:
     lam: int = 0
 
     def __post_init__(self):
+        check_numbers(Integral, "dimension", self.d)
+        check_numbers(Integral, "lam", self.lam)
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.edge_mode not in (NEAREST_NEIGHBOUR, SPREAD_OUT):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import List, Optional, Tuple, Union
 
 from .lattice import (
@@ -41,6 +42,7 @@ from .lattice import (
     WindowTooLargeError,
     annulus,
     box,
+    check_numbers,
     edge_count_box,
 )
 
@@ -60,6 +62,11 @@ class ScaleParams:
     def __post_init__(self):
         if self.mode not in ("toy", "faithful"):
             raise ValueError(f"unknown scale mode {self.mode!r}")
+        check_numbers(Integral, "k1", self.k1)
+        check_numbers(Integral, "m", self.m)
+        check_numbers(Integral, "q_max", self.q_max)
+        check_numbers(Integral, "ann_margin", self.ann_margin)
+        check_numbers(Real, "ell_factor", self.ell_factor)
 
     def ell(self, k: int) -> int:
         """``ell_factor * k`` as an exact integer (rational factors must land

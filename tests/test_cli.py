@@ -5,15 +5,19 @@ budgets; the frozen values were recorded once from these exact invocations
 and must reproduce byte for byte (the CLI promises deterministic output).
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from percolab import cli
+from percolab.estimators import Estimate
 
 PROFILE_HEADER = "observable,scale,value,stderr,n,n_truncated,seed"
 
@@ -166,6 +170,34 @@ def test_extract_kernels_outputs(tmp_path):
     summary = json.loads((out / "extraction.json").read_text())["summary"]
     assert summary["g_violations"] == 0
     assert summary["f_containment_failures"] == 0
+
+
+@pytest.mark.parametrize("argv,built,written", [
+    (["extract-kernels", "--n-samples", "150"], "extract_kernels", lambda ext: ext),
+    (["reconstruct-arm", "--n-samples", "40"], "matrix_reconstruction",
+     lambda rep: rep.extractions[0]),
+], ids=["extract-kernels", "reconstruct-arm"])
+def test_each_label_is_keyed_once(tmp_path, monkeypatch, argv, built, written):
+    # the files used to key a label once per kernels.csv row it appears in,
+    # once for gamma.csv and twice for extraction.json
+    results, calls = [], []
+    build, key = getattr(cli, built), cli.label_key
+
+    def recorded_build(*args, **kwargs):
+        results.append(build(*args, **kwargs))
+        return results[-1]
+
+    def counted_key(label):
+        calls.append(label)
+        return key(label)
+
+    monkeypatch.setattr(cli, built, recorded_build)
+    monkeypatch.setattr(cli, "label_key", counted_key)
+    code, _ = _run(tmp_path, argv)
+    assert code in (0, 3)
+    ext = written(results[0])
+    assert ext.d_labels
+    assert calls == list(ext.c_labels) + list(ext.d_labels)
 
 
 def test_reconstruct_arm_oracle_tier(tmp_path):
@@ -333,10 +365,28 @@ def test_bad_supercritical_grid_is_a_config_error(tmp_path, capsys):
     (["scale-table"], {"hopf": {"size_min": "2"}}),
     (["iic-converge"], {"iic": {"n_list": [4.5, 8]}}),
     (["extract-kernels"], {"extraction": {"n": 16.5}}),
+    (["iic-converge"], {"sample": {"seed": 1.5}}),
+    (["find-pc"], {"sample": {"seed": 1.5}}),
+    (["iic-converge"], {"lattice": {"edge_mode": "spread_out", "lam": 1.5}}),
+    (["scale-table"], {"lattice": {"edge_mode": "spread_out", "lam": 1.5}}),
+    (["scale-table"], {"scales": {"k1": 1.5}}),
+    (["extract-kernels"], {"scales": {"k1": 1.5}}),
+    (["scale-table"], {"scales": {"m": 2.5}}),
+    (["extract-kernels"], {"scales": {"m": 2.5}}),
+    (["estimate-one-arm"], {"lattice": {"d": True}}),
+    (["scale-table"], {"scales": {"k1": True}}),
+    (["scan-good-clusters"], {"scales": {"ann_margin": 2.5}}),
+    (["iic-converge"], {"event": {"name": "east", "L": 1.5,
+                                  "pattern": [[[[0, 0], [1, 0]], True]]}}),
 ], ids=["n-samples-string", "hopf-size-string", "iic-scale-float",
-        "extraction-scale-float"])
+        "extraction-scale-float", "seed-float-iic", "seed-float-find-pc",
+        "lam-float-iic", "lam-float-scale-table", "k1-float-scale-table",
+        "k1-float-extract", "m-float-scale-table", "m-float-extract", "d-bool",
+        "k1-bool", "ann-margin-float", "event-L-float"])
 def test_non_integer_count_is_a_config_error(tmp_path, capsys, argv, cfg):
-    # a non-integer count or scale used to escape as a traceback (exit 1)
+    # a non-integer count or scale used to escape as a traceback (exit 1); so
+    # did a float seed, lam, k1 or m, while d true ran a d = 1 lattice, k1
+    # true ran with k1 = 1, and a float ann_margin or event L ran
     code, out = _run(tmp_path, argv, cfg=cfg)
     assert code == 4
     assert "integer" in capsys.readouterr().err
@@ -405,13 +455,17 @@ SMALL_BATTERY = {"n_samples": 10, "n_groups": 1, "nofurther_instances": 2}
     (["hopf-demo"], {"hopf": {"entry_low": 5.0, "entry_high": 2.0}}),
     (["hopf-demo"], {"hopf": {"rng_seed": -1}}),
     (["hopf-demo"], {"hopf": {"n_kernels": 0}}),
+    (["oracle-battery"], {"battery": dict(SMALL_BATTERY, seed=1.5)}),
+    (["oracle-battery"], {"battery": dict(SMALL_BATTERY, seed=True)}),
+    (["oracle-battery"], {"battery": dict(SMALL_BATTERY, nofurther_seed=1.5)}),
 ], ids=["n-groups-zero", "nofurther-instances-zero", "seq-len-zero",
         "seq-len-float", "entry-low-zero", "entries-reversed", "rng-seed-negative",
-        "n-kernels-zero"])
+        "n-kernels-zero", "seed-float", "seed-bool", "nofurther-seed-float"])
 def test_bad_hopf_or_battery_value_exits_4(tmp_path, capsys, argv, cfg):
     # n_groups 0 (ZeroDivisionError) and seq_len 2.5 (TypeError) escaped with
     # exit 1; seq_len 0, entry_low 0 and rng_seed -1 exited 2; zero
-    # nofurther instances or kernels, and reversed entries, exited 0
+    # nofurther instances or kernels, and reversed entries, exited 0, and so
+    # did a battery seed of 1.5, scored as seed 1
     code, out = _run(tmp_path, argv, cfg=cfg)
     assert code == 4
     assert "config error" in capsys.readouterr().err
@@ -516,6 +570,29 @@ def test_custom_pattern_non_edge_is_a_config_error(tmp_path, capsys, edge):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,cfg,message", [
+    (["estimate-two-point"], {"sample": {"p": True}}, "p must be a real number"),
+    (["iic-converge"], {"event": {"name": "east", "L": 1,
+                                  "pattern": [[[[0, 0], [1, 0]], "no"]]}},
+     "pattern state must be true or false"),
+], ids=["p-bool", "pattern-state-string"])
+def test_boolean_probability_or_string_state_exits_4(tmp_path, capsys, argv, cfg, message):
+    # p true ran at p = 1, and the state "no" required the edge open
+    code, out = _run(tmp_path, argv + ["--n-samples", "5"], cfg=cfg)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_negative_seeds_run(tmp_path):
+    cfg = {"sample": {"seed": -5}, "battery": dict(SMALL_BATTERY, seed=-1, nofurther_seed=-2)}
+    assert cli.main(["--config", _cfg_file(tmp_path, cfg), "--out-dir", str(tmp_path / "a"),
+                     "estimate-two-point", "--n-samples", "5"]) == 0
+    assert cli.main(["--config", _cfg_file(tmp_path, cfg), "--out-dir", str(tmp_path / "b"),
+                     "oracle-battery"]) == 0
+
+
 def test_oversized_window_is_a_config_error(tmp_path, capsys):
     # refused at the first window build, not an invariant violation (exit 2)
     code, out = _run(tmp_path, ["iic-converge", "--n-samples", "5"],
@@ -541,6 +618,130 @@ def test_faithful_ladder_intrusion_is_a_refusal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "intrudes" in err
     assert not out.exists()
+
+
+#: The exit code of each run, and the first 16 hex digits of the sha256 of
+#: every file it writes, recorded when ``write_json`` still copied the whole
+#: object tree before encoding it.  The runs cover every subcommand,
+#: ``--format json``, ``Fraction`` values (the oracle tier and the battery's
+#: ``worst_margin``), big-integer strings (a faithful ladder) and a level-1
+#: extraction whose ``extraction.json`` lists 18 MB of label sites.
+FROZEN_ARTIFACTS = {
+    "two-point": (
+        ["estimate-two-point", "--n-samples", "50"], None,
+        0, {"two_point.csv": "e5dfc79cc66e9cea", "two_point.json": "6148ec0d5123fc8a"}),
+    "one-arm": (
+        ["estimate-one-arm", "--n-samples", "50"], None,
+        0, {"one_arm.csv": "d741f92b4e5e85b1", "one_arm.json": "72da0b5fc14e4a51"}),
+    "find-pc": (
+        ["find-pc", "--n-samples", "40"], {"estimation": {"pc_radii": [4, 8]}},
+        0, {"pc.csv": "d23957a60c0c4279", "pc.json": "6dc4522c1cbdc998"}),
+    "scan": (
+        ["scan-good-clusters", "--n-samples", "3"], None,
+        0, {"good_clusters.csv": "b3ca49a5e229d978",
+            "good_clusters.json": "901c5249e380ffbb"}),
+    "extract": (
+        ["extract-kernels", "--n-samples", "60"], None,
+        0, {"extraction.json": "044ee82cc340cb6c", "gamma.csv": "aa89f86b80afbbe2",
+            "kernels.csv": "4a7afcf8a7ef7293"}),
+    "extract-format-json": (
+        ["--format", "json", "extract-kernels", "--n-samples", "60"], None,
+        0, {"extraction.json": "044ee82cc340cb6c"}),
+    "extract-level-1": (
+        ["extract-kernels", "--n-samples", "3"], {"extraction": {"level": 1}},
+        0, {"extraction.json": "789aa755cffd7b60", "gamma.csv": "169e6c8799617107",
+            "kernels.csv": "c1322205734b14b4"}),
+    "reconstruct": (
+        ["reconstruct-arm", "--n-samples", "40"], None,
+        3, {"gamma.csv": "0a653c23fc118385", "kernels.csv": "0bcffe532cd9dfe4",
+            "reconstruction.csv": "6327cfcbb41cc181",
+            "reconstruction.json": "8e6197c399dc3f34"}),
+    "reconstruct-oracle": (
+        ["reconstruct-arm", "--oracle"], None,
+        0, {"reconstruction_oracle.csv": "8e73c3dd0e2a9715",
+            "reconstruction_oracle.json": "300a88d4f80871c3"}),
+    "hopf": (
+        ["hopf-demo"], {"hopf": {"n_kernels": 20}},
+        0, {"hopf.json": "96efd8d488a146b4", "hopf_bracket.csv": "b892ce146f563236",
+            "hopf_contraction.csv": "6f2311134845b2d2"}),
+    "iic": (
+        ["iic-converge", "--n-samples", "200"], {"iic": {"n_list": [2, 4]}},
+        3, {"iic.csv": "4124fd66f60a26e3", "iic.json": "ff6e23734b7875da"}),
+    "iic-obstacle-halfspace": (
+        ["iic-converge", "--n-samples", "200"],
+        {"iic": {"n_list": [2, 4],
+                 "families": ["vertex_set_with_obstacle", "halfspace_target"]}},
+        0, {"iic.csv": "30d6fb258f7d588f", "iic.json": "fc56b8c8d6e8c559"}),
+    "supercritical": (
+        ["supercritical-sweep", "--n-samples", "100"],
+        {"iic": {"n_list": [2, 4], "n_samples": 200},
+         "supercritical": {"p_list": [0.55, 0.52], "r_pair": [4, 8]}},
+        3, {"supercritical.csv": "0f56801113bff104",
+            "supercritical.json": "e046bff8a1787591"}),
+    "battery": (
+        ["oracle-battery"], BATTERY_SMALL,
+        0, {"battery.json": "24f552cc57331d23", "battery_cells.csv": "cff0bc56de824f8d",
+            "y_battery.csv": "b1ee03d78a5e9c7f"}),
+    "scale-table-faithful": (
+        ["scale-table", "--i-max", "2"], {"scales": {"mode": "faithful", "k1": 1029}},
+        0, {"scales.csv": "cb734b1c7739a65e", "scales.json": "212602b3ec70d5e1"}),
+}
+
+
+def _copied_then_encoded(obj):
+    """The writer ``write_json`` replaced: copy the tree into plain types,
+    then encode the copy as one string."""
+    def jsonable(x):
+        if isinstance(x, dict):
+            return {str(k): jsonable(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [jsonable(v) for v in x]
+        if isinstance(x, (frozenset, set)):
+            return [jsonable(v) for v in sorted(x)]
+        if isinstance(x, Fraction):
+            return str(x)
+        if isinstance(x, Estimate):
+            return {"value": x.value, "stderr": x.stderr, "n_samples": x.n_samples,
+                    "n_truncated": x.n_truncated, "seed": x.seed,
+                    "sample_range": list(x.sample_range)}
+        if isinstance(x, np.floating):
+            return float(x)
+        if isinstance(x, np.integer):
+            return int(x)
+        return x
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_equals_the_copying_writer(tmp_path):
+    obj = {
+        "fraction": Fraction(-91, 512),
+        "estimates": [Estimate(float("nan"), 0.0, 5, 5, 7, (3, 8)),
+                      Estimate(0.25, 0.125, 40, seed=-1)],
+        "sets": {"frozen": frozenset({(1, 0), (0, 1), (0, -1)}), "plain": {3, 1, 2},
+                 "empty": set()},
+        "numpy": [np.float32(0.1), np.float64(1 / 3), np.float64("inf"), np.int64(-7),
+                  np.int64(2**62)],
+        "nested": ((1, (2, (3, ()))), [(4, 5)], {"deep": ((Fraction(1, 3),),)}),
+        "plain": [None, True, False, 0, -0.0, 1e300, "text", "ünïcode"],
+        "z": {"b": 1, "a": {}, "c": []},
+    }
+    path = tmp_path / "out.json"
+    cli.write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == _copied_then_encoded(obj)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.write_json(str(tmp_path / "bad.json"), {"array": np.arange(3)})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.write_json(str(tmp_path / "bad.json"), [object()])
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ARTIFACTS))
+def test_artifacts_frozen(tmp_path, capsys, case):
+    argv, cfg, code, digests = FROZEN_ARTIFACTS[case]
+    got, out = _run(tmp_path, argv, cfg=cfg)
+    assert got == code
+    assert capsys.readouterr() == ("", "")
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16]
+            for f in out.iterdir()} == digests
 
 
 def _loaded_by_cli_import(module: str) -> bool:

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the six rules the
+No linter ships with the project, so this stands in for the seven rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
@@ -20,7 +20,10 @@ sources keep by hand:
   in use is a constant;
 * every ``lru_cache`` of the package names an integer ``maxsize``, and no
   ``functools.cache`` is used: the package caches whole windows and cluster
-  records, so an unbounded cache would grow with every sample.
+  records, so an unbounded cache would grow with every sample;
+* ``json.dump``, ``json.dumps`` and ``json.JSONEncoder`` appear only in
+  ``cli.write_json``: every artifact goes through one encoder, so one
+  function decides the bytes of every JSON file.
 """
 
 import ast
@@ -161,6 +164,52 @@ def d(): pass
 def e(): pass
 """
     assert _unbounded_caches(ast.parse(src)) == [3, 4, 6, 8]
+
+
+#: The names that encode JSON, as ``json.<name>`` or imported from ``json``.
+JSON_ENCODERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _json_encoders(tree: ast.Module, allowed=None):
+    """Lines that name a JSON encoder outside the top-level function named
+    ``allowed``."""
+    exempt = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            exempt.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            lines += [node.lineno for alias in node.names if alias.name in JSON_ENCODERS]
+        elif (isinstance(node, ast.Attribute) and node.attr in JSON_ENCODERS
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_write_json_is_the_one_json_encoder(path):
+    allowed = "write_json" if path.name == "cli.py" else None
+    assert _json_encoders(_parse(path), allowed) == []
+
+
+def test_other_json_encoders_are_caught():
+    src = """
+import json
+from json import dumps as encode, loads
+def write_json(fh, obj):
+    json.dump(obj, fh, sort_keys=True)
+def report(obj):
+    return json.dumps(obj)
+class Writer:
+    def write_json(self, obj):
+        return json.JSONEncoder(indent=2).encode(obj)
+config = json.load
+"""
+    assert _json_encoders(ast.parse(src), "write_json") == [3, 7, 10]
+    assert _json_encoders(ast.parse(src)) == [3, 5, 7, 10]
 
 
 def _top_level_definitions():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from percolab.engine import PercolationConfig, explore_cluster
+from percolab.experiments import CylinderEvent
 from percolab.lattice import (
     LatticeSpec,
     annulus,
@@ -22,6 +23,7 @@ from percolab.lattice import (
     region_sites,
     site_count,
 )
+from percolab.scales import faithful_params, toy_params
 
 SPEC2 = LatticeSpec(d=2)
 SPEC3 = LatticeSpec(d=3)
@@ -216,3 +218,33 @@ def test_spec_validation():
         LatticeSpec(d=0)
     with pytest.raises(ValueError):
         LatticeSpec(d=2, edge_mode="nearest_neighbour", lam=2)
+
+
+EAST = ((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LatticeSpec(d=True), "dimension must be an integer"),
+    (lambda: LatticeSpec(d=2.0), "dimension must be an integer"),
+    (lambda: LatticeSpec(d=2, edge_mode="spread_out", lam=1.5), "lam must be an integer"),
+    (lambda: PercolationConfig(SPEC2, 0.5, 1.5), "seed must be an integer"),
+    (lambda: PercolationConfig(SPEC2, 0.5, True), "seed must be an integer"),
+    (lambda: PercolationConfig(SPEC2, True, 1), "p must be a real number"),
+    (lambda: toy_params(k1=1.5), "k1 must be an integer"),
+    (lambda: toy_params(k1=True), "k1 must be an integer"),
+    (lambda: toy_params(k1=1, m=2.5), "m must be an integer"),
+    (lambda: toy_params(k1=1, q_max=1.0), "q_max must be an integer"),
+    (lambda: toy_params(k1=1, ann_margin=2.5), "ann_margin must be an integer"),
+    (lambda: toy_params(k1=1, ell_factor=True), "ell_factor must be a real number"),
+    (lambda: faithful_params(SPEC2, 1029.5), "k1 must be an integer"),
+    (lambda: CylinderEvent("e", 1.5, ((EAST, True),)), "L must be an integer"),
+    (lambda: CylinderEvent("e", 1, ((EAST, "no"),)), "pattern state must be true or false"),
+    (lambda: CylinderEvent("e", 1, ((EAST, 1),)), "pattern state must be true or false"),
+], ids=["d-bool", "d-float", "lam-float", "seed-float", "seed-bool", "p-bool", "k1-float",
+        "k1-bool", "m-float", "q-max-float", "margin-float", "ell-factor-bool",
+        "faithful-k1-float", "L-float", "state-string", "state-int"])
+def test_constructors_refuse_non_numbers(build, message):
+    # each used to escape mid-run as a TypeError or AttributeError, or to run
+    # as the nearest integer or truth value (d true as d = 1, "no" as open)
+    with pytest.raises(ValueError, match=message):
+        build()
