@@ -171,8 +171,16 @@ class ConditioningFamily:
             raise ValueError("an interleaved family needs its two sub-families, "
                              "and only an interleaved family takes them")
 
+    # typed, so an equal ``n`` of another type (2.0 after 2) is built, or
+    # refused, as it would be uncached
+    @lru_cache(maxsize=16, typed=True)
     def at(self, spec: LatticeSpec, n: int) -> Conditioning:
         """The family at scale ``n``: the only place its ``kind`` is read.
+
+        The record is cached: equal ``(family, spec, n)`` get the same
+        immutable :class:`Conditioning`, set up once and shared by every
+        caller; the cache is small, since a d = 3 box-boundary record at
+        n = 64 holds about 10^5 sites.
 
         Raises :class:`~percolab.lattice.WindowTooLargeError` before
         materialising any site when ``B(outer)`` could not be materialised.
@@ -467,31 +475,35 @@ def extract_kernels(
     win = query_window[0]
     origin_rows = _box_rows(win, [(0,) * spec.d])
 
-    counts: Dict[Label, int] = {}
-    label_q: Dict[Label, int] = {}
-    c_counts: Dict[Label, int] = {}
-    core_hits: Dict[Tuple[Label, Label], int] = {}
-    event_hits: Dict[Tuple[Label, Label], int] = {}
-    gamma_hits: Dict[Label, int] = {}
+    # each distinct label gets an index on first sight, so a label is hashed
+    # once per record and every tally is keyed by indices
+    index: Dict[Label, int] = {}
+    counts: Dict[int, int] = {}
+    label_q: Dict[int, int] = {}
+    c_counts: Dict[int, int] = {}
+    core_hits: Dict[Tuple[int, int], int] = {}
+    event_hits: Dict[Tuple[int, int], int] = {}
+    gamma_hits: Dict[int, int] = {}
     g_violations = 0
     f_failures = 0
 
     if level == 0:
-        c_counts[_ORIGIN_LABEL] = 0
+        index[_ORIGIN_LABEL] = 0
+        c_counts[0] = 0
 
     for sid in range(sample_start, sample_start + n_samples):
         c = cfg.with_sample(sid)
         d_records = [r for r in scan_good_spanning(c, idx_d, params, good, reg, q_list)
                      if r.good]
         if level == 0:
-            c_records: List[Optional[SpanningSetRecord]] = [None]
-            c_counts[_ORIGIN_LABEL] += 1
+            c_info: List[Tuple[int, Optional[SpanningSetRecord]]] = [(0, None)]
+            c_counts[0] += 1
         else:
-            c_records = [r for r in scan_good_spanning(c, idx_c, params, good, reg, q_list)
-                         if r.good]
-            for crec in c_records:
-                clab = crec.cluster.label
-                c_counts[clab] = c_counts.get(clab, 0) + 1
+            c_info = [(index.setdefault(r.cluster.label, len(index)), r)
+                      for r in scan_good_spanning(c, idx_c, params, good, reg, q_list)
+                      if r.good]
+            for ci, _ in c_info:
+                c_counts[ci] = c_counts.get(ci, 0) + 1
 
         ev_ok = event.evaluate(c) if event is not None else True
         if not d_records:
@@ -501,28 +513,25 @@ def extract_kernels(
         d_info = []
         for drec in d_records:
             dlab = drec.cluster.label
+            di = index.setdefault(dlab, len(index))
             d_rows = _box_rows(win, dlab)
             arm = queries.joined("arm", d_rows, queries.targets)
-            counts[dlab] = counts.get(dlab, 0) + 1
-            label_q[dlab] = drec.q
+            counts[di] = counts.get(di, 0) + 1
+            label_q[di] = drec.q
             if arm:
-                gamma_hits[dlab] = gamma_hits.get(dlab, 0) + 1
-            d_info.append((dlab, d_rows, arm))
+                gamma_hits[di] = gamma_hits.get(di, 0) + 1
+            d_info.append((di, d_rows, arm))
 
-        for crec in c_records:
-            if crec is None:
-                clab, c_rows = _ORIGIN_LABEL, origin_rows
-            else:
-                clab = crec.cluster.label
-                c_rows = _box_rows(win, clab)
+        for ci, crec in c_info:
+            c_rows = origin_rows if crec is None else _box_rows(win, crec.cluster.label)
             n_g = 0
             g_rows = None
-            for dlab, d_rows, arm in d_info:
-                if clab == dlab:
+            for di, d_rows, arm in d_info:
+                if ci == di:
                     continue
                 if (queries.joined("link", c_rows, d_rows)
                         and not queries.joined("leak", c_rows, queries.shell, d_rows)):
-                    key = (clab, dlab)
+                    key = (ci, di)
                     core_hits[key] = core_hits.get(key, 0) + 1
                     if ev_ok:
                         event_hits[key] = event_hits.get(key, 0) + 1
@@ -536,45 +545,44 @@ def extract_kernels(
             if n_g >= 1 and level == 0 and not queries.joined("free", c_rows, g_rows):
                 f_failures += 1
 
-    c_labels = sorted(c_counts)
-    d_labels = sorted(counts)
-    c_index = {lab: i for i, lab in enumerate(c_labels)}
-    d_index = {lab: i for i, lab in enumerate(d_labels)}
+    label_of = list(index)
+    c_order = sorted(c_counts, key=label_of.__getitem__)
+    d_order = sorted(counts, key=label_of.__getitem__)
     srange = (sample_start, sample_start + n_samples)
 
     m_hat: Dict[Tuple[int, int], Estimate] = {}
     m_event: Dict[Tuple[int, int], Estimate] = {}
-    for clab, ci in c_index.items():
-        denom = n_samples if level == 0 else c_counts[clab]
-        for dlab, di in d_index.items():
-            if clab == dlab:
+    for cpos, ci in enumerate(c_order):
+        denom = n_samples if level == 0 else c_counts[ci]
+        for dpos, di in enumerate(d_order):
+            if ci == di:
                 continue
-            hits = core_hits.get((clab, dlab), 0)
+            hits = core_hits.get((ci, di), 0)
             if denom > 0:
-                m_hat[(ci, di)] = Estimate.from_counts(
+                m_hat[(cpos, dpos)] = Estimate.from_counts(
                     hits, denom, seed=cfg.seed, sample_range=srange
                 )
                 if level == 0 and event is not None:
-                    m_event[(ci, di)] = Estimate.from_counts(
-                        event_hits.get((clab, dlab), 0), denom,
+                    m_event[(cpos, dpos)] = Estimate.from_counts(
+                        event_hits.get((ci, di), 0), denom,
                         seed=cfg.seed, sample_range=srange,
                     )
     gamma = {
-        d_index[lab]: Estimate.from_counts(
-            gamma_hits.get(lab, 0), counts[lab], seed=cfg.seed, sample_range=srange
+        dpos: Estimate.from_counts(
+            gamma_hits.get(di, 0), counts[di], seed=cfg.seed, sample_range=srange
         )
-        for lab in d_labels
+        for dpos, di in enumerate(d_order)
     }
 
-    if not d_labels:
+    if not counts:
         warns.append(f"no certified good spanning sets at level {level + 1}")
 
     return KernelExtraction(
         level=level,
-        c_labels=c_labels,
-        d_labels=d_labels,
-        label_counts=counts,
-        label_q=label_q,
+        c_labels=[label_of[ci] for ci in c_order],
+        d_labels=[label_of[di] for di in d_order],
+        label_counts={label_of[di]: k for di, k in counts.items()},
+        label_q={label_of[di]: q for di, q in label_q.items()},
         m_hat=m_hat,
         m_event=m_event,
         gamma=gamma,

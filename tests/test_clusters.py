@@ -476,7 +476,7 @@ def test_certification_params_refuse_non_numbers(params, kwargs, message):
         params(**kwargs)
 
 
-def test_scan_labels_each_sub_annulus_once_per_sample(monkeypatch):
+def test_scan_labels_each_sub_annulus_once_per_sample(monkeypatch, cold_caches):
     # the minimality check reads Ann^1 off the scan's own labelling of the
     # sample, so each (sample, sub-annulus) window is labelled exactly once
     idx = scale_sequence(NESTED, 1)[1]
@@ -490,7 +490,6 @@ def test_scan_labels_each_sub_annulus_once_per_sample(monkeypatch):
         return real(win, *args, **kwargs)
 
     monkeypatch.setattr(percolab.clusters, "component_labels", counted)
-    _window_spanning_clusters.cache_clear()
     reasons = set()
     for sid in range(10):
         cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)

@@ -32,7 +32,14 @@ from percolab.experiments import (
     two_east_edges_event,
 )
 from percolab.clusters import GoodSpanningParams, RegularityParams
-from percolab.lattice import LatticeSpec, annulus, canonical_edge, norm_inf, region_sites
+from percolab.lattice import (
+    LatticeSpec,
+    WindowTooLargeError,
+    annulus,
+    canonical_edge,
+    norm_inf,
+    region_sites,
+)
 from percolab.scales import scale_sequence, toy_params
 from percolab.windowed import (
     build_window,
@@ -94,6 +101,68 @@ def test_interleaved_family_delegates_by_position():
     assert fam.at(SPEC2, 8).kind == "box_boundary"
     with pytest.raises(ValueError):
         fam.at(SPEC2, 5)
+
+
+_CACHE_SPECS = [SPEC1, SPEC2, LatticeSpec(d=3), LatticeSpec(d=2, edge_mode="spread_out", lam=2)]
+
+
+@pytest.mark.parametrize("spec", _CACHE_SPECS, ids=["d1", "d2", "d3", "spread-out"])
+def test_conditioning_records_are_cached_and_shared(spec, cold_caches):
+    families = [ConditioningFamily(kind, (4, 6)) for kind in _KINDS] + [
+        _interleaved("vertex_set_with_obstacle", "halfspace_target", (4, 6))]
+    for fam in families:
+        for n in fam.n_list:
+            cond = fam.at(spec, n)
+            assert fam.at(spec, n) is cond
+            # an equal family is the same cache key
+            assert ConditioningFamily(fam.kind, fam.n_list, fam.sub).at(spec, n) is cond
+            cold_caches()
+            fresh = fam.at(spec, n)
+            assert fresh == cond and fresh is not cond
+            assert fresh.min_norm == cond.min_norm
+    mixed = families[-1]
+    assert mixed.at(spec, 4) is mixed.sub[0].at(spec, 4)
+    assert mixed.at(spec, 6) is mixed.sub[1].at(spec, 6)
+
+
+def test_conditioning_cache_keeps_no_exceptions(cold_caches):
+    fam = _interleaved("box_boundary", "single_vertex", (4, 6))
+    huge = ConditioningFamily("box_boundary", (5000,))  # B(5001) has 100060009 sites
+    for _ in range(2):
+        with pytest.raises(ValueError, match="5 not in the interleaved n_list"):
+            fam.at(SPEC2, 5)
+        with pytest.raises(WindowTooLargeError, match="100060009 sites"):
+            huge.at(SPEC2, 5000)
+    info = ConditioningFamily.at.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+    # a cached scale 4 answers no float 4.0, which is refused uncached
+    box = ConditioningFamily("box_boundary", (4,))
+    box.at(SPEC2, 4)
+    with pytest.raises(TypeError):
+        box.at(SPEC2, 4.0)
+
+
+def test_one_sample_extractions_set_the_conditioning_up_once(cold_caches):
+    # the certify-lazy op: one sample per extract_kernels call
+    cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
+    good = GoodSpanningParams(lo=0.1, hi=4.0, regular_fraction=0.5)
+    reg = RegularityParams(K=3, s_list=(3, 4), n_inner=120, log_base=2.0)
+
+    def extract(sid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return extract_kernels(cfg, toy_params(1, 2, 1), 0, 1,
+                                   ConditioningFamily("box_boundary", (16,)), 16,
+                                   event=two_east_edges_event(SPEC2), good=good, reg=reg,
+                                   sample_start=sid)
+
+    warm = [extract(sid) for sid in range(8)]
+    info = ConditioningFamily.at.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+    assert sum(len(ext.d_labels) for ext in warm) > 0
+    for sid, ext in enumerate(warm):
+        cold_caches()
+        assert extract(sid) == ext
 
 
 @pytest.mark.parametrize("targets,obstacles", [
@@ -579,7 +648,7 @@ def _probes(spec, cond, inner):
             frozenset([origin, beyond, *sorted(cond.obstacles)[:1]])]
 
 
-def test_onward_arms_match_lazy_queries():
+def test_onward_arms_match_lazy_queries(cold_caches):
     # consecutive windows change the lattice (three lattices, two seeds), and
     # a lattice's next window changes n or the separation radii within the
     # cache's reach, so a window cached under the wrong key shows; each
@@ -594,7 +663,6 @@ def test_onward_arms_match_lazy_queries():
         (LatticeSpec(d=2, edge_mode="spread_out", lam=2), 2024, 0.07),
     ]
     ladder = scale_sequence(toy_params(1, 2, 1), 2)
-    experiments._query_window.cache_clear()
     answers, windows = {}, 0
     for fam in _ARM_FAMILIES:
         for level, n in ((0, 6), (0, 9), (1, 16)):

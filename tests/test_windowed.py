@@ -119,7 +119,7 @@ def test_component_labels_match_exploration(spec, outer, p):
     assert len(sizes) > 2  # the samples are not all trivial
 
 
-def test_window_spanning_clusters_equal_lazy_scan():
+def test_window_spanning_clusters_equal_lazy_scan(cold_caches):
     # the cases share a region under two seeds and two lattices, and each
     # sample id visits them in turn, so a window cached under the wrong key
     # shows; five windows overflow the cache, three p per window hit it
@@ -132,7 +132,6 @@ def test_window_spanning_clusters_equal_lazy_scan():
         (SPEC2, 4, annulus((0, 0), 2, 3), 0.5),  # p = 0: every non-corner site spans alone
         (SPEC3, 7, annulus((0, 0, 0), 1, 4), 0.2488),
     ]
-    _scan_window.cache_clear()
     for sid in range(50):
         for spec, seed, region, p_c in cases:
             for p in (0.0, p_c, 1.0):
@@ -458,3 +457,43 @@ def test_escape_levels_refuse_unordered_or_foreign_configs():
     foreign = [PercolationConfig(SPEC2, 0.5, 4)]
     with pytest.raises(ValueError, match="seed/lattice"):
         list(escape_levels(win, foreign, [0], origin, [targets]))
+
+
+# ---------------------------------------------------------------------------
+# An exact value at window scale: the self-dual crossing (statistical
+# against exact).  The rectangle of (2n + 2) x (2n + 1) sites is its own
+# planar dual turned by 90 degrees, so its left-right crossing probability
+# satisfies P_p + P_{1-p} = 1 at every n, and P_{1/2} = 1/2 exactly
+# (Harris 1960; Kesten 1980; Grimmett, Percolation, ch. 11).
+
+
+def _rectangle_crossings(p, n, sample_ids, seed=2024):
+    """How many of ``sample_ids`` cross the rectangle x in [-n, n + 1],
+    |y| <= n from left to right, read on ``B(n + 1)`` with the column
+    x = -(n + 1) and the rows |y| = n + 1 blocked."""
+    win = build_window(SPEC2, seed, n + 1)
+    x, y = win.sites.T
+    blocked = np.flatnonzero((x == -(n + 1)) | (np.abs(y) == n + 1))
+    inside = np.abs(y) <= n
+    left, right = np.flatnonzero(inside & (x == -n)), np.flatnonzero(inside & (x == n + 1))
+    cfg = PercolationConfig(spec=SPEC2, p=p, seed=seed)
+    return sum(connection_indicator(component_labels(win, sample_open_edges(win, cfg, sid),
+                                                     blocked), left, right)
+               for sid in sample_ids)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_self_dual_rectangle_is_crossed_with_probability_one_half(n):
+    k = 2000
+    share = _rectangle_crossings(0.5, n, range(k)) / k
+    assert abs(share - 0.5) <= 4 * np.sqrt(0.25 / k), share
+
+
+def test_self_dual_crossings_at_p_and_one_minus_p_sum_to_one():
+    # the two terms read disjoint sample ranges, so their errors are independent
+    k = 2000
+    a = _rectangle_crossings(0.45, 8, range(k)) / k
+    b = _rectangle_crossings(0.55, 8, range(k, 2 * k)) / k
+    sigma = np.sqrt((a * (1 - a) + b * (1 - b)) / k)
+    assert 0 < a < b < 1
+    assert abs(a + b - 1) <= 4 * sigma, (a, b)
