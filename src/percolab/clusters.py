@@ -14,26 +14,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral, Real
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .engine import (
-    ClusterRecord,
-    PercolationConfig,
-    RegionLike,
-    edge_key,
-    explore,
-    keyed_edge_state,
-    membership,
-    mix64,
-)
+from .engine import ClusterRecord, PercolationConfig, mix64, states_from_keys
 from .estimators import Estimate
 from .lattice import (
-    Edge, LatticeSpec, Region, Site, box, check_numbers, neighbours, region_boundaries,
+    LatticeSpec, Region, Site, check_numbers, norm_inf, region_boundaries, region_sites,
 )
 from .scales import ScaleIndex, ScaleParams, sub_annulus
-from .windowed import Window, build_window, component_labels, sample_open_edges
+from .windowed import Window, build_window, component_labels, origin_cluster, sample_open_edges
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +96,6 @@ class RegularityReport:
     regular: Optional[bool]
 
 
-# A resampled cluster reaching this many sites aborts the estimate.
-_RESAMPLE_CAP = 200_000
-
-
 def _inner_sample_id(outer_sample: int, inner: int) -> int:
     """A derived sample stream for nested resampling, separated from the
     outer id space by an avalanche pass (63-bit to stay nonnegative)."""
@@ -120,7 +107,7 @@ def estimate_regularity(
     x: Site,
     cluster: ClusterRecord,
     params: RegularityParams,
-    resample_region: Optional[RegionLike] = None,
+    resample_region: Optional[Union[Region, FrozenSet[Site]]] = None,
 ) -> RegularityReport:
     """Estimate P(volume-tame at scale s | the realized restricted cluster).
 
@@ -128,20 +115,20 @@ def estimate_regularity(
     the caller (e.g. ``explore_cluster(cfg, x, region)``, or a record the
     caller already holds); it must contain ``x`` and must not be truncated.
     Every edge touching it (either endpoint) is frozen at its realized
-    state, computed once per call; all other edges are redrawn ``n_inner``
-    times from independent derived sample streams, each edge key hashed once
-    per call.
+    state; the other edges of ``B(x; 2 s_max)`` (or of ``resample_region``,
+    a test hook that must hold ``x``) are redrawn ``n_inner`` times from
+    derived sample streams.
 
-    The *core* is what ``x`` reaches through open edges between frozen sites
-    of ``resample_region``; its *exits* are the non-frozen sites of the
-    region behind an open edge from the core.  Both are walked through
-    frozen edges only, so they are found, and the core's ball counted, once
-    per call.  An edge into the core from the rest of the region is closed
-    or comes from an exit, so each inner sample's cluster of ``x`` is the
-    core plus what it explores from the exits outside the core, and a core
-    without exits makes every resample explore nothing.  The cap counts the
-    core: an inner cluster of ``_RESAMPLE_CAP`` sites raises
-    ``RuntimeError``.
+    The resampling runs on one window centred at ``x``, of ``(4 s_max +
+    1)^d`` sites whatever the cluster (17^3 at ``s_list = (3, 4)`` in
+    d = 3), which :func:`~percolab.windowed.check_window_size` refuses when
+    oversized (exit 4 at the command line); a ``resample_region`` is a row
+    mask on a window that covers it.  The frozen bits take one hash pass,
+    each inner sample one pass over the free edges, and one search from
+    ``x`` (:func:`~percolab.windowed.origin_cluster`) gives the row mask
+    whose balls are counted; no cap applies.  A *sealed* core, whose search
+    over the frozen open edges alone reaches no non-frozen site, is the
+    cluster of every inner sample, so no inner sample is hashed.
 
     For each tested s, the frequency of the tameness event is compared
     against 1 - exp(-log^2 s): the vertex is declared bad at s when the
@@ -158,8 +145,6 @@ def estimate_regularity(
         raise RuntimeError("conditioning cluster exploration was truncated")
     frozen = cluster.vertices
     s_max = max(params.s_list)
-    if resample_region is None:
-        resample_region = box(x, 2 * s_max)
 
     thresholds = {
         s: tame_threshold(s, params.log_base) for s in params.s_list
@@ -178,43 +163,42 @@ def estimate_regularity(
     pending = [s for s in untamed if s not in deterministic_bad]
     tallies = {s: 0 for s in pending}
     if pending:
-        member = membership(resample_region)
-        keys: Dict[Edge, int] = {}  # resampled edges' keys: they do not depend on the sample
-        fixed: Dict[Edge, int] = {}  # frozen edges' realized bits
+        if resample_region is None:
+            win = build_window(cfg.spec, cfg.seed, 2 * s_max, centre=x)
+            region = np.ones(win.n_sites, dtype=bool)
+        else:
+            sites = (frozenset(region_sites(resample_region))
+                     if isinstance(resample_region, Region) else resample_region)
+            reach = max((norm_inf(tuple(a - b for a, b in zip(v, x))) for v in sites),
+                        default=0)
+            win = build_window(cfg.spec, cfg.seed, reach, centre=x)
+            region = np.zeros(win.n_sites, dtype=bool)
+            region[win.box_rows(sites)] = True
+        heads, tails = win.edge_rows.T
+        inside = region[heads] & region[tails]
+        frozen_rows = np.zeros(win.n_sites, dtype=bool)
+        frozen_rows[win.box_rows(cluster.label)] = True
+        touches = frozen_rows[heads] | frozen_rows[tails]
+        fixed, free = np.flatnonzero(inside & touches), np.flatnonzero(inside & ~touches)
+        state = np.zeros(win.n_edges, dtype=bool)
+        state[fixed] = states_from_keys(win.keys[fixed], cfg.sample_id, cfg.threshold)
+        norms = win.norms()
+        x_row = win.row_of(x)
 
-        def frozen_bit(e: Edge) -> int:
-            bit = fixed.get(e)
-            if bit is None:
-                bit = fixed[e] = keyed_edge_state(cfg, edge_key(cfg.seed, e))
-            return bit
-
-        # The core and its exits are walked through frozen edges only, so
-        # they are the same in every inner sample.
-        core, _ = explore(cfg.spec, [x], lambda v: v in frozen and member(v), frozen_bit,
-                          cap=len(frozen))
-        exits = {z for y in core for z in neighbours(cfg.spec, y)
-                 if z not in frozen and member(z) and frozen_bit((y, z) if y < z else (z, y))}
-        core_counts = _ball_counts(core, x, pending)
-        beyond = lambda v: v not in core and member(v)
-        for inner in range(params.n_inner):
-            inner_cfg = cfg.with_sample(_inner_sample_id(cfg.sample_id, inner))
-
-            def state(e: Edge) -> int:
-                if e[0] in frozen or e[1] in frozen:
-                    return frozen_bit(e)
-                key = keys.get(e)
-                if key is None:
-                    key = keys[e] = edge_key(cfg.seed, e)
-                return keyed_edge_state(inner_cfg, key)
-
-            rest, outcome = explore(cfg.spec, exits, beyond, state,
-                                    cap=_RESAMPLE_CAP - 1 - len(core))
-            # explore adds its sources without checking the cap
-            if outcome is None or len(core) + len(rest) >= _RESAMPLE_CAP:
-                raise RuntimeError("mixed exploration exceeded its cap")
-            counts = _ball_counts(rest, x, pending)
+        def tally(rows: np.ndarray, times: int) -> None:
+            near = norms[rows]
             for s in pending:
-                tallies[s] += int(core_counts[s] + counts[s] < thresholds[s])
+                tallies[s] += times * int(np.count_nonzero(near <= s) < thresholds[s])
+
+        core = origin_cluster(win, state, x_row, None)
+        if not (core & ~frozen_rows).any():  # sealed: every inner cluster is the core
+            tally(core, params.n_inner)
+        else:
+            free_keys = win.keys[free]
+            for inner in range(params.n_inner):  # each overwrites every free edge's bit
+                sid = _inner_sample_id(cfg.sample_id, inner)
+                state[free] = states_from_keys(free_keys, sid, cfg.threshold)
+                tally(origin_cluster(win, state, x_row, None), 1)
 
     for s in params.s_list:
         level = badness_threshold(s, params.log_base)

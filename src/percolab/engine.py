@@ -16,31 +16,29 @@ on the sample, bulk samplers can hash a whole window's edges once and then
 produce any number of samples with a single avalanche pass per sample.  The
 construction is frozen by the test vectors in ``tests/test_engine.py``;
 changing it is a format break.  Step 3 is written once for scalars, in
-:func:`keyed_edge_state`, and once for arrays.  A :class:`PercolationConfig` computes its
-threshold ``floor(p * 2^64)`` and its sample key at most once, and the
-regularity resampling hashes each edge key once per call and reuses it
-across its inner samples.
+:func:`raw_edge_state`, and once for arrays.  A :class:`PercolationConfig`
+computes its threshold ``floor(p * 2^64)`` and its sample key at most once.
 
-Every lattice exploration runs through one breadth-first frontier loop,
-:func:`explore`: sources, a membership predicate, an edge-state callable, an
-optional target for early exit, a hard vertex cap with a *tri-state* result
-(``True`` / ``False`` are certain, ``None`` means the cap censored the
-answer) and an optional ``edge_log`` of every (edge, bit) queried.  A region
-is a :class:`~percolab.lattice.Region` (an annulus or a box), a ``frozenset``
-of sites, or a membership predicate (:data:`RegionLike`).  The one
-production caller of :func:`explore` is the regularity resampling in
-:mod:`percolab.clusters`, which runs it with an edge-state callable that
-mixes two samples.  ``explore_cluster``, ``connect_sets`` and
-``spanning_clusters`` are built on it here as the tests' lazy references:
-``connect_sets`` for the window queries of kernel extraction,
-``explore_cluster`` and ``spanning_clusters`` for the window scan and the
-minimality check that reads it.  Only edges with both endpoints inside the
-allowed region are ever queried; the tests read the ``edge_log`` to prove
-such measurability claims (e.g. spanning-cluster detection never touches an
-edge outside the annulus).  Annulus geometry is
-not decided here: cluster records take their boundary sites from
-:func:`percolab.lattice.boundary_membership`, and spanning-cluster detection
-starts from :func:`percolab.lattice.region_boundaries`.
+The lazy explorer is one breadth-first frontier loop, :func:`explore`:
+sources, a membership predicate, an edge-state callable, an optional target
+for early exit, a hard vertex cap with a *tri-state* result (``True`` /
+``False`` are certain, ``None`` means the cap censored the answer) and an
+optional ``edge_log`` of every (edge, bit) queried.  A region is a
+:class:`~percolab.lattice.Region` (an annulus or a box), a ``frozenset`` of
+sites, or a membership predicate (:data:`RegionLike`).  It has no
+production caller, since every experiment samples on windows
+(:mod:`percolab.windowed`); only the lazy references the tests hold the
+window code against sit on it: ``connect_sets`` for kernel extraction's
+window queries, ``explore_cluster`` and ``spanning_clusters`` for the window
+scan and its minimality check, and, run directly under a two-sample
+edge-state callable, the regularity resampling's reference.  Only edges
+with both endpoints inside the allowed region are ever queried; the tests
+read the ``edge_log`` to prove such measurability claims (e.g.
+spanning-cluster detection never touches an edge outside the annulus).
+Annulus geometry is not decided here: cluster records take their boundary
+sites from :func:`percolab.lattice.boundary_membership`, and
+spanning-cluster detection starts from
+:func:`percolab.lattice.region_boundaries`.
 
 The oracle twin is the exact tier over explicit graphs of at most 24 edges.
 A vectorised query (built on :meth:`TinyGraph.reach`, which sweeps the open
@@ -175,12 +173,8 @@ def edge_state(cfg: PercolationConfig, e: Edge) -> int:
 
 
 def raw_edge_state(cfg: PercolationConfig, e: Edge) -> int:
-    return keyed_edge_state(cfg, edge_key(cfg.seed, e))
-
-
-def keyed_edge_state(cfg: PercolationConfig, key: int) -> int:
-    """The bit, under ``cfg``, of the edge whose key is ``key``."""
-    return 1 if mix64(key ^ cfg.sample_key) < cfg.threshold else 0
+    """The bit of a canonical edge under ``cfg``, unvalidated: step 3 on its key."""
+    return 1 if mix64(edge_key(cfg.seed, e) ^ cfg.sample_key) < cfg.threshold else 0
 
 
 def edge_keys_bulk(seed: int, a_cols: Sequence[np.ndarray],

@@ -363,13 +363,6 @@ class KernelExtraction:
         }
 
 
-def _box_rows(win: Window, sites: Iterable[Site]) -> np.ndarray:
-    """Rows of the ``sites`` inside the window's box; a site outside it lies
-    in no query's region, so it is dropped."""
-    c = np.array(list(sites), dtype=np.int64).reshape(-1, win.spec.d)
-    return win.rows_of(c[(np.abs(c) <= win.outer).all(axis=1)])
-
-
 @lru_cache(maxsize=4)
 def _query_window(
     spec: LatticeSpec, seed: int, cond: Conditioning, sep_in: Optional[int], sep_out: int
@@ -385,14 +378,14 @@ def _query_window(
     win = build_window(spec, seed, max(cond.outer, sep_out))
     norms = win.norms()
     free = norms <= cond.outer
-    free[_box_rows(win, cond.obstacles)] = False
+    free[win.box_rows(cond.obstacles)] = False
     box = norms <= sep_out
     link = box if sep_in is None else (norms > sep_in) & (norms <= cond.outer)
     heads, tails = win.edge_rows.T
     regions = {name: (rows, rows[heads] & rows[tails])
                for name, rows in (("arm", free & (norms > sep_out)), ("link", link),
                                   ("leak", box), ("free", free))}
-    return win, regions, _box_rows(win, cond.targets), np.flatnonzero(norms == sep_out)
+    return win, regions, win.box_rows(cond.targets), np.flatnonzero(norms == sep_out)
 
 
 class _SampleQueries:
@@ -473,7 +466,7 @@ def extract_kernels(
     sep_in = 2 ** idx_c.ell if idx_c is not None else None
     query_window = _query_window(spec, cfg.seed, cond, sep_in, sep_out_radius)
     win = query_window[0]
-    origin_rows = _box_rows(win, [(0,) * spec.d])
+    origin_rows = win.box_rows([(0,) * spec.d])
 
     # each distinct label gets an index on first sight, so a label is hashed
     # once per record and every tally is keyed by indices
@@ -514,7 +507,7 @@ def extract_kernels(
         for drec in d_records:
             dlab = drec.cluster.label
             di = index.setdefault(dlab, len(index))
-            d_rows = _box_rows(win, dlab)
+            d_rows = win.box_rows(dlab)
             arm = queries.joined("arm", d_rows, queries.targets)
             counts[di] = counts.get(di, 0) + 1
             label_q[di] = drec.q
@@ -523,7 +516,7 @@ def extract_kernels(
             d_info.append((di, d_rows, arm))
 
         for ci, crec in c_info:
-            c_rows = origin_rows if crec is None else _box_rows(win, crec.cluster.label)
+            c_rows = origin_rows if crec is None else win.box_rows(crec.cluster.label)
             n_g = 0
             g_rows = None
             for di, d_rows, arm in d_info:

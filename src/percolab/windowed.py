@@ -1,9 +1,9 @@
 """Materialised-window sampling: the union-find twin of the lazy engine.
 
 For experiments confined to a finite window (a box or annulus around the
-origin) it is faster to hash every edge of the window in one vectorised pass
-and read off connectivity with `scipy.sparse.csgraph.connected_components`
-than to run a Python-level BFS.  Because edge states are pure functions of
+origin or another centre) it is faster to hash every edge of the window in
+one vectorised pass and read off connectivity with
+`scipy.sparse.csgraph.connected_components` than to run a Python-level BFS.  Because edge states are pure functions of
 ``(seed, sample_id, edge)``, this path sees *exactly* the same configurations
 as the lazy explorer — the tests exploit that to cross-validate the two
 implementations edge for edge.
@@ -36,6 +36,7 @@ one tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,15 +49,17 @@ from .lattice import LatticeSpec, Site, WindowTooLargeError
 
 @dataclass
 class Window:
-    """An annulus/box window around the origin with precomputed edge keys.
+    """An annulus/box window around ``centre`` with precomputed edge keys.
 
-    Edges are in CSR order (by first row, then second row), in ``edge_rows``
-    and ``keys`` alike."""
+    ``sites`` and ``keys`` are absolute; radii, rows and norms are relative
+    to the centre.  Edges are in CSR order (by first row, then second row),
+    in ``edge_rows`` and ``keys`` alike."""
 
     spec: LatticeSpec
     outer: int
     inner: int  # hole radius; -1 for a solid box
     seed: int
+    centre: Site
     sites: np.ndarray  # (n, d) int64, lexicographic order over the full box
     member: np.ndarray  # (n,) bool, True for sites of the region
     # (m, 2) int32 row indices (a_row, b_row), a_row < b_row; column-major,
@@ -87,14 +90,21 @@ class Window:
             c = c.reshape(0, d)
         if c.ndim != 2 or c.shape[1] != d:
             raise ValueError(f"sites must have {d} coordinates, got an array of shape {c.shape}")
-        if np.abs(c).max(initial=0) > self.outer:
-            bad = c[(np.abs(c) > self.outer).any(axis=1)][0]
+        rel = c - np.asarray(self.centre, dtype=np.int64)
+        if np.abs(rel).max(initial=0) > self.outer:
+            bad = c[(np.abs(rel) > self.outer).any(axis=1)][0]
             raise ValueError(f"site {tuple(bad.tolist())} outside window box")
-        return (c + self.outer) @ side ** np.arange(d - 1, -1, -1)
+        return (rel + self.outer) @ side ** np.arange(d - 1, -1, -1)
+
+    def box_rows(self, xs: Iterable[Site]) -> np.ndarray:
+        """Rows of the sites of ``xs`` that lie in the window's box; the
+        others are dropped."""
+        c = np.array(list(xs), dtype=np.int64).reshape(-1, self.spec.d)
+        return self.rows_of(c[(np.abs(c - self.centre) <= self.outer).all(axis=1)])
 
     def norms(self) -> np.ndarray:
-        """l-infinity norm of every box site."""
-        return _linf_norms(self.sites.T)
+        """l-infinity distance of every box site from the centre."""
+        return _linf_norms((self.sites - np.asarray(self.centre, dtype=np.int64)).T)
 
 
 def _linf_norms(cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -113,47 +123,61 @@ def check_window_size(spec: LatticeSpec, outer: int) -> int:
     return n
 
 
-def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1) -> Window:
-    """Materialise ``B(outer) \\ B(inner)`` around the origin; hash its edges.
-
-    Only edges with both endpoints in the region are kept, in CSR order by
-    construction: an edge runs from a first row ``a`` by a lexicographically
-    positive offset, and with the offsets in lexicographic order the
-    (site x offset) grid read row by row is already sorted by first row,
-    then second row, so no sort runs.  The keys are hashed over that grid
-    (each first end once) and compressed by the same validity mask.
-    Memory scales like ``d * (2*outer+1)^d``; callers are expected to stay at
-    desk scale, and a window :func:`check_window_size` refuses raises
-    :class:`WindowTooLargeError`.
-    """
+@lru_cache(maxsize=8)
+def _layout(spec: LatticeSpec, outer: int, inner: int) -> Tuple[np.ndarray, ...]:
+    """What a window's layout does not take from its centre: the grid of
+    sites relative to it, the member mask, the lexicographically positive
+    offsets, the (site x offset) validity mask and the edge rows.  Kept
+    read-only across calls: the regularity resampling lays out the same box
+    around vertex after vertex."""
     d = spec.d
     side = 2 * outer + 1
     n = check_window_size(spec, outer)
     axis = np.arange(-outer, outer + 1, dtype=np.int64)
-    cols = [g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")]
-    sites = np.stack(cols, axis=1)  # lex order
-    member = _linf_norms(cols) > inner
+    rel = [g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")]  # lex order
+    member = _linf_norms(rel) > inner
 
     # each edge once, from its lexicographically smaller end; rows are in
     # lexicographic order, so for a fixed first row the second rows ascend
     # with the offsets taken in lexicographic order
     offs = np.array(sorted(v for v in spec.offsets() if v > (0,) * d), dtype=np.int64)
     steps = offs @ np.array([side ** (d - 1 - j) for j in range(d)], dtype=np.int64)
-    b_cols = [x[:, None] + o for x, o in zip(cols, offs.T)]  # (n, k) each
-    b_norms = _linf_norms(b_cols)
+    b_norms = _linf_norms([x[:, None] + o for x, o in zip(rel, offs.T)])  # (n, k)
     ok = member[:, None] & (b_norms <= outer) & (b_norms > inner)
     rows = np.arange(n)[:, None]
-    return Window(
-        spec=spec,
-        outer=outer,
-        inner=inner,
-        seed=seed,
-        sites=sites,
-        member=member,
-        edge_rows=np.array([np.broadcast_to(rows, ok.shape)[ok], (rows + steps)[ok]],
-                           dtype=np.int32).T,
-        keys=edge_keys_bulk(seed, [x[:, None] for x in cols], b_cols)[ok],
-    )
+    edge_rows = np.array([np.broadcast_to(rows, ok.shape)[ok], (rows + steps)[ok]],
+                         dtype=np.int32).T
+    layout = (np.stack(rel, axis=1), member, offs, ok, edge_rows)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
+                 centre: Optional[Site] = None) -> Window:
+    """Materialise ``B(centre; outer) \\ B(centre; inner)``, centred at the
+    origin by default; hash its edges at absolute coordinates, so an edge
+    has one key in every window that holds it.
+
+    Only edges with both endpoints in the region are kept, in CSR order by
+    construction: an edge runs from a first row ``a`` by a lexicographically
+    positive offset, and with the offsets in lexicographic order the
+    (site x offset) grid read row by row is already sorted by first row,
+    then second row, so no sort runs.  The keys are hashed over that grid
+    (each first end once) and compressed by the same validity mask.  The
+    layout, all but the sites and keys, is shared by every window of the
+    same lattice and radii (:func:`_layout`).
+    Memory scales like ``d * (2*outer+1)^d``; callers are expected to stay at
+    desk scale, and a window :func:`check_window_size` refuses raises
+    :class:`WindowTooLargeError`.
+    """
+    centre = (0,) * spec.d if centre is None else tuple(centre)
+    grid, member, offs, ok, edge_rows = _layout(spec, outer, inner)
+    sites = grid + np.asarray(centre, dtype=np.int64)
+    a_cols = [x[:, None] for x in sites.T]
+    keys = edge_keys_bulk(seed, a_cols, [x + o for x, o in zip(a_cols, offs.T)])[ok]
+    return Window(spec=spec, outer=outer, inner=inner, seed=seed, centre=centre,
+                  sites=sites, member=member, edge_rows=edge_rows, keys=keys)
 
 
 def sample_open_edges(win: Window, cfg: PercolationConfig, sample_id: int) -> np.ndarray:

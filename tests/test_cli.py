@@ -501,6 +501,17 @@ def test_regularity_scales_that_test_nothing_exit_4(tmp_path, capsys, regularity
     assert not out.exists()
 
 
+def test_oversized_regularity_window_exits_4(tmp_path, capsys):
+    # the resampling window B(x; 2 * 90) has 361^3 sites, over the 40 million
+    # check_window_size allows; this log base leaves s = 90 unsettled by
+    # volume, so the scan's first resampled vertex asks for the window
+    code, _ = _run(tmp_path, ["scan-good-clusters", "--n-samples", "6"],
+                   cfg={"lattice": {"d": 3}, "sample": {"p": 0.25},
+                        "regularity": {"s_list": [3, 90], "log_base": 1e6}})
+    assert code == 4
+    assert "window with 47045881 sites is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n_list", [[4, 4], [8, 4]], ids=["repeated", "decreasing"])
 def test_non_increasing_iic_scales_exit_4(tmp_path, capsys, n_list):
     # both used to exit 3 and write repeated or decreasing rows to iic.csv
@@ -640,6 +651,11 @@ FROZEN_ARTIFACTS = {
         ["scan-good-clusters", "--n-samples", "3"], None,
         0, {"good_clusters.csv": "b3ca49a5e229d978",
             "good_clusters.json": "901c5249e380ffbb"}),
+    "scan-d3": (
+        ["scan-good-clusters", "--n-samples", "6"],
+        {"lattice": {"d": 3}, "sample": {"p": 0.25}, "regularity": {"n_inner": 100}},
+        0, {"good_clusters.csv": "fb5a2545bc983ea1",
+            "good_clusters.json": "e0a68227f9117a40"}),
     "extract": (
         ["extract-kernels", "--n-samples", "60"], None,
         0, {"extraction.json": "044ee82cc340cb6c", "gamma.csv": "aa89f86b80afbbe2",

@@ -183,10 +183,14 @@ def test_regularity_resampling_frozen_tallies_d3():
         assert rep.regular is regular
 
 
-def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None, sizes=None):
-    """Reference for :func:`estimate_regularity`: the path its core/exit walk
-    replaced, in which every inner sample explores the whole mixed cluster
-    from ``x``.  ``sizes`` receives each inner cluster's size."""
+# the lazy reference refuses an inner cluster of this many sites
+_REFERENCE_CAP = 200_000
+
+
+def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None):
+    """Lazy reference for :func:`estimate_regularity`, on the frontier
+    explorer: every inner sample explores the whole mixed cluster from ``x``,
+    edge by edge."""
     frozen = cluster.vertices
     if resample_region is None:
         resample_region = box(x, 2 * max(params.s_list))
@@ -206,11 +210,8 @@ def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None, siz
                 return edge_state(cfg if e[0] in frozen or e[1] in frozen else inner_cfg, e)
 
             mixed, outcome = percolab.engine.explore(
-                cfg.spec, [x], member, state, cap=percolab.clusters._RESAMPLE_CAP - 1)
-            if outcome is None:
-                raise RuntimeError("mixed exploration exceeded its cap")
-            if sizes is not None:
-                sizes.append(len(mixed))
+                cfg.spec, [x], member, state, cap=_REFERENCE_CAP - 1)
+            assert outcome is not None, "the reference's mixed exploration hit its cap"
             counts = percolab.clusters._ball_counts(mixed, x, pending)
             for s in pending:
                 tallies[s] += int(counts[s] < thresholds[s])
@@ -262,11 +263,21 @@ def _d2_case(sid):
     return cfg, x, explore_cluster(cfg, x, annulus((0, 0), 0, 2)), D2_REG, None
 
 
+SPEC4 = LatticeSpec(d=4)
+
+
 def _resampling_cases():
     """(cfg, x, cluster, params, resample_region) cases that resample: d = 3
-    near p_c, d = 2 under a log base that leaves s = 3 unsettled by volume,
-    with the default region and with a frozenset one, and spread-out d = 2."""
+    near p_c, d = 3 at a vertex off the origin, d = 4 near p_c, d = 2 under
+    a log base that leaves s = 3 unsettled by volume, with the default
+    region and with a frozenset one, and spread-out d = 2."""
     cases = [_d3_case(p, sid) for p in (0.22, 0.25, 0.3) for sid in (1, 2)]
+    x = (3, -2, 5)
+    cfg = PercolationConfig(spec=SPEC3, p=0.25, seed=77, sample_id=3)
+    cases.append((cfg, x, explore_cluster(cfg, x, box(x, 1)), D3_REG, None))
+    x = (0, 0, 0, 0)
+    cfg = PercolationConfig(spec=SPEC4, p=0.17, seed=77, sample_id=3)
+    cases.append((cfg, x, explore_cluster(cfg, x, box(x, 1)), D3_REG, box(x, 3)))
     for sid in range(3):
         cfg, x, _, params, _ = _d2_case(sid)
         cases.append(_d2_case(sid))
@@ -287,31 +298,9 @@ def test_regularity_core_walk_matches_whole_cluster_resampling():
         _, exits = _core_and_exits(cfg, x, cluster, region or box(x, 2 * max(params.s_list)))
         kinds.add((cfg.spec, type(region), bool(exits)))
     # d = 3 resampled both sealed cores and cores with exits
-    assert {(SPEC3, Region, False), (SPEC3, Region, True), (SPEC2, type(None), True),
-            (SPEC2, frozenset, True), (SPREAD2, Region, True)} <= kinds
-
-
-@pytest.mark.parametrize("sealed", [False, True], ids=["exits", "sealed"])
-def test_regularity_cap_counts_the_core(monkeypatch, sealed):
-    cfg, x, cluster, params, region = _d3_case(0.22, 2) if sealed else _d2_case(0)
-    core, exits = _core_and_exits(cfg, x, cluster, region or box(x, 2 * max(params.s_list)))
-    sizes = []
-    _whole_cluster_regularity(cfg, x, cluster, params, region, sizes)
-    assert bool(exits) != sealed
-    assert min(sizes) >= len(core) and bool(exits) == (max(sizes) > len(core))
-    # from the core alone at the cap to the largest inner cluster just under it
-    caps = set(range(len(core) - 1, len(core) + len(exits) + 2)) | {max(sizes), max(sizes) + 1}
-    for cap in sorted(caps):
-        monkeypatch.setattr(percolab.clusters, "_RESAMPLE_CAP", cap)
-        raised = []
-        for run in (estimate_regularity, _whole_cluster_regularity):
-            try:
-                run(cfg, x, cluster, params, region)
-            except RuntimeError:
-                raised.append(True)
-            else:
-                raised.append(False)
-        assert raised == [max(sizes) >= cap] * 2, cap
+    assert {(SPEC3, Region, False), (SPEC3, Region, True), (SPEC3, type(None), True),
+            (SPEC4, Region, True), (SPEC2, type(None), True), (SPEC2, frozenset, True),
+            (SPREAD2, Region, True)} <= kinds
 
 
 # ---------------------------------------------------------------------------
@@ -541,20 +530,19 @@ def test_good_spanning_check_explores_nothing(monkeypatch):
 
     reasons = set()
     with monkeypatch.context() as m:
-        # d = 2 volumes settle every regularity estimate, so the lattice
-        # explorer has no caller left: the minimality check reads windows
+        # the minimality check reads windows, and regularity resamples on
+        # them, so the lattice explorer has no caller
         m.setattr(percolab.engine, "explore", forbidden)
-        m.setattr(percolab.clusters, "explore", forbidden)
         m.setattr(percolab.clusters, "estimate_regularity", counted)
         for cfg, rec in cases:
             reasons.update(
                 good_spanning_check(cfg, rec, idx, 2, NESTED, good, reg).failure_reasons)
+        # d = 2 volumes settle every estimate above; d = 3 resamples
+        rep = real(cfg3, x3, rec3, RegularityParams(K=3, s_list=(3,), n_inner=100),
+                   resample_region=box(x3, 3))
     # regularity ran on candidates and, in the minimality check, on components
     assert outer in regions and sub_annulus(SPEC2, idx, 1, NESTED) in regions
     assert any(msg.startswith("not minimal") for msg in reasons)
-    # and the d = 3 resampling, which is not settled by volume
-    rep = real(cfg3, x3, rec3, RegularityParams(K=3, s_list=(3,), n_inner=100),
-               resample_region=box(x3, 3))
     assert rep.per_s[0][1].n_samples == 100
 
 

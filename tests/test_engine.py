@@ -24,7 +24,6 @@ from percolab.engine import (
     enumerate_exact,
     exact_event_table,
     explore_cluster,
-    keyed_edge_state,
     mix64,
     open_threshold,
     popcount64,
@@ -152,7 +151,7 @@ def test_keyed_edge_state_matches_raw_edge_state(seed, sid, spec, p, data):
     e = _random_edge(spec, data)
     cfg = PercolationConfig(spec, p, seed, sid)
     frozen_formula = int(mix64(edge_key(seed, e) ^ sample_key(sid)) < open_threshold(p))
-    assert keyed_edge_state(cfg, edge_key(seed, e)) == raw_edge_state(cfg, e) == frozen_formula
+    assert raw_edge_state(cfg, e) == frozen_formula
 
 
 @given(st.integers(0, 2**64 - 1), st.sampled_from(_SPECS),

@@ -676,7 +676,7 @@ def test_onward_arms_match_lazy_queries(cold_caches):
                     cfg = PercolationConfig(spec=spec, p=p, seed=seed, sample_id=sid)
                     qw = experiments._query_window(spec, seed, cond, sep_in, sep_out)
                     q = experiments._SampleQueries(qw, cfg)
-                    rows = [experiments._box_rows(q.win, vs) for vs in probes]
+                    rows = [q.win.box_rows(vs) for vs in probes]
                     for vs, r in zip(probes, rows):
                         assert sorted(_sites(q.win, r)) == sorted(
                             x for x in vs if norm_inf(x) <= q.win.outer)

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the seven rules the
+No linter ships with the project, so this stands in for the eight rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
@@ -23,7 +23,11 @@ sources keep by hand:
   records, so an unbounded cache would grow with every sample;
 * ``json.dump``, ``json.dumps`` and ``json.JSONEncoder`` appear only in
   ``cli.write_json``: every artifact goes through one encoder, so one
-  function decides the bytes of every JSON file.
+  function decides the bytes of every JSON file;
+* only ``engine`` names the lazy explorer ``explore``, its ``membership``
+  helper and the lazy references ``connect_sets`` and ``spanning_clusters``;
+  ``explore_cluster`` appears elsewhere only in ``__init__``'s public
+  re-export.  Every production path samples on windows.
 """
 
 import ast
@@ -349,3 +353,48 @@ def test_test_only_parameter_entries_are_current():
     passed = dict(_parameters_passed())
     stale = sorted(key for key in TEST_ONLY_PARAMETERS if passed.get(key, True))
     assert stale == []
+
+
+#: The lazy explorer and the lazy references built on it.
+LAZY_NAMES = {"explore", "membership", "connect_sets", "spanning_clusters", "explore_cluster"}
+
+
+def _lazy_names(tree: ast.Module, allowed=frozenset()):
+    """Lines that name one of :data:`LAZY_NAMES` outside ``allowed``: as a
+    name, an attribute, an import or a definition."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for alias in node.names for n in (alias.name, alias.asname)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        lines += [node.lineno for name in names if name in LAZY_NAMES - set(allowed)]
+    return sorted(lines)
+
+
+NOT_ENGINE = [p for p in SOURCES if p.name != "engine.py"]
+
+
+@pytest.mark.parametrize("path", NOT_ENGINE, ids=[p.name for p in NOT_ENGINE])
+def test_only_engine_names_the_lazy_explorer(path):
+    allowed = {"explore_cluster"} if path.name == "__init__.py" else set()
+    assert _lazy_names(_parse(path), allowed) == []
+
+
+def test_lazy_explorer_names_are_caught():
+    src = """
+from .engine import explore, membership as member
+import percolab.engine
+def f(cfg):
+    percolab.engine.connect_sets(cfg)
+    return spanning_clusters(cfg), explore_cluster(cfg), _window_spanning_clusters(cfg)
+def explore(): pass
+"""
+    assert _lazy_names(ast.parse(src)) == [2, 2, 5, 6, 6, 7]
+    assert _lazy_names(ast.parse(src), {"explore_cluster"}) == [2, 2, 5, 6, 7]

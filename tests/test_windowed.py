@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from percolab.clusters import _scan_window, _window_spanning_clusters
 from percolab.engine import (
     PercolationConfig,
+    edge_key,
     edge_keys_bulk,
     edge_state,
     explore_cluster,
@@ -224,6 +225,34 @@ def test_window_arrays_equal_the_sorting_builder(seed):
                 (b.flags.c_contiguous, b.flags.f_contiguous), where
         n_cases += 1
     assert n_cases == 377
+
+
+@pytest.mark.parametrize("spec,centres", [
+    (LatticeSpec(d=1), [(5,), (-7,)]),
+    (SPEC2, [(3, -2), (-40, 17), (2**33, -5)]),
+    (SPEC3, [(1, 2, 3), (-5, 0, 9)]),
+    (LatticeSpec(d=2, edge_mode=SPREAD_OUT, lam=2), [(4, 4), (-3, 11)]),
+], ids=["d1", "d2", "d3", "lam2"])
+def test_centred_window_hashes_absolute_edges(spec, centres):
+    seed = 2024
+    arrays = ("sites", "member", "edge_rows", "keys")
+    for outer, inner in ((3, -1), (3, 1)):
+        default = build_window(spec, seed, outer, inner)
+        at_origin = build_window(spec, seed, outer, inner, centre=(0,) * spec.d)
+        assert at_origin.centre == default.centre == (0,) * spec.d
+        for name in arrays:
+            assert np.array_equal(getattr(at_origin, name), getattr(default, name)), name
+        for centre in centres:
+            win = build_window(spec, seed, outer, inner, centre=centre)
+            assert win.rows_of(win.sites).tolist() == list(range(win.n_sites))
+            for (ra, rb), key in zip(win.edge_rows.tolist(), win.keys.tolist()):
+                a, b = tuple(win.sites[ra].tolist()), tuple(win.sites[rb].tolist())
+                assert a < b and key == edge_key(seed, (a, b))
+            # the origin window's layout, shifted by the centre
+            assert np.array_equal(win.sites, default.sites + np.array(centre))
+            for name in ("member", "edge_rows"):
+                assert np.array_equal(getattr(win, name), getattr(default, name)), name
+            assert np.array_equal(win.norms(), default.norms())
 
 
 # ---------------------------------------------------------------------------
