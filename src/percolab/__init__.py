@@ -7,7 +7,7 @@ experiments, all backed by exact-enumeration oracles on tiny graphs.
 """
 
 from .lattice import LatticeSpec, Region, annulus, box
-from .engine import PercolationConfig, edge_state, enumerate_exact, explore_cluster
+from .engine import PercolationConfig, edge_state, enumerate_exact
 from .scales import ScaleParams, faithful_params, toy_params
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "PercolationConfig",
     "edge_state",
     "enumerate_exact",
-    "explore_cluster",
     "ScaleParams",
     "faithful_params",
     "toy_params",

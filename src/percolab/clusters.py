@@ -111,9 +111,9 @@ def estimate_regularity(
 ) -> RegularityReport:
     """Estimate P(volume-tame at scale s | the realized restricted cluster).
 
-    ``cluster`` is the restricted cluster of ``x`` under ``cfg``, explored by
-    the caller (e.g. ``explore_cluster(cfg, x, region)``, or a record the
-    caller already holds); it must contain ``x`` and must not be truncated.
+    ``cluster`` is the restricted cluster of ``x`` under ``cfg``, a record
+    the caller already holds (each spanning cluster that
+    :func:`good_spanning_check` certifies); it must contain ``x``.
     Every edge touching it (either endpoint) is frozen at its realized
     state; the other edges of ``B(x; 2 s_max)`` (or of ``resample_region``,
     a test hook that must hold ``x``) are redrawn ``n_inner`` times from
@@ -126,9 +126,9 @@ def estimate_regularity(
     mask on a window that covers it.  The frozen bits take one hash pass,
     each inner sample one pass over the free edges, and one search from
     ``x`` (:func:`~percolab.windowed.origin_cluster`) gives the row mask
-    whose balls are counted; no cap applies.  A *sealed* core, whose search
-    over the frozen open edges alone reaches no non-frozen site, is the
-    cluster of every inner sample, so no inner sample is hashed.
+    whose balls are counted.  A *sealed* core, whose search over the frozen
+    open edges alone reaches no non-frozen site, is the cluster of every
+    inner sample, so no inner sample is hashed.
 
     For each tested s, the frequency of the tameness event is compared
     against 1 - exp(-log^2 s): the vertex is declared bad at s when the
@@ -141,8 +141,6 @@ def estimate_regularity(
     """
     if x not in cluster.vertices:
         raise ValueError(f"{x} is not in the conditioning cluster")
-    if cluster.truncated:
-        raise RuntimeError("conditioning cluster exploration was truncated")
     frozen = cluster.vertices
     s_max = max(params.s_list)
 
@@ -413,7 +411,6 @@ def _window_spanning_clusters(
             label=tuple(zip(*win.sites[rows].T.tolist())),
             boundary_in=tuple(b_in[i] for i in on_in),
             boundary_out=tuple(b_out[i] for i in np.flatnonzero(lab_out == lab)),
-            truncated=False,
         ))
     return tuple(sorted(out, key=lambda r: r.min_vertex))
 

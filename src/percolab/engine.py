@@ -21,20 +21,21 @@ computes its threshold ``floor(p * 2^64)`` and its sample key at most once.
 
 The lazy explorer is one breadth-first frontier loop, :func:`explore`:
 sources, a membership predicate, an edge-state callable, an optional target
-for early exit, a hard vertex cap with a *tri-state* result (``True`` /
-``False`` are certain, ``None`` means the cap censored the answer) and an
-optional ``edge_log`` of every (edge, bit) queried.  A region is a
-:class:`~percolab.lattice.Region` (an annulus or a box), a ``frozenset`` of
-sites, or a membership predicate (:data:`RegionLike`).  It has no
-production caller, since every experiment samples on windows
-(:mod:`percolab.windowed`); only the lazy references the tests hold the
-window code against sit on it: ``connect_sets`` for kernel extraction's
-window queries, ``explore_cluster`` and ``spanning_clusters`` for the window
-scan and its minimality check, and, run directly under a two-sample
-edge-state callable, the regularity resampling's reference.  Only edges
-with both endpoints inside the allowed region are ever queried; the tests
-read the ``edge_log`` to prove such measurability claims (e.g.
-spanning-cluster detection never touches an edge outside the annulus).
+for early exit and an optional ``edge_log`` of every (edge, bit) queried.
+A region is a :class:`~percolab.lattice.Region` (an annulus or a box), a
+``frozenset`` of sites, or a membership predicate (:data:`RegionLike`).  A
+region must be finite, as every caller's is (a predicate is bounded by a
+norm): nothing else bounds the closure, so every answer is certain.  The
+explorer has no production caller, since every experiment samples on
+windows (:mod:`percolab.windowed`); only the lazy references the tests hold
+the window code against sit on it: ``connect_sets`` for kernel extraction's
+window queries, ``explore_cluster`` (frozen clusters for the regularity
+tests) and ``spanning_clusters`` for the window scan and its minimality
+check, and, run directly under a two-sample edge-state callable, the
+regularity resampling's reference.  Only edges with both endpoints inside
+the allowed region are ever queried; the tests read the ``edge_log`` to
+prove such measurability claims (e.g. spanning-cluster detection never
+touches an edge outside the annulus).
 Annulus geometry is not decided here: cluster records take their boundary
 sites from :func:`percolab.lattice.boundary_membership`, and
 spanning-cluster detection starts from
@@ -246,18 +247,16 @@ def explore(
     member: Callable[[Site], bool],
     state: Callable[[Edge], int],
     target: Optional[Callable[[Site], bool]] = None,
-    cap: int = 1_000_000,
     edge_log: Optional[list] = None,
-) -> Tuple[Set[Site], Optional[bool]]:
+) -> Tuple[Set[Site], bool]:
     """The frontier loop behind every lattice exploration in the package.
 
     Grows the open cluster of the ``sources`` that satisfy ``member``, through
     neighbours that satisfy ``member``; ``state(e)`` is the bit of the
     canonical edge ``e`` and is only asked for edges with both endpoints in
-    the region.  Returns ``(visited, outcome)`` with a tri-state outcome:
-    ``True`` as soon as a site satisfying ``target`` is reached (a source
-    included), ``None`` when the vertex cap censored the closure, ``False``
-    otherwise.
+    the region, which must be finite.  Returns ``(visited, reached)``:
+    ``reached`` is ``True`` as soon as a site satisfying ``target`` is
+    reached (a source included), and ``False`` once the closure is complete.
 
     An edge is queried only towards a site not yet visited, so each is
     queried at most once.  ``edge_log`` receives every queried
@@ -274,7 +273,6 @@ def explore(
         if s not in visited:
             visited.add(s)
             frontier.append(s)
-    truncated = False
     while frontier:
         y = frontier.popleft()
         for z in neighbours(spec, y):
@@ -288,12 +286,9 @@ def explore(
                 continue
             if target is not None and target(z):
                 return visited, True
-            if len(visited) >= cap:
-                truncated = True
-                continue
             visited.add(z)
             frontier.append(z)
-    return visited, None if truncated else False
+    return visited, False
 
 
 @dataclass(frozen=True)
@@ -306,9 +301,8 @@ class ClusterRecord:
     membership tests.  ``boundary_in``/``boundary_out`` are the
     intersections of the vertex set with the boundaries of a
     :class:`~percolab.lattice.Region`, as sorted tuples; both are empty when
-    ``region`` is a site set or a predicate.  ``truncated`` means the vertex
-    cap censored the closure, so the vertex set is a subset of the true
-    restricted cluster.  Records, and so labels, are built by
+    ``region`` is a site set or a predicate.  The vertex set is always the
+    whole restricted cluster.  Records, and so labels, are built by
     :func:`explore_cluster`, and by the window scan of
     :mod:`percolab.clusters`, whose records the tests hold field for field
     against :func:`spanning_clusters`.
@@ -319,7 +313,6 @@ class ClusterRecord:
     label: Tuple[Site, ...]
     boundary_in: Tuple[Site, ...]
     boundary_out: Tuple[Site, ...]
-    truncated: bool
 
     @cached_property
     def vertices(self) -> FrozenSet[Site]:
@@ -338,20 +331,20 @@ def explore_cluster(
     cfg: PercolationConfig,
     x: Site,
     region: RegionLike,
-    cap: int = 1_000_000,
     edge_log: Optional[list] = None,
 ) -> ClusterRecord:
     """Closure of ``x`` under open edges with both endpoints in ``region``.
 
     Breadth-first.  Only edges with both endpoints inside the region are
-    ever hashed, each at most once.  ``truncated`` is set iff the vertex cap
-    was hit before the closure stabilised.
+    ever hashed, each at most once.  The lazy reference that freezes
+    clusters for the regularity tests and that :func:`spanning_clusters`
+    explores with.
     """
     member = membership(region)
     if not member(x):
         raise ValueError(f"root {x} not in region")
-    visited, outcome = explore(cfg.spec, [x], member, lambda e: raw_edge_state(cfg, e),
-                               cap=cap, edge_log=edge_log)
+    visited, _ = explore(cfg.spec, [x], member, lambda e: raw_edge_state(cfg, e),
+                         edge_log=edge_log)
     label = tuple(sorted(visited))
     b_in: List[Site] = []
     b_out: List[Site] = []
@@ -368,7 +361,6 @@ def explore_cluster(
         label=label,
         boundary_in=tuple(b_in),
         boundary_out=tuple(b_out),
-        truncated=outcome is None,
     )
 
 
@@ -378,10 +370,8 @@ def connect_sets(
     targets: Union[Iterable[Site], RegionLike],
     region: RegionLike,
     edge_log: Optional[list] = None,
-) -> Optional[bool]:
-    """Tri-state: is some source joined to some target by an open path in
-    ``region``?  ``True``/``False`` are certain; ``None`` means the cap was
-    hit before a decision.
+) -> bool:
+    """Is some source joined to some target by an open path in ``region``?
 
     Sources outside the region are skipped (their other lattice locations
     are irrelevant to a restricted connection); a source that *is* a target
@@ -391,40 +381,36 @@ def connect_sets(
         target = membership(targets)
     else:
         target = frozenset(tuple(t) for t in targets).__contains__
-    _, outcome = explore(cfg.spec, sources, membership(region),
+    _, reached = explore(cfg.spec, sources, membership(region),
                          lambda e: raw_edge_state(cfg, e), target, edge_log=edge_log)
-    return outcome
+    return reached
 
 
 def spanning_clusters(
     cfg: PercolationConfig,
     ann: Region,
     edge_log: Optional[list] = None,
-) -> Tuple[List[ClusterRecord], bool]:
+) -> List[ClusterRecord]:
     """All open clusters of an annulus touching both of its boundaries: the
     lazy reference for the window scan of :mod:`percolab.clusters`.
 
     Explores from every inner-boundary site, deduplicates by membership, and
-    returns records sorted by minimal contained vertex.  The second return
-    value flags cap exhaustion (enumeration incomplete).  Only edges with
-    both endpoints in the annulus are sampled, which the optional
-    ``edge_log`` lets tests verify.
+    returns records sorted by minimal contained vertex.  Only edges with both
+    endpoints in the annulus are sampled, which the optional ``edge_log``
+    lets tests verify.
     """
     b_in, _ = region_boundaries(cfg.spec, ann)
     seen: Set[Site] = set()
     out: List[ClusterRecord] = []
-    incomplete = False
     for start in b_in:
         if start in seen:
             continue
         rec = explore_cluster(cfg, start, ann, edge_log=edge_log)
         seen.update(rec.label)
-        if rec.truncated:
-            incomplete = True
-        if rec.spans and not rec.truncated:
+        if rec.spans:
             out.append(rec)
     out.sort(key=lambda r: r.min_vertex)
-    return out, incomplete
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 threshold location, plus one exact numeric check (the cluster-exit
 inequality on tiny graphs).
 
-Estimates carry standard errors and explicit truncation counts:
-a tri-state connectivity query that returns "unknown" (exploration cap hit)
-is never silently folded into a frequency.
+Estimates carry standard errors and an explicit count of undecided
+samples, which is never silently folded into a frequency (every query is
+decided on a finite window, so the count is 0).
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ from .windowed import Window, build_window, component_labels, origin_cluster, sa
 class Estimate:
     """An empirical frequency (or mean) with provenance.
 
-    ``n_truncated`` counts samples whose query was censored by an exploration
-    cap; ``value`` and ``stderr`` are computed over the determinate samples
-    only, so truncation widens uncertainty instead of biasing the mean.
+    ``n_truncated`` counts samples whose query was left undecided; ``value``
+    and ``stderr`` are computed over the determinate samples only, so such
+    samples would widen uncertainty instead of biasing the mean.  Every
+    query of the package is decided on a finite window, so every estimate it
+    makes has ``n_truncated == 0``; the field stays because artifacts write
+    it as a column.
     """
 
     value: float

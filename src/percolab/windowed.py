@@ -79,17 +79,24 @@ class Window:
         """Row index of one site (see :meth:`rows_of`)."""
         return int(self.rows_of([x])[0])
 
+    def _coords(self, xs: Iterable[Site]) -> np.ndarray:
+        """The sites as an ``(n, d)`` integer array; refuses (``ValueError``)
+        a site that does not have ``d`` coordinates."""
+        d = self.spec.d
+        c = np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=np.int64)
+        if c.shape == (0,):
+            c = c.reshape(0, d)
+        if c.ndim != 2 or c.shape[1] != d:
+            raise ValueError(f"sites must have {d} coordinates, got an array of shape {c.shape}")
+        return c
+
     def rows_of(self, xs: Iterable[Site]) -> np.ndarray:
         """Row indices of sites by stride arithmetic, in one vectorised step.
 
         Refuses (``ValueError``) a site that does not have ``d`` coordinates
         or lies outside the window's box."""
         d, side = self.spec.d, 2 * self.outer + 1
-        c = np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=np.int64)
-        if c.shape == (0,):
-            c = c.reshape(0, d)
-        if c.ndim != 2 or c.shape[1] != d:
-            raise ValueError(f"sites must have {d} coordinates, got an array of shape {c.shape}")
+        c = self._coords(xs)
         rel = c - np.asarray(self.centre, dtype=np.int64)
         if np.abs(rel).max(initial=0) > self.outer:
             bad = c[(np.abs(rel) > self.outer).any(axis=1)][0]
@@ -98,8 +105,9 @@ class Window:
 
     def box_rows(self, xs: Iterable[Site]) -> np.ndarray:
         """Rows of the sites of ``xs`` that lie in the window's box; the
-        others are dropped."""
-        c = np.array(list(xs), dtype=np.int64).reshape(-1, self.spec.d)
+        others are dropped.  Refuses (``ValueError``) a site that does not
+        have ``d`` coordinates, as :meth:`rows_of` does."""
+        c = self._coords(xs)
         return self.rows_of(c[(np.abs(c - self.centre) <= self.outer).all(axis=1)])
 
     def norms(self) -> np.ndarray:

@@ -152,16 +152,12 @@ def test_regularity_deterministic_branches():
     assert rep2.per_s[0][1].value == 1.0
 
 
-def test_regularity_refuses_foreign_or_truncated_records():
+def test_regularity_refuses_foreign_records():
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=2)
     params = RegularityParams(K=2, s_list=(2,), n_inner=100)
     rec = explore_cluster(cfg, (0, 0), box((0, 0), 1))
     with pytest.raises(ValueError):
         estimate_regularity(cfg, (2, 0), rec, params)
-    capped = explore_cluster(cfg, (0, 0), box((0, 0), 3), cap=5)
-    assert capped.truncated
-    with pytest.raises(RuntimeError):
-        estimate_regularity(cfg, (0, 0), capped, params)
 
 
 def test_regularity_resampling_frozen_tallies_d3():
@@ -181,10 +177,6 @@ def test_regularity_resampling_frozen_tallies_d3():
         assert est3 == Estimate.from_counts(tally, 100, 0, 2024)
         assert (s4, est4.n_samples, v4) == (4, 0, True)  # 9^3 < 4^4 log^7 4
         assert rep.regular is regular
-
-
-# the lazy reference refuses an inner cluster of this many sites
-_REFERENCE_CAP = 200_000
 
 
 def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None):
@@ -209,9 +201,7 @@ def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None):
             def state(e):
                 return edge_state(cfg if e[0] in frozen or e[1] in frozen else inner_cfg, e)
 
-            mixed, outcome = percolab.engine.explore(
-                cfg.spec, [x], member, state, cap=_REFERENCE_CAP - 1)
-            assert outcome is not None, "the reference's mixed exploration hit its cap"
+            mixed, _ = percolab.engine.explore(cfg.spec, [x], member, state)
             counts = percolab.clusters._ball_counts(mixed, x, pending)
             for s in pending:
                 tallies[s] += int(counts[s] < thresholds[s])
@@ -353,7 +343,7 @@ NESTED = toy_params(2, 1, 2)
 
 def _record_value(rec):
     """A record's fields except its root: any of its vertices explores it."""
-    return (rec.region, rec.label, rec.boundary_in, rec.boundary_out, rec.truncated)
+    return (rec.region, rec.label, rec.boundary_in, rec.boundary_out)
 
 
 def _minimality_components(cfg, candidate, sub):
@@ -394,11 +384,11 @@ def test_minimality_components_match_lazy_components(spec, p):
     compared = 0
     for sid in range(10):
         cfg = PercolationConfig(spec=spec, p=p, seed=11, sample_id=sid)
-        for cand in spanning_clusters(cfg, outer)[0]:
+        for cand in spanning_clusters(cfg, outer):
             lazy = [c for c in _lazy_components(cfg, cand, inner) if c[1] and c[2]]
             comps = _minimality_components(cfg, cand, inner)
             assert [(c.vertices, c.boundary_in, c.boundary_out) for c in comps] == lazy
-            assert all(c.region == inner and not c.truncated for c in comps)
+            assert all(c.region == inner for c in comps)
             compared += len(lazy)
     assert compared > 0
 
@@ -495,7 +485,7 @@ def test_records_given_to_regularity_equal_fresh_explorations():
     checked = 0
     for sid in range(12):
         cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
-        for rec in spanning_clusters(cfg, outer)[0]:
+        for rec in spanning_clusters(cfg, outer):
             for v in rec.boundary_in + rec.boundary_out:
                 assert _record_value(explore_cluster(cfg, v, outer)) == _record_value(rec)
             for comp in _minimality_components(cfg, rec, inner):
@@ -513,7 +503,7 @@ def test_good_spanning_check_explores_nothing(monkeypatch):
     cases = []
     for sid in range(10):
         cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=11, sample_id=sid)
-        cases += [(cfg, rec) for rec in spanning_clusters(cfg, outer)[0]]
+        cases += [(cfg, rec) for rec in spanning_clusters(cfg, outer)]
     x3 = (0, 0, 0)
     cfg3 = PercolationConfig(spec=LatticeSpec(d=3), p=0.3, seed=2024)
     rec3 = explore_cluster(cfg3, x3, box(x3, 1))
@@ -604,11 +594,11 @@ def _lattice_attachment_pairs():
         g = nx.Graph()
         g.add_nodes_from(mid_sites)
         g.add_edges_from(e for e in mid_edges if edge_state(cfg, e))
-        for c in spanning_clusters(cfg, ann_c)[0]:
+        for c in spanning_clusters(cfg, ann_c):
             src = [v for v in c.vertices if v in g]
             outward = _attachment_edges(
                 (v for v in c.vertices if norm_inf(v) == 2), lambda n: n > 2)
-            for d in spanning_clusters(cfg, ann_d)[0]:
+            for d in spanning_clusters(cfg, ann_d):
                 tgt = {v for v in d.vertices if v in g}
                 found = []
                 if _joined(g, src, tgt):
@@ -644,8 +634,7 @@ def test_minimality_components_match_graph_components():
     checked = 0
     for sid in range(30):
         cfg = PercolationConfig(spec=SPEC2, p=0.55, seed=5, sample_id=sid)
-        recs, _ = spanning_clusters(cfg, outer)
-        for rec in recs:
+        for rec in spanning_clusters(cfg, outer):
             comps = _minimality_components(cfg, rec, inner)
             g = nx.Graph()
             g.add_nodes_from(v for v in rec.vertices if norm_inf(v) <= 4)

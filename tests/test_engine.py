@@ -200,7 +200,6 @@ def test_explore_cluster_full_box_at_p_one():
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=1)
     rec = explore_cluster(cfg, (0, 0), box((0, 0), 1))
     assert len(rec.vertices) == 9
-    assert not rec.truncated
     assert len(rec.boundary_in) == 0
     assert len(rec.boundary_out) == 8  # every norm-1 vertex sits on the rim
 
@@ -214,24 +213,21 @@ def test_explore_cluster_isolated_at_p_zero():
 def test_connect_sets_dense_and_empty():
     region = box((0, 0), 4)
     cfg = PercolationConfig(spec=SPEC2, p=1.0, seed=2)
-    assert connect_sets(cfg, [(-4, 0)], {(4, 0)}, region)
+    assert connect_sets(cfg, [(-4, 0)], {(4, 0)}, region) is True
     cfg0 = PercolationConfig(spec=SPEC2, p=0.0, seed=2)
-    assert not connect_sets(cfg0, [(-4, 0)], {(4, 0)}, region)
+    assert connect_sets(cfg0, [(-4, 0)], {(4, 0)}, region) is False
     # sources that already meet targets connect regardless of edges
-    assert connect_sets(cfg0, [(1, 1)], {(1, 1)}, region)
+    assert connect_sets(cfg0, [(1, 1)], {(1, 1)}, region) is True
 
 
 def test_spanning_clusters_degenerate_densities():
     ann = annulus((0, 0), 1, 2)
-    recs, truncated = spanning_clusters(
-        PercolationConfig(spec=SPEC2, p=1.0, seed=4), ann)
-    assert not truncated
+    recs = spanning_clusters(PercolationConfig(spec=SPEC2, p=1.0, seed=4), ann)
     assert len(recs) == 1
     assert len(recs[0].vertices) == 16  # the full norm-2 shell
     # a thickness-1 shell lets singletons span; thickness 2 does not
-    recs0, _ = spanning_clusters(
-        PercolationConfig(spec=SPEC2, p=0.0, seed=4), annulus((0, 0), 1, 3))
-    assert recs0 == []
+    assert spanning_clusters(
+        PercolationConfig(spec=SPEC2, p=0.0, seed=4), annulus((0, 0), 1, 3)) == []
 
 
 # ---------------------------------------------------------------------------

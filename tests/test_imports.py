@@ -25,9 +25,8 @@ sources keep by hand:
   ``cli.write_json``: every artifact goes through one encoder, so one
   function decides the bytes of every JSON file;
 * only ``engine`` names the lazy explorer ``explore``, its ``membership``
-  helper and the lazy references ``connect_sets`` and ``spanning_clusters``;
-  ``explore_cluster`` appears elsewhere only in ``__init__``'s public
-  re-export.  Every production path samples on windows.
+  helper and the lazy references ``connect_sets``, ``spanning_clusters`` and
+  ``explore_cluster``.  Every production path samples on windows.
 """
 
 import ast
@@ -62,7 +61,6 @@ UNCALLED_METHODS = {
 #: Defaulted parameters, as ``module.function.parameter`` (or
 #: ``module.Class.method.parameter``), that only tests pass, kept on purpose.
 TEST_ONLY_PARAMETERS = {
-    "engine.explore_cluster.cap": "truncation tests: a record censored by the vertex cap",
     "clusters.estimate_regularity.resample_region":
         "frozen d = 3 tallies 67/100 and 86/100, and the exact conditional",
     "battery.run_y_battery.geoms": "criterion 5 runs the battery on its own geometries",
@@ -359,9 +357,9 @@ def test_test_only_parameter_entries_are_current():
 LAZY_NAMES = {"explore", "membership", "connect_sets", "spanning_clusters", "explore_cluster"}
 
 
-def _lazy_names(tree: ast.Module, allowed=frozenset()):
-    """Lines that name one of :data:`LAZY_NAMES` outside ``allowed``: as a
-    name, an attribute, an import or a definition."""
+def _lazy_names(tree: ast.Module):
+    """Lines that name one of :data:`LAZY_NAMES`: as a name, an attribute,
+    an import or a definition."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -374,7 +372,7 @@ def _lazy_names(tree: ast.Module, allowed=frozenset()):
             names = [node.name]
         else:
             continue
-        lines += [node.lineno for name in names if name in LAZY_NAMES - set(allowed)]
+        lines += [node.lineno for name in names if name in LAZY_NAMES]
     return sorted(lines)
 
 
@@ -383,8 +381,7 @@ NOT_ENGINE = [p for p in SOURCES if p.name != "engine.py"]
 
 @pytest.mark.parametrize("path", NOT_ENGINE, ids=[p.name for p in NOT_ENGINE])
 def test_only_engine_names_the_lazy_explorer(path):
-    allowed = {"explore_cluster"} if path.name == "__init__.py" else set()
-    assert _lazy_names(_parse(path), allowed) == []
+    assert _lazy_names(_parse(path)) == []
 
 
 def test_lazy_explorer_names_are_caught():
@@ -397,4 +394,3 @@ def f(cfg):
 def explore(): pass
 """
     assert _lazy_names(ast.parse(src)) == [2, 2, 5, 6, 6, 7]
-    assert _lazy_names(ast.parse(src), {"explore_cluster"}) == [2, 2, 5, 6, 7]

@@ -1,12 +1,14 @@
-"""Every script under ``scripts/`` starts and prints its help, and the
-profile script runs end to end.
+"""Every script under ``scripts/`` starts and prints its help, the profile
+script runs end to end, and README's Python quick start runs.
 
-The scripts import public names of the package (``ConditioningFamily``,
-``locate_pc``, ...), and nothing else in the suite imports them: a rename or
-a deletion in the package must fail here, not at the next manual run.
+The scripts and README import public names of the package
+(``ConditioningFamily``, ``locate_pc``, ``two_point_profile``, ...), and
+nothing else in the suite imports some of them: a rename or a deletion in
+the package must fail here, not at the next manual run.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,4 +46,15 @@ def test_run_profiles_prints_frozen_profiles_and_fits():
         "32  0.2600 +- 0.0620    0.5600 +- 0.0702",
         "two-point: value ~ 0.855 * r^(-0.356 +- 0.073)  [window (0, 5), 5 pts]",
         "one-arm: value ~ 1.025 * r^(-0.152 +- 0.036)  [window (0, 5), 5 pts]",
+    ]
+
+
+def test_readme_python_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    assert _run_script("-c", blocks[0]).splitlines() == [
+        "(1, 0) 0.760 +- 0.030",
+        "(4, 0) 0.540 +- 0.035",
+        "(16, 0) 0.360 +- 0.034",
     ]

@@ -64,6 +64,15 @@ def test_rows_of_refuses_what_row_of_refuses(sites, message):
         win.rows_of(sites)
 
 
+@pytest.mark.parametrize("sites", [[(1, 2, 3, 4)], [(1, 2, 3)]], ids=["4d-in-2d", "3d-in-2d"])
+def test_box_rows_refuses_sites_of_another_dimension(sites):
+    # four coordinates are one bad site, not the two sites (1, 2) and (3, 4)
+    win = build_window(SPEC2, seed=1, outer=3)
+    with pytest.raises(ValueError, match="sites must have 2 coordinates"):
+        win.box_rows(sites)
+    assert win.box_rows([(1, 2), (3, 4)]).tolist() == [win.row_of((1, 2))]
+
+
 def test_rows_of_is_row_of_in_one_step():
     win = build_window(SPEC2, seed=1, outer=3, inner=1)
     sites = [tuple(x) for x in win.sites.tolist()]
@@ -114,7 +123,6 @@ def test_component_labels_match_exploration(spec, outer, p):
         by_search = {tuple(win.sites[r])
                      for r in np.flatnonzero(origin_cluster(win, mask, origin, None))}
         rec = explore_cluster(cfg.with_sample(sid), o, region)
-        assert not rec.truncated
         assert by_label == by_search == set(rec.vertices)
         sizes.add(len(by_search))
     assert len(sizes) > 2  # the samples are not all trivial
@@ -138,8 +146,7 @@ def test_window_spanning_clusters_equal_lazy_scan(cold_caches):
             for p in (0.0, p_c, 1.0):
                 cfg = PercolationConfig(spec=spec, p=p, seed=seed, sample_id=sid)
                 fast = _window_spanning_clusters(cfg, region)
-                slow, truncated = spanning_clusters(cfg, region)
-                assert not truncated
+                slow = spanning_clusters(cfg, region)
                 assert list(fast) == slow, (spec, seed, region, p, sid)
                 for r in (*fast, *slow):
                     # the label is the canonical sorted vertex tuple
