@@ -116,7 +116,11 @@ def edge_key(seed: int, e: Edge) -> int:
 
 
 def sample_key(sample_id: int) -> int:
-    return mix64((sample_id & MASK64) ^ _SAMPLE_SALT)
+    """Step 2; ids outside ``[0, 2^64)`` raise ``ValueError``, as they do in
+    :func:`_sample_keys_bulk`."""
+    if not 0 <= sample_id <= MASK64:
+        raise ValueError("sample ids must lie in [0, 2^64)")
+    return mix64(sample_id ^ _SAMPLE_SALT)
 
 
 def open_threshold(p: Union[float, Fraction]) -> int:
@@ -206,10 +210,14 @@ def _states_np(keys: np.ndarray, skeys: np.ndarray, threshold: int) -> np.ndarra
 
 
 def states_from_keys(
-    keys: np.ndarray, sample_id: int, threshold: int
+    keys: np.ndarray, sample_ids: Union[int, range], threshold: int
 ) -> np.ndarray:
-    """Edge bits for one sample given precomputed edge keys."""
-    return _states_np(keys, np.uint64(sample_key(sample_id)), threshold)
+    """Edge bits given precomputed edge keys: for one sample id, an array
+    shaped like ``keys``; for a ``range`` of ids, one more leading axis, row
+    ``i`` for ``sample_ids[i]``, from one hash pass."""
+    if isinstance(sample_ids, range):
+        return _states_np(keys, _sample_keys_bulk(sample_ids)[:, None], threshold)
+    return _states_np(keys, np.uint64(sample_key(sample_ids)), threshold)
 
 
 def _sample_keys_bulk(sample_ids) -> np.ndarray:
@@ -217,7 +225,7 @@ def _sample_keys_bulk(sample_ids) -> np.ndarray:
     ``ValueError``, as they do in :class:`PercolationConfig`."""
     ids = np.asarray(sample_ids)
     if ids.dtype.kind == "i" and ids.size and ids.min() < 0:
-        raise ValueError("sample ids must be >= 0")
+        raise ValueError("sample ids must lie in [0, 2^64)")
     try:
         ids = np.asarray(sample_ids, dtype=np.uint64)
     except OverflowError:

@@ -24,7 +24,14 @@ from .engine import (
     exact_event_table,
 )
 from .lattice import Site, norm_inf
-from .windowed import Window, build_window, component_labels, origin_cluster, sample_open_edges
+from .windowed import (
+    Window,
+    build_window,
+    component_labels,
+    origin_cluster,
+    sample_blocks,
+    sample_open_edges,
+)
 
 # ---------------------------------------------------------------------------
 # Estimates
@@ -75,14 +82,14 @@ def combine_gap_sigma(a: Estimate, b: Estimate) -> Tuple[float, float]:
 # Connection-probability profiles (windowed implementation)
 
 
-def _origin_reach(win: Window, cfg: PercolationConfig,
-                  sample_ids: Iterable[int]) -> Iterator[int]:
+def _origin_reach(win: Window, cfg: PercolationConfig, sample_ids: range) -> Iterator[int]:
     """Largest norm the origin's open cluster reaches in ``win``, per sample
-    id, in order: one search from the origin per sample."""
+    id, in order: one search from the origin per block of samples."""
     origin = win.row_of((0,) * cfg.spec.d)
-    norms = win.norms()
-    for sid in sample_ids:
-        yield norms[origin_cluster(win, sample_open_edges(win, cfg, sid), origin, None)].max()
+    norms = win.norms()  # >= 0, and 0 at the origin, which every cluster holds
+    for block in sample_blocks(win, sample_ids):
+        yield from (norms * origin_cluster(win, sample_open_edges(win, cfg, block),
+                                           origin, None)).max(axis=1)
 
 
 def two_point_profile(
@@ -93,10 +100,10 @@ def two_point_profile(
 ) -> List[Tuple[Site, "Estimate"]]:
     """P(0 connects to x within B(R)) for each target, sharing samples.
 
-    One search from the origin per sample serves every target.  ``R`` is
-    twice the farthest target's norm, and at least 2, so the estimate is the
-    box-restricted two-point function (the unrestricted one is not samplable:
-    critical clusters have heavy tails).
+    One search from the origin per block of samples serves every target.
+    ``R`` is twice the farthest target's norm, and at least 2, so the
+    estimate is the box-restricted two-point function (the unrestricted one
+    is not samplable: critical clusters have heavy tails).
     """
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
@@ -106,8 +113,9 @@ def two_point_profile(
     rows = win.rows_of(targets)
     hits = np.zeros(len(targets), dtype=np.int64)
     rng = (sample_start, sample_start + n_samples)
-    for sid in range(*rng):
-        hits += origin_cluster(win, sample_open_edges(win, cfg, sid), origin, None)[rows]
+    for block in sample_blocks(win, range(*rng)):
+        clusters = origin_cluster(win, sample_open_edges(win, cfg, block), origin, None)
+        hits += clusters[:, rows].sum(axis=0)
     return [
         (t, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
         for t, h in zip(targets, hits)
@@ -122,9 +130,9 @@ def one_arm_profile(
 ) -> List[Tuple[int, "Estimate"]]:
     """P(origin's open cluster reaches sup-norm >= n) for each radius.
 
-    One search from the origin per sample records the maximal norm reached,
-    so the profile is exactly nonincreasing in n (the events are nested by
-    construction, not merely in expectation).
+    One search from the origin per block of samples records the maximal
+    norm each sample reaches, so the profile is exactly nonincreasing in n
+    (the events are nested by construction, not merely in expectation).
     """
     radii = list(radii)
     if not radii:
@@ -226,9 +234,9 @@ def _crossing_stat(
     left = np.flatnonzero(win.sites[:, 0] == -n)
     right = np.flatnonzero(win.sites[:, 0] == n)
     hits = 0
-    for sid in range(sample_start, sample_start + n_samples):
-        labels = component_labels(win, sample_open_edges(win, cfg, sid))
-        hits += int(np.isin(labels[left], labels[right]).any())
+    for block in sample_blocks(win, range(sample_start, sample_start + n_samples)):
+        for labels in component_labels(win, sample_open_edges(win, cfg, block)):
+            hits += int(np.isin(labels[left], labels[right]).any())
     ph = hits / n_samples
     return ph - 0.5, math.sqrt(max(ph * (1 - ph), 1.0 / n_samples) / n_samples)
 

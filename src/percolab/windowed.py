@@ -3,10 +3,11 @@
 For experiments confined to a finite window (a box or annulus around the
 origin or another centre) it is faster to hash every edge of the window in
 one vectorised pass and read off connectivity with
-`scipy.sparse.csgraph.connected_components` than to run a Python-level BFS.  Because edge states are pure functions of
-``(seed, sample_id, edge)``, this path sees *exactly* the same configurations
-as the lazy explorer — the tests exploit that to cross-validate the two
-implementations edge for edge.
+`scipy.sparse.csgraph.connected_components` than to run a Python-level BFS.
+Because edge states are pure functions of ``(seed, sample_id, edge)``, this
+path sees *exactly* the same configurations as the lazy explorer — the tests
+exploit that to cross-validate the two implementations edge for edge.  This
+is the only module that imports scipy: every graph search lives here.
 
 The edge keys (sample-independent) are hashed once per window, and the
 window's edge list is its CSR skeleton: in the canonical order of a CSR
@@ -31,13 +32,25 @@ mask holds one of its rows.
 one minimum spanning tree, since the open edge sets are nested in p, and
 reads every target set (say, the shells of several nested radii) off that
 one tree.
+
+On a small window scipy's fixed cost per call (three sparse-matrix
+constructions, a validation and a transpose) outweighs the search itself,
+so the primitives also take a *block* of samples.  Given a ``range`` of
+sample ids, :func:`sample_open_edges` returns a ``(B, m)`` block from one
+hash pass; :func:`component_labels` and :func:`origin_cluster` lay the
+block's ``B`` samples on the diagonal of one ``Bn x Bn`` matrix and answer
+all of them with one scipy call, row for row what ``B`` one-sample calls
+give (label numbers included).  :func:`sample_blocks` cuts a run of sample
+ids into blocks of at most :data:`BLOCK_SITES` sites, or one sample when a
+single window is larger than that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,6 +58,13 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, mini
 
 from .engine import PercolationConfig, edge_keys_bulk, states_from_keys
 from .lattice import LatticeSpec, Site, WindowTooLargeError
+
+#: Site budget of a block of samples: :func:`sample_blocks` cuts a run of
+#: sample ids into blocks of ``BLOCK_SITES // n_sites`` ids, at least one.
+#: Far larger blocks are slower per sample again: on a 2-vCPU Xeon, 120
+#: one-arm samples at B(16) took 6.5 ms in blocks of 15 (this budget), 20 ms
+#: one by one and 9.2 ms in one block of 120.
+BLOCK_SITES = 2 ** 14
 
 
 @dataclass
@@ -188,25 +208,55 @@ def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
                   sites=sites, member=member, edge_rows=edge_rows, keys=keys)
 
 
-def sample_open_edges(win: Window, cfg: PercolationConfig, sample_id: int) -> np.ndarray:
-    """Boolean open/closed vector over the window's edge list."""
+def sample_open_edges(win: Window, cfg: PercolationConfig,
+                      ids: Union[int, range]) -> np.ndarray:
+    """Boolean open/closed vector over the window's edge list for the sample
+    id ``ids``; for a ``range`` of ids, the ``(B, m)`` block whose row ``i``
+    is the vector of ``ids[i]``, from one hash pass.  Ids outside
+    ``[0, 2^64)`` raise ``ValueError`` in both forms."""
     if cfg.seed != win.seed or cfg.spec != win.spec:
         raise ValueError("config does not match the window's seed/lattice")
-    return states_from_keys(win.keys, sample_id, cfg.threshold).astype(bool)
+    return states_from_keys(win.keys, ids, cfg.threshold).astype(bool)
 
 
-def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = None):
-    """The ``n x n`` CSR matrix of the edges where ``sel`` holds, with unit
-    data or ``weights[sel]``, built straight from the window's skeleton: it is
-    canonical (sorted rows and columns, no duplicates) as it stands."""
+def sample_blocks(win: Window, ids: range) -> Iterator[range]:
+    """``ids`` cut, in order, into blocks of ``BLOCK_SITES // n_sites`` ids
+    (at least one): the blocks one scipy call searches together."""
+    size = max(1, BLOCK_SITES // win.n_sites)
+    for i in range(0, len(ids), size):
+        yield ids[i:i + size]
+
+
+def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = None,
+                root: Optional[int] = None):
+    """The CSR matrix of the edges where ``sel`` holds, with unit data or
+    ``weights[sel]``, built straight from the window's skeleton: it is
+    canonical (sorted rows and columns, no duplicates) as it stands.
+
+    A ``(B, m)`` block ``sel`` lays its ``B`` samples on the diagonal, sample
+    ``b`` on rows ``b*n`` to ``b*n + n - 1``; an ``(m,)`` vector is the block
+    of one.  With ``root``, one more row, the last, is a virtual node joined
+    to row ``root`` of every sample."""
+    blocks = 1 if sel.ndim == 1 else len(sel)
+    n = win.n_sites
     heads, tails = win.edge_rows.T
+    if blocks > 1:  # the skeleton repeated down the diagonal, in CSR order still
+        shift = np.arange(0, blocks * n, n, dtype=np.int32)[:, None]
+        heads, tails = (heads + shift).ravel(), (tails + shift).ravel()
     # integer take: boolean indexing is several times slower on random masks
     on = np.flatnonzero(sel)
-    n = win.n_sites
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(heads.take(on), minlength=n), out=indptr[1:])
+    size = blocks * n
+    counts = np.bincount(heads.take(on), minlength=size)
+    indices = tails.take(on)
     data = np.ones(len(on)) if weights is None else weights.take(on)
-    return csr_matrix((data, tails.take(on), indptr), shape=(n, n))
+    if root is not None:
+        counts = np.append(counts, blocks)
+        indices = np.append(indices, np.arange(root, size, n, dtype=np.int32))
+        data = np.append(data, np.ones(blocks))
+        size += 1
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _unblocked(win: Window, open_mask: np.ndarray,
@@ -230,13 +280,22 @@ def component_labels(
     The open edges go to ``connected_components`` as a CSR matrix read off
     the window's CSR skeleton: ``bincount`` and ``cumsum`` of the open edges'
     first rows give the ``indptr``, their int32 second rows the ``indices``.
+    Components are numbered in the order of their first row.
 
     ``blocked_rows`` (obstacle sites) are isolated: every incident edge is
     dropped.  Sites outside the region keep their own singleton labels (they
     have no incident edges by construction).
+
+    A ``(B, m)`` block of masks is labelled in one call and gives ``(B, n)``
+    labels.  A sample's first row opens a new component, so subtracting its
+    label renumbers each row from 0, label for label as the sample alone.
     """
     graph = _edge_graph(win, _unblocked(win, open_mask, blocked_rows))
-    return connected_components(graph, directed=False)[1]
+    labels = connected_components(graph, directed=False)[1]
+    if open_mask.ndim > 1:  # a lone sample is numbered from 0 already
+        labels = labels.reshape(len(open_mask), win.n_sites)
+        labels -= labels[:, :1]
+    return labels
 
 
 def origin_cluster(
@@ -248,12 +307,21 @@ def origin_cluster(
     """Boolean row mask of the open cluster of ``origin_row``: the sites
     that share its :func:`component_labels` label, read by one breadth-first
     search from it instead of a labelling of the whole window.  Blocked rows
-    are isolated as there."""
-    graph = _edge_graph(win, _unblocked(win, open_mask, blocked_rows))
-    mask = np.zeros(win.n_sites, dtype=bool)
-    mask[breadth_first_order(graph, origin_row, directed=False,
-                             return_predecessors=False)] = True
-    return mask
+    are isolated as there.
+
+    A ``(B, m)`` block of masks gives ``(B, n)`` cluster masks from one
+    search, started at a virtual root joined to every sample's origin row;
+    a single mask is searched from its origin row, with no extra node."""
+    sel = _unblocked(win, open_mask, blocked_rows)
+    blocks = sel.shape[:-1]  # () for a single mask
+    size = math.prod(blocks) * win.n_sites
+    if blocks:
+        graph, start = _edge_graph(win, sel, root=origin_row), size
+    else:
+        graph, start = _edge_graph(win, sel), origin_row
+    mask = np.zeros(graph.shape[0], dtype=bool)
+    mask[breadth_first_order(graph, start, directed=False, return_predecessors=False)] = True
+    return mask[:size].reshape(blocks + (win.n_sites,))
 
 
 def escape_levels(

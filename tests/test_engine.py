@@ -31,6 +31,7 @@ from percolab.engine import (
     sample_key,
     sample_masks,
     spanning_clusters,
+    states_from_keys,
 )
 from percolab.estimators import SubgraphSpec, nofurther_check
 from percolab.lattice import LatticeSpec, annulus, box, canonical_edge, contains, neighbours
@@ -181,6 +182,22 @@ def test_sample_ids_outside_the_domain_raise_on_both_paths(sid):
     if sid < 0:
         with pytest.raises(ValueError):
             sample_masks(cfg, edges, np.array([0, sid], dtype=np.int64))
+
+
+@pytest.mark.parametrize("sid", [-1, 2**64, 2**70, -(2**64)])
+def test_scalar_sample_key_refuses_ids_outside_the_domain(sid):
+    # sample_key used to reduce the id mod 2^64: -1 read the key of 2^64 - 1,
+    # and 2^64 the key of 0, where the bulk keys refused both
+    message = r"sample ids must lie in \[0, 2\^64\)"
+    keys = np.arange(5, dtype=np.uint64)
+    with pytest.raises(ValueError, match=message):
+        sample_key(sid)
+    with pytest.raises(ValueError, match=message):
+        states_from_keys(keys, sid, 1 << 63)
+    with pytest.raises(ValueError, match=message):
+        states_from_keys(keys, range(sid, sid + 1), 1 << 63)
+    with pytest.raises(ValueError, match=message):
+        sample_masks(PercolationConfig(SPEC2, 0.5, seed=1), [((0, 0), (1, 0))], [sid])
 
 
 def test_edge_marginal_frequency():

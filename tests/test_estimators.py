@@ -12,12 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from percolab import windowed
 from percolab.battery import random_nofurther_instance
 from percolab.engine import PercolationConfig, TinyGraph
 from percolab.estimators import (
     Estimate,
     SubgraphSpec,
     _arm_scaling_stat,
+    _crossing_stat,
     combine_gap_sigma,
     fit_exponent,
     locate_pc,
@@ -133,6 +135,26 @@ def test_origin_reductions_equal_the_full_labelling(spec, p_c, p):
         win = build_window(spec, cfg.seed, outer=radii[-1])
         assert (_arm_scaling_stat(win, cfg, radii, n, start)
                 == _labelled_arm_scaling(win, cfg, radii, n, start))
+
+
+def test_small_window_estimators_make_one_scipy_call_per_block(monkeypatch):
+    # 120 samples at B(16) (1089 sites) are 8 blocks of at most 15, and 12
+    # crossing samples at B(32) (4225 sites) 4 blocks of 3: one search or
+    # labelling each, not one per sample
+    calls = {"breadth_first_order": 0, "connected_components": 0}
+    for name in calls:
+        real = getattr(windowed, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(windowed, name, counted)
+    cfg = PercolationConfig(SPEC2, 0.5, seed=2024)
+    one_arm_profile(cfg, [2, 4, 8, 16], n_samples=120)
+    two_point_profile(cfg, [(1, 0), (8, 0)], n_samples=120, sample_start=5)
+    assert calls == {"breadth_first_order": 16, "connected_components": 0}
+    _crossing_stat(build_window(SPEC2, 2024, 32), cfg, (16, 32), 12, 0)
+    assert calls == {"breadth_first_order": 16, "connected_components": 4}
 
 
 def test_fit_exponent_recovers_planted_power():

@@ -1,6 +1,6 @@
 """Static hygiene of the package sources, checked with the stdlib ``ast``.
 
-No linter ships with the project, so this stands in for the eight rules the
+No linter ships with the project, so this stands in for the nine rules the
 sources keep by hand:
 
 * every module-level import is used by its module or re-exported through
@@ -26,7 +26,9 @@ sources keep by hand:
   function decides the bytes of every JSON file;
 * only ``engine`` names the lazy explorer ``explore``, its ``membership``
   helper and the lazy references ``connect_sets``, ``spanning_clusters`` and
-  ``explore_cluster``.  Every production path samples on windows.
+  ``explore_cluster``.  Every production path samples on windows;
+* only ``windowed`` imports ``scipy``, at module level or inside a function:
+  every graph search, and any batching of searches, lives in one module.
 """
 
 import ast
@@ -394,3 +396,38 @@ def f(cfg):
 def explore(): pass
 """
     assert _lazy_names(ast.parse(src)) == [2, 2, 5, 6, 6, 7]
+
+
+def _scipy_imports(tree: ast.Module):
+    """Lines that import ``scipy`` or one of its submodules, anywhere in the
+    module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        lines += [node.lineno for name in names if name.split(".")[0] == "scipy"]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_windowed_imports_scipy(path):
+    assert bool(_scipy_imports(_parse(path))) == (path.name == "windowed.py")
+
+
+def test_stray_scipy_imports_are_caught():
+    src = """
+import numpy as np, scipy
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
+from .windowed import origin_cluster
+from . import scipy_free
+def f():
+    from scipy import optimize
+    import scipyish
+    return optimize
+"""
+    assert _scipy_imports(ast.parse(src)) == [2, 3, 4, 8]

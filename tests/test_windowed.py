@@ -27,6 +27,7 @@ from percolab.windowed import (
     connection_indicator,
     escape_levels,
     origin_cluster,
+    sample_blocks,
     sample_open_edges,
     shell_rows,
 )
@@ -384,6 +385,96 @@ def test_oversized_windows_are_refused_before_materialising():
     with pytest.raises(WindowTooLargeError, match="too large"):
         build_window(LatticeSpec(d=2, edge_mode="spread_out", lam=20), seed=0, outer=800)
     assert issubclass(WindowTooLargeError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# Blocks of samples against one-sample calls
+
+# (spec, outer, inner): d = 1, 2, 3, spread-out, an annulus, a window of
+# 1089 sites (15 ids a block) and a window of one site, which has no edge
+_BLOCK_WINDOWS = [
+    (LatticeSpec(d=1), 9, -1),
+    (SPEC2, 5, -1),
+    (SPEC2, 16, -1),
+    (SPEC2, 6, 2),
+    (SPEC3, 3, -1),
+    (_LAM2, 5, -1),
+    (SPEC2, 0, -1),
+]
+_BLOCK_IDS = ["d1", "d2", "d2-r16", "d2-annulus", "d3", "lam2", "no-edge"]
+# id ranges: the start, both sides of 2^63 (numpy reads that range as
+# float64 unless told uint64) and the top of the domain
+_ID_RANGES = [range(0, 7), range(2**63 - 3, 2**63 + 3), range(2**64 - 5, 2**64)]
+
+
+@pytest.mark.parametrize("spec,outer,inner", _BLOCK_WINDOWS, ids=_BLOCK_IDS)
+@pytest.mark.parametrize("ids", _ID_RANGES, ids=["low", "2^63", "top"])
+def test_block_sampler_rows_equal_one_sample_vectors(spec, outer, inner, ids):
+    win = build_window(spec, seed=29, outer=outer, inner=inner)
+    for p in (0.0, 0.3, 0.5, 1.0):
+        cfg = PercolationConfig(spec, p, 29)
+        block = sample_open_edges(win, cfg, ids)
+        assert block.shape == (len(ids), win.n_edges) and block.dtype == bool
+        for row, sid in zip(block, ids):
+            one = sample_open_edges(win, cfg, sid)
+            assert one.shape == (win.n_edges,) and np.array_equal(row, one)
+
+
+@pytest.mark.parametrize("ids", [-1, 2**64, 2**70, range(-1, 2), range(2**64 - 2, 2**64 + 1),
+                                 range(2**70, 2**70 + 2)],
+                         ids=["-1", "2^64", "2^70", "from-1", "past-top", "2^70-range"])
+def test_block_sampler_refuses_what_one_sample_refuses(ids):
+    # an id outside [0, 2^64) used to wrap in a one-sample call: -1 read the
+    # bits of 2^64 - 1, and 2^64 those of 0
+    win = build_window(SPEC2, seed=29, outer=2)
+    cfg = PercolationConfig(SPEC2, 0.5, 29)
+    bad = [ids] if isinstance(ids, int) else [i for i in ids if not 0 <= i < 2**64]
+    for sid in bad:
+        with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\^64\)"):
+            sample_open_edges(win, cfg, sid)
+    with pytest.raises(ValueError, match=r"sample ids must lie in \[0, 2\^64\)"):
+        sample_open_edges(win, cfg, ids if isinstance(ids, range) else range(ids, ids + 1))
+    for edge in (0, 2**64 - 1):  # both ends of the domain are accepted both ways
+        assert np.array_equal(sample_open_edges(win, cfg, range(edge, edge + 1))[0],
+                              sample_open_edges(win, cfg, edge))
+
+
+def test_sample_blocks_fill_the_site_budget_in_order():
+    win = build_window(SPEC2, seed=1, outer=16)  # 1089 sites: 15 ids a block
+    assert [(b.start, b.stop) for b in sample_blocks(win, range(3, 40))] == \
+        [(3, 18), (18, 33), (33, 40)]
+    assert list(sample_blocks(win, range(5, 5))) == []
+    big = build_window(SPEC2, seed=1, outer=64)  # over the budget: one id a block
+    assert list(sample_blocks(big, range(2, 5))) == [range(2, 3), range(3, 4), range(4, 5)]
+    tiny = build_window(SPEC2, seed=1, outer=0)
+    assert list(sample_blocks(tiny, range(2**64 - 3, 2**64))) == [range(2**64 - 3, 2**64)]
+
+
+@pytest.mark.parametrize("spec,outer,inner", _BLOCK_WINDOWS, ids=_BLOCK_IDS)
+def test_block_labels_and_clusters_equal_one_sample_calls(spec, outer, inner):
+    # label numbers, not only partitions, must agree; the blocks are the
+    # estimators' (at r = 16, 15 + 15 + 3 ids: a short last block), a block
+    # of one and a block at the top of the id domain, with and without
+    # blocked rows
+    win = build_window(spec, seed=31, outer=outer, inner=inner)
+    o = win.row_of((0,) * spec.d)
+    members = np.flatnonzero(win.member)
+    blocked_sets = [None, members[::4]]
+    blocks = list(sample_blocks(win, range(100, 133))) + [range(7, 8), range(2**64 - 3, 2**64)]
+    for p in (0.25, 0.5, 0.75):
+        cfg = PercolationConfig(spec, p, 31)
+        for block in blocks:
+            masks = sample_open_edges(win, cfg, block)
+            for blocked in blocked_sets:
+                labels = component_labels(win, masks, blocked)
+                clusters = origin_cluster(win, masks, o, blocked)
+                assert labels.shape == clusters.shape == (len(block), win.n_sites)
+                assert clusters.dtype == bool
+                for row, sid in enumerate(block):
+                    one = sample_open_edges(win, cfg, sid)
+                    want = component_labels(win, one, blocked)
+                    assert labels.dtype == want.dtype and np.array_equal(labels[row], want)
+                    assert np.array_equal(clusters[row], origin_cluster(win, one, o, blocked))
 
 
 # ---------------------------------------------------------------------------
