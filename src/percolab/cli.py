@@ -65,10 +65,6 @@ EXIT_CONFIG = 4
 def _fmt_cell(v: Any) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 
@@ -194,6 +190,9 @@ def cmd_find_pc(cfg: Config, args, sink: _Sink) -> int:
     n = args.n_samples or est["n_samples"]
     seed = args.seed if args.seed is not None else cfg.section("sample")["seed"]
     radii = est["pc_radii"]
+    if est["pc_criterion"] == "arm_scaling" and n < 2:
+        raise ConfigError("the arm_scaling criterion needs --n-samples >= 2 "
+                          "(its standard error is a sample standard deviation)")
     p_c, report = locate_pc(
         cfg.spec(),
         criterion=est["pc_criterion"],

@@ -208,7 +208,7 @@ def estimate_regularity(
             est = Estimate(1.0, 0.0, 0, 0, cfg.seed, (0, 0))
             per_s.append((s, est, level, True))
             continue
-        est = Estimate.from_counts(tallies[s], params.n_inner, 0, cfg.seed)
+        est = Estimate.from_counts(tallies[s], params.n_inner, cfg.seed)
         if est.value - 3 * est.stderr > level:
             verdict: Optional[bool] = True
         elif est.value + 3 * est.stderr < level:
@@ -387,13 +387,15 @@ def _window_spanning_clusters(
     cfg: PercolationConfig, region: Region
 ) -> Tuple[ClusterRecord, ...]:
     """The open clusters of an origin-centred annulus that touch both of its
-    boundaries, from one labelling of its window, sorted by minimal vertex.
+    boundaries, from one labelling of its window, in order of minimal vertex.
 
     Each record equals the one :func:`~percolab.engine.spanning_clusters`
     explores: its root is the cluster's first inner-boundary site in
-    :func:`~percolab.lattice.region_boundaries` order.  Its label is read
-    off the window with no sort: rows ascend and window rows are
-    lexicographic.  The last four results are kept, as their windows are,
+    :func:`~percolab.lattice.region_boundaries` order.  Nothing is sorted:
+    window rows are lexicographic, so a label read off ascending rows is
+    sorted, and components are numbered in the order of their first row, so
+    the ascending labels of ``intersect1d`` give the records in order of
+    minimal vertex.  The last four results are kept, as their windows are,
     so a scan's minimality check (for ``q_max <= 4``) reads the labelling
     its own sample already made of each smaller sub-annulus; every caller
     shares the returned tuple.
@@ -412,7 +414,7 @@ def _window_spanning_clusters(
             boundary_in=tuple(b_in[i] for i in on_in),
             boundary_out=tuple(b_out[i] for i in np.flatnonzero(lab_out == lab)),
         ))
-    return tuple(sorted(out, key=lambda r: r.min_vertex))
+    return tuple(out)
 
 
 def scan_good_spanning(

@@ -61,16 +61,14 @@ class Estimate:
         cls,
         successes: int,
         n_samples: int,
-        n_truncated: int = 0,
         seed: int = 0,
         sample_range: Tuple[int, int] = (0, 0),
     ) -> "Estimate":
-        n_eff = n_samples - n_truncated
-        if n_eff <= 0:
-            return cls(float("nan"), float("nan"), n_samples, n_truncated, seed, sample_range)
-        ph = successes / n_eff
-        se = math.sqrt(ph * (1.0 - ph) / n_eff)
-        return cls(ph, se, n_samples, n_truncated, seed, sample_range)
+        if n_samples <= 0:
+            return cls(float("nan"), float("nan"), n_samples, 0, seed, sample_range)
+        ph = successes / n_samples
+        se = math.sqrt(ph * (1.0 - ph) / n_samples)
+        return cls(ph, se, n_samples, 0, seed, sample_range)
 
 
 def combine_gap_sigma(a: Estimate, b: Estimate) -> Tuple[float, float]:
@@ -117,7 +115,7 @@ def two_point_profile(
         clusters = origin_cluster(win, sample_open_edges(win, cfg, block), origin, None)
         hits += clusters[:, rows].sum(axis=0)
     return [
-        (t, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
+        (t, Estimate.from_counts(int(h), n_samples, cfg.seed, rng))
         for t, h in zip(targets, hits)
     ]
 
@@ -148,7 +146,7 @@ def one_arm_profile(
     for reach in _origin_reach(win, cfg, range(*rng)):
         hits += rad_arr <= reach
     return [
-        (r, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
+        (r, Estimate.from_counts(int(h), n_samples, cfg.seed, rng))
         for r, h in zip(radii, hits)
     ]
 
@@ -274,6 +272,9 @@ def locate_pc(
     """
     if criterion not in PC_CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
+    # arm_scaling's standard error is a sample standard deviation
+    if criterion == "arm_scaling" and n_samples < 2:
+        raise ValueError("the arm_scaling criterion needs n_samples >= 2")
     stat = PC_CRITERIA[criterion]
     if radii is None:
         radii = (16, 32)

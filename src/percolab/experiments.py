@@ -104,7 +104,6 @@ _FAMILY_KINDS = (
     "single_vertex",
     "vertex_set_with_obstacle",
     "halfspace_target",
-    "interleaved",
 )
 
 
@@ -148,14 +147,10 @@ class ConditioningFamily:
     first hitting the target shell); ``single_vertex`` and
     ``halfspace_target`` are genuinely unbounded and use a padded window
     whose truncation bias is documented rather than eliminated.
-
-    ``interleaved`` alternates two sub-families along its ``n_list``
-    (even positions from the first, odd from the second).
     """
 
     kind: str
     n_list: Tuple[int, ...]
-    sub: Optional[Tuple["ConditioningFamily", "ConditioningFamily"]] = None
 
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
@@ -167,9 +162,6 @@ class ConditioningFamily:
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"family scales must be strictly increasing, "
                              f"got {list(self.n_list)!r}")
-        if (self.kind == "interleaved") != (self.sub is not None):
-            raise ValueError("an interleaved family needs its two sub-families, "
-                             "and only an interleaved family takes them")
 
     # typed, so an equal ``n`` of another type (2.0 after 2) is built, or
     # refused, as it would be uncached
@@ -185,12 +177,6 @@ class ConditioningFamily:
         Raises :class:`~percolab.lattice.WindowTooLargeError` before
         materialising any site when ``B(outer)`` could not be materialised.
         """
-        if self.kind == "interleaved":
-            try:
-                pos = self.n_list.index(n)
-            except ValueError:
-                raise ValueError(f"{n} not in the interleaved n_list") from None
-            return self.sub[pos % 2].at(spec, n)
         origin = (0,) * spec.d
         if self.kind == "box_boundary":
             outer, exact = n + 1, True
@@ -848,35 +834,27 @@ def iic_series(
     so starvation is visible; fewer than 100 accepted samples flags a point
     low-confidence.  A one-scale family gives the point of one scale.
 
-    The scales whose conditioning :func:`_decided_in_any_box` (the
-    box-boundary ones on a nearest-neighbour lattice, and so the box-boundary
-    members of an interleaved family) share one window ``B(max outer)`` and
-    one breadth-first search from the origin per sample: 0 <-> the shell of
-    radius ``n + 1`` inside ``B(n + 1)`` holds iff the origin's cluster in
-    the larger window reaches that shell, since a path leaving ``B(n)``
-    steps onto it first.
-    Every other scale keeps its own window, where it is decided: obstacles,
-    targets short of a whole shell or steps that jump a shell would change
-    the event in a larger box.
+    When every scale's conditioning :func:`_decided_in_any_box` (a
+    box-boundary family on a nearest-neighbour lattice), the scales share one
+    window ``B(max outer)`` and one breadth-first search from the origin per
+    sample: 0 <-> the shell of radius ``n + 1`` inside ``B(n + 1)`` holds iff
+    the origin's cluster in the larger window reaches that shell, since a
+    path leaving ``B(n)`` steps onto it first.
+    Otherwise each scale keeps its own window, where it is decided:
+    obstacles, targets short of a whole shell or steps that jump a shell
+    would change the event in a larger box.
     """
-    groups: List[List[Conditioning]] = []
-    shared: List[Conditioning] = []
-    for cond in (family.at(cfg.spec, n) for n in family.n_list):
-        if not _decided_in_any_box(cfg.spec, cond):
-            groups.append([cond])
-            continue
-        if not shared:
-            groups.append(shared)
-        shared.append(cond)
+    conds = [family.at(cfg.spec, n) for n in family.n_list]
+    shared = all(_decided_in_any_box(cfg.spec, cond) for cond in conds)
     srange = (sample_start, sample_start + n_samples)
-    points = {}
-    for group in groups:
+    points = []
+    for group in [conds] if shared else [[cond] for cond in conds]:
         accepted, hits = _conditioned_counts(cfg, event, group, range(*srange))
-        for cond, a, h in zip(group, accepted, hits):
-            points[cond.n] = IICPoint(n=cond.n, family_kind=cond.kind, event_name=event.name,
-                                      exact_window=cond.exact,
-                                      **_conditioned_fields(h, a, cfg.seed, srange))
-    return [points[n] for n in family.n_list]
+        points += [IICPoint(n=cond.n, family_kind=cond.kind, event_name=event.name,
+                            exact_window=cond.exact,
+                            **_conditioned_fields(h, a, cfg.seed, srange))
+                   for cond, a, h in zip(group, accepted, hits)]
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -1036,18 +1014,6 @@ class SupercriticalReport:
     critical: Optional[IICPoint]
     sensitivity: float                   # terminal-p shift between the two R
     terminal_gap: Optional[Tuple[float, float]]  # vs critical: gap, sigma
-
-    def summary(self) -> dict:
-        return {
-            "r_values": sorted(self.sweeps),
-            "sensitivity": self.sensitivity,
-            "terminal_gap": None if self.terminal_gap is None else {
-                "gap": self.terminal_gap[0], "sigma": self.terminal_gap[1],
-            },
-            "points": {
-                str(r): [pt.row() for pt in pts] for r, pts in self.sweeps.items()
-            },
-        }
 
 
 def supercritical_report(

@@ -87,13 +87,6 @@ class Kernel:
         log_mat = np.log(np.array([[float(v) for v in line] for line in table]))
         return cls(rows=rows, cols=cols, log_mat=log_mat, exact=exact)
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-    def entries(self) -> np.ndarray:
-        return np.exp(self.log_mat)
-
 
 def oscillation(f: Sequence, g: Sequence):
     """Spread of the ratio f/g over the common index set.

@@ -352,6 +352,16 @@ def test_bad_pc_bracket_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "does not straddle" in err
 
 
+def test_one_sample_arm_scaling_is_a_config_error(tmp_path, capsys):
+    # its standard error needs two samples: one wrote NaN into pc.json
+    code, out = _run(tmp_path, ["find-pc", "--n-samples", "1"],
+                     cfg={"estimation": {"pc_criterion": "arm_scaling"}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "config error" in err and "--n-samples >= 2" in err
+    assert not out.exists()
+
+
 def test_bad_supercritical_grid_is_a_config_error(tmp_path, capsys):
     code, out = _run(tmp_path, ["supercritical-sweep", "--n-samples", "5"],
                      cfg={"supercritical": {"p_list": [1.5, 0.5]}})

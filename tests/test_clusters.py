@@ -174,7 +174,7 @@ def test_regularity_resampling_frozen_tallies_d3():
         assert rep.frozen_size == size
         (s3, est3, _, v3), (s4, est4, _, v4) = rep.per_s
         assert (s3, v3) == (3, verdict)
-        assert est3 == Estimate.from_counts(tally, 100, 0, 2024)
+        assert est3 == Estimate.from_counts(tally, 100, 2024)
         assert (s4, est4.n_samples, v4) == (4, 0, True)  # 9^3 < 4^4 log^7 4
         assert rep.regular is regular
 
@@ -212,7 +212,7 @@ def _whole_cluster_regularity(cfg, x, cluster, params, resample_region=None):
             per_s.append((s, Estimate(float(s in tame), 0.0, 0, 0, cfg.seed, (0, 0)),
                           level, s in tame))
             continue
-        est = Estimate.from_counts(tallies[s], params.n_inner, 0, cfg.seed)
+        est = Estimate.from_counts(tallies[s], params.n_inner, cfg.seed)
         verdict = (True if est.value - 3 * est.stderr > level
                    else False if est.value + 3 * est.stderr < level else None)
         per_s.append((s, est, level, verdict))

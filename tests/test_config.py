@@ -143,7 +143,7 @@ def test_families_constructed_from_config():
 
 @pytest.mark.parametrize("iic", [
     {"families": ["mystery"]},
-    {"families": ["interleaved"]},   # needs two member families: not in config
+    {"families": ["interleaved"]},   # a kind no more: refused as unknown
     {"n_list": []},
 ], ids=["unknown-kind", "interleaved", "empty-scales"])
 def test_unbuildable_iic_section_exits_4(tmp_path, iic):

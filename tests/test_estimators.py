@@ -36,7 +36,7 @@ LAM2 = LatticeSpec(d=2, edge_mode=SPREAD_OUT, lam=2)
 
 
 def test_estimate_from_counts():
-    e = Estimate.from_counts(30, 120, 0, seed=7)
+    e = Estimate.from_counts(30, 120, seed=7)
     assert e.value == 0.25
     assert math.isclose(e.stderr, math.sqrt(0.25 * 0.75 / 120))
     assert e.n_samples == 120 and e.n_truncated == 0
@@ -94,7 +94,7 @@ def _labelled_two_point(cfg, targets, n_samples, sample_start):
     for sid in range(*rng):
         labels = component_labels(win, sample_open_edges(win, cfg, sid))
         hits += labels[rows] == labels[origin]
-    return [(t, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
+    return [(t, Estimate.from_counts(int(h), n_samples, cfg.seed, rng))
             for t, h in zip(targets, hits)]
 
 
@@ -102,12 +102,12 @@ def _labelled_one_arm(cfg, radii, n_samples, sample_start):
     # with its B(0) shortcut: a window of one site gives the same profile
     rng = (sample_start, sample_start + n_samples)
     if radii[-1] == 0:
-        return [(0, Estimate.from_counts(n_samples, n_samples, 0, cfg.seed, rng))]
+        return [(0, Estimate.from_counts(n_samples, n_samples, cfg.seed, rng))]
     win = build_window(cfg.spec, cfg.seed, outer=radii[-1])
     hits = np.zeros(len(radii), dtype=np.int64)
     for reach in _labelled_reach(win, cfg, range(*rng)):
         hits += np.asarray(radii) <= reach
-    return [(r, Estimate.from_counts(int(h), n_samples, 0, cfg.seed, rng))
+    return [(r, Estimate.from_counts(int(h), n_samples, cfg.seed, rng))
             for r, h in zip(radii, hits)]
 
 
@@ -201,6 +201,14 @@ def test_locate_pc_rejects_non_straddling_bracket():
     with pytest.raises(ValueError, match="straddle"):
         locate_pc(SPEC2, criterion="arm_scaling", bracket=(0.4, 0.6),
                   tol=0.01, radii=(4, 8), n_samples=300, seed=11)
+
+
+def test_locate_pc_arm_scaling_refuses_one_sample():
+    # one sample has no sample standard deviation: the stderr would be NaN
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        locate_pc(SPEC2, criterion="arm_scaling", radii=(4, 8), n_samples=1)
+    _, info = locate_pc(SPEC2, criterion="crossing", radii=(4, 8), n_samples=1, tol=0.1)
+    assert all(math.isfinite(se) for _, _, se in info["curve"])
 
 
 # ---------------------------------------------------------------------------

@@ -72,13 +72,6 @@ def test_family_windows_and_targets():
 _KINDS = ("box_boundary", "single_vertex", "vertex_set_with_obstacle", "halfspace_target")
 
 
-def _interleaved(kind_a, kind_b, ns):
-    """Alternate two families along ``ns`` (even positions ``kind_a``)."""
-    ns = tuple(ns)
-    return ConditioningFamily("interleaved", ns, sub=(ConditioningFamily(kind_a, ns),
-                                                      ConditioningFamily(kind_b, ns)))
-
-
 def test_families_validate_against_spec():
     for kind in _KINDS:
         assert ConditioningFamily(kind, (4,)).at(SPEC2, 4).targets
@@ -93,48 +86,30 @@ def test_family_targets_avoid_conditioning_box():
             assert max(abs(c) for c in site) > 6
 
 
-def test_interleaved_family_delegates_by_position():
-    ns = [4, 6, 8]
-    fam = _interleaved("box_boundary", "single_vertex", ns)
-    assert fam.at(SPEC2, 4).kind == "box_boundary"
-    assert fam.at(SPEC2, 6).kind == "single_vertex"
-    assert fam.at(SPEC2, 8).kind == "box_boundary"
-    with pytest.raises(ValueError):
-        fam.at(SPEC2, 5)
-
-
 _CACHE_SPECS = [SPEC1, SPEC2, LatticeSpec(d=3), LatticeSpec(d=2, edge_mode="spread_out", lam=2)]
 
 
 @pytest.mark.parametrize("spec", _CACHE_SPECS, ids=["d1", "d2", "d3", "spread-out"])
 def test_conditioning_records_are_cached_and_shared(spec, cold_caches):
-    families = [ConditioningFamily(kind, (4, 6)) for kind in _KINDS] + [
-        _interleaved("vertex_set_with_obstacle", "halfspace_target", (4, 6))]
-    for fam in families:
+    for fam in (ConditioningFamily(kind, (4, 6)) for kind in _KINDS):
         for n in fam.n_list:
             cond = fam.at(spec, n)
             assert fam.at(spec, n) is cond
             # an equal family is the same cache key
-            assert ConditioningFamily(fam.kind, fam.n_list, fam.sub).at(spec, n) is cond
+            assert ConditioningFamily(fam.kind, fam.n_list).at(spec, n) is cond
             cold_caches()
             fresh = fam.at(spec, n)
             assert fresh == cond and fresh is not cond
             assert fresh.min_norm == cond.min_norm
-    mixed = families[-1]
-    assert mixed.at(spec, 4) is mixed.sub[0].at(spec, 4)
-    assert mixed.at(spec, 6) is mixed.sub[1].at(spec, 6)
 
 
 def test_conditioning_cache_keeps_no_exceptions(cold_caches):
-    fam = _interleaved("box_boundary", "single_vertex", (4, 6))
     huge = ConditioningFamily("box_boundary", (5000,))  # B(5001) has 100060009 sites
     for _ in range(2):
-        with pytest.raises(ValueError, match="5 not in the interleaved n_list"):
-            fam.at(SPEC2, 5)
         with pytest.raises(WindowTooLargeError, match="100060009 sites"):
             huge.at(SPEC2, 5000)
     info = ConditioningFamily.at.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
     # a cached scale 4 answers no float 4.0, which is refused uncached
     box = ConditioningFamily("box_boundary", (4,))
     box.at(SPEC2, 4)
@@ -295,18 +270,6 @@ def test_single_vertex_conditioning_forces_event_in_d1():
     assert pt.conditional.value == 1.0
 
 
-def test_interleaved_series_equals_positionwise_families():
-    cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=5)
-    ev = two_east_edges_event(SPEC1)
-    ns = [4, 6]
-    inter = iic_series(cfg, ev, _interleaved("box_boundary", "single_vertex", ns), 400)
-    boxes = iic_series(cfg, ev, ConditioningFamily("box_boundary", tuple(ns)), 400)
-    singles = iic_series(cfg, ev, ConditioningFamily("single_vertex", tuple(ns)), 400)
-    assert inter[0].conditional.value == boxes[0].conditional.value
-    assert inter[0].acceptance.value == boxes[0].acceptance.value
-    assert inter[1].conditional.value == singles[1].conditional.value
-
-
 def test_low_confidence_flag():
     cfg = PercolationConfig(spec=SPEC1, p=0.5, seed=5)
     pt, = iic_series(cfg, two_east_edges_event(SPEC1),
@@ -336,9 +299,7 @@ _HALFSPACE_ROWS = [
 @pytest.mark.parametrize("fam,rows", [
     (ConditioningFamily("vertex_set_with_obstacle", (4, 8)), _OBSTACLE_ROWS),
     (ConditioningFamily("halfspace_target", (4, 8)), _HALFSPACE_ROWS),
-    (_interleaved("vertex_set_with_obstacle", "halfspace_target", (4, 8)),
-     [_OBSTACLE_ROWS[0], _HALFSPACE_ROWS[1]]),
-], ids=["obstacle", "halfspace", "interleaved"])
+], ids=["obstacle", "halfspace"])
 def test_iic_series_frozen_rows(fam, rows):
     cfg = PercolationConfig(spec=SPEC2, p=0.5, seed=2024)
     pts = iic_series(cfg, two_east_edges_event(SPEC2), fam, 300)
@@ -359,16 +320,17 @@ _BOX235 = ConditioningFamily("box_boundary", (2, 3, 5))
 @pytest.mark.parametrize("spec,fam,windows", [
     (SPEC2, _BOX235, 1),
     (LatticeSpec(d=3), _BOX235, 1),
-    (SPEC2, _interleaved("box_boundary", "single_vertex", (2, 3, 5)), 2),
+    (SPEC2, ConditioningFamily("single_vertex", (2, 3, 5)), 3),
     (SPEC2, ConditioningFamily("vertex_set_with_obstacle", (2, 3, 5)), 3),
     (_LAM1, _BOX235, 3),
     (_LAM2, _BOX235, 3),
-], ids=["box-d2", "box-d3", "interleaved-box-single", "obstacle", "lam1-box", "lam2-box"])
+], ids=["box-d2", "box-d3", "single", "obstacle", "lam1-box", "lam2-box"])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_iic_series_equals_per_scale_points(spec, fam, windows, seed, monkeypatch):
     # the box-boundary scales of a nearest-neighbour lattice share the window
-    # of the largest one; every other conditioning keeps its own window, and
-    # every point equals the one-scale family's point
+    # of the largest one; every other family keeps a window per scale (a lone
+    # target, obstacles, or steps that jump a shell), and every point equals
+    # the one-scale family's point
     ev = two_east_edges_event(spec)
     cfg = PercolationConfig(spec, 0.5 if spec.edge_mode == "nearest_neighbour" else 0.25,
                             seed)
@@ -409,13 +371,12 @@ def _labelled_counts(cfg, event, conds, sample_ids):
     return accepted, hits
 
 
-_COUNT_FAMILIES = [ConditioningFamily(kind, (2, 3, 5)) for kind in _KINDS] + [
-    _interleaved("vertex_set_with_obstacle", "halfspace_target", (2, 3, 5))]
+_COUNT_FAMILIES = [ConditioningFamily(kind, (2, 3, 5)) for kind in _KINDS]
 
 
 @pytest.mark.parametrize("spec,p", [(SPEC2, 0.5), (LatticeSpec(d=3), 0.2488), (_LAM2, 0.07)],
                          ids=["d2", "d3", "lam2"])
-@pytest.mark.parametrize("fam", _COUNT_FAMILIES, ids=[*_KINDS, "interleaved"])
+@pytest.mark.parametrize("fam", _COUNT_FAMILIES, ids=_KINDS)
 def test_conditioned_counts_equal_labelled_counts(spec, p, fam):
     # every scale alone, and the scales as one group sharing the window of
     # the largest, as iic_series groups the box-boundary ones
@@ -434,9 +395,9 @@ def test_conditioned_counts_equal_labelled_counts(spec, p, fam):
 
 @pytest.mark.parametrize("fam,windows", [
     (_BOX235, 1),
-    (_interleaved("box_boundary", "single_vertex", (2, 3, 5)), 2),
+    (ConditioningFamily("single_vertex", (2, 3, 5)), 3),
     (ConditioningFamily("vertex_set_with_obstacle", (2, 3)), 2),
-], ids=["box", "interleaved-box-single", "obstacle"])
+], ids=["box", "single", "obstacle"])
 def test_iic_series_labels_once_per_window(fam, windows, monkeypatch):
     # the all-open feasibility check is the only labelling of a conditioned
     # window; each sample is one search from the origin per window
@@ -628,12 +589,7 @@ def _sites(win, rows):
     return [tuple(int(c) for c in x) for x in win.sites[rows]]
 
 
-_ARM_FAMILIES = [ConditioningFamily(kind, (6, 9, 16)) for kind in _KINDS] + [
-    ConditioningFamily("interleaved", (6, 9, 16), sub=(
-        ConditioningFamily("halfspace_target", (6, 9, 16)),
-        ConditioningFamily("single_vertex", (6, 9, 16)),
-    )),
-]
+_ARM_FAMILIES = [ConditioningFamily(kind, (6, 9, 16)) for kind in _KINDS]
 
 
 def _probes(spec, cond, inner):

@@ -13,11 +13,13 @@ sources keep by hand:
   that only tests call is deleted, not kept for them;
 * likewise every method of a top-level class, dunders aside, unless
   :data:`UNCALLED_METHODS` keeps it with a reason;
-* every defaulted parameter of a package function or method is passed, by
-  keyword or by position, by some call in the package, ``scripts/`` or
-  ``perfbench/``, unless :data:`TEST_ONLY_PARAMETERS` keeps it with a reason
-  (definitions in :data:`TEST_ONLY` are exempt).  An option with one value
-  in use is a constant;
+* every defaulted parameter of a package function or method, and every
+  defaulted dataclass field (a parameter of the generated constructor,
+  unless ``field(init=False)``), is passed, by keyword or by position, by
+  some call in the package, ``scripts/`` or ``perfbench/``, a ``cls(...)``
+  counting as a call of its class, unless :data:`TEST_ONLY_PARAMETERS`
+  keeps it with a reason (definitions in :data:`TEST_ONLY` are exempt).  An
+  option with one value in use is a constant;
 * every ``lru_cache`` of the package names an integer ``maxsize``, and no
   ``functools.cache`` is used: the package caches whole windows and cluster
   records, so an unbounded cache would grow with every sample;
@@ -276,14 +278,41 @@ def test_uncalled_method_entries_are_current():
     assert stale == []
 
 
-def _defaulted_parameters():
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _defaulted_fields(cls: ast.ClassDef):
+    """(field, position) for every defaulted field of a dataclass: its
+    generated ``__init__`` takes the annotated fields in order, minus those
+    declared ``field(init=False)``."""
+    position = 0
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kws = {kw.arg: kw.value for kw in value.keywords}
+            init = kws.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in kws or "default_factory" in kws
+        else:
+            defaulted = value is not None
+        if defaulted:
+            yield item.target.id, position
+        position += 1
+
+
+def _defaulted_parameters(modules):
     """(key, callee name, parameter, position) for every defaulted parameter
-    of a top-level function or method of the package.  ``position`` counts
-    the positional parameters after ``self``/``cls`` (``None`` for a
-    keyword-only one); a constructor is called by its class name."""
-    for path in SOURCES:
-        module = path.stem
-        for node in _parse(path).body:
+    of a top-level function, method or dataclass constructor of
+    ``modules``, (name, tree) pairs.  ``position`` counts the positional
+    parameters after ``self``/``cls`` (``None`` for a keyword-only one); a
+    constructor, written or generated, is called by its class name."""
+    for module, tree in modules:
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 funcs = [(node.name, node.name, node, False)]
             elif isinstance(node, ast.ClassDef):
@@ -297,6 +326,9 @@ def _defaulted_parameters():
                 continue
             if node.name in TEST_ONLY:
                 continue
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for name, position in _defaulted_fields(node):
+                    yield f"{module}.{node.name}.{name}", node.name, name, position
             for qualname, callee, func, bound in funcs:
                 args = func.args
                 positional = args.posonlyargs + args.args
@@ -310,19 +342,25 @@ def _defaulted_parameters():
                         yield f"{module}.{qualname}.{arg.arg}", callee, arg.arg, None
 
 
-def _passed_arguments():
+def _passed_arguments(trees):
     """For each callee name, the keywords passed to it and the most
-    positional arguments passed to it by any call outside the tests; a
-    ``*args`` or ``**kwargs`` counts as passing everything."""
+    positional arguments passed to it by any call in ``trees``; a ``*args``
+    or ``**kwargs`` counts as passing everything, and a ``cls(...)`` inside
+    a class calls that class."""
     keywords, positions = {}, {}
-    for path in CALLERS:
-        for node in ast.walk(_parse(path)):
+    for tree in trees:
+        # ast.walk is breadth-first, so a nested class claims its own calls
+        owner = {id(n): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for n in ast.walk(cls)}
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name is None:
                 continue
+            if name == "cls":
+                name = owner.get(id(node), name)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             n = float("inf") if starred else len(node.args)
             positions[name] = max(positions.get(name, 0), n)
@@ -332,10 +370,15 @@ def _passed_arguments():
     return keywords, positions
 
 
-def _parameters_passed():
-    """(key, passed outside the tests?) for every defaulted parameter."""
-    keywords, positions = _passed_arguments()
-    for key, callee, name, position in _defaulted_parameters():
+def _parameters_passed(modules=None, callers=None):
+    """(key, passed by ``callers``?) for every defaulted parameter of
+    ``modules``; by default the package's, passed outside the tests."""
+    if modules is None:
+        modules = [(path.stem, _parse(path)) for path in SOURCES]
+    if callers is None:
+        callers = [_parse(path) for path in CALLERS]
+    keywords, positions = _passed_arguments(callers)
+    for key, callee, name, position in _defaulted_parameters(modules):
         kws = keywords.get(callee, set())
         passed = (name in kws or "**" in kws
                   or (position is not None and positions.get(callee, 0) > position))
@@ -353,6 +396,36 @@ def test_test_only_parameter_entries_are_current():
     passed = dict(_parameters_passed())
     stale = sorted(key for key in TEST_ONLY_PARAMETERS if passed.get(key, True))
     assert stale == []
+
+
+def test_stray_fields_are_caught():
+    src = """
+from dataclasses import dataclass, field
+@dataclass(frozen=True)
+class Family:
+    kind: str
+    n_list: tuple = ()
+    sub: object = None
+    cached: int = field(init=False, default=0)
+    extra: list = field(default_factory=list)
+    @classmethod
+    def make(cls, kind):
+        return cls(kind, extra=[])
+@dataclass
+class Point:
+    x: int
+    y: int = 0
+class Plain:
+    z: int = 0
+def build():
+    return Family("box", (2,)), Point(1, 2)
+"""
+    tree = ast.parse(src)
+    # ``cached`` is no constructor parameter, ``extra`` is set through
+    # ``cls(...)``, and ``Plain`` is no dataclass
+    assert dict(_parameters_passed([("m", tree)], [tree])) == {
+        "m.Family.n_list": True, "m.Family.sub": False, "m.Family.extra": True,
+        "m.Point.y": True}
 
 
 #: The lazy explorer and the lazy references built on it.
