@@ -24,25 +24,30 @@ kernel extraction's connection queries) reads :func:`component_labels`.
 
 A question about the origin alone (does its open cluster reach a target
 set, how far does it reach?) is answered by :func:`origin_cluster`: one
-breadth-first search from the origin over the same CSR matrix, which costs
-scipy's transpose of the matrix plus the size of that cluster, not a
-traversal of the whole window; a target set is reached iff the cluster's
-mask holds one of its rows.
+directed breadth-first search from the origin, which costs one matrix
+construction plus the size of that cluster, not a traversal of the whole
+window; a target set is reached iff the cluster's mask holds one of its
+rows.  It reads a second layout, laid out the first time a window of those
+radii is searched (:func:`_search_layout`): every edge in both directions,
+grouped by head row, so scipy has no transpose to make.  A sample aims each
+slot at its tail when the edge is open and at an extra, empty *sink* row
+when it is closed, by one branch-free select, so the matrix is built as laid
+out, with no compaction.
 :func:`escape_levels` answers a whole decreasing grid of p per sample from
 one minimum spanning tree, since the open edge sets are nested in p, and
 reads every target set (say, the shells of several nested radii) off that
 one tree.
 
-On a small window scipy's fixed cost per call (three sparse-matrix
-constructions, a validation and a transpose) outweighs the search itself,
-so the primitives also take a *block* of samples.  Given a ``range`` of
-sample ids, :func:`sample_open_edges` returns a ``(B, m)`` block from one
-hash pass; :func:`component_labels` and :func:`origin_cluster` lay the
-block's ``B`` samples on the diagonal of one ``Bn x Bn`` matrix and answer
-all of them with one scipy call, row for row what ``B`` one-sample calls
-give (label numbers included).  :func:`sample_blocks` cuts a run of sample
-ids into blocks of at most :data:`BLOCK_SITES` sites, or one sample when a
-single window is larger than that.
+On a small window scipy's fixed cost per call (a sparse-matrix construction
+and its validation) outweighs the search itself, so the primitives also
+take a *block* of samples.  Given a ``range`` of sample ids,
+:func:`sample_open_edges` returns a ``(B, m)`` block from one hash pass;
+:func:`component_labels` and :func:`origin_cluster` lay the block's ``B``
+samples on the diagonal of one matrix and answer all of them with one scipy
+call, row for row what ``B`` one-sample calls give (label numbers
+included).  :func:`sample_blocks` cuts a run of sample ids into blocks of at
+most :data:`BLOCK_SITES` sites, or one sample when a single window is
+larger than that.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ from .lattice import LatticeSpec, Site, WindowTooLargeError
 #: Site budget of a block of samples: :func:`sample_blocks` cuts a run of
 #: sample ids into blocks of ``BLOCK_SITES // n_sites`` ids, at least one.
 #: Far larger blocks are slower per sample again: on a 2-vCPU Xeon, 120
-#: one-arm samples at B(16) took 6.5 ms in blocks of 15 (this budget), 20 ms
-#: one by one and 9.2 ms in one block of 120.
+#: one-arm samples at B(16) took 4.2 ms in blocks of 15 (this budget), 4.1 ms
+#: in blocks of 30, 12.5 ms one by one and 7.0 ms in one block of 120 (best
+#: of 25 interleaved runs each).
 BLOCK_SITES = 2 ** 14
 
 
@@ -181,6 +187,38 @@ def _layout(spec: LatticeSpec, outer: int, inner: int) -> Tuple[np.ndarray, ...]
     return layout
 
 
+@lru_cache(maxsize=8)
+def _search_layout(spec: LatticeSpec, outer: int, inner: int) -> Tuple[np.ndarray, ...]:
+    """The symmetric skeleton :func:`origin_cluster` searches, laid out the
+    first time a window of these radii is searched (a window that is only
+    labelled never pays for it): every edge in both directions, its ``2m``
+    slots grouped by head row (a stable argsort), as
+
+    * ``eid``, the edge id of each slot;
+    * ``shifted``, each slot's tail row minus the sink row ``n``;
+    * ``indptr``, the slots' row pointers, with one more, empty row ``n``:
+      the sink, where a search aims the slots of closed edges.
+
+    All int32 and read-only, like :func:`_layout`'s arrays.  Refuses
+    (:class:`WindowTooLargeError`) a window whose ``n * degree`` bound on
+    the slot count overflows int32, before laying anything out."""
+    n = check_window_size(spec, outer)
+    if n * spec.degree > np.iinfo(np.int32).max:
+        raise WindowTooLargeError(f"window with {n} sites is too large to search")
+    ends = _layout(spec, outer, inner)[-1].T  # (2, m), C-contiguous
+    heads = ends.reshape(-1)  # a view: first rows, then second rows
+    order = np.argsort(heads, kind="stable")
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.bincount(heads, minlength=n + 1), out=indptr[1:])
+    shifted = ends[::-1].reshape(-1).take(order)
+    shifted -= n
+    np.subtract(order, ends.shape[1], out=order, where=order >= ends.shape[1])
+    eid = order.astype(np.int32)
+    for a in (eid, shifted, indptr):
+        a.flags.writeable = False
+    return eid, shifted, indptr
+
+
 def build_window(spec: LatticeSpec, seed: int, outer: int, inner: int = -1,
                  centre: Optional[Site] = None) -> Window:
     """Materialise ``B(centre; outer) \\ B(centre; inner)``, centred at the
@@ -227,16 +265,14 @@ def sample_blocks(win: Window, ids: range) -> Iterator[range]:
         yield ids[i:i + size]
 
 
-def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = None,
-                root: Optional[int] = None):
+def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = None):
     """The CSR matrix of the edges where ``sel`` holds, with unit data or
     ``weights[sel]``, built straight from the window's skeleton: it is
     canonical (sorted rows and columns, no duplicates) as it stands.
 
     A ``(B, m)`` block ``sel`` lays its ``B`` samples on the diagonal, sample
     ``b`` on rows ``b*n`` to ``b*n + n - 1``; an ``(m,)`` vector is the block
-    of one.  With ``root``, one more row, the last, is a virtual node joined
-    to row ``root`` of every sample."""
+    of one."""
     blocks = 1 if sel.ndim == 1 else len(sel)
     n = win.n_sites
     heads, tails = win.edge_rows.T
@@ -249,11 +285,6 @@ def _edge_graph(win: Window, sel: np.ndarray, weights: Optional[np.ndarray] = No
     counts = np.bincount(heads.take(on), minlength=size)
     indices = tails.take(on)
     data = np.ones(len(on)) if weights is None else weights.take(on)
-    if root is not None:
-        counts = np.append(counts, blocks)
-        indices = np.append(indices, np.arange(root, size, n, dtype=np.int32))
-        data = np.append(data, np.ones(blocks))
-        size += 1
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     return csr_matrix((data, indices, indptr), shape=(size, size))
@@ -309,19 +340,41 @@ def origin_cluster(
     search from it instead of a labelling of the whole window.  Blocked rows
     are isolated as there.
 
+    The search runs directed over the window's symmetric skeleton
+    (:func:`_search_layout`), so scipy transposes nothing: each slot of an
+    open edge points at its tail, and each slot of a closed one at the sink,
+    an extra row with no edges of its own, by one branch-free select
+    (``shifted * open + n``).  The matrix is built as laid out, with no
+    compaction; the sink is dropped from the mask.
+
     A ``(B, m)`` block of masks gives ``(B, n)`` cluster masks from one
-    search, started at a virtual root joined to every sample's origin row;
-    a single mask is searched from its origin row, with no extra node."""
+    search: the skeleton runs down the diagonal with one sink after the
+    ``B`` samples, and the search starts at a virtual root after the sink,
+    joined to every sample's origin row.  A single mask is searched from its
+    origin row, with no root."""
     sel = _unblocked(win, open_mask, blocked_rows)
+    eid, shifted, indptr = _search_layout(win.spec, win.outer, win.inner)
+    n = win.n_sites
     blocks = sel.shape[:-1]  # () for a single mask
-    size = math.prod(blocks) * win.n_sites
-    if blocks:
-        graph, start = _edge_graph(win, sel, root=origin_row), size
+    sink = math.prod(blocks) * n
+    slots = sel.take(eid, axis=-1)
+    if blocks:  # sample b's tails move down by b*n, and the sink to B*n
+        b = np.arange(blocks[0], dtype=np.int32)[:, None]
+        idx = (shifted + (b + 1 - blocks[0]) * n) * slots
+        end = blocks[0] * len(eid)
+        indptr = np.concatenate([(indptr[:n] + b * len(eid)).ravel(),
+                                 np.array([end, end, end + blocks[0]], dtype=np.int32)])
+        idx = np.concatenate([idx.ravel() + sink, b.ravel() * n + origin_row])
+        start = sink + 1
     else:
-        graph, start = _edge_graph(win, sel), origin_row
-    mask = np.zeros(graph.shape[0], dtype=bool)
-    mask[breadth_first_order(graph, start, directed=False, return_predecessors=False)] = True
-    return mask[:size].reshape(blocks + (win.n_sites,))
+        idx = shifted * slots
+        idx += n
+        start = origin_row
+    size = len(indptr) - 1
+    graph = csr_matrix((np.broadcast_to(1.0, idx.shape), idx, indptr), shape=(size, size))
+    mask = np.zeros(size, dtype=bool)
+    mask[breadth_first_order(graph, start, directed=True, return_predecessors=False)] = True
+    return mask[:sink].reshape(blocks + (n,))
 
 
 def escape_levels(

@@ -14,7 +14,7 @@ import pytest
 
 from percolab import windowed
 from percolab.battery import random_nofurther_instance
-from percolab.engine import PercolationConfig, TinyGraph
+from percolab.engine import PercolationConfig, TinyGraph, connect_sets
 from percolab.estimators import (
     Estimate,
     SubgraphSpec,
@@ -27,7 +27,7 @@ from percolab.estimators import (
     one_arm_profile,
     two_point_profile,
 )
-from percolab.lattice import SPREAD_OUT, LatticeSpec, norm_inf
+from percolab.lattice import SPREAD_OUT, LatticeSpec, box, norm_inf
 from percolab.windowed import build_window, component_labels, sample_open_edges
 
 SPEC2 = LatticeSpec(d=2)
@@ -135,6 +135,25 @@ def test_origin_reductions_equal_the_full_labelling(spec, p_c, p):
         win = build_window(spec, cfg.seed, outer=radii[-1])
         assert (_arm_scaling_stat(win, cfg, radii, n, start)
                 == _labelled_arm_scaling(win, cfg, radii, n, start))
+
+
+@pytest.mark.parametrize("spec,n,p", [(SPEC2, 4, 0.5), (SPEC3, 2, 0.2488)], ids=["d2", "d3"])
+def test_crossing_stat_equals_lazy_crossings_sample_by_sample(spec, n, p):
+    # the windowed side-to-side crossing of B(n) against the lazy explorer's
+    # connect_sets, one sample at a time and summed over blocks of samples
+    cfg = PercolationConfig(spec, p, seed=2024)
+    win = build_window(spec, cfg.seed, outer=n)
+    sites = [tuple(x) for x in win.sites.tolist()]
+    left = [x for x in sites if x[0] == -n]
+    right = [x for x in sites if x[0] == n]
+    ids = range(100, 160)
+    lazy = [connect_sets(cfg.with_sample(sid), left, right, box((0,) * spec.d, n))
+            for sid in ids]
+    assert 0 < sum(lazy) < len(lazy)  # both outcomes occur
+    for sid, crossed in zip(ids, lazy):
+        assert _crossing_stat(win, cfg, (n, n), 1, sid)[0] == (0.5 if crossed else -0.5)
+    share = sum(lazy) / len(ids)
+    assert _crossing_stat(win, cfg, (1, n), len(ids), ids.start)[0] == share - 0.5
 
 
 def test_small_window_estimators_make_one_scipy_call_per_block(monkeypatch):

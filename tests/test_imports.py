@@ -12,7 +12,11 @@ sources keep by hand:
   reference), unless :data:`TEST_ONLY` keeps it with a reason.  A definition
   that only tests call is deleted, not kept for them;
 * likewise every method of a top-level class, dunders aside, unless
-  :data:`UNCALLED_METHODS` keeps it with a reason;
+  :data:`UNCALLED_METHODS` keeps it with a reason.  A reference reaches the
+  method of its receiver's class where the class is known (``self``, an
+  annotation, a constructor or an annotated return), else every method or
+  property of that name, so a field of one class cannot stand in for a
+  method of another (:func:`_method_reach`);
 * every defaulted parameter of a package function or method, and every
   defaulted dataclass field (a parameter of the generated constructor,
   unless ``field(init=False)``), is passed, by keyword or by position, by
@@ -55,11 +59,16 @@ TEST_ONLY = {
         "reference oracle for extraction's window queries (perfbench spans it by name)",
 }
 
-#: Methods that nothing outside the tests names, kept on purpose.
+#: Methods that no reference outside the tests is known to reach, kept on
+#: purpose.
 UNCALLED_METHODS = {
     "_Parser.error": "argparse hook: ArgumentParser calls it on a bad command line",
     "TinyGraph.component_of": "per-mask reference for TinyGraph.reach and popcount64",
     "TinyGraph.connected": "per-mask reference for TinyGraph.connects",
+    "OracleGraph.exact":
+        "exact value of a battery graph, the reference for the battery's table reads",
+    # perfbench's untyped read of a window's n_edges may still reach it
+    "YGeometry.n_edges": "criterion 5 bounds every battery geometry at 22 edges",
 }
 
 #: Defaulted parameters, as ``module.function.parameter`` (or
@@ -251,31 +260,210 @@ def test_test_only_entries_are_current():
     assert stale == []
 
 
-def _methods():
-    """(module, "Class.method", method) for every non-dunder method of a
-    top-level class of the package."""
-    for path in SOURCES:
-        for node in _parse(path).body:
+def _methods(modules):
+    """``(class, method)`` for every non-dunder method of a top-level class
+    of ``modules`` (parsed trees)."""
+    for tree in modules:
+        for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not (item.name.startswith("__") and item.name.endswith("__"))):
-                        yield path.name, f"{node.name}.{item.name}", item.name
+                        yield node.name, item.name
+
+
+def _members(modules):
+    """``{class: {member: kind}}`` for every top-level class of ``modules``:
+    ``"method"`` for a plain, static or class method, ``"data"`` for a
+    property, a class-level name or an attribute a method sets on ``self``."""
+    members = {}
+    for tree in modules:
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            own = members.setdefault(cls.name, {})
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    prop = any(getattr(d, "id", getattr(d, "attr", None))
+                               in ("property", "cached_property") for d in item.decorator_list)
+                    own[item.name] = "data" if prop else "method"
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    own[item.target.id] = "data"
+                elif isinstance(item, ast.Assign):
+                    own.update((t.id, "data") for t in item.targets if isinstance(t, ast.Name))
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and getattr(node.value, "id", None) == "self"):
+                    own.setdefault(node.attr, "data")
+    return members
+
+
+def _class_of(node, classes, returns):
+    """The class of ``classes`` that ``node`` names as an annotation (``C``,
+    ``"C"`` or ``Optional[C]``) or as a value (``C``, ``C(...)`` or a call of
+    a function that ``returns`` maps to ``C``); ``None`` when unknown."""
+    if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "Optional":
+        node = node.slice
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None)
+        return name if name in classes else returns.get(name)
+    name = node.value if isinstance(node, ast.Constant) else getattr(node, "id", None)
+    return name if name in classes else None
+
+
+def _local_classes(func, method_of, classes, returns):
+    """``{name: class}`` for the names of ``func`` whose class is known: the
+    first parameter of a method of ``method_of`` (``self`` or ``cls``),
+    parameters annotated with a class, and names that every binding in
+    ``func`` (nested scopes aside) binds to one class."""
+    params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    bound = {}
+    if method_of is not None and params and not any(
+            getattr(d, "id", None) == "staticmethod" for d in func.decorator_list):
+        bound[params[0].arg] = {method_of}
+        params = params[1:]
+    for a in params:
+        bound[a.arg] = {_class_of(a.annotation, classes, returns)}
+    nested = {id(n) for d in ast.walk(func) if d is not func and isinstance(
+        d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)) for n in ast.walk(d)}
+    own = [n for n in ast.walk(func) if id(n) not in nested]
+    typed = set()
+    for node in own:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, cls = node.targets[0], _class_of(node.value, classes, returns)
+        elif isinstance(node, ast.AnnAssign):
+            target, cls = node.target, _class_of(node.annotation, classes, returns)
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            typed.add(id(target))
+            bound.setdefault(target.id, set()).add(cls)
+    for node in own:  # a loop or comprehension target, an unpacking, a del
+        if (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+                and id(node) not in typed):
+            bound.setdefault(node.id, set()).add(None)
+    return {name: cls for name, (cls, *more) in bound.items() if cls and not more}
+
+
+def _references(tree, classes, returns):
+    """``(name, class, called)`` for every attribute ``x.name`` and every
+    bare name read in ``tree``; ``class`` is the class of ``x`` where
+    :func:`_local_classes` or :func:`_class_of` knows it, else ``None``."""
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    refs = []
+
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name if isinstance(node, ast.ClassDef) else None
+                visit(child, {**local, **_local_classes(child, owner, classes, returns)})
+                continue
+            if isinstance(child, ast.Lambda):
+                shadowed = {a.arg for a in child.args.args}
+                visit(child, {k: v for k, v in local.items() if k not in shadowed})
+                continue
+            if isinstance(child, ast.Attribute):
+                recv = child.value
+                cls = (local.get(recv.id) if isinstance(recv, ast.Name) and recv.id in local
+                       else _class_of(recv, classes, returns))
+                refs.append((child.attr, cls, id(child) in called))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                refs.append((child.id, None, id(child) in called))
+            visit(child, local)
+
+    visit(tree, {})
+    return refs
+
+
+def _method_reach(modules=None, callers=None):
+    """``{"Class.method": (reached, surely)}`` for every non-dunder method of
+    the top-level classes of ``modules``, from the references in
+    ``callers``; by default the package's methods, referenced outside the
+    tests.
+
+    A reference whose receiver's class is known reaches that class only.
+    Any other ``x.m`` reaches every class with a member ``m`` of its kind (a
+    method when it is called, data when it is read; every class with an
+    ``m`` when none has one of that kind), so reading the field ``exact`` of
+    one class does not reach the method ``exact`` of another.  A reference
+    reaches a class *surely* when it reaches no other."""
+    if modules is None:
+        modules = [_parse(path) for path in SOURCES]
+    if callers is None:
+        callers = [_parse(path) for path in CALLERS]
+    members = _members(modules)
+    returns = {f.name: _class_of(f.returns, members, {}) for tree in modules for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.returns is not None}
+    owners = {}
+    for cls, own in members.items():
+        for name, kind in own.items():
+            owners.setdefault(name, {})[cls] = kind
+    reach = {method: [False, False] for method in _methods(modules)}
+    for tree in callers:
+        for name, cls, is_call in _references(tree, members, returns):
+            have = owners.get(name, {})
+            if cls is not None:
+                targets = {cls} & set(have)
+            else:
+                kind = "method" if is_call else "data"
+                targets = {c for c, k in have.items() if k == kind} or set(have)
+            for c in targets:
+                if (c, name) in reach:
+                    reach[c, name] = [True, reach[c, name][1] or targets == {c}]
+    return {f"{cls}.{name}": tuple(r) for (cls, name), r in reach.items()}
 
 
 def test_every_method_has_a_non_test_caller():
-    used = _referenced_names()
-    uncalled = [f"{module}: {qualname}" for module, qualname, name in _methods()
-                if name not in used and qualname not in UNCALLED_METHODS]
+    uncalled = sorted(q for q, (reached, _) in _method_reach().items()
+                      if not reached and q not in UNCALLED_METHODS)
     assert uncalled == []
 
 
 def test_uncalled_method_entries_are_current():
-    """An entry that is gone, or whose name has gained a caller, is stale."""
-    used = _referenced_names()
-    names = {qualname: name for _, qualname, name in _methods()}
-    stale = sorted(q for q in UNCALLED_METHODS if q not in names or names[q] in used)
+    """An entry that is gone, or that some non-test reference surely
+    reaches, is stale."""
+    reach = _method_reach()
+    stale = sorted(q for q in UNCALLED_METHODS if reach.get(q, (True, True))[1])
     assert stale == []
+
+
+def test_name_collisions_are_caught():
+    src = '''
+from typing import Optional
+class Graph:
+    def exact(self): pass
+    @property
+    def n_edges(self): pass
+    def total(self): return self.exact()
+class Cell:
+    exact: float
+class Window:
+    @property
+    def n_edges(self): pass
+    def rows(self): pass
+class Report:
+    def passed(self): pass
+    def stray(self): pass
+def build_window() -> Window: pass
+def read(cells, w: Window, z: Optional["Window"], anything):
+    win = build_window()
+    ok = Report().passed()
+    return [c.exact for c in cells], w.n_edges, win.n_edges, z.rows, ok
+def size(anything):
+    return anything.n_edges
+'''
+    tree = ast.parse(src)
+    reach = _method_reach([tree], [tree])
+    # the field read reaches no method, and a known receiver only its class
+    assert reach == {"Graph.exact": (True, True), "Graph.n_edges": (True, False),
+                     "Graph.total": (False, False), "Window.n_edges": (True, True),
+                     "Window.rows": (True, True), "Report.passed": (True, True),
+                     "Report.stray": (False, False)}
+    # without the untyped read in ``size``, only the typed ones are left
+    trimmed = ast.parse(src.split("def size")[0])
+    assert _method_reach([trimmed], [trimmed])["Graph.n_edges"] == (False, False)
+    assert _method_reach([trimmed], [trimmed])["Window.n_edges"] == (True, True)
+    # a field read alone leaves the method of that name uncalled
+    no_total = ast.parse(src.replace("return self.exact()", "pass"))
+    assert _method_reach([no_total], [no_total])["Graph.exact"] == (False, False)
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

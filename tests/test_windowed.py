@@ -22,7 +22,10 @@ from percolab.engine import (
 from percolab.lattice import SPREAD_OUT, LatticeSpec, annulus, box, edge_count_box
 from percolab.windowed import (
     WindowTooLargeError,
+    _layout,
+    _search_layout,
     build_window,
+    check_window_size,
     component_labels,
     connection_indicator,
     escape_levels,
@@ -385,6 +388,93 @@ def test_oversized_windows_are_refused_before_materialising():
     with pytest.raises(WindowTooLargeError, match="too large"):
         build_window(LatticeSpec(d=2, edge_mode="spread_out", lam=20), seed=0, outer=800)
     assert issubclass(WindowTooLargeError, ValueError)
+
+
+def test_oversized_search_layouts_are_refused_before_laying_out(cold_caches):
+    # 5764801 sites of degree 440: the window's 220 edges a site fit the
+    # labelling skeleton's int32 indptr, but its 440 slots a site would
+    # overflow the search skeleton's, so only a search refuses the window
+    lam10 = LatticeSpec(d=2, edge_mode="spread_out", lam=10)
+    assert check_window_size(lam10, 1200) == 5764801
+    with pytest.raises(WindowTooLargeError, match="5764801 sites is too large to search"):
+        _search_layout(lam10, 1200, -1)
+    assert _layout.cache_info().currsize == 0  # refused before the window's layout
+    with pytest.raises(WindowTooLargeError, match="too large to materialise"):
+        _search_layout(lam10, 1700, -1)  # 11566801 sites: refused as a window already
+
+
+# ---------------------------------------------------------------------------
+# The directed search on the symmetric skeleton against the origin's label
+
+_SEARCH_WINDOWS = [
+    (LatticeSpec(d=1), 9, -1),
+    (LatticeSpec(d=1), 9, 3),
+    (SPEC2, 6, 0),
+    (SPEC2, 7, 3),
+    (SPEC3, 3, 1),
+    (_LAM2, 6, -1),
+    (_LAM2, 6, 2),
+    (SPEC2, 0, -1),
+]
+_SEARCH_IDS = ["d1", "d1-annulus", "d2-hole0", "d2-annulus", "d3-annulus", "lam2",
+               "lam2-annulus", "no-edge"]
+
+
+def _assert_search_equals_label(win, masks, row, blocked):
+    got = origin_cluster(win, masks, row, blocked)
+    assert got.dtype == bool and got.shape == masks.shape[:-1] + (win.n_sites,)
+    for one, cluster in zip(np.atleast_2d(masks), np.atleast_2d(got)):
+        lab = component_labels(win, one, blocked)
+        assert np.array_equal(cluster, lab == lab[row])
+
+
+@pytest.mark.parametrize("spec,outer,inner", _SEARCH_WINDOWS, ids=_SEARCH_IDS)
+def test_symmetric_search_equals_origin_label(spec, outer, inner):
+    # annuli (searched from the centre, which lies outside them, and from a
+    # member row), windows centred away from the origin, the zero-edge
+    # window, all-open masks (no slot aims at the sink), all-closed masks,
+    # blocked rows that hold the searched row, and blocks at the top of the
+    # id domain
+    for centre in [None, (5,) + (-3,) * (spec.d - 1)]:
+        win = build_window(spec, 43, outer, inner, centre=centre)
+        members = np.flatnonzero(win.member)
+        rows = sorted({win.n_sites // 2, int(members[0]), int(members[-1])})
+        cfg = PercolationConfig(spec, 0.5 if spec.degree <= 6 else 0.1, 43)
+        masks = [np.ones(win.n_edges, dtype=bool), np.zeros(win.n_edges, dtype=bool),
+                 *(sample_open_edges(win, cfg, sid) for sid in range(6)),
+                 sample_open_edges(win, cfg, range(2**64 - 3, 2**64)),
+                 np.ones((2, win.n_edges), dtype=bool)]
+        for row in rows:
+            for blocked in [None, np.array([row]), members[::3]]:
+                for mask in masks:
+                    _assert_search_equals_label(win, mask, row, blocked)
+
+
+def test_centred_windows_share_one_search_layout(cold_caches):
+    # the regularity searches the same box around vertex after vertex; a
+    # window that is only labelled lays out no search skeleton
+    labelled = build_window(SPEC2, 5, 4, centre=(9, 9))
+    component_labels(labelled, np.ones(labelled.n_edges, dtype=bool))
+    assert _search_layout.cache_info().currsize == 0
+    cfg = PercolationConfig(SPEC2, 0.5, 5)
+    for centre in [(0, 0), (3, -7), (2**33, 1)]:
+        win = build_window(SPEC2, 5, 4, 1, centre=centre)
+        origin_cluster(win, sample_open_edges(win, cfg, 0), win.row_of(centre) + 1, None)
+    info = _search_layout.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    eid, shifted, indptr = _search_layout(SPEC2, 4, 1)
+    win = build_window(SPEC2, 5, 4, 1)
+    assert all(a.dtype == np.int32 and not a.flags.writeable for a in (eid, shifted, indptr))
+    with pytest.raises(ValueError, match="read-only"):
+        eid[0] = 0
+    # every edge in both directions, grouped by head row; the sink row is empty
+    n = win.n_sites
+    heads = np.repeat(np.arange(n), np.diff(indptr[:-1]))
+    tails = shifted + n
+    assert indptr[-1] == indptr[-2] == 2 * win.n_edges
+    assert sorted(zip(np.minimum(heads, tails).tolist(), np.maximum(heads, tails).tolist(),
+                      eid.tolist())) == \
+        sorted(2 * [(a, b, e) for e, (a, b) in enumerate(win.edge_rows.tolist())])
 
 
 # ---------------------------------------------------------------------------
